@@ -9,8 +9,9 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
-from .mir import SHADOW_OPCODES, MirError, Program, parse_program, print_program, validate_program
+from .mir import NUM_REGS, SHADOW_OPCODES, MirError, Program, parse_program, print_program, validate_program
 from .transform import (
     FN_ELIDED,
     FN_FULL,
@@ -28,6 +29,7 @@ from .shadowvm import (
     ExecInput,
     build_checks,
     check_activations,
+    compile,
     execute,
     observables,
     run_campaign,
@@ -160,29 +162,59 @@ def cmd_instrument(args) -> int:
     return 0
 
 
+def _usage_error(msg: str) -> NoReturn:
+    print(f"error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_input(args) -> ExecInput:
     decisions = ()
     if args.input:
-        decisions = tuple(bool(int(tok)) for tok in args.input.split(",") if tok.strip())
-    regs = [0] * 16
+        try:
+            decisions = tuple(bool(int(tok)) for tok in args.input.split(",") if tok.strip())
+        except ValueError:
+            _usage_error(f"--input {args.input!r}: expected comma-separated integers, e.g. 1,0,1")
+    regs = [0] * NUM_REGS
     for spec in args.reg or ():
         name, _, value = spec.partition("=")
-        regs[int(name.lstrip("r"))] = int(value)
+        try:
+            reg, val = int(name.lstrip("r")), int(value)
+        except ValueError:
+            _usage_error(f"--reg {spec!r}: expected rN=VALUE with integers, e.g. r1=5")
+        if not 0 <= reg < NUM_REGS:
+            _usage_error(f"--reg {spec!r}: registers are r0 to r{NUM_REGS - 1}")
+        regs[reg] = val
     return ExecInput(decisions, tuple(regs))
 
 
-def cmd_run(args) -> int:
-    program = _load(args.file)
-    target: Program | InstrumentedProgram = program
-    sidecar = Path(args.file + ".plan.json")
-    if sidecar.exists():
+def _load_plan(sidecar: Path, program: Program) -> InstrumentedProgram:
+    """The instrumented program described by `program`'s .plan.json sidecar."""
+    try:
         data = json.loads(sidecar.read_text())
         target = InstrumentedProgram(
             program,
             data["mode"],
             {n: ResolvedFunction.from_json(d) for n, d in data["functions"].items()},
         )
-    trace, outcome = execute(target, _parse_input(args), args.budget)
+        for rf in target.functions.values():
+            for cost in rf.op_costs.values():
+                if len(cost) != 2 or not all(type(v) is int for v in cost):
+                    raise ValueError(f"operation cost {list(cost)} is not two integers")
+    except OSError as exc:
+        _usage_error(f"cannot read plan sidecar {sidecar}: {exc.strerror or exc}")
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        _usage_error(f"malformed plan sidecar {sidecar}: {type(exc).__name__}: {exc}")
+    return target
+
+
+def cmd_run(args) -> int:
+    program = _load(args.file)
+    inp = _parse_input(args)
+    target: Program | InstrumentedProgram = program
+    sidecar = Path(args.file + ".plan.json")
+    if sidecar.exists():
+        target = _load_plan(sidecar, program)
+    trace, outcome = execute(target, inp, args.budget)
     if args.json:
         print(
             json.dumps(
@@ -274,11 +306,7 @@ class VerifyConfig:
 
 @dataclass
 class _Prepared:
-    name: str
-    program: Program
     targets: dict[str, InstrumentedProgram]
-    checks: dict[str, object]
-    base_checks: object
     inputs: list[ExecInput]
 
 
@@ -295,7 +323,6 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
         return None
     _, plan = plan_program(program)
     targets = {}
-    checks = {}
     for mode in modes:
         ip = apply_plan(program, plan, mode)
         bad = validate_program(ip.program, allow_shadow=True)
@@ -303,9 +330,8 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
             violations.extend(f"{name}/{mode}: {d.reason}" for d in bad)
             continue
         targets[mode] = ip
-        checks[mode] = build_checks(ip.program)
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program, cfg.max_decisions)
-    return _Prepared(name, program, targets, checks, build_checks(program, with_liveness=True), inputs)
+    return _Prepared(targets, inputs)
 
 
 def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
@@ -338,8 +364,10 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         if light:
             for rf in light.functions.values():
                 coverage[rf.mode] += 1
+        base = compile(program, build_checks(program, with_liveness=True))
+        compiled = {mode: compile(ip, build_checks(ip.program)) for mode, ip in prepared.targets.items()}
         for i, inp in enumerate(prepared.inputs):
-            base_trace, base_outcome = execute(program, inp, cfg.budget, prepared.base_checks)
+            base_trace, base_outcome = execute(base, inp, cfg.budget)
             height_bad += len(base_trace.height_violations)
             liveness_bad += len(base_trace.liveness_violations)
             if base_outcome.kind != COMPLETED:
@@ -351,7 +379,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 ip = prepared.targets.get(mode)
                 if ip is None:
                     continue
-                trace, outcome = execute(ip, inp, cfg.budget, prepared.checks[mode])
+                trace, outcome = execute(compiled[mode], inp, cfg.budget)
                 height_bad += len(trace.height_violations)
                 transparency_pairs += 1
                 if observables(trace, outcome) != base_obs:
@@ -389,10 +417,9 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
             ip = prepared.targets.get(mode)
             if ip is None:
                 continue
+            checks = build_checks(ip.program)
             for inp in prepared.inputs:
-                cases.append(
-                    CampaignCase(name, mode, ip, inp, True, prepared.checks[mode], cfg.budget)
-                )
+                cases.append(CampaignCase(name, mode, ip, inp, True, checks, cfg.budget))
         control_ip = prepared.targets.get("ELIDE-ALL")
         if control_ip is not None:
             for inp in prepared.inputs:
@@ -442,7 +469,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         "plan_coverage": coverage,
         "checks": checks,
         "violations": violations[:100],
-        "counterexamples": counterexamples[:3],
+        "counterexamples": [dict(c, trace=c["trace"].to_json()) for c in counterexamples[:3]],
     }
     return out, all(checks.values())
 

@@ -10,6 +10,15 @@ operation unwinds the shadow until the on-stack return address matches or the
 zeroed guard at the bottom is reached, which aborts.  Costs are charged per
 executed shadow operation from the instrumentation plan's cost table rather
 than by expanding shadow operations into micro-instructions.
+
+Running is split in two.  `compile(target, checks)` decodes a program once:
+per block a tuple of instruction tuples with small-int opcodes, each call
+site's callee and cookie resolved, each shadow operation's cost looked up,
+and the analysis results to validate (expected store height, write class,
+dead registers) placed in per-instruction slots.  `execute` runs a compiled
+program on one input with no per-run set-up beyond fresh registers, memory
+and trace; given a Program or InstrumentedProgram it compiles it first.
+Callers that run one target on many inputs compile it once.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from typing import Mapping, NamedTuple
 from .mir import Program, RETURN_REG
 from .analysis import HeightMap, LivenessMap, UNSAFE, instr_defs, instr_uses
 from .transform import (
-    CLONE_OFFSET,
     COST_POP,
     COST_PUSH,
     COST_RF_POP,
@@ -153,6 +161,7 @@ class Trace:
     globals_log: list = field(default_factory=list)
     height_violations: list = field(default_factory=list)
     liveness_violations: list = field(default_factory=list)
+    corruptions: int = 0    # corrupt instructions executed
 
     @property
     def total_instr(self) -> int:
@@ -179,12 +188,8 @@ class Frame:
     fn: str
     ra_slot: int
     cookie: int
-    ret_to: tuple | None
+    ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
     poison: set = field(default_factory=set)
-
-    @property
-    def entry_sp(self) -> int:
-        return self.ra_slot
 
 
 class _VmFault(Exception):
@@ -212,59 +217,147 @@ def build_checks(program: Program, with_liveness: bool = False) -> AnalysisCheck
     return AnalysisChecks(heights, liveness, classes)
 
 
+class _Fn:
+    """One function's decoded code: block id -> tuple of decoded instructions."""
+
+    __slots__ = ("name", "entry", "blocks", "entry_code")
+
+    def __init__(self, name: str, entry: int):
+        self.name = name
+        self.entry = entry
+        self.blocks: dict[int, tuple] = {}
+        self.entry_code: tuple = ()
+
+
+@dataclass(frozen=True)
+class CompiledProgram:
+    """A target decoded once for the step loop, with its checks folded in."""
+
+    entry: _Fn
+    functions: tuple[_Fn, ...]   # program order; an icall address indexes it
+
+
+# Decoded opcodes, grouped so the step loop dispatches on ranges: ops below
+# RET fall through to the next instruction, RET..UNWIND transfer control,
+# SPUSH and up are shadow operations.
+(MOVI, SPADD, MOVR, BINOP, LEA_SP, STORE_REG, STORE_SP, STORE_GLOBAL, LOAD_SP, LOAD_REG, SPMOV,
+ CORRUPT, RET, BR, BRC, CALL, ICALL, HALT, UNWIND, SPUSH, SPOP, RFPUSH, RFPOP, UNKNOWN) = range(24)
+_OPCODES = {
+    "movi": MOVI, "spadd": SPADD, "movr": MOVR, "binop": BINOP, "lea.sp": LEA_SP,
+    "store.reg": STORE_REG, "store.sp": STORE_SP, "store.global": STORE_GLOBAL,
+    "load.sp": LOAD_SP, "load.reg": LOAD_REG, "spmov": SPMOV, "corrupt": CORRUPT,
+    "ret": RET, "br": BR, "brc": BRC, "call": CALL, "icall": ICALL, "halt": HALT,
+    "unwind": UNWIND, "spush": SPUSH, "spop": SPOP, "rfpush": RFPUSH, "rfpop": RFPOP,
+}
+
+
+def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None = None) -> CompiledProgram:
+    """Decode `target` once for any number of runs.
+
+    Each instruction becomes a tuple (opcode, a, b, c, live):
+      call      a = callee, b = call-site cookie   (icall: a = address register)
+      stores    a = operand, b = write class, c = expected height or None
+      shadow    a = operand, (b, c) = cost charged per execution
+      movi      b = immediate masked to a word;  corrupt: b = value masked
+    `live` is (dead before, uses, defs) when the liveness check has anything
+    to do at that instruction, else None.  Write classes, expected heights and
+    dead sets come from `checks`, which apply to the program they were built for.
+    """
+    if isinstance(target, InstrumentedProgram):
+        program, resolved = target.program, target.functions
+    else:
+        program, resolved = target, {}
+    heights = checks.heights if checks else None
+    liveness = checks.liveness if checks else None
+    classes = checks.classes if checks else None
+
+    fns = {name: _Fn(name, fn.entry_block) for name, fn in program.functions.items()}
+    cookie = COOKIE_BASE
+    for name, fn in program.functions.items():
+        rf = resolved.get(name)
+        costs = rf.op_costs if rf else {}
+        hmap = heights.get(name) if heights is not None else None
+        lmap = liveness.get(name) if liveness is not None else None
+        cmap = classes.get(name) if classes is not None else None
+        out = fns[name]
+        for bid, block in fn.blocks.items():
+            code = []
+            for idx, ins in enumerate(block.instrs):
+                opname, args = ins.opcode, ins.args
+                op = _OPCODES.get(opname, UNKNOWN)
+                a = args[0] if args else None
+                b = args[1] if len(args) > 1 else None
+                c = None
+                if op == UNKNOWN:
+                    a = opname
+                elif op == MOVI or op == CORRUPT:
+                    b &= MASK
+                elif op == CALL or op == ICALL:
+                    cookie += 1
+                    if op == CALL:
+                        a = fns[a]
+                    b = cookie
+                elif op == STORE_SP or op == STORE_REG:
+                    b = cmap.get((bid, idx)) if cmap is not None else None
+                    fact = hmap.facts.get((bid, idx)) if hmap is not None else None
+                    c = fact.dest if fact is not None and isinstance(fact.dest, int) else None
+                elif op >= SPUSH:
+                    b, c = costs.get((bid, idx)) or DEFAULT_COSTS[opname]
+                live = None
+                if lmap is not None:
+                    dead, uses, defs = lmap.dead.get((bid, idx)), instr_uses(ins), instr_defs(ins)
+                    if dead or uses or defs:
+                        live = (dead, uses, defs)
+                code.append((op, a, b, c, live))
+            out.blocks[bid] = tuple(code)
+        out.entry_code = out.blocks[out.entry]
+    return CompiledProgram(fns[program.entry], tuple(fns.values()))
+
+
+def _bad_address(addr: int) -> _VmFault:
+    return _VmFault(f"bad word address {addr}")
+
+
 def execute(
-    target: InstrumentedProgram | Program,
+    target: CompiledProgram | InstrumentedProgram | Program,
     inp: ExecInput = ExecInput(),
     budget: int = 10000,
     checks: AnalysisChecks | None = None,
 ) -> tuple[Trace, Outcome]:
-    """Small-step execution; deterministic in (target, inp)."""
-    if isinstance(target, InstrumentedProgram):
-        program, ip = target.program, target
-    else:
-        program, ip = target, None
+    """Small-step execution; deterministic in (target, inp).
 
-    code = {name: {bid: b.instrs for bid, b in fn.blocks.items()} for name, fn in program.functions.items()}
-    entries = {name: fn.entry_block for name, fn in program.functions.items()}
-    fn_by_index = tuple(program.functions)
+    A Program or InstrumentedProgram is compiled with `checks` first; a
+    CompiledProgram already carries its checks."""
+    if not isinstance(target, CompiledProgram):
+        target = compile(target, checks)
+    elif checks is not None:
+        raise ValueError("a compiled program carries its checks: pass them to compile()")
+    by_index = target.functions
 
-    cookies: dict[tuple[str, int, int], int] = {}
-    for name, fn in program.functions.items():
-        for bid, idx, ins in fn.iter_instrs():
-            if ins.opcode in ("call", "icall"):
-                cookies[(name, bid, idx)] = COOKIE_BASE + len(cookies) + 1
-
-    mem = [0] * (MEM_BYTES // 8)
+    mem: dict[int, int] = {}    # word index -> value; unwritten words read 0
     regs = [v & MASK for v in inp.regs] + [0] * (16 - len(inp.regs))
     decisions = inp.decisions
+    n_decisions = len(decisions)
     di = 0
 
     sp = MEM_BYTES - 8
     mem[sp >> 3] = EXIT_COOKIE
-    frames = [Frame(0, program.entry, sp, EXIT_COOKIE, None)]
+    frame = Frame(0, target.entry.name, sp, EXIT_COOKIE, None)
+    frames = [frame]
+    act = 0
     next_act = 1
 
-    shadow = [0] * SHADOW_CAPACITY
-    shadow_top = 0
+    shadow: list[int] = []
     scratch = 0
 
     trace = Trace(events=[])
     ev = trace.events.append
-    fname, bid, idx = program.entry, entries[program.entry], 0
-    ev(EnterEv(0, fname, bid))
-    steps = 0
-    checks_enabled = checks is not None
-    h_maps = checks.heights if checks else None
-    l_maps = checks.liveness if checks else None
-    c_maps = checks.classes if checks else None
-
-    def word(addr: int) -> int:
-        if addr % 8 or not 0 <= addr < MEM_BYTES:
-            raise _VmFault(f"bad word address {addr}")
-        return addr >> 3
-
-    def stack_ra(frame: Frame) -> int:
-        return mem[frame.ra_slot >> 3]
+    new = tuple.__new__     # builds an event without the named tuple's Python-level __new__
+    fn = target.entry
+    fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
+    ev(new(EnterEv, (0, fname, bid)))
+    steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
+    checking = True   # off after an unwind: frame/function pairing no longer matches the analyses
 
     outcome: Outcome | None = None
     try:
@@ -273,190 +366,171 @@ def execute(
                 outcome = Outcome(BUDGET)
                 break
             steps += 1
-            ins = code[fname][bid][idx]
-            op = ins.opcode
-            frame = frames[-1]
-            act = frame.act
+            op, a, b, c, live = block[idx]
 
-            if checks_enabled:
-                if l_maps is not None and fname in l_maps:
-                    dead = l_maps[fname].dead.get((bid, idx))
-                    if dead:
-                        frame.poison |= dead
-                    uses = instr_uses(ins)
-                    bad = uses & frame.poison
-                    if bad:
-                        trace.liveness_violations.append((fname, bid, idx, tuple(sorted(bad))))
-                    frame.poison -= instr_defs(ins)
+            if live is not None and checking:
+                dead, uses, defs = live
+                poison = frame.poison
+                if dead:
+                    poison |= dead
+                bad = uses & poison
+                if bad:
+                    trace.liveness_violations.append((fname, bid, idx, tuple(sorted(bad))))
+                poison -= defs
 
-            if op in ("spush", "spop", "rfpush", "rfpop"):
-                cost = (ip.op_cost(fname, bid, idx) if ip else None) or DEFAULT_COSTS[op]
-                trace.shadow_instr += cost[0]
-                trace.shadow_mem += cost[1]
-                trace.shadow_ops += 1
-                if op == "spush":
-                    ra_addr = sp - ins.args[0]
-                    val = mem[word(ra_addr)]
-                    if shadow_top >= SHADOW_CAPACITY:
-                        raise _VmFault("shadow region overflow")
-                    shadow[shadow_top] = val
-                    shadow_top += 1
-                    ev(PushEv(act, fname, bid, idx, False))
-                elif op == "spop":
-                    ra = stack_ra(frame)
-                    matched = -1
-                    k = 0
-                    while shadow_top > 0:
-                        shadow_top -= 1
-                        if shadow[shadow_top] == ra:
-                            matched = k
-                            break
-                        k += 1
-                    if matched < 0:
-                        ev(AbortEv(act, fname, bid, idx))
-                        outcome = Outcome(ABORTED, site=(fname, bid, idx))
+            if op < RET:
+                if op == MOVI:
+                    regs[a] = b
+                elif op == SPADD:
+                    sp += a
+                elif op == STORE_REG or op == STORE_SP:
+                    addr = sp + a if op == STORE_SP else regs[a]
+                    if addr & 7 or not 0 <= addr < MEM_BYTES:
+                        raise _bad_address(addr)
+                    mem[addr >> 3] = regs[RETURN_REG]
+                    mem_accesses += 1
+                    height = addr - frame.ra_slot
+                    if c is not None and checking and height != c:
+                        trace.height_violations.append((fname, bid, idx, c, height))
+                    ev(new(StoreEv, (act, fname, bid, idx, b, addr, height)))
+                elif op == BINOP:
+                    regs[a] = (regs[a] + regs[b]) & MASK
+                elif op == LEA_SP:
+                    regs[a] = (sp + b) & MASK
+                elif op == MOVR:
+                    regs[a] = regs[b]
+                elif op == STORE_GLOBAL:
+                    trace.globals_log.append((a, regs[RETURN_REG]))
+                    mem_accesses += 1
+                    ev(new(StoreEv, (act, fname, bid, idx, "global", -1, None)))
+                elif op == CORRUPT:
+                    depth = min(a, len(frames) - 1)
+                    victim = frames[-1 - depth]
+                    mem[victim.ra_slot >> 3] = b
+                    mem_accesses += 1
+                    corruptions += 1
+                    ev(new(CorruptEv, (act, depth, victim.act)))
+                elif op == LOAD_SP or op == LOAD_REG:
+                    addr = sp + b if op == LOAD_SP else regs[b]
+                    if addr & 7 or not 0 <= addr < MEM_BYTES:
+                        raise _bad_address(addr)
+                    regs[a] = mem.get(addr >> 3, 0)
+                    mem_accesses += 1
+                else:  # SPMOV
+                    sp = regs[a]
+                idx += 1
+            elif op < SPUSH:
+                if op == RET:
+                    value = mem.get(frame.ra_slot >> 3, 0)
+                    mem_accesses += 1
+                    frames.pop()
+                    sp = frame.ra_slot + 8
+                    ok = value == frame.cookie
+                    ev(new(RetEv, (act, fname, ok, len(shadow))))
+                    if not ok:
+                        outcome = Outcome(UNDETECTED, evidence=(fname, frame.cookie, value))
                         break
-                    ev(PopEv(act, fname, bid, idx, matched, False))
-                elif op == "rfpush":
-                    r = ins.args[0]
-                    scratch = regs[r]
-                    regs[r] = stack_ra(frame)
-                    ev(PushEv(act, fname, bid, idx, True))
-                else:  # rfpop
-                    r = ins.args[0]
-                    ra = stack_ra(frame)
-                    if regs[r] == ra:
-                        regs[r] = scratch
-                        ev(PopEv(act, fname, bid, idx, 0, True))
+                    if frame.ret_to is None:
+                        outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
+                        break
+                    fname, code, bid, block, idx = frame.ret_to
+                    frame = frames[-1]
+                    act = frame.act
+                elif op == BR:
+                    bid, block, idx = a, code[a], 0
+                    ev(new(EnterEv, (act, fname, bid)))
+                elif op == BRC:
+                    bid = (a if decisions[di] else b) if di < n_decisions else b
+                    di += 1
+                    block, idx = code[bid], 0
+                    ev(new(EnterEv, (act, fname, bid)))
+                elif op == CALL or op == ICALL:
+                    if op == CALL:
+                        callee = a
                     else:
+                        address = regs[a]
+                        if not 0 <= address < len(by_index):
+                            raise _VmFault(f"indirect call to invalid address {address}")
+                        callee = by_index[address]
+                    sp -= 8
+                    if sp < STACK_FLOOR:
+                        raise _VmFault("stack overflow")
+                    if sp & 7 or sp >= MEM_BYTES:
+                        raise _bad_address(sp)
+                    mem[sp >> 3] = b
+                    mem_accesses += 1
+                    act = next_act
+                    next_act += 1
+                    frame = Frame(act, callee.name, sp, b, (fname, code, bid, block, idx + 1))
+                    frames.append(frame)
+                    ev(new(CallEv, (act, callee.name, len(shadow))))
+                    fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
+                    ev(new(EnterEv, (act, fname, bid)))
+                elif op == HALT:
+                    ev(new(HaltEv, (regs[RETURN_REG],)))
+                    outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
+                    break
+                else:  # UNWIND
+                    if a >= len(frames):
+                        raise _VmFault(f"unwind {a} with {len(frames)} frames")
+                    del frames[-a:]
+                    frame = frames[-1]
+                    sp = frame.ra_slot
+                    checking = False
+                    ev(new(UnwindEv, (act, a)))
+                    act = frame.act
+                    idx += 1
+            elif op == UNKNOWN:
+                raise _VmFault(f"unhandled opcode {a}")
+            else:
+                shadow_instr += b
+                shadow_mem += c
+                shadow_ops += 1
+                if op == SPUSH:
+                    ra_addr = sp - a
+                    if ra_addr & 7 or not 0 <= ra_addr < MEM_BYTES:
+                        raise _bad_address(ra_addr)
+                    if len(shadow) >= SHADOW_CAPACITY:
+                        raise _VmFault("shadow region overflow")
+                    shadow.append(mem.get(ra_addr >> 3, 0))
+                    ev(new(PushEv, (act, fname, bid, idx, False)))
+                elif op == RFPUSH:
+                    scratch = regs[a]
+                    regs[a] = mem.get(frame.ra_slot >> 3, 0)
+                    ev(new(PushEv, (act, fname, bid, idx, True)))
+                else:  # SPOP, or RFPOP
+                    ra = mem.get(frame.ra_slot >> 3, 0)
+                    rf = op == RFPOP
+                    if rf and regs[a] == ra:
+                        matched = 0
+                    else:
+                        # unwind the shadow until the on-stack address matches
                         matched = -1
                         k = 0
-                        while shadow_top > 0:
-                            shadow_top -= 1
-                            if shadow[shadow_top] == ra:
+                        while shadow:
+                            if shadow.pop() == ra:
                                 matched = k
                                 break
                             k += 1
                         if matched < 0:
-                            ev(AbortEv(act, fname, bid, idx))
+                            ev(new(AbortEv, (act, fname, bid, idx)))
                             outcome = Outcome(ABORTED, site=(fname, bid, idx))
                             break
-                        regs[r] = scratch
-                        ev(PopEv(act, fname, bid, idx, matched, True))
+                    if rf:
+                        regs[a] = scratch
+                    ev(new(PopEv, (act, fname, bid, idx, matched, rf)))
                 idx += 1
-                continue
-
-            trace.instr_count += 1
-
-            if op == "movi":
-                regs[ins.args[0]] = ins.args[1] & MASK
-            elif op == "movr":
-                regs[ins.args[0]] = regs[ins.args[1]]
-            elif op == "binop":
-                regs[ins.args[0]] = (regs[ins.args[0]] + regs[ins.args[1]]) & MASK
-            elif op == "lea.sp":
-                regs[ins.args[0]] = (sp + ins.args[1]) & MASK
-            elif op == "spadd":
-                sp += ins.args[0]
-            elif op == "spmov":
-                sp = regs[ins.args[0]]
-            elif op in ("store.sp", "store.reg"):
-                addr = sp + ins.args[0] if op == "store.sp" else regs[ins.args[0]]
-                mem[word(addr)] = regs[RETURN_REG]
-                trace.mem_accesses += 1
-                height = addr - frame.ra_slot
-                wclass = None
-                if c_maps is not None and fname in c_maps:
-                    wclass = c_maps[fname].get((bid, idx))
-                if checks_enabled and h_maps is not None and fname in h_maps:
-                    dest = h_maps[fname].dest(bid, idx)
-                    if isinstance(dest, int) and height != dest:
-                        trace.height_violations.append((fname, bid, idx, dest, height))
-                ev(StoreEv(act, fname, bid, idx, wclass, addr, height))
-            elif op == "store.global":
-                name = ins.args[0]
-                trace.globals_log.append((name, regs[RETURN_REG]))
-                trace.mem_accesses += 1
-                ev(StoreEv(act, fname, bid, idx, "global", -1, None))
-            elif op == "load.sp":
-                regs[ins.args[0]] = mem[word(sp + ins.args[1])]
-                trace.mem_accesses += 1
-            elif op == "load.reg":
-                regs[ins.args[0]] = mem[word(regs[ins.args[1]])]
-                trace.mem_accesses += 1
-            elif op == "corrupt":
-                depth = min(ins.args[0], len(frames) - 1)
-                victim = frames[-1 - depth]
-                mem[victim.ra_slot >> 3] = ins.args[1] & MASK
-                trace.mem_accesses += 1
-                ev(CorruptEv(act, depth, victim.act))
-            elif op in ("call", "icall"):
-                if op == "call":
-                    callee = ins.args[0]
-                else:
-                    address = regs[ins.args[0]]
-                    if not 0 <= address < len(fn_by_index):
-                        raise _VmFault(f"indirect call to invalid address {address}")
-                    callee = fn_by_index[address]
-                cookie = cookies[(fname, bid, idx)]
-                sp -= 8
-                if sp < STACK_FLOOR:
-                    raise _VmFault("stack overflow")
-                mem[word(sp)] = cookie
-                trace.mem_accesses += 1
-                frames.append(Frame(next_act, callee, sp, cookie, (fname, bid, idx + 1)))
-                ev(CallEv(next_act, callee, shadow_top))
-                next_act += 1
-                fname, bid, idx = callee, entries[callee], 0
-                ev(EnterEv(frames[-1].act, fname, bid))
-                continue
-            elif op == "ret":
-                value = stack_ra(frame)
-                trace.mem_accesses += 1
-                frames.pop()
-                sp = frame.ra_slot + 8
-                ok = value == frame.cookie
-                ev(RetEv(act, fname, ok, shadow_top))
-                if not ok:
-                    outcome = Outcome(
-                        UNDETECTED, evidence=(fname, frame.cookie, value)
-                    )
-                    break
-                if frame.ret_to is None:
-                    outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
-                    break
-                fname, bid, idx = frame.ret_to
-                continue
-            elif op == "halt":
-                ev(HaltEv(regs[RETURN_REG]))
-                outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
-                break
-            elif op == "br":
-                bid, idx = ins.args[0], 0
-                ev(EnterEv(act, fname, bid))
-                continue
-            elif op == "brc":
-                take = decisions[di] if di < len(decisions) else False
-                di += 1
-                bid, idx = ins.args[0 if take else 1], 0
-                ev(EnterEv(act, fname, bid))
-                continue
-            elif op == "unwind":
-                k = ins.args[0]
-                if k >= len(frames):
-                    raise _VmFault(f"unwind {k} with {len(frames)} frames")
-                del frames[-k:]
-                sp = frames[-1].ra_slot
-                checks_enabled = False  # frame/function pairing no longer matches the analyses
-                ev(UnwindEv(act, k))
-            else:
-                raise _VmFault(f"unhandled opcode {op}")
-            idx += 1
     except _VmFault as fault:
         ev(FaultEv(fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
 
-    trace.final_shadow_top = shadow_top
+    trace.instr_count = steps - shadow_ops
+    trace.shadow_instr = shadow_instr
+    trace.shadow_mem = shadow_mem
+    trace.shadow_ops = shadow_ops
+    trace.mem_accesses = mem_accesses
+    trace.corruptions = corruptions
+    trace.final_shadow_top = len(shadow)
     return trace, outcome
 
 
@@ -479,7 +553,7 @@ class CampaignReport:
     undetected: int = 0
     per_mode: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
+    counterexamples: list = field(default_factory=list)   # {"case", "mode", "trace": Trace} per undetected run
 
     def mode_stats(self, mode: str) -> dict:
         return self.per_mode.setdefault(
@@ -501,72 +575,79 @@ class CampaignReport:
         }
 
 
+class _Activation:
+    """What one activation did, for check_activations."""
+
+    __slots__ = ("fn", "push", "pop", "clone", "unsafe", "call_top", "ret_top")
+
+    def __init__(self, fn: str):
+        self.fn = fn
+        self.push: list[int] = []
+        self.pop: list[int] = []
+        self.clone = False          # entered a clone or transition block: a tainted walk
+        self.unsafe: list[int] = []
+        self.call_top: int | None = None
+        self.ret_top: int | None = None
+
+
+_ACTIVATION_EVENTS = frozenset((CallEv, EnterEv, PushEv, PopEv, StoreEv, RetEv))
+
+
 def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> list[str]:
     """Per-activation structural checks: one covering check per tainted walk,
     clean safe walks, ordered push/pop pairs, and shadow-depth balance."""
     problems: list[str] = []
-    acts: dict[int, dict] = {}
-
-    def rec(act, fn=None):
-        r = acts.get(act)
-        if r is None:
-            r = acts[act] = {
-                "fn": fn,
-                "push": [],
-                "pop": [],
-                "clone": False,
-                "unsafe": [],
-                "call_top": None,
-                "ret_top": None,
-            }
-        return r
+    acts: dict[int, _Activation] = {}
+    plans = case.target.functions
 
     for pos, e in enumerate(trace.events):
-        if isinstance(e, CallEv):
-            rec(e.act, e.fn)["call_top"] = e.shadow_top
-        elif isinstance(e, EnterEv):
-            r = rec(e.act, e.fn)
-            if e.bid >= CLONE_OFFSET:
-                r["clone"] = True
-        elif isinstance(e, PushEv):
-            rec(e.act, e.fn)["push"].append(pos)
-        elif isinstance(e, PopEv):
-            rec(e.act, e.fn)["pop"].append(pos)
-        elif isinstance(e, StoreEv) and e.wclass == UNSAFE:
-            rec(e.act, e.fn)["unsafe"].append(pos)
-        elif isinstance(e, RetEv):
-            rec(e.act, e.fn)["ret_top"] = e.shadow_top
+        kind = type(e)
+        if kind not in _ACTIVATION_EVENTS or (kind is StoreEv and e.wclass != UNSAFE):
+            continue
+        r = acts.get(e.act)
+        if r is None:
+            r = acts[e.act] = _Activation(e.fn)
+        if kind is EnterEv:
+            rf = plans.get(e.fn)
+            if rf is not None and e.bid in rf.tainted_blocks:
+                r.clone = True
+        elif kind is StoreEv:
+            r.unsafe.append(pos)
+        elif kind is PushEv:
+            r.push.append(pos)
+        elif kind is PopEv:
+            r.pop.append(pos)
+        elif kind is CallEv:
+            r.call_top = e.shadow_top
+        else:
+            r.ret_top = e.shadow_top
 
-    plans = case.target.functions
     for act, r in acts.items():
-        fn = r["fn"]
-        if fn is None or fn not in plans:
+        fn = r.fn
+        if fn not in plans:
             continue
         where = f"{case.name}/{case.mode} act {act} fn {fn}"
         if plans[fn].mode == FN_LOWERED:
-            if r["clone"]:
-                completed = r["ret_top"] is not None or outcome.kind == COMPLETED
-                if len(r["push"]) != 1 or (completed and len(r["pop"]) != 1):
+            if r.clone:
+                completed = r.ret_top is not None or outcome.kind == COMPLETED
+                if len(r.push) != 1 or (completed and len(r.pop) != 1):
                     problems.append(
-                        f"activation: {where}: tainted walk executed {len(r['push'])} pushes, {len(r['pop'])} pops"
+                        f"activation: {where}: tainted walk executed {len(r.push)} pushes, {len(r.pop)} pops"
                     )
-                elif r["pop"] and r["pop"][0] < r["push"][0]:
+                elif r.pop and r.pop[0] < r.push[0]:
                     problems.append(f"activation: {where}: pop before push")
-                for pos in r["unsafe"]:
-                    if r["push"] and pos < r["push"][0]:
+                for pos in r.unsafe:
+                    if r.push and pos < r.push[0]:
                         problems.append(f"activation: {where}: unsafe store before the covering push")
-                    if r["pop"] and pos > r["pop"][0]:
+                    if r.pop and pos > r.pop[0]:
                         problems.append(f"activation: {where}: unsafe store after the covering pop")
             else:
-                if r["push"] or r["pop"]:
+                if r.push or r.pop:
                     problems.append(f"activation: {where}: safe walk executed shadow operations")
-                if r["unsafe"]:
+                if r.unsafe:
                     problems.append(f"activation: {where}: unsafe store on a walk that never left safe blocks")
-        if r["call_top"] is not None and r["ret_top"] is not None:
-            if r["call_top"] != r["ret_top"]:
-                problems.append(
-                    f"activation: {where}: shadow depth {r['ret_top']} at return, {r['call_top']} at call"
-                )
+        if r.call_top is not None and r.ret_top is not None and r.call_top != r.ret_top:
+            problems.append(f"activation: {where}: shadow depth {r.ret_top} at return, {r.call_top} at call")
     if outcome.kind == COMPLETED and trace.final_shadow_top != 0:
         problems.append(f"activation: {case.name}/{case.mode}: shadow not balanced at completion")
     return problems
@@ -575,8 +656,12 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
 def run_campaign(cases: list[CampaignCase], budget: int = 10000) -> CampaignReport:
     """Execute all cases, aggregate detection and overhead, check invariants."""
     report = CampaignReport()
+    prev = None
     for case in cases:
-        trace, outcome = execute(case.target, case.inp, case.budget or budget, case.checks)
+        if prev is None or case.target is not prev.target or case.checks is not prev.checks:
+            compiled = compile(case.target, case.checks)
+        prev = case
+        trace, outcome = execute(compiled, case.inp, case.budget or budget)
         report.cases += 1
         st = report.mode_stats(case.mode)
         st["runs"] += 1
@@ -584,16 +669,13 @@ def run_campaign(cases: list[CampaignCase], budget: int = 10000) -> CampaignRepo
         st["total_instr"] += trace.total_instr
         st["shadow_ops"] += trace.shadow_ops
 
-        fired = any(isinstance(e, CorruptEv) for e in trace.events)
-        if fired:
+        if trace.corruptions:
             report.fired += 1
             if outcome.kind == ABORTED:
                 report.detected += 1
             elif outcome.kind == UNDETECTED:
                 report.undetected += 1
-                report.counterexamples.append(
-                    {"case": case.name, "mode": case.mode, "trace": trace.to_json()}
-                )
+                report.counterexamples.append({"case": case.name, "mode": case.mode, "trace": trace})
             else:
                 report.violations.append(
                     f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}"

@@ -23,6 +23,7 @@ Plans record every candidate; `apply_plan` resolves them per mode:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .mir import (
@@ -445,6 +446,12 @@ class ResolvedFunction:
     chase_shifts: dict[str, tuple] = field(default_factory=dict)
     op_costs: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
+    @cached_property
+    def tainted_blocks(self) -> frozenset[int]:
+        """Clone and transition block ids: a walk that enters one is tainted
+        and must execute exactly one check."""
+        return frozenset((*(self.clone_map or {}).values(), *self.transition_blocks))
+
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
@@ -505,10 +512,6 @@ class InstrumentedProgram:
     program: Program
     mode: str
     functions: dict[str, ResolvedFunction]
-
-    def op_cost(self, fn: str, bid: int, idx: int) -> tuple[int, int] | None:
-        rf = self.functions.get(fn)
-        return rf.op_costs.get((bid, idx)) if rf else None
 
     def to_json(self) -> dict:
         return {

@@ -231,3 +231,52 @@ def test_cli_all_global_writes_program(capsys, tmp_path):
     main(["analyze", path, "--json"])
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["writes"]["global_pct"] == 100.0
+
+
+def _assert_usage_error(capsys, argv, *needles):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+def test_cli_run_rejects_out_of_range_register(capsys, tmp_path):
+    path = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    _assert_usage_error(capsys, ["run", path, "--reg", "r16=1"], "r16=1")
+
+
+def test_cli_run_rejects_non_integer_register_value(capsys, tmp_path):
+    path = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    _assert_usage_error(capsys, ["run", path, "--reg", "r1=abc"], "r1=abc")
+
+
+def test_cli_run_rejects_non_integer_decision(capsys, tmp_path):
+    path = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    _assert_usage_error(capsys, ["run", path, "--input", "1,x"], "1,x")
+
+
+def test_cli_run_rejects_unreadable_sidecar(capsys, tmp_path):
+    path = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    (tmp_path / "a.mir.plan.json").mkdir()  # exists, but cannot be read as a file
+    _assert_usage_error(capsys, ["run", path], "plan sidecar")
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        "{not json",
+        "[]",
+        '{"mode": "PO"}',
+        '{"mode": "PO", "functions": {"a": {"mode": "full", "shadow_ops": [{"kind": "push"}]}}}',
+        '{"mode": "PO", "functions": {"a": {"mode": "full", "shadow_ops": [], "op_costs": {"0:0": [9]}}}}',
+        '{"mode": "PO", "functions": {"a": {"mode": "full", "shadow_ops": [], "op_costs": {"x": [9, 6]}}}}',
+    ],
+)
+def test_cli_run_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
+    path = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    (tmp_path / "a.mir.plan.json").write_text(sidecar)
+    _assert_usage_error(capsys, ["run", path], "malformed plan sidecar")

@@ -1,7 +1,12 @@
+import hashlib
+import json
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowlab.mir import parse_program
-from shadowlab.transform import apply_plan, plan_program
+from shadowlab.mir import parse_program, print_program
+from shadowlab.transform import MODES, apply_plan, plan_program
 from shadowlab.shadowvm import (
     ABORTED,
     BUDGET,
@@ -18,7 +23,7 @@ from shadowlab.shadowvm import (
     observables,
     run_campaign,
 )
-from shadowlab.gen import GenConfig, generate_inputs, generate_program
+from shadowlab.gen import GenConfig, generate_corpus, generate_inputs, generate_program
 
 from conftest import unwind_fixture
 
@@ -252,3 +257,97 @@ def test_trace_serialization_forms(call_tree):
     blob = trace.to_json()
     assert blob["instr_count"] == trace.instr_count
     assert isinstance(blob["events"], list)
+
+
+# ---- equivalence pin: VM behaviour over a fixed corpus, every mode ----
+
+# sha256 of every run's trace, violations, final shadow depth and outcome
+# below, recorded before the VM was split into compile and run: a change
+# here means the VM's observable behaviour changed.  The pin uses nothing
+# newer than `execute`, so it runs against that interpreter too.
+PINNED_VM_DIGEST = "5cc1562c8f7df3b4b18074369b28ea13805adc10e11d8a99070af5b5b36bd37e"
+
+
+def _pinned_programs():
+    from conftest import CALL_TREE, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
+
+    yield from generate_corpus(GenConfig(seed=31, count=20, attack_density=0.5))
+    fixtures = [CALL_TREE, MEMO_CFG, FIXTURE_CHASE, FIXTURE_REGFRAME, FIXTURE_INLINE, FIXTURE_DIAMOND]
+    fixtures += [ADVERSARIAL, PARENT_ATTACK] + [unwind_fixture(k) for k in (1, 2, 3)]
+    fixtures += [
+        "fn main {\nb0:\n  movi r1, 3\n  store.reg r1\n  halt\n}",
+        "fn main {\nb0:\n  movi r1, 99\n  icall r1\n  halt\n}",
+        "fn main {\nb0:\n  call main\n  ret\n}",
+        # checks stop at an unwind: after it this store's analysed height no
+        # longer fits, nor (against the twin's analyses) the read of r2
+        "fn main {\nb0:\n  call u1\n  movi r0, 0\n  halt\n}\n\nfn u1 {\nb0:\n  call u2\n  ret\n}\n\n"
+        "fn u2 {\nb0:\n  spadd -16\n  unwind 1\n  movr r0, r2\n  store.sp 8\n  spadd 16\n  ret\n}",
+        "fn main {\nb0:\n  call u1\n  halt\n}\n\nfn u1 {\nb0:\n  unwind 2\n  ret\n}",
+    ]
+    for i, text in enumerate(fixtures):
+        yield f"fixture{i}", parse_program(text)
+
+
+def _twin(p):
+    """Same blocks and indices, other frame sizes and registers: its analyses
+    do not fit `p`, so checking `p` against them records violations."""
+    text = re.sub(r"spadd (-?\d+)", lambda m: f"spadd {int(m[1]) - 8}", print_program(p))
+    return parse_program(re.sub(r"\br([1-9]\d*)\b", lambda m: f"r{int(m[1]) % 15 + 1}", text))
+
+
+def _pinned_runs():
+    """(label, target, checks, inputs, budget) for each program and mode, with
+    and without checks; one short budget so the budget outcome shows too."""
+    for name, p in _pinned_programs():
+        _, plan = plan_program(p)
+        inputs = generate_inputs(len(name) * 101 + len(p.functions), 3)
+        yield f"{name}/BASE/twin", p, build_checks(_twin(p), with_liveness=True), inputs, 20000
+        targets = [("BASE", p)] + [(m, apply_plan(p, plan, m)) for m in MODES]
+        for mode, target in targets:
+            checks = build_checks(target if mode == "BASE" else target.program, with_liveness=True)
+            for with_checks in (False, True):
+                yield f"{name}/{mode}/{with_checks}", target, checks if with_checks else None, inputs, 20000
+            yield f"{name}/{mode}/short", target, checks, inputs[:1], 12
+
+
+def _run_record(trace, outcome) -> list:
+    return [
+        trace.to_json(),
+        [list(v) for v in trace.height_violations],
+        [[*v[:3], list(v[3])] for v in trace.liveness_violations],
+        trace.final_shadow_top,
+        [outcome.kind, outcome.site, outcome.evidence, outcome.r0],
+    ]
+
+
+def test_vm_equivalence_pin():
+    digest = hashlib.sha256()
+    for label, target, checks, inputs, budget in _pinned_runs():
+        for inp in inputs:
+            record = [label, _run_record(*execute(target, inp, budget, checks))]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_VM_DIGEST
+
+
+def test_compiled_program_reused_across_inputs():
+    from shadowlab.shadowvm import compile
+    programs = list(generate_corpus(GenConfig(seed=37, count=6, attack_density=0.5)))
+    programs.append(("unwind", parse_program(unwind_fixture(2))))
+    for name, p in programs:
+        _, plan = plan_program(p)
+        inputs = generate_inputs(len(name), 12)
+        targets = [(p, build_checks(_twin(p), with_liveness=True))]
+        for mode in ("FULL", "MO", "LIGHT"):
+            ip = apply_plan(p, plan, mode)
+            targets += [(ip, None), (ip, build_checks(ip.program, with_liveness=True))]
+        for target, checks in targets:
+            compiled = compile(target, checks)
+            for inp in inputs:
+                assert execute(compiled, inp, 20000) == execute(target, inp, 20000, checks), name
+
+
+def test_compiled_program_carries_its_checks(call_tree):
+    from shadowlab.shadowvm import compile
+    checks = build_checks(call_tree)
+    with pytest.raises(ValueError):
+        execute(compile(call_tree), ExecInput(), 100, checks)
