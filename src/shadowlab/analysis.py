@@ -11,12 +11,24 @@ means "may be anything, possibly a stack address".  Transfers that produce
 statically unknown values (loads, post-call registers, arithmetic on a
 stack-derived operand) go to Top so a later join can never launder an
 arbitrary runtime value into a concrete height.
+
+Both analyses keep dense state.  The height state before an instruction is
+the stack pointer's height plus a 16-tuple of register heights, Bottom for a
+register not derived from the stack pointer; an instruction that defines no
+register hands the same tuple on, so most instructions share one.  Block
+entry states join elementwise, and the height fixpoint is a FIFO worklist
+from the entry block.  Liveness works on int bitmasks (bit r stands for
+register r).  Its worklist is seeded in postorder of the forward CFG, i.e.
+reverse postorder of the reverse CFG, with unreachable blocks appended, and
+a block whose live-in set changes re-queues its predecessors.  Dead sets are
+frozensets, one object per distinct set within a function.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mir import NUM_REGS, RETURN_REG, WORD_SIZE, Function, Instr
 
@@ -58,14 +70,14 @@ def is_safe_height(h) -> bool:
     return isinstance(h, int) and h <= -WORD_SIZE
 
 
-@dataclass(frozen=True)
-class InstrFacts:
+class InstrFacts(NamedTuple):
     """Dataflow state holding at an instruction, plus its write destination.
 
     `sp` and `regs` describe the state immediately before the instruction
-    executes; `dest` is the height of the word it writes (Bottom for
-    instructions without a memory-write destination; store.global carries
-    Bottom and is classified separately).
+    executes; `regs` holds the height of every register, Bottom for one not
+    derived from the stack pointer.  `dest` is the height of the word it
+    writes (Bottom for instructions without a memory-write destination;
+    store.global carries Bottom and is classified separately).
     """
 
     sp: Height
@@ -73,10 +85,7 @@ class InstrFacts:
     dest: Height
 
     def reg(self, r: int):
-        for k, v in self.regs:
-            if k == r:
-                return v
-        return BOTTOM
+        return self.regs[r]
 
 
 @dataclass
@@ -90,90 +99,86 @@ class HeightMap:
     def dest(self, bid: int, idx: int):
         return self.facts[(bid, idx)].dest
 
-    def sp_at_block_entry(self, bid: int):
-        return self.facts[(bid, 0)].sp
+
+ALL_BOTTOM = (BOTTOM,) * NUM_REGS
+ALL_TOP = (TOP,) * NUM_REGS
 
 
-def _step(sp, regs: dict, ins: Instr):
-    """Transfer function; mutates `regs`, returns (sp', dest)."""
+def _set(regs: tuple, r: int, h) -> tuple:
+    return regs if regs[r] is h else regs[:r] + (h,) + regs[r + 1:]
+
+
+def _step(sp, regs: tuple, ins: Instr):
+    """Transfer function: returns (sp', regs', dest).  `regs` comes back as
+    the same tuple unless the instruction defines a register."""
     op = ins.opcode
     dest = BOTTOM
     if op == "spadd":
         if isinstance(sp, int):
             sp = sp + ins.args[0]
     elif op == "spmov":
-        v = regs.get(ins.args[0], BOTTOM)
+        v = regs[ins.args[0]]
         sp = v if isinstance(v, int) else TOP
     elif op == "movi":
-        regs[ins.args[0]] = BOTTOM
+        regs = _set(regs, ins.args[0], BOTTOM)
     elif op == "movr":
-        regs[ins.args[0]] = regs.get(ins.args[1], BOTTOM)
+        regs = _set(regs, ins.args[0], regs[ins.args[1]])
     elif op == "lea.sp":
-        regs[ins.args[0]] = sp + ins.args[1] if isinstance(sp, int) else TOP
+        regs = _set(regs, ins.args[0], sp + ins.args[1] if isinstance(sp, int) else TOP)
     elif op == "binop":
-        a = regs.get(ins.args[0], BOTTOM)
-        b = regs.get(ins.args[1], BOTTOM)
-        regs[ins.args[0]] = BOTTOM if (a is BOTTOM and b is BOTTOM) else TOP
-    elif op in ("load.sp", "load.reg"):
-        regs[ins.args[0]] = TOP
+        a, b = ins.args
+        regs = _set(regs, a, BOTTOM if (regs[a] is BOTTOM and regs[b] is BOTTOM) else TOP)
+    elif op in ("load.sp", "load.reg", "rfpush", "rfpop"):
+        regs = _set(regs, ins.args[0], TOP)
     elif op in ("call", "icall"):
         # the callee may leave anything in the registers; sp is restored on return
-        for r in range(NUM_REGS):
-            regs[r] = TOP
+        regs = ALL_TOP
     elif op == "store.sp":
         dest = sp + ins.args[0] if isinstance(sp, int) else TOP
     elif op == "store.reg":
-        v = regs.get(ins.args[0], BOTTOM)
+        v = regs[ins.args[0]]
         dest = v if isinstance(v, int) else TOP
     elif op == "corrupt":
         dest = TOP
-    elif op in ("rfpush", "rfpop"):
-        regs[ins.args[0]] = TOP
     # store.global, spush, spop, br, brc, ret, halt, unwind: no effect
-    return sp, dest
-
-
-def _freeze_regs(regs: dict) -> tuple:
-    return tuple(sorted((k, v) for k, v in regs.items() if v is not BOTTOM))
+    return sp, regs, dest
 
 
 def stack_heights(fn: Function) -> HeightMap:
-    """Forward dataflow fixpoint over the CFG.
+    """Forward dataflow fixpoint over the CFG, FIFO worklist from the entry.
 
-    Entry state: stack pointer at height 0, all registers Bottom.
+    Entry state: stack pointer at height 0, all registers Bottom.  A block is
+    re-queued when the join of a predecessor's exit state into its entry
+    state changes it.
     """
+    new = tuple.__new__     # builds a record without the named tuple's Python-level __new__
     facts: dict[tuple[int, int], InstrFacts] = {}
-    in_states: dict[int, tuple] = {fn.entry_block: (0, {})}
+    in_states: dict[int, tuple] = {fn.entry_block: (0, ALL_BOTTOM)}
     work = deque([fn.entry_block])
     queued = {fn.entry_block}
     while work:
         bid = work.popleft()
         queued.discard(bid)
         sp, regs = in_states[bid]
-        regs = dict(regs)
         block = fn.blocks[bid]
         for idx, ins in enumerate(block.instrs):
-            before = (sp, _freeze_regs(regs))
-            sp, dest = _step(sp, regs, ins)
-            facts[(bid, idx)] = InstrFacts(before[0], before[1], dest)
-        out = (sp, regs)
+            sp_after, regs_after, dest = _step(sp, regs, ins)
+            facts[(bid, idx)] = new(InstrFacts, (sp, regs, dest))
+            sp, regs = sp_after, regs_after
         for succ in block.successors:
-            if succ not in in_states:
-                merged = (out[0], dict(out[1]))
-                changed = True
+            cur = in_states.get(succ)
+            if cur is not None:
+                cur_sp, cur_regs = cur
+                new_sp = join_height(cur_sp, sp)
+                new_regs = cur_regs if cur_regs == regs else tuple(map(join_height, cur_regs, regs))
+                if new_sp == cur_sp and new_regs == cur_regs:
+                    continue
+                in_states[succ] = (new_sp, new_regs)
             else:
-                cur_sp, cur_regs = in_states[succ]
-                new_sp = join_height(cur_sp, out[0])
-                new_regs = dict(cur_regs)
-                for k in set(cur_regs) | set(out[1]):
-                    new_regs[k] = join_height(cur_regs.get(k, BOTTOM), out[1].get(k, BOTTOM))
-                merged = (new_sp, new_regs)
-                changed = new_sp != cur_sp or _freeze_regs(new_regs) != _freeze_regs(cur_regs)
-            if changed:
-                in_states[succ] = merged
-                if succ not in queued:
-                    work.append(succ)
-                    queued.add(succ)
+                in_states[succ] = (sp, regs)
+            if succ not in queued:
+                work.append(succ)
+                queued.add(succ)
     return HeightMap(fn.name, facts)
 
 
@@ -186,6 +191,11 @@ class WriteSummary:
     @property
     def total(self) -> int:
         return self.stack + self.global_ + self.unsafe
+
+    def __add__(self, other: "WriteSummary") -> "WriteSummary":
+        return WriteSummary(
+            self.stack + other.stack, self.global_ + other.global_, self.unsafe + other.unsafe
+        )
 
     def to_json(self) -> dict:
         total = self.total
@@ -216,33 +226,48 @@ def classify_writes(fn: Function, heights: HeightMap):
     return classes, WriteSummary(counts[SAFE_STACK], counts[GLOBAL], counts[UNSAFE])
 
 
-ALL_REGS = frozenset(range(NUM_REGS))
+ALL_MASK = (1 << NUM_REGS) - 1
+_RET_MASK = 1 << RETURN_REG
 
 
-def instr_uses(ins: Instr) -> frozenset[int]:
+def instr_masks(ins: Instr) -> tuple[int, int]:
+    """(uses, defs) of an instruction as register bitmasks, bit r for r<r>."""
     op = ins.opcode
     if op in ("call", "icall"):
         # calls may pass values in any register; never assume ABI compliance
-        return ALL_REGS
-    if op in ("ret", "halt"):
-        return frozenset((RETURN_REG,))
-    if op in ("store.sp", "store.global"):
-        return frozenset((RETURN_REG,))
+        return ALL_MASK, 0
+    if op in ("ret", "halt", "store.sp", "store.global"):
+        return _RET_MASK, 0
     if op == "store.reg":
-        return frozenset((ins.args[0], RETURN_REG))
-    if op in ("spmov", "rfpush", "rfpop"):
-        return frozenset((ins.args[0],))
-    if op == "movr" or op == "load.reg":
-        return frozenset((ins.args[1],))
+        return 1 << ins.args[0] | _RET_MASK, 0
+    if op == "spmov":
+        return 1 << ins.args[0], 0
+    if op in ("rfpush", "rfpop"):
+        return 1 << ins.args[0], 1 << ins.args[0]
+    if op in ("movr", "load.reg"):
+        return 1 << ins.args[1], 1 << ins.args[0]
     if op == "binop":
-        return frozenset((ins.args[0], ins.args[1]))
-    return frozenset()
+        return 1 << ins.args[0] | 1 << ins.args[1], 1 << ins.args[0]
+    if op in ("movi", "lea.sp", "load.sp"):
+        return 0, 1 << ins.args[0]
+    return 0, 0
+
+
+# the registers of each 8-bit half of a mask, for building sets from masks
+_LOW_REGS = tuple(tuple(r for r in range(8) if m >> r & 1) for m in range(256))
+_HIGH_REGS = tuple(tuple(r + 8 for r in regs) for regs in _LOW_REGS)
+
+
+def _regs_of(mask: int) -> frozenset[int]:
+    return frozenset(_LOW_REGS[mask & 255] + _HIGH_REGS[mask >> 8])
+
+
+def instr_uses(ins: Instr) -> frozenset[int]:
+    return _regs_of(instr_masks(ins)[0])
 
 
 def instr_defs(ins: Instr) -> frozenset[int]:
-    if ins.opcode in ("movi", "movr", "lea.sp", "binop", "load.sp", "load.reg", "rfpush", "rfpop"):
-        return frozenset((ins.args[0],))
-    return frozenset()
+    return _regs_of(instr_masks(ins)[1])
 
 
 @dataclass
@@ -254,48 +279,81 @@ class LivenessMap:
         return self.dead[(bid, idx)]
 
 
+def _postorder(entry: int, succs: dict[int, tuple[int, ...]]) -> list[int]:
+    """Blocks reachable from `entry`, each after all of its DFS descendants."""
+    order: list[int] = []
+    seen = {entry}
+    work = [(entry, iter(succs[entry]))]
+    while work:
+        node, it = work[-1]
+        for nxt in it:
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append((nxt, iter(succs[nxt])))
+                break
+        else:
+            work.pop()
+            order.append(node)
+    return order
+
+
 def dead_registers(fn: Function) -> LivenessMap:
     """Backward may-liveness; dead = registers never read before overwritten.
 
     The dead set at (block, index) describes the point just before that
-    instruction executes.
+    instruction executes.  The worklist starts in postorder of the forward
+    CFG, so a block is first visited after its successors, with unreachable
+    blocks last; a block whose live-in set grows re-queues its predecessors.
     """
-    block_use: dict[int, frozenset[int]] = {}
-    block_def: dict[int, frozenset[int]] = {}
+    succs: dict[int, tuple[int, ...]] = {}
+    preds: dict[int, list[int]] = {bid: [] for bid in fn.blocks}
+    masks: dict[int, list[tuple[int, int]]] = {}
+    block_use: dict[int, int] = {}
+    block_def: dict[int, int] = {}
     for bid, block in fn.blocks.items():
-        use: set[int] = set()
-        defs: set[int] = set()
-        for ins in block.instrs:
-            use |= instr_uses(ins) - defs
-            defs |= instr_defs(ins)
-        block_use[bid] = frozenset(use)
-        block_def[bid] = frozenset(defs)
+        succs[bid] = block.successors
+        for succ in succs[bid]:
+            preds[succ].append(bid)
+        masks[bid] = pairs = [instr_masks(ins) for ins in block.instrs]
+        use = defs = 0
+        for uses, defines in pairs:
+            use |= uses & ~defs
+            defs |= defines
+        block_use[bid] = use
+        block_def[bid] = defs
 
-    live_out: dict[int, frozenset[int]] = {bid: frozenset() for bid in fn.blocks}
-    live_in: dict[int, frozenset[int]] = {
-        bid: block_use[bid] for bid in fn.blocks
-    }
-    changed = True
-    while changed:
-        changed = False
-        for bid, block in fn.blocks.items():
-            out: frozenset[int] = frozenset()
-            for succ in block.successors:
-                out |= live_in[succ]
-            if out != live_out[bid]:
-                live_out[bid] = out
-                changed = True
-            new_in = block_use[bid] | (out - block_def[bid])
-            if new_in != live_in[bid]:
-                live_in[bid] = new_in
-                changed = True
+    order = _postorder(fn.entry_block, succs)
+    reached = set(order)
+    order += [bid for bid in fn.blocks if bid not in reached]
+    live_in = dict.fromkeys(fn.blocks, 0)
+    live_out = dict.fromkeys(fn.blocks, 0)
+    work = deque(order)
+    queued = set(order)
+    while work:
+        bid = work.popleft()
+        queued.discard(bid)
+        out = 0
+        for succ in succs[bid]:
+            out |= live_in[succ]
+        live_out[bid] = out
+        new_in = block_use[bid] | out & ~block_def[bid]
+        if new_in != live_in[bid]:
+            live_in[bid] = new_in
+            for pred in preds[bid]:
+                if pred not in queued:
+                    work.append(pred)
+                    queued.add(pred)
 
+    interned: dict[int, frozenset[int]] = {}
     dead: dict[tuple[int, int], frozenset[int]] = {}
-    for bid, block in fn.blocks.items():
-        live = set(live_out[bid])
-        for idx in range(len(block.instrs) - 1, -1, -1):
-            ins = block.instrs[idx]
-            live -= instr_defs(ins)
-            live |= instr_uses(ins)
-            dead[(bid, idx)] = frozenset(ALL_REGS - live)
+    for bid, pairs in masks.items():
+        live = live_out[bid]
+        for idx in range(len(pairs) - 1, -1, -1):
+            uses, defines = pairs[idx]
+            live = live & ~defines | uses
+            mask = ALL_MASK & ~live
+            regs = interned.get(mask)
+            if regs is None:
+                regs = interned[mask] = _regs_of(mask)
+            dead[(bid, idx)] = regs
     return LivenessMap(fn.name, dead)

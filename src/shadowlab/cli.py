@@ -12,16 +12,20 @@ from pathlib import Path
 from typing import NoReturn
 
 from .mir import NUM_REGS, SHADOW_OPCODES, MirError, Program, parse_program, print_program, validate_program
+from .analysis import WriteSummary
 from .transform import (
     FN_ELIDED,
     FN_FULL,
     FN_LOWERED,
     FN_REGFRAME,
+    InstrumentationPlan,
     InstrumentedProgram,
+    PlanError,
+    ProgramAnalysis,
     ResolvedFunction,
-    analyze_program,
     apply_plan,
     plan_program,
+    resolve_mode,
 )
 from .shadowvm import (
     COMPLETED,
@@ -75,55 +79,38 @@ def _load(path: str) -> Program:
     return program
 
 
-def _fn_modes(program: Program) -> dict[str, str]:
-    """Per-function mode the fully optimized configuration would use."""
-    _, plan = plan_program(program)
-    from .transform import resolve_mode
+def _plan(path: str, program: Program) -> tuple[ProgramAnalysis, InstrumentationPlan]:
+    try:
+        return plan_program(program)
+    except PlanError as exc:
+        _usage_error(f"{path}: {exc}")
 
-    return {name: resolve_mode(plan.per_function[name], "LIGHT") for name in program.functions}
 
-
-def _instr_stats(program: Program) -> dict:
-    modes = _fn_modes(program)
+def _instr_stats(plan: InstrumentationPlan) -> dict:
+    """Shares of functions per mode in the fully optimized configuration."""
+    modes = [resolve_mode(fp, "LIGHT") for fp in plan.per_function.values()]
     total = len(modes)
-    count = lambda m: sum(1 for v in modes.values() if v == m)
-    pct = lambda n: 100.0 * n / total if total else 0.0
+    pct = lambda m: 100.0 * modes.count(m) / total if total else 0.0
     return {
-        "sfe_pct": pct(count(FN_ELIDED)),
-        "spe_pct": pct(count(FN_LOWERED)),
-        "rf_pct": pct(count(FN_REGFRAME)),
+        "sfe_pct": pct(FN_ELIDED),
+        "spe_pct": pct(FN_LOWERED),
+        "rf_pct": pct(FN_REGFRAME),
         "total": total,
     }
 
 
-def _write_stats(program: Program) -> dict:
-    analysis = analyze_program(program)
-    stack = sum(s.stack for s in analysis.summaries.values())
-    globl = sum(s.global_ for s in analysis.summaries.values())
-    unsafe = sum(s.unsafe for s in analysis.summaries.values())
-    total = stack + globl + unsafe
-    pct = lambda n: 100.0 * n / total if total else 0.0
-    return {
-        "stack_pct": pct(stack),
-        "global_pct": pct(globl),
-        "unsafe_pct": pct(unsafe),
-        "total": total,
-    }
+def _write_stats(analysis: ProgramAnalysis) -> dict:
+    return sum(analysis.summaries.values(), WriteSummary(0, 0, 0)).to_json()
 
 
 def cmd_analyze(args) -> int:
-    from .transform import count_safe_paths
-
     program = _load(args.file)
-    analysis = analyze_program(program)
+    analysis, plan = _plan(args.file, program)
     out = {
         "safety": analysis.safety.to_json(),
-        "instrumentation": _instr_stats(program),
-        "writes": _write_stats(program),
-        "safe_paths": {
-            name: count_safe_paths(fn, analysis.safety)
-            for name, fn in program.functions.items()
-        },
+        "instrumentation": _instr_stats(plan),
+        "writes": _write_stats(analysis),
+        "safe_paths": {name: fp.safe_paths for name, fp in plan.per_function.items()},
     }
     if args.json:
         print(json.dumps(out, sort_keys=True, indent=2))
@@ -148,7 +135,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_instrument(args) -> int:
     program = _load(args.file)
-    _, plan = plan_program(program)
+    _, plan = _plan(args.file, program)
     ip = apply_plan(program, plan, args.mode)
     diags = validate_program(ip.program, allow_shadow=True)
     if diags:
@@ -269,11 +256,12 @@ def cmd_stats(args) -> int:
     rows = []
     for path in sorted(Path(args.dir).glob("*.mir")):
         program = _load(str(path))
+        analysis, plan = _plan(str(path), program)
         rows.append(
             {
                 "name": path.stem,
-                "instrumentation": _instr_stats(program),
-                "writes": _write_stats(program),
+                "instrumentation": _instr_stats(plan),
+                "writes": _write_stats(analysis),
             }
         )
     if not rows:

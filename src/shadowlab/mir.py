@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 WORD_SIZE = 8
 NUM_REGS = 16
@@ -110,9 +110,6 @@ class Block:
         if term.opcode == "brc":
             return (term.args[0], term.args[1])
         return ()
-
-    def direct_call_targets(self) -> tuple[str, ...]:
-        return tuple(i.args[0] for i in self.instrs if i.opcode == "call")
 
     @property
     def has_indirect_call(self) -> bool:
@@ -521,3 +518,52 @@ def build_call_graph(program: Program) -> CallGraph:
             elif ins.opcode == "icall":
                 indirect.add(fn.name)
     return CallGraph(tuple(program.functions), frozenset(edges), frozenset(indirect))
+
+
+def sccs(nodes: Iterable, succs: Mapping) -> list[list]:
+    """Strongly connected components, iterative Tarjan (1972).
+
+    Roots are tried in the order of `nodes` and edges in the order of
+    `succs[node]`.  Components come out in Tarjan's emission order: each one
+    after every component reachable from it (on a call graph, callees
+    before callers).  Members of a component are in stack-pop order;
+    callers sort them.
+    """
+    index: dict = {}
+    lowlink: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    components: list[list] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succs[root]))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = lowlink[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succs[nxt])))
+                    break
+                if nxt in on_stack:
+                    lowlink[node] = min(lowlink[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    components.append(comp)
+    return components

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .mir import Block, CallGraph, Function, Program, build_call_graph
+from .mir import Block, CallGraph, Function, Program, build_call_graph, sccs
 from .analysis import HeightMap, is_safe_height
 
 RS_BOTTOM = 0
@@ -87,57 +87,8 @@ def condense_sccs(graph: CallGraph) -> SccDag:
     for a, b in sorted(graph.direct_edges, key=lambda e: (order[e[0]], order[e[1]])):
         succs[a].append(b)
 
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: dict[str, bool] = {}
-    stack: list[str] = []
-    counter = [0]
-    components: list[tuple[str, ...]] = []
-    comp_of: dict[str, int] = {}
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(succs[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-                if on_stack.get(nxt):
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comp.sort(key=order.get)
-                idx = len(components)
-                components.append(tuple(comp))
-                for name in comp:
-                    comp_of[name] = idx
-
-    for name in graph.nodes:
-        if name not in index:
-            strongconnect(name)
+    components = [tuple(sorted(comp, key=order.get)) for comp in sccs(graph.nodes, succs)]
+    comp_of = {name: idx for idx, comp in enumerate(components) for name in comp}
 
     edges = frozenset(
         (comp_of[a], comp_of[b]) for a, b in graph.direct_edges if comp_of[a] != comp_of[b]

@@ -34,16 +34,19 @@ from .mir import (
     SHADOW_OPCODES,
     STORE_OPCODES,
     TERMINATORS,
+    sccs,
 )
 from .analysis import (
     HeightMap,
     LivenessMap,
     UNSAFE,
+    WriteSummary,
     classify_writes,
-    instr_defs,
-    instr_uses,
+    dead_registers,
+    instr_masks,
+    stack_heights,
 )
-from .safety import SafetyResult
+from .safety import SafetyResult, calculate_ra_safety
 
 MODES = ("FULL", "SFE", "PO", "MO", "LIGHT", "ELIDE-ALL")
 
@@ -120,15 +123,12 @@ class ProgramAnalysis:
     heights: dict[str, HeightMap]
     liveness: dict[str, LivenessMap]
     classes: dict[str, dict[tuple[int, int], str]]
-    summaries: dict[str, object]
+    summaries: dict[str, WriteSummary]
     safety: SafetyResult
 
 
 def analyze_program(program: Program) -> ProgramAnalysis:
     """Run every per-function analysis plus the safety fixpoint."""
-    from .analysis import dead_registers, stack_heights
-    from .safety import calculate_ra_safety
-
     heights = {name: stack_heights(fn) for name, fn in program.functions.items()}
     liveness = {name: dead_registers(fn) for name, fn in program.functions.items()}
     classes = {}
@@ -141,63 +141,8 @@ def analyze_program(program: Program) -> ProgramAnalysis:
 
 def plan_program(program: Program) -> tuple[ProgramAnalysis, InstrumentationPlan]:
     analysis = analyze_program(program)
-    plan = plan_mechanism(program, analysis.safety, analysis.liveness, analysis.heights)
+    plan = plan_mechanism(program, analysis)
     return analysis, plan
-
-
-def _block_sccs(block_ids: list[int], succs: Mapping[int, list[int]]):
-    """Iterative Tarjan over a block subgraph; components in emission order."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: dict[int, bool] = {}
-    stack: list[int] = []
-    counter = [0]
-    components: list[tuple[int, ...]] = []
-    comp_of: dict[int, int] = {}
-
-    def connect(root: int) -> None:
-        work = [(root, iter(succs[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(succs[nxt])))
-                    advanced = True
-                    break
-                if on_stack.get(nxt):
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                cid = len(components)
-                components.append(tuple(sorted(comp)))
-                for b in comp:
-                    comp_of[b] = cid
-
-    for b in block_ids:
-        if b not in index:
-            connect(b)
-    return components, comp_of
 
 
 def count_safe_paths(fn: Function, safety: SafetyResult, cap: int = PATH_COUNT_CAP) -> int:
@@ -214,7 +159,8 @@ def count_safe_paths(fn: Function, safety: SafetyResult, cap: int = PATH_COUNT_C
     succs = {
         bid: sorted(s for s in fn.blocks[bid].successors if s in safe_set) for bid in safe
     }
-    components, comp_of = _block_sccs(sorted(safe), succs)
+    components = [tuple(sorted(comp)) for comp in sccs(sorted(safe), succs)]
+    comp_of = {bid: cid for cid, comp in enumerate(components) for bid in comp}
 
     comp_succs: dict[int, set[int]] = {i: set() for i in range(len(components))}
     for bid in safe:
@@ -321,11 +267,12 @@ def lower_instrumentation(
 
 def find_free_register(fn: Function) -> int | None:
     """Lowest register never referenced by the function body; r0 is excluded."""
-    used: set[int] = set()
+    used = 0
     for _, _, ins in fn.iter_instrs():
-        used |= instr_uses(ins) | instr_defs(ins)
+        uses, defs = instr_masks(ins)
+        used |= uses | defs
     for r in range(1, 16):
-        if r not in used:
+        if not used >> r & 1:
             return r
     return None
 
@@ -371,14 +318,12 @@ def _chase_point(
     return None
 
 
-def plan_mechanism(
-    program: Program,
-    safety: SafetyResult,
-    liveness: Mapping[str, LivenessMap],
-    heights: Mapping[str, HeightMap],
-) -> InstrumentationPlan:
+def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> InstrumentationPlan:
     """Build the full per-function plan: policy candidates plus register-frame
     selection, inline sites, and dead-register chase points."""
+    safety, heights, liveness, classes = (
+        analysis.safety, analysis.heights, analysis.liveness, analysis.classes
+    )
     per_function: dict[str, FunctionPlan] = {}
     inline_callees = frozenset(
         name for name, fn in program.functions.items() if inline_eligible(fn)
@@ -391,7 +336,6 @@ def plan_mechanism(
     )
 
     for name, fn in program.functions.items():
-        classes, _ = classify_writes(fn, heights[name])
         ra_safe = safety.ra_safe_fn(name)
         paths = count_safe_paths(fn, safety)
         plan = FunctionPlan(name, ra_safe, paths, fn.is_leaf)
@@ -400,7 +344,7 @@ def plan_mechanism(
         if fn.is_leaf:
             plan.free_reg = find_free_register(fn)
         entry = fn.blocks[fn.entry_block]
-        plan.entry_chase = _chase_point(entry, liveness[name], classes)
+        plan.entry_chase = _chase_point(entry, liveness[name], classes[name])
         if plan.lowered is not None:
             for src, dst in plan.lowered.transition_edges:
                 plan.edge_dead[(src, dst)] = (

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 from hypothesis import given, settings, strategies as st
 
-from shadowlab.mir import parse_program
+from shadowlab.mir import NUM_REGS, Block, Function, Instr, parse_program
 from shadowlab.analysis import (
     BOTTOM,
     TOP,
@@ -9,10 +12,11 @@ from shadowlab.analysis import (
     UNSAFE,
     classify_writes,
     dead_registers,
+    instr_defs,
+    instr_uses,
     is_safe_height,
     join_height,
     stack_heights,
-    _freeze_regs,
     _step,
 )
 from shadowlab.gen import GenConfig, generate_program
@@ -141,18 +145,17 @@ def test_height_fixpoint_is_stable(seed):
         h = stack_heights(fn)
         for bid, block in fn.blocks.items():
             facts = h.at(bid, 0)
-            sp, regs = facts.sp, dict(facts.regs)
+            sp, regs = facts.sp, facts.regs
             for idx, ins in enumerate(block.instrs):
                 recorded = h.at(bid, idx)
-                assert recorded.sp == sp and recorded.regs == _freeze_regs(regs)
-                sp2, dest = _step(sp, regs, ins)
+                assert recorded.sp == sp and recorded.regs == regs
+                sp, regs, dest = _step(sp, regs, ins)
                 assert dest == recorded.dest
-                sp = sp2
             for succ in block.successors:
                 entry = h.at(succ, 0)
                 assert join_height(entry.sp, sp) == entry.sp
-                for r, v in regs.items():
-                    assert join_height(entry.reg(r), v) == entry.reg(r)
+                for r in range(NUM_REGS):
+                    assert join_height(entry.reg(r), regs[r]) == entry.reg(r)
 
 
 def test_is_safe_height_boundary():
@@ -197,3 +200,179 @@ def test_stores_read_the_value_register():
     p = parse_program("fn t {\nb0:\n  store.sp -8\n  ret\n}")
     lm = dead_registers(p.functions["t"])
     assert 0 not in lm.dead_at(0, 0)
+
+
+def _reference_dead(fn) -> dict:
+    """Liveness by round-robin sweeps over the blocks in declaration order
+    until nothing changes, on frozensets: the oracle for the worklist."""
+    live_in = {bid: frozenset() for bid in fn.blocks}
+    live_out = dict(live_in)
+    changed = True
+    while changed:
+        changed = False
+        for bid, block in fn.blocks.items():
+            out = frozenset().union(*(live_in[s] for s in block.successors))
+            live = out
+            for ins in reversed(block.instrs):
+                live = (live - instr_defs(ins)) | instr_uses(ins)
+            if (out, live) != (live_out[bid], live_in[bid]):
+                live_out[bid], live_in[bid] = out, live
+                changed = True
+    dead = {}
+    for bid, block in fn.blocks.items():
+        live = live_out[bid]
+        for idx in range(len(block.instrs) - 1, -1, -1):
+            ins = block.instrs[idx]
+            live = (live - instr_defs(ins)) | instr_uses(ins)
+            dead[(bid, idx)] = frozenset(range(NUM_REGS)) - live
+    return dead
+
+
+_REG = st.integers(0, NUM_REGS - 1)
+_BODY_INSTR = st.one_of(
+    st.builds(lambda r: Instr("movi", (r, 1)), _REG),
+    st.builds(lambda a, b: Instr("movr", (a, b)), _REG, _REG),
+    st.builds(lambda a, b: Instr("binop", (a, b)), _REG, _REG),
+    st.builds(lambda a, b: Instr("load.reg", (a, b)), _REG, _REG),
+    st.builds(lambda r: Instr("store.reg", (r,)), _REG),
+    st.builds(lambda r: Instr("rfpush", (r,)), _REG),
+    st.just(Instr("store.sp", (-8,))),
+    st.just(Instr("call", ("g",))),
+)
+
+
+@st.composite
+def _random_cfgs(draw):
+    """Any shape of CFG: loops, self-loops, unreachable blocks, several exits,
+    and blocks declared in an order unrelated to the edges."""
+    n = draw(st.integers(1, 12))
+    target = st.integers(0, n - 1)
+    blocks = {}
+    for bid in [0] + draw(st.permutations(range(1, n))):
+        kind = draw(st.sampled_from(("br", "brc", "ret", "halt")))
+        if kind == "br":
+            term = Instr("br", (draw(target),))
+        elif kind == "brc":
+            term = Instr("brc", (draw(target), draw(target)))
+        else:
+            term = Instr(kind)
+        blocks[bid] = Block(bid, tuple(draw(st.lists(_BODY_INSTR, max_size=4))) + (term,))
+    return Function("f", blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_cfgs())
+def test_liveness_matches_round_robin_reference(fn):
+    assert dead_registers(fn).dead == _reference_dead(fn)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_liveness_matches_reference_on_generated_programs(seed):
+    p = generate_program(seed, GenConfig(), adversarial=seed % 2 == 0)
+    for fn in p.functions.values():
+        assert dead_registers(fn).dead == _reference_dead(fn)
+
+
+# ---- equivalence pin: every analysis result over a fixed corpus ----
+
+# sha256 of the per-instruction heights (sp, dest and every register), the
+# dead sets, the write classes and the safety verdicts of the programs below,
+# recorded before the analyses moved to dense state: a change here means an
+# analysis result changed.  The pin reads only `sp`, `dest`, `reg(r)`,
+# `dead_at` and the class and safety maps.
+PINNED_ANALYSIS_DIGEST = "a3639a2f9d19bf4065c5c396828bb15b8381d6b337ef2c85bc2171b76e84aeaa"
+
+
+def _diamond_chain(n: int) -> str:
+    """n diamonds in a row whose branches set registers differently; the
+    frames of the two branches differ once, ten diamonds from the end, and
+    one block is unreachable."""
+    lines = ["fn diamonds {"]
+    for i in range(n):
+        a, b, c = i % 15 + 1, (i * 7) % 15 + 1, (i * 3) % 15 + 1
+        lines += [f"b{3 * i}:", f"  movr r{a}, r{b}", f"  brc b{3 * i + 1}, b{3 * i + 2}"]
+        lines += [f"b{3 * i + 1}:", f"  lea.sp r{a}, {-8 * (i % 4 + 1)}", f"  store.reg r{a}"]
+        if i % 5 == 0:
+            lines.append("  spadd -8")
+        if i % 11 == 0:
+            lines.append("  call leaf")
+        lines += [f"  br b{3 * i + 3}"]
+        lines += [f"b{3 * i + 2}:", f"  movi r{c}, {i}", "  store.sp -8", f"  load.reg r{b}, r{c}"]
+        if i % 5 == 0:
+            lines.append("  spadd -16" if i == n - 10 else "  spadd -8")
+        lines += [f"  br b{3 * i + 3}"]
+    lines += [f"b{3 * n}:", "  store.reg r5", "  movr r0, r3", "  ret"]
+    lines += [f"b{3 * n + 1}:", "  movi r2, 1", f"  br b{3 * n}", "}", "", "fn leaf {", "b0:", "  ret", "}"]
+    return "\n".join(lines)
+
+
+def _loop_chain(n: int) -> str:
+    """n loops in a row, each a header and a body that branches back; the
+    frame grows in one loop, five from the end."""
+    lines = ["fn loops {", "b0:", "  spadd -64", "  lea.sp r1, 8", "  br b1"]
+    for i in range(n):
+        a, b, c = i % 15 + 1, (i * 5) % 15 + 1, (i * 11) % 15 + 1
+        head, body = 2 * i + 1, 2 * i + 2
+        lines += [f"b{head}:", f"  binop r{a}, r{b}", f"  brc b{body}, b{head + 2}"]
+        lines += [f"b{body}:", f"  load.sp r{c}, -8", f"  store.reg r{a}"]
+        if i % 6 == 0:
+            lines += ["  spadd -8", "  store.sp 0", "  spadd 8"]
+        if i == n - 5:
+            lines.append("  spadd -8")
+        if i % 9 == 0:
+            lines.append(f"  lea.sp r{c}, -16")
+        lines += [f"  br b{head}"]
+    lines += [f"b{2 * n + 1}:", "  store.reg r1", "  movr r0, r7", "  spadd 64", "  ret", "}"]
+    return "\n".join(lines)
+
+
+def _pinned_analysis_programs():
+    from conftest import CALL_TREE, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
+
+    from shadowlab.gen import generate_corpus
+    from shadowlab.transform import apply_plan, plan_program
+
+    corpus = generate_corpus(GenConfig(seed=41, count=20, attack_density=0.5))
+    yield from corpus
+    # instrumented programs, as build_checks analyses them: shadow and
+    # register-frame operations, clones and transition blocks
+    for name, p in corpus[:6]:
+        _, plan = plan_program(p)
+        for mode in ("MO", "LIGHT"):
+            yield f"{name}/{mode}", apply_plan(p, plan, mode).program
+    fixtures = [CALL_TREE, MEMO_CFG, FIXTURE_CHASE, FIXTURE_REGFRAME, FIXTURE_INLINE, FIXTURE_DIAMOND]
+    fixtures += [_diamond_chain(300), _loop_chain(450)]
+    for i, text in enumerate(fixtures):
+        yield f"fixture{i}", parse_program(text)
+
+
+def _height_json(h):
+    return h if isinstance(h, int) else repr(h)
+
+
+def _analysis_record(program) -> list:
+    from shadowlab.transform import analyze_program
+
+    analysis = analyze_program(program)
+    record = []
+    for name, fn in program.functions.items():
+        hmap, lmap = analysis.heights[name], analysis.liveness[name]
+        instrs = []
+        for bid, idx, _ in fn.iter_instrs():
+            facts = hmap.facts.get((bid, idx))
+            heights = None
+            if facts is not None:
+                regs = [_height_json(facts.reg(r)) for r in range(16)]
+                heights = [_height_json(facts.sp), _height_json(facts.dest), regs]
+            instrs.append([bid, idx, heights, sorted(lmap.dead_at(bid, idx))])
+        classes = sorted([b, i, c] for (b, i), c in analysis.classes[name].items())
+        record.append([name, instrs, classes])
+    return [record, analysis.safety.to_json()]
+
+
+def test_analysis_equivalence_pin():
+    digest = hashlib.sha256()
+    for name, program in _pinned_analysis_programs():
+        digest.update(json.dumps([name, _analysis_record(program)], sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_ANALYSIS_DIGEST

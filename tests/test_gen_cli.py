@@ -280,3 +280,55 @@ def test_cli_run_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)
     (tmp_path / "a.mir.plan.json").write_text(sidecar)
     _assert_usage_error(capsys, ["run", path], "malformed plan sidecar")
+
+
+# a lowering candidate whose block ids reach the clone-id offset: planning it
+# raises PlanError
+HIGH_BLOCK_IDS = "fn main {\nb0:\n  brc b1000, b1\nb1:\n  ret\nb1000:\n  movi r1, 0\n  store.reg r1\n  ret\n}\n"
+
+
+def test_cli_analyze_reports_plan_error(capsys, tmp_path):
+    path = write_fixture(tmp_path, "high.mir", HIGH_BLOCK_IDS)
+    _assert_usage_error(capsys, ["analyze", path], path, "block ids")
+
+
+def test_cli_instrument_reports_plan_error(capsys, tmp_path):
+    path = write_fixture(tmp_path, "high.mir", HIGH_BLOCK_IDS)
+    out = tmp_path / "out.mir"
+    _assert_usage_error(capsys, ["instrument", path, "--mode", "LIGHT", "-o", str(out)], path, "block ids")
+    assert not out.exists()
+
+
+def test_cli_stats_reports_plan_error(capsys, tmp_path):
+    write_fixture(tmp_path, "a.mir", CALL_TREE)
+    path = write_fixture(tmp_path, "high.mir", HIGH_BLOCK_IDS)
+    _assert_usage_error(capsys, ["stats", str(tmp_path)], path, "block ids")
+
+
+# sha256 of `analyze --json` for every program of a fixed gen corpus, then
+# `stats --json` over it, then every mode's `instrument` output and plan
+# sidecar, recorded before `analyze` and `stats` planned each program once.
+PINNED_CLI_DIGEST = "ba07f5091565f8f577eabb78f3a8e7b185c541162ad9c9e1ae02a1848fc4fefe"
+
+
+def test_cli_outputs_pin(capsys, tmp_path):
+    import hashlib
+
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--seed", "43", "--count", "12", "--attack-density", "0.5", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    paths = sorted(corpus.glob("*.mir"))
+    for path in paths:
+        assert main(["analyze", str(path), "--json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert main(["stats", str(corpus), "--json"]) == 0
+    digest.update(capsys.readouterr().out.encode())
+    for path in paths[:4]:
+        for mode in ("FULL", "SFE", "PO", "MO", "LIGHT", "ELIDE-ALL"):
+            out = tmp_path / f"{path.stem}.{mode}.mir"
+            assert main(["instrument", str(path), "--mode", mode, "-o", str(out)]) == 0
+            digest.update(out.read_bytes())
+            digest.update((tmp_path / f"{out.name}.plan.json").read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == PINNED_CLI_DIGEST
