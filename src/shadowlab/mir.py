@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 WORD_SIZE = 8
@@ -79,6 +80,11 @@ class Instr:
             else:
                 parts.append(str(arg))
         return self.opcode if not parts else self.opcode + " " + ", ".join(parts)
+
+    @cached_property
+    def text(self) -> str:
+        """The canonical text, rendered on first use and kept with the object."""
+        return self.render()
 
     @property
     def is_store(self) -> bool:
@@ -186,11 +192,6 @@ class Program:
                 return i
         raise KeyError(name)
 
-    def function_at(self, index: int) -> Function | None:
-        if 0 <= index < len(self.functions):
-            return list(self.functions.values())[index]
-        return None
-
     def __eq__(self, other):
         return (
             isinstance(other, Program)
@@ -240,6 +241,9 @@ class _Parser:
         self.instrs: list[Instr] = []
         self.instr_lines: list[int] = []
         self.block_line = 0
+        # Instruction text -> its decoded Instr, shared by every occurrence.
+        # Positions stay in instr_lines, so errors found later keep their line.
+        self.decoded: dict[str, Instr] = {}
 
     def error(self, msg: str, line: int, token: str = "") -> MirError:
         col = 1
@@ -324,7 +328,10 @@ class _Parser:
     def instruction(self, text: str, no: int) -> None:
         if self.bid is None:
             raise self.error("instruction outside a block", no, text.split()[0])
-        self.instrs.append(self.parse_instr(text, no))
+        ins = self.decoded.get(text)
+        if ins is None:
+            ins = self.decoded[text] = self.parse_instr(text, no)
+        self.instrs.append(ins)
         self.instr_lines.append(no)
 
     def parse_instr(self, text: str, no: int) -> Instr:
@@ -413,7 +420,7 @@ def print_program(program: Program) -> str:
         for bid, block in fn.blocks.items():
             out.append(f"b{bid}:")
             for ins in block.instrs:
-                out.append(f"  {ins.render()}")
+                out.append("  " + ins.text)
         out.append("}")
     return "\n".join(out) + "\n"
 

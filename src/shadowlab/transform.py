@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .mir import (
     Block,
@@ -205,17 +205,23 @@ def lower_instrumentation(
     transitions: list[tuple[int, int]] = []
     visited: set[tuple[int, int]] = set()
 
-    def visit(bid: int, in_edge: tuple[int, int] | None) -> None:
-        if not safety.ra_safe_block(fn.name, bid):
-            transitions.append(in_edge)
-            return
-        for succ in sorted(fn.blocks[bid].successors):
-            edge = (bid, succ)
-            if edge not in visited:
-                visited.add(edge)
-                visit(succ, edge)
+    def out_edges(bid: int) -> Iterator[tuple[int, int]]:
+        return iter([(bid, succ) for succ in sorted(fn.blocks[bid].successors)])
 
-    visit(fn.entry_block, None)
+    # A stack of edge iterators, not recursion: a chain of blocks can be
+    # longer than Python's recursion limit.
+    stack = [out_edges(fn.entry_block)]
+    while stack:
+        for edge in stack[-1]:
+            if edge in visited:
+                continue
+            visited.add(edge)
+            if safety.ra_safe_block(fn.name, edge[1]):
+                stack.append(out_edges(edge[1]))
+                break
+            transitions.append(edge)
+        else:
+            stack.pop()
 
     push_heights: dict[tuple[int, int], int] = {}
     for src, dst in transitions:
@@ -341,7 +347,7 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
         plan = FunctionPlan(name, ra_safe, paths, fn.is_leaf)
         if not ra_safe and paths >= 1:
             plan.lowered = lower_instrumentation(fn, safety, heights[name])
-        if fn.is_leaf:
+        if plan.leaf:
             plan.free_reg = find_free_register(fn)
         entry = fn.blocks[fn.entry_block]
         plan.entry_chase = _chase_point(entry, liveness[name], classes[name])

@@ -187,6 +187,14 @@ b4:
 }
 """
 
+# A safe arm to b999 beside a chain of 997 branch blocks that ends in one
+# unsafe store: the lowering walk follows a path as long as the block-id range.
+DEEP_CHAIN = "\n".join(
+    ["fn f {", "b0:", "  spadd -16", "  brc b1, b999"]
+    + [f"b{i}:\n  br b{i + 1}" for i in range(1, 998)]
+    + ["b998:", "  store.sp 16", "  ret", "b999:", "  spadd 16", "  ret", "}", ""]
+)
+
 
 def unwind_fixture(k: int) -> str:
     """Call chain deep enough to discard k frames before the return."""

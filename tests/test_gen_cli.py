@@ -6,7 +6,7 @@ from shadowlab.cli import main
 from shadowlab.gen import GenConfig, generate_corpus, generate_inputs
 from shadowlab.mir import parse_program, print_program, validate_program
 
-from conftest import CALL_TREE, MEMO_CFG
+from conftest import CALL_TREE, DEEP_CHAIN, MEMO_CFG
 
 
 def write_fixture(tmp_path, name, text):
@@ -280,6 +280,12 @@ def test_cli_run_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)
     (tmp_path / "a.mir.plan.json").write_text(sidecar)
     _assert_usage_error(capsys, ["run", path], "malformed plan sidecar")
+
+
+def test_cli_analyze_deep_chain(capsys, tmp_path):
+    path = write_fixture(tmp_path, "deep.mir", DEEP_CHAIN)
+    assert main(["analyze", path]) == 0
+    assert "SPE 100.0%" in capsys.readouterr().out
 
 
 # a lowering candidate whose block ids reach the clone-id offset: planning it

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.mir import (
+    OPERAND_SHAPES,
+    Instr,
     MirError,
     build_call_graph,
     parse_program,
@@ -9,6 +11,83 @@ from shadowlab.mir import (
     validate_program,
 )
 from shadowlab.gen import GenConfig, generate_program
+
+from conftest import CALL_TREE
+
+# Every opcode, spelled loosely: operands without spaces or with extra ones,
+# negative immediates, globals, labels and a closing brace sharing a line.
+ALL_OPCODES = """\
+#entry main
+#adversarial   true
+# a comment
+fn main {
+b0:   spadd   -32
+  spmov r1
+  movi r3,5
+  movr   r4 ,r3
+  lea.sp r5,  -8
+  binop r4,r5
+  store.sp -16
+  store.reg r5
+  store.global  counter
+  load.sp r6,-16
+  load.reg r7, r5
+  call  leaf
+  icall r7
+  corrupt 8,-1
+  brc b1,b2
+b1: br   b3
+b2:
+  unwind 2
+  br b3
+b3:
+  spush -40
+  spop
+  rfpush r9
+  rfpop r9
+  ret }
+fn leaf { b0: halt }
+"""
+
+ALL_OPCODES_CANONICAL = """\
+#entry main
+#adversarial true
+
+fn main {
+b0:
+  spadd -32
+  spmov r1
+  movi r3, 5
+  movr r4, r3
+  lea.sp r5, -8
+  binop r4, r5
+  store.sp -16
+  store.reg r5
+  store.global counter
+  load.sp r6, -16
+  load.reg r7, r5
+  call leaf
+  icall r7
+  corrupt 8, -1
+  brc b1, b2
+b1:
+  br b3
+b2:
+  unwind 2
+  br b3
+b3:
+  spush -40
+  spop
+  rfpush r9
+  rfpop r9
+  ret
+}
+
+fn leaf {
+b0:
+  halt
+}
+"""
 
 
 def test_parse_minimal_program():
@@ -75,8 +154,40 @@ def test_parse_error_carries_position():
         pytest.fail("expected a parse error")
 
 
-def test_roundtrip_fixture(call_tree):
-    assert parse_program(print_program(call_tree)) == call_tree
+def test_roundtrip_fixture():
+    for text, canonical in [(CALL_TREE, CALL_TREE), (ALL_OPCODES, ALL_OPCODES_CANONICAL)]:
+        p = parse_program(text)
+        printed = print_program(p)
+        assert printed == canonical
+        assert parse_program(printed) == p
+
+
+def test_all_opcodes_fixture_covers_every_opcode():
+    p = parse_program(ALL_OPCODES)
+    opcodes = {ins.opcode for fn in p.functions.values() for _, _, ins in fn.iter_instrs()}
+    assert opcodes == set(OPERAND_SHAPES)
+
+
+def test_repeated_instruction_text_shares_one_instr():
+    p = parse_program("fn f {\nb0:\n  movi r1, 2\n  br b1\nb1:\n  movi r1, 2\n  ret\n}")
+    blocks = p.functions["f"].blocks
+    assert blocks[0].instrs[0] is blocks[1].instrs[0]
+    assert blocks[0].instr_lines == (3, 4) and blocks[1].instr_lines == (6, 7)
+
+
+def test_instr_text_is_rendered_on_first_use():
+    ins = Instr("movi", (3, -5))
+    assert "text" not in vars(ins)
+    assert ins.text == ins.render() == "movi r3, -5"
+    assert ins.text is ins.text
+
+
+def test_shared_instr_error_reports_later_occurrence():
+    # the same `br b5` text is valid in f and names an unknown block in g
+    text = "fn f {\nb0:\n  br b5\nb5:\n  ret\n}\nfn g {\nb0:\n      br b5\n}\n"
+    with pytest.raises(MirError, match="unknown block b5") as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.col) == (9, 10)
 
 
 def test_roundtrip_preserves_header():
@@ -207,5 +318,3 @@ def test_globals_derived_from_stores(call_tree):
 
 def test_function_index_and_address(call_tree):
     assert call_tree.function_index("a") == 0
-    assert call_tree.function_at(2).name == "c"
-    assert call_tree.function_at(99) is None

@@ -25,6 +25,8 @@ from shadowlab.transform import (
 from shadowlab.shadowvm import ExecInput, PopEv, PushEv, execute, observables
 from shadowlab.gen import GenConfig, generate_program
 
+from conftest import DEEP_CHAIN
+
 
 def planned(program):
     analysis, plan = plan_program(program)
@@ -124,6 +126,12 @@ def test_lowering_two_parallel_unsafe_branches(fixture_diamond):
         assert sum(1 for e in trace.events if isinstance(e, PopEv)) == 1
     trace, outcome = execute(ip, ExecInput((False,)), 1000)
     assert trace.shadow_ops == 0
+
+
+def test_lowering_deep_chain():
+    p = parse_program(DEEP_CHAIN)
+    _, plan = planned(p)
+    assert plan.per_function["f"].lowered.transition_edges == ((997, 998),)
 
 
 def test_lowering_unsafe_entry_falls_back():
