@@ -427,7 +427,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     for case in cases[:3]:
         t1, o1 = execute(case.target, case.inp, cfg.budget)
         t2, o2 = execute(case.target, case.inp, cfg.budget)
-        if t1.events != t2.events or o1 != o2:
+        if t1.log != t2.log or o1 != o2:
             determinism_ok = False
             violations.append(f"{case.name}/{case.mode}: nondeterministic trace")
 

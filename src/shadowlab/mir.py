@@ -248,9 +248,10 @@ class _Parser:
     def error(self, msg: str, line: int, token: str = "") -> MirError:
         col = 1
         if token and 1 <= line <= len(self.lines):
-            pos = self.lines[line - 1].find(token)
-            if pos >= 0:
-                col = pos + 1
+            # the token as a whole operand, not as part of an earlier, longer one
+            m = re.search(rf"(?<![^\s,{{}}:]){re.escape(token)}(?![^\s,{{}}:])", self.lines[line - 1])
+            if m:
+                col = m.start() + 1
         return MirError(msg, line, col)
 
     def run(self) -> Program:

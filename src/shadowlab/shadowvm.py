@@ -19,6 +19,11 @@ dead registers) placed in per-instruction slots.  `execute` runs a compiled
 program on one input with no per-run set-up beyond fresh registers, memory
 and trace; given a Program or InstrumentedProgram it compiles it first.
 Callers that run one target on many inputs compile it once.
+
+The trace is a log of plain tuples, one `(EventCls, *fields)` per event, which
+the step loop appends and `check_activations` reads by position;
+`Trace.events` builds the named events (`CallEv`, `StoreEv`, ...) from it on
+demand, and `to_lines`/`to_json` render the log directly.
 """
 
 from __future__ import annotations
@@ -119,6 +124,13 @@ class FaultEv(NamedTuple):
     reason: str
 
 
+# each event class's name in `run --trace` lines and `run --json` events
+_EVENT_NAMES = {
+    cls: cls.__name__[:-2].lower()
+    for cls in (CallEv, EnterEv, StoreEv, PushEv, PopEv, CorruptEv, RetEv, AbortEv, HaltEv, UnwindEv, FaultEv)
+}
+
+
 COMPLETED = "completed"
 ABORTED = "aborted"
 UNDETECTED = "undetected"
@@ -151,7 +163,7 @@ class AnalysisChecks:
 
 @dataclass
 class Trace:
-    events: list
+    log: list               # one plain tuple (EventCls, *fields) per event, in order
     instr_count: int = 0
     shadow_instr: int = 0
     shadow_mem: int = 0
@@ -167,12 +179,17 @@ class Trace:
     def total_instr(self) -> int:
         return self.instr_count + self.shadow_instr
 
+    @property
+    def events(self) -> list:
+        """The log as named events, built on each access."""
+        return [e[0]._make(e[1:]) for e in self.log]
+
     def to_lines(self) -> list[str]:
-        return [f"{type(e).__name__[:-2].lower()} {' '.join(str(v) for v in e)}" for e in self.events]
+        return [f"{_EVENT_NAMES[e[0]]} {' '.join(map(str, e[1:]))}" for e in self.log]
 
     def to_json(self) -> dict:
         return {
-            "events": [[type(e).__name__[:-2].lower(), *e] for e in self.events],
+            "events": [[_EVENT_NAMES[e[0]], *e[1:]] for e in self.log],
             "instr_count": self.instr_count,
             "shadow_instr": self.shadow_instr,
             "shadow_mem": self.shadow_mem,
@@ -185,7 +202,6 @@ class Trace:
 @dataclass
 class Frame:
     act: int
-    fn: str
     ra_slot: int
     cookie: int
     ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
@@ -342,7 +358,7 @@ def execute(
 
     sp = MEM_BYTES - 8
     mem[sp >> 3] = EXIT_COOKIE
-    frame = Frame(0, target.entry.name, sp, EXIT_COOKIE, None)
+    frame = Frame(0, sp, EXIT_COOKIE, None)
     frames = [frame]
     act = 0
     next_act = 1
@@ -350,12 +366,11 @@ def execute(
     shadow: list[int] = []
     scratch = 0
 
-    trace = Trace(events=[])
-    ev = trace.events.append
-    new = tuple.__new__     # builds an event without the named tuple's Python-level __new__
+    trace = Trace(log=[])
+    ev = trace.log.append
     fn = target.entry
     fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
-    ev(new(EnterEv, (0, fname, bid)))
+    ev((EnterEv, 0, fname, bid))
     steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
     checking = True   # off after an unwind: frame/function pairing no longer matches the analyses
 
@@ -392,7 +407,7 @@ def execute(
                     height = addr - frame.ra_slot
                     if c is not None and checking and height != c:
                         trace.height_violations.append((fname, bid, idx, c, height))
-                    ev(new(StoreEv, (act, fname, bid, idx, b, addr, height)))
+                    ev((StoreEv, act, fname, bid, idx, b, addr, height))
                 elif op == BINOP:
                     regs[a] = (regs[a] + regs[b]) & MASK
                 elif op == LEA_SP:
@@ -402,14 +417,14 @@ def execute(
                 elif op == STORE_GLOBAL:
                     trace.globals_log.append((a, regs[RETURN_REG]))
                     mem_accesses += 1
-                    ev(new(StoreEv, (act, fname, bid, idx, "global", -1, None)))
+                    ev((StoreEv, act, fname, bid, idx, "global", -1, None))
                 elif op == CORRUPT:
                     depth = min(a, len(frames) - 1)
                     victim = frames[-1 - depth]
                     mem[victim.ra_slot >> 3] = b
                     mem_accesses += 1
                     corruptions += 1
-                    ev(new(CorruptEv, (act, depth, victim.act)))
+                    ev((CorruptEv, act, depth, victim.act))
                 elif op == LOAD_SP or op == LOAD_REG:
                     addr = sp + b if op == LOAD_SP else regs[b]
                     if addr & 7 or not 0 <= addr < MEM_BYTES:
@@ -426,7 +441,7 @@ def execute(
                     frames.pop()
                     sp = frame.ra_slot + 8
                     ok = value == frame.cookie
-                    ev(new(RetEv, (act, fname, ok, len(shadow))))
+                    ev((RetEv, act, fname, ok, len(shadow)))
                     if not ok:
                         outcome = Outcome(UNDETECTED, evidence=(fname, frame.cookie, value))
                         break
@@ -438,12 +453,12 @@ def execute(
                     act = frame.act
                 elif op == BR:
                     bid, block, idx = a, code[a], 0
-                    ev(new(EnterEv, (act, fname, bid)))
+                    ev((EnterEv, act, fname, bid))
                 elif op == BRC:
                     bid = (a if decisions[di] else b) if di < n_decisions else b
                     di += 1
                     block, idx = code[bid], 0
-                    ev(new(EnterEv, (act, fname, bid)))
+                    ev((EnterEv, act, fname, bid))
                 elif op == CALL or op == ICALL:
                     if op == CALL:
                         callee = a
@@ -461,13 +476,13 @@ def execute(
                     mem_accesses += 1
                     act = next_act
                     next_act += 1
-                    frame = Frame(act, callee.name, sp, b, (fname, code, bid, block, idx + 1))
+                    frame = Frame(act, sp, b, (fname, code, bid, block, idx + 1))
                     frames.append(frame)
-                    ev(new(CallEv, (act, callee.name, len(shadow))))
+                    ev((CallEv, act, callee.name, len(shadow)))
                     fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
-                    ev(new(EnterEv, (act, fname, bid)))
+                    ev((EnterEv, act, fname, bid))
                 elif op == HALT:
-                    ev(new(HaltEv, (regs[RETURN_REG],)))
+                    ev((HaltEv, regs[RETURN_REG]))
                     outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
                     break
                 else:  # UNWIND
@@ -477,7 +492,7 @@ def execute(
                     frame = frames[-1]
                     sp = frame.ra_slot
                     checking = False
-                    ev(new(UnwindEv, (act, a)))
+                    ev((UnwindEv, act, a))
                     act = frame.act
                     idx += 1
             elif op == UNKNOWN:
@@ -493,11 +508,11 @@ def execute(
                     if len(shadow) >= SHADOW_CAPACITY:
                         raise _VmFault("shadow region overflow")
                     shadow.append(mem.get(ra_addr >> 3, 0))
-                    ev(new(PushEv, (act, fname, bid, idx, False)))
+                    ev((PushEv, act, fname, bid, idx, False))
                 elif op == RFPUSH:
                     scratch = regs[a]
                     regs[a] = mem.get(frame.ra_slot >> 3, 0)
-                    ev(new(PushEv, (act, fname, bid, idx, True)))
+                    ev((PushEv, act, fname, bid, idx, True))
                 else:  # SPOP, or RFPOP
                     ra = mem.get(frame.ra_slot >> 3, 0)
                     rf = op == RFPOP
@@ -513,15 +528,15 @@ def execute(
                                 break
                             k += 1
                         if matched < 0:
-                            ev(new(AbortEv, (act, fname, bid, idx)))
+                            ev((AbortEv, act, fname, bid, idx))
                             outcome = Outcome(ABORTED, site=(fname, bid, idx))
                             break
                     if rf:
                         regs[a] = scratch
-                    ev(new(PopEv, (act, fname, bid, idx, matched, rf)))
+                    ev((PopEv, act, fname, bid, idx, matched, rf))
                 idx += 1
     except _VmFault as fault:
-        ev(FaultEv(fault.reason))
+        ev((FaultEv, fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
 
     trace.instr_count = steps - shadow_ops
@@ -600,16 +615,17 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
     acts: dict[int, _Activation] = {}
     plans = case.target.functions
 
-    for pos, e in enumerate(trace.events):
-        kind = type(e)
-        if kind not in _ACTIVATION_EVENTS or (kind is StoreEv and e.wclass != UNSAFE):
+    # every activation event is (kind, act, fn, ...); the log is read by position
+    for pos, e in enumerate(trace.log):
+        kind = e[0]
+        if kind not in _ACTIVATION_EVENTS or (kind is StoreEv and e[5] != UNSAFE):   # e[5]: wclass
             continue
-        r = acts.get(e.act)
+        r = acts.get(e[1])
         if r is None:
-            r = acts[e.act] = _Activation(e.fn)
+            r = acts[e[1]] = _Activation(e[2])
         if kind is EnterEv:
-            rf = plans.get(e.fn)
-            if rf is not None and e.bid in rf.tainted_blocks:
+            rf = plans.get(e[2])
+            if rf is not None and e[3] in rf.tainted_blocks:      # e[3]: bid
                 r.clone = True
         elif kind is StoreEv:
             r.unsafe.append(pos)
@@ -618,9 +634,9 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
         elif kind is PopEv:
             r.pop.append(pos)
         elif kind is CallEv:
-            r.call_top = e.shadow_top
+            r.call_top = e[-1]      # shadow_top, last in CallEv and RetEv
         else:
-            r.ret_top = e.shadow_top
+            r.ret_top = e[-1]
 
     for act, r in acts.items():
         fn = r.fn

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from shadowlab.cli import main
 from shadowlab.gen import GenConfig, generate_corpus, generate_inputs
 from shadowlab.mir import parse_program, print_program, validate_program
 
-from conftest import CALL_TREE, DEEP_CHAIN, MEMO_CFG
+from conftest import CALL_TREE, DEEP_CHAIN, MEMO_CFG, unwind_fixture
 
 
 def write_fixture(tmp_path, name, text):
@@ -318,8 +319,6 @@ PINNED_CLI_DIGEST = "ba07f5091565f8f577eabb78f3a8e7b185c541162ad9c9e1ae02a1848fc
 
 
 def test_cli_outputs_pin(capsys, tmp_path):
-    import hashlib
-
     corpus = tmp_path / "corpus"
     assert main(["gen", "--seed", "43", "--count", "12", "--attack-density", "0.5", "--out", str(corpus)]) == 0
     capsys.readouterr()
@@ -338,3 +337,35 @@ def test_cli_outputs_pin(capsys, tmp_path):
             digest.update((tmp_path / f"{out.name}.plan.json").read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == PINNED_CLI_DIGEST
+
+
+# sha256 of `run --trace` and `run --json` output for a fixed gen corpus plus
+# an unwinding and a faulting program, uninstrumented and under every mode
+# with its plan sidecar, recorded before the VM's trace became a log of plain
+# tuples: it pins the text and JSON forms of every event kind.
+PINNED_RUN_DIGEST = "6723c7072eec7d16236c4b53cb9f25978dcf3fddbfc89daec2aa16a7bb28f43b"
+
+
+def test_cli_run_outputs_pin(capsys, tmp_path):
+    from shadowlab.transform import MODES
+
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--seed", "47", "--count", "4", "--attack-density", "0.5", "--out", str(corpus)]) == 0
+    paths = sorted(corpus.glob("*.mir"))
+    paths.append(tmp_path / "unwind.mir")
+    paths[-1].write_text(unwind_fixture(2))
+    paths.append(tmp_path / "fault.mir")
+    paths[-1].write_text("fn main {\nb0:\n  call f\n  halt\n}\n\nfn f {\nb0:\n  movi r1, 3\n  store.reg r1\n  ret\n}\n")
+    digest = hashlib.sha256()
+    for path in paths:
+        targets = [path]
+        for mode in MODES:
+            targets.append(tmp_path / f"{path.stem}.{mode}.mir")
+            assert main(["instrument", str(path), "--mode", mode, "-o", str(targets[-1])]) == 0
+        capsys.readouterr()
+        for target in targets:
+            for inp in (["--input", "1,0,1,1"], ["--input", "0,1,1,0,1,1,1", "--reg", "r2=40"]):
+                for form in ("--trace", "--json"):
+                    assert main(["run", str(target), *inp, form]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_RUN_DIGEST

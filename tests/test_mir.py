@@ -190,6 +190,17 @@ def test_shared_instr_error_reports_later_occurrence():
     assert (exc.value.line, exc.value.col) == (9, 10)
 
 
+def test_error_column_is_the_whole_operand():
+    # b5 is a prefix of the earlier operand b55, and c a part of the opcode call
+    for text, msg, pos in [
+        ("fn f {\nb0:\n  brc b55, b5\nb55:\n  ret\n}", "unknown block b5", (3, 12)),
+        ("fn main {\nb0:\n  call c\n  ret\n}", "unknown function 'c'", (3, 8)),
+    ]:
+        with pytest.raises(MirError, match=msg) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == pos
+
+
 def test_roundtrip_preserves_header():
     p = parse_program("#entry f\n#adversarial true\nfn f { b0: corrupt 0, 9\n  ret\n}")
     q = parse_program(print_program(p))

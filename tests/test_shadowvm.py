@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.mir import parse_program, print_program
-from shadowlab.transform import MODES, apply_plan, plan_program
+from shadowlab.transform import MODES, InstrumentedProgram, apply_plan, plan_program
 from shadowlab.shadowvm import (
     ABORTED,
     BUDGET,
@@ -19,13 +19,14 @@ from shadowlab.shadowvm import (
     ExecInput,
     PopEv,
     build_checks,
+    check_activations,
     execute,
     observables,
     run_campaign,
 )
 from shadowlab.gen import GenConfig, generate_corpus, generate_inputs, generate_program
 
-from conftest import unwind_fixture
+from conftest import MEMO_CFG, unwind_fixture
 
 
 ADVERSARIAL = """\
@@ -248,6 +249,68 @@ def test_campaign_detects_under_light():
     assert report.fired > 0
     assert report.detected == report.fired
     assert report.undetected == 0
+
+
+# main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through
+# the transition block b2000 (push) and, for the input (1, 1, 0), the clones
+# b1004 (an unsafe store) and b1007 (pop); the input (0,) takes the safe walk
+# b1 -> b6.  main is fully instrumented.
+MEMO_CALLER = (
+    "#entry main\n\nfn main {\nb0:\n  spadd -16\n  call memo\n  spadd 16\n  ret\n}\n\n"
+    + MEMO_CFG.replace("#entry memo\n", "")
+)
+
+
+def test_activation_problems_are_reported():
+    p = parse_program(MEMO_CALLER)
+    _, plan = plan_program(p)
+    ip = apply_plan(p, plan, "PO")
+    text = print_program(ip.program)
+    tainted, safe = ExecInput((True, True, False)), ExecInput((False,))
+    where = "memo/PO act 1 fn memo"
+
+    def problems(edits, inp=tainted):
+        edited = text
+        for old, new in edits:
+            assert edited.count(old) == 1, old
+            edited = edited.replace(old, new)
+        # the edited code runs under the unedited plan, checked against its own analyses
+        program = parse_program(edited)
+        target = InstrumentedProgram(program, ip.mode, ip.functions)
+        trace, outcome = execute(target, inp, 1000, build_checks(program))
+        return check_activations(CampaignCase("memo", "PO", target, inp, False), trace, outcome)
+
+    push, pop = "b2000:\n  spush -16\n", "b1007:\n  spop\n"
+    store = "b1004:\n  movi r9, 512\n  store.reg r9\n"
+    assert problems([]) == [] and problems([], safe) == []
+    safe_exit = "  store.sp 0\n  ret\nb2000:"
+    cases = [
+        # an extra push: two pushes, and one more shadow entry at the return
+        ([(push, push + "  spush -16\n")], tainted,
+         ["tainted walk executed 2 pushes, 1 pops", "shadow depth 2 at return, 1 at call"]),
+        # no push: the pop finds no match and aborts
+        ([(push, "b2000:\n")], tainted, ["tainted walk executed 0 pushes, 0 pops"]),
+        ([(pop, "b1007:\n")], tainted,
+         ["tainted walk executed 1 pushes, 0 pops", "shadow depth 2 at return, 1 at call"]),
+        # the pop, a register-frame one fed the on-stack address, comes first
+        ([(push, "b2000:\n  load.sp r9, 16\n  rfpop r9\n  rfpush r9\n"), (pop, "b1007:\n")], tainted,
+         ["pop before push", "unsafe store after the covering pop"]),
+        ([(push, "b2000:\n"), (store, store + "  spush -16\n")], tainted,
+         ["unsafe store before the covering push"]),
+        ([(pop, "b1007:\n"), (store, "b1004:\n  movi r9, 512\n  spop\n  store.reg r9\n")], tainted,
+         ["unsafe store after the covering pop"]),
+        # a register-frame pop leaves the walk's shadow push in place
+        ([(pop, "b1007:\n  load.sp r9, 16\n  rfpop r9\n")], tainted, ["shadow depth 2 at return, 1 at call"]),
+        ([(safe_exit, "  store.sp 0\n  spush -16\n  spop\n  ret\nb2000:")], safe,
+         ["safe walk executed shadow operations"]),
+        ([(safe_exit, "  movi r9, 512\n  store.reg r9\n  ret\nb2000:")], safe,
+         ["unsafe store on a walk that never left safe blocks"]),
+    ]
+    for edits, inp, expected in cases:
+        assert problems(edits, inp) == [f"activation: {where}: {m}" for m in expected], edits
+    assert problems([("  spadd 16\n  spop\n", "  spadd 16\n")]) == [
+        "activation: memo/PO: shadow not balanced at completion"
+    ]
 
 
 def test_trace_serialization_forms(call_tree):
