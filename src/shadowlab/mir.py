@@ -90,10 +90,6 @@ class Instr:
     def is_store(self) -> bool:
         return self.opcode in STORE_OPCODES
 
-    @property
-    def is_terminator(self) -> bool:
-        return self.opcode in TERMINATORS
-
 
 @dataclass(eq=False)
 class Block:

@@ -23,9 +23,6 @@ RS_TRUE = 1
 RS_FALSE = 2
 RS_TOP = 3
 
-RS_NAMES = {RS_BOTTOM: "bottom", RS_TRUE: "true", RS_FALSE: "false", RS_TOP: "top"}
-
-
 def rs_join(a: int, b: int) -> int:
     if a == b or b == RS_BOTTOM:
         return a

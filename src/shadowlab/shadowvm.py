@@ -20,16 +20,27 @@ program on one input with no per-run set-up beyond fresh registers, memory
 and trace; given a Program or InstrumentedProgram it compiles it first.
 Callers that run one target on many inputs compile it once.
 
-The trace is a log of plain tuples, one `(EventCls, *fields)` per event, which
-the step loop appends and `check_activations` reads by position;
-`Trace.events` builds the named events (`CallEv`, `StoreEv`, ...) from it on
-demand, and `to_lines`/`to_json` render the log directly.
+The trace is a log of plain tuples, one `(kind, *fields)` per event, which
+the step loop appends and `check_activations`, `to_lines` and `to_json` read
+by position.  The kind is the event's name; the eleven layouts are
+  ("call", act, fn, shadow_top)            callee's activation and name
+  ("enter", act, fn, bid)                  each block entered
+  ("store", act, fn, bid, idx, wclass, addr, height)
+                                           store.global: wclass "global", addr -1, height None
+  ("push", act, fn, bid, idx, rf)          spush, or rfpush when rf is True
+  ("pop", act, fn, bid, idx, matched_after, rf)
+  ("corrupt", act, depth, target_act)
+  ("ret", act, fn, ok, shadow_top)
+  ("abort", act, fn, bid, idx)
+  ("halt", r0)
+  ("unwind", act, count)
+  ("fault", reason)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .mir import Program, RETURN_REG
 from .analysis import HeightMap, LivenessMap, UNSAFE, instr_defs, instr_uses
@@ -50,85 +61,6 @@ EXIT_COOKIE = 1 << 49
 MASK = (1 << 64) - 1
 
 DEFAULT_COSTS = {"spush": COST_PUSH, "spop": COST_POP, "rfpush": COST_RF_PUSH, "rfpop": COST_RF_POP}
-
-
-class CallEv(NamedTuple):
-    act: int
-    fn: str
-    shadow_top: int
-
-
-class EnterEv(NamedTuple):
-    act: int
-    fn: str
-    bid: int
-
-
-class StoreEv(NamedTuple):
-    act: int
-    fn: str
-    bid: int
-    idx: int
-    wclass: str | None
-    addr: int
-    height: int | None
-
-
-class PushEv(NamedTuple):
-    act: int
-    fn: str
-    bid: int
-    idx: int
-    rf: bool
-
-
-class PopEv(NamedTuple):
-    act: int
-    fn: str
-    bid: int
-    idx: int
-    matched_after: int
-    rf: bool
-
-
-class CorruptEv(NamedTuple):
-    act: int
-    depth: int
-    target_act: int
-
-
-class RetEv(NamedTuple):
-    act: int
-    fn: str
-    ok: bool
-    shadow_top: int
-
-
-class AbortEv(NamedTuple):
-    act: int
-    fn: str
-    bid: int
-    idx: int
-
-
-class HaltEv(NamedTuple):
-    r0: int
-
-
-class UnwindEv(NamedTuple):
-    act: int
-    count: int
-
-
-class FaultEv(NamedTuple):
-    reason: str
-
-
-# each event class's name in `run --trace` lines and `run --json` events
-_EVENT_NAMES = {
-    cls: cls.__name__[:-2].lower()
-    for cls in (CallEv, EnterEv, StoreEv, PushEv, PopEv, CorruptEv, RetEv, AbortEv, HaltEv, UnwindEv, FaultEv)
-}
 
 
 COMPLETED = "completed"
@@ -163,7 +95,7 @@ class AnalysisChecks:
 
 @dataclass
 class Trace:
-    log: list               # one plain tuple (EventCls, *fields) per event, in order
+    log: list               # one plain tuple (kind, *fields) per event, in order
     instr_count: int = 0
     shadow_instr: int = 0
     shadow_mem: int = 0
@@ -179,17 +111,12 @@ class Trace:
     def total_instr(self) -> int:
         return self.instr_count + self.shadow_instr
 
-    @property
-    def events(self) -> list:
-        """The log as named events, built on each access."""
-        return [e[0]._make(e[1:]) for e in self.log]
-
     def to_lines(self) -> list[str]:
-        return [f"{_EVENT_NAMES[e[0]]} {' '.join(map(str, e[1:]))}" for e in self.log]
+        return [" ".join(map(str, e)) for e in self.log]
 
     def to_json(self) -> dict:
         return {
-            "events": [[_EVENT_NAMES[e[0]], *e[1:]] for e in self.log],
+            "events": [list(e) for e in self.log],
             "instr_count": self.instr_count,
             "shadow_instr": self.shadow_instr,
             "shadow_mem": self.shadow_mem,
@@ -199,13 +126,13 @@ class Trace:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     act: int
     ra_slot: int
     cookie: int
     ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
-    poison: set = field(default_factory=set)
+    poison: set | None = None   # registers dead here; made by the first liveness check
 
 
 class _VmFault(Exception):
@@ -370,7 +297,7 @@ def execute(
     ev = trace.log.append
     fn = target.entry
     fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
-    ev((EnterEv, 0, fname, bid))
+    ev(("enter", 0, fname, bid))
     steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
     checking = True   # off after an unwind: frame/function pairing no longer matches the analyses
 
@@ -386,6 +313,8 @@ def execute(
             if live is not None and checking:
                 dead, uses, defs = live
                 poison = frame.poison
+                if poison is None:
+                    poison = frame.poison = set()
                 if dead:
                     poison |= dead
                 bad = uses & poison
@@ -407,7 +336,7 @@ def execute(
                     height = addr - frame.ra_slot
                     if c is not None and checking and height != c:
                         trace.height_violations.append((fname, bid, idx, c, height))
-                    ev((StoreEv, act, fname, bid, idx, b, addr, height))
+                    ev(("store", act, fname, bid, idx, b, addr, height))
                 elif op == BINOP:
                     regs[a] = (regs[a] + regs[b]) & MASK
                 elif op == LEA_SP:
@@ -417,14 +346,14 @@ def execute(
                 elif op == STORE_GLOBAL:
                     trace.globals_log.append((a, regs[RETURN_REG]))
                     mem_accesses += 1
-                    ev((StoreEv, act, fname, bid, idx, "global", -1, None))
+                    ev(("store", act, fname, bid, idx, "global", -1, None))
                 elif op == CORRUPT:
                     depth = min(a, len(frames) - 1)
                     victim = frames[-1 - depth]
                     mem[victim.ra_slot >> 3] = b
                     mem_accesses += 1
                     corruptions += 1
-                    ev((CorruptEv, act, depth, victim.act))
+                    ev(("corrupt", act, depth, victim.act))
                 elif op == LOAD_SP or op == LOAD_REG:
                     addr = sp + b if op == LOAD_SP else regs[b]
                     if addr & 7 or not 0 <= addr < MEM_BYTES:
@@ -441,7 +370,7 @@ def execute(
                     frames.pop()
                     sp = frame.ra_slot + 8
                     ok = value == frame.cookie
-                    ev((RetEv, act, fname, ok, len(shadow)))
+                    ev(("ret", act, fname, ok, len(shadow)))
                     if not ok:
                         outcome = Outcome(UNDETECTED, evidence=(fname, frame.cookie, value))
                         break
@@ -453,12 +382,12 @@ def execute(
                     act = frame.act
                 elif op == BR:
                     bid, block, idx = a, code[a], 0
-                    ev((EnterEv, act, fname, bid))
+                    ev(("enter", act, fname, bid))
                 elif op == BRC:
                     bid = (a if decisions[di] else b) if di < n_decisions else b
                     di += 1
                     block, idx = code[bid], 0
-                    ev((EnterEv, act, fname, bid))
+                    ev(("enter", act, fname, bid))
                 elif op == CALL or op == ICALL:
                     if op == CALL:
                         callee = a
@@ -478,11 +407,11 @@ def execute(
                     next_act += 1
                     frame = Frame(act, sp, b, (fname, code, bid, block, idx + 1))
                     frames.append(frame)
-                    ev((CallEv, act, callee.name, len(shadow)))
+                    ev(("call", act, callee.name, len(shadow)))
                     fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
-                    ev((EnterEv, act, fname, bid))
+                    ev(("enter", act, fname, bid))
                 elif op == HALT:
-                    ev((HaltEv, regs[RETURN_REG]))
+                    ev(("halt", regs[RETURN_REG]))
                     outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
                     break
                 else:  # UNWIND
@@ -492,7 +421,7 @@ def execute(
                     frame = frames[-1]
                     sp = frame.ra_slot
                     checking = False
-                    ev((UnwindEv, act, a))
+                    ev(("unwind", act, a))
                     act = frame.act
                     idx += 1
             elif op == UNKNOWN:
@@ -508,11 +437,11 @@ def execute(
                     if len(shadow) >= SHADOW_CAPACITY:
                         raise _VmFault("shadow region overflow")
                     shadow.append(mem.get(ra_addr >> 3, 0))
-                    ev((PushEv, act, fname, bid, idx, False))
+                    ev(("push", act, fname, bid, idx, False))
                 elif op == RFPUSH:
                     scratch = regs[a]
                     regs[a] = mem.get(frame.ra_slot >> 3, 0)
-                    ev((PushEv, act, fname, bid, idx, True))
+                    ev(("push", act, fname, bid, idx, True))
                 else:  # SPOP, or RFPOP
                     ra = mem.get(frame.ra_slot >> 3, 0)
                     rf = op == RFPOP
@@ -528,15 +457,15 @@ def execute(
                                 break
                             k += 1
                         if matched < 0:
-                            ev((AbortEv, act, fname, bid, idx))
+                            ev(("abort", act, fname, bid, idx))
                             outcome = Outcome(ABORTED, site=(fname, bid, idx))
                             break
                     if rf:
                         regs[a] = scratch
-                    ev((PopEv, act, fname, bid, idx, matched, rf))
+                    ev(("pop", act, fname, bid, idx, matched, rf))
                 idx += 1
     except _VmFault as fault:
-        ev((FaultEv, fault.reason))
+        ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
 
     trace.instr_count = steps - shadow_ops
@@ -605,7 +534,7 @@ class _Activation:
         self.ret_top: int | None = None
 
 
-_ACTIVATION_EVENTS = frozenset((CallEv, EnterEv, PushEv, PopEv, StoreEv, RetEv))
+_ACTIVATION_KINDS = frozenset(("call", "enter", "push", "pop", "store", "ret"))
 
 
 def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> list[str]:
@@ -618,23 +547,23 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
     # every activation event is (kind, act, fn, ...); the log is read by position
     for pos, e in enumerate(trace.log):
         kind = e[0]
-        if kind not in _ACTIVATION_EVENTS or (kind is StoreEv and e[5] != UNSAFE):   # e[5]: wclass
+        if kind not in _ACTIVATION_KINDS or (kind == "store" and e[5] != UNSAFE):   # e[5]: wclass
             continue
         r = acts.get(e[1])
         if r is None:
             r = acts[e[1]] = _Activation(e[2])
-        if kind is EnterEv:
+        if kind == "enter":
             rf = plans.get(e[2])
             if rf is not None and e[3] in rf.tainted_blocks:      # e[3]: bid
                 r.clone = True
-        elif kind is StoreEv:
+        elif kind == "store":
             r.unsafe.append(pos)
-        elif kind is PushEv:
+        elif kind == "push":
             r.push.append(pos)
-        elif kind is PopEv:
+        elif kind == "pop":
             r.pop.append(pos)
-        elif kind is CallEv:
-            r.call_top = e[-1]      # shadow_top, last in CallEv and RetEv
+        elif kind == "call":
+            r.call_top = e[-1]      # shadow_top, last in call and ret
         else:
             r.ret_top = e[-1]
 

@@ -113,11 +113,6 @@ class InstrumentationPlan:
     inline_sites: tuple[tuple[str, int, int, str], ...]    # (caller, bid, idx, callee)
 
 
-def safe_function_elision(program: Program, safety: SafetyResult) -> frozenset[str]:
-    """The functions that still need instrumentation: exactly the unsafe ones."""
-    return frozenset(name for name in program.functions if not safety.ra_safe_fn(name))
-
-
 @dataclass
 class ProgramAnalysis:
     heights: dict[str, HeightMap]
@@ -641,17 +636,18 @@ def strip_instrumentation(ip: InstrumentedProgram) -> Program:
     for name, fn in ip.program.functions.items():
         rf = ip.functions[name]
         transition = rf.transition_blocks
+        original = {cid: bid for bid, cid in (rf.clone_map or {}).items()}
 
         def remap(target: int) -> int:
             if target in transition:
                 return transition[target][1]
-            return target - CLONE_OFFSET if target >= CLONE_OFFSET else target
+            return original.get(target, target)
 
         merged: dict[int, Block] = {}
         for bid, block in fn.blocks.items():
             if bid in transition:
                 continue
-            orig_id = bid - CLONE_OFFSET if bid >= CLONE_OFFSET else bid
+            orig_id = original.get(bid, bid)
             if orig_id in merged:
                 continue
             instrs = []

@@ -11,7 +11,7 @@ from shadowlab.mir import parse_program
 from shadowlab.analysis import stack_heights
 from shadowlab.safety import calculate_ra_safety
 from shadowlab.transform import FN_LOWERED, apply_plan, count_safe_paths, plan_program
-from shadowlab.shadowvm import AbortEv, ExecInput, PopEv, execute
+from shadowlab.shadowvm import ExecInput, execute
 from shadowlab.gen import GenConfig, generate_program
 from shadowlab.cli import VerifyConfig, verify_run
 
@@ -192,8 +192,8 @@ def test_pop_unwind_path():
         _, plan = plan_program(program)
         ip = apply_plan(program, plan, "FULL")
         trace, outcome = execute(ip, ExecInput(), 1000)
-        matched = [e.matched_after for e in trace.events if isinstance(e, PopEv)]
-        aborted = any(isinstance(e, AbortEv) for e in trace.events)
+        matched = [e[5] for e in trace.log if e[0] == "pop"]     # e[5]: matched_after
+        aborted = any(e[0] == "abort" for e in trace.log)
         results[k] = (outcome.kind, max(matched), aborted)
     ok = all(v == ("completed", k, False) for k, v in results.items())
     crit(

@@ -13,11 +13,8 @@ from shadowlab.shadowvm import (
     COMPLETED,
     FAULT,
     UNDETECTED,
-    AbortEv,
     CampaignCase,
-    CorruptEv,
     ExecInput,
-    PopEv,
     build_checks,
     check_activations,
     execute,
@@ -90,7 +87,7 @@ def test_corruption_aborts_at_pop_under_full():
     trace, outcome = execute(ip, ExecInput(), 1000)
     assert outcome.kind == ABORTED
     assert outcome.site[0] == "victim"
-    assert any(isinstance(e, AbortEv) for e in trace.events)
+    assert any(e[0] == "abort" for e in trace.log)
 
 
 def test_corruption_undetected_without_instrumentation():
@@ -104,12 +101,13 @@ def test_parent_frame_attack_detected_in_ancestor():
     _, ip = instrument(PARENT_ATTACK, "LIGHT")
     trace, outcome = execute(ip, ExecInput(), 1000)
     assert outcome.kind == ABORTED
-    corrupt = next(e for e in trace.events if isinstance(e, CorruptEv))
-    abort = next(e for e in trace.events if isinstance(e, AbortEv))
+    # ("corrupt", act, depth, target_act) and ("abort", act, fn, bid, idx)
+    corrupt = next(e for e in trace.log if e[0] == "corrupt")
+    abort = next(e for e in trace.log if e[0] == "abort")
     # the aborting check runs in an ancestor activation, not the corruptor's
-    assert abort.act == corrupt.target_act
-    assert abort.act < corrupt.act
-    assert abort.fn == "mid"
+    assert abort[1] == corrupt[3]
+    assert abort[1] < corrupt[1]
+    assert abort[2] == "mid"
 
 
 def test_lowered_paths_memo_cfg(memo_cfg):
@@ -130,9 +128,9 @@ def test_unwind_matches_after_k():
         ip = apply_plan(p, plan, "FULL")
         trace, outcome = execute(ip, ExecInput(), 1000)
         assert outcome.kind == COMPLETED
-        matched = [e.matched_after for e in trace.events if isinstance(e, PopEv)]
+        matched = [e[5] for e in trace.log if e[0] == "pop"]     # e[5]: matched_after
         assert max(matched) == k
-        assert not any(isinstance(e, AbortEv) for e in trace.events)
+        assert not any(e[0] == "abort" for e in trace.log)
         assert trace.final_shadow_top == 0
 
 
@@ -143,7 +141,7 @@ def test_determinism():
     inp = generate_inputs(7, 1)[0]
     t1, o1 = execute(ip, inp, 5000)
     t2, o2 = execute(ip, inp, 5000)
-    assert t1.events == t2.events and o1 == o2
+    assert t1.log == t2.log and o1 == o2
 
 
 def test_budget_exhaustion():

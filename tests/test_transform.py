@@ -11,6 +11,7 @@ from shadowlab.transform import (
     FN_FULL,
     FN_LOWERED,
     FN_REGFRAME,
+    MODES,
     ResolvedFunction,
     apply_plan,
     count_safe_paths,
@@ -19,10 +20,9 @@ from shadowlab.transform import (
     lower_instrumentation,
     plan_program,
     resolve_mode,
-    safe_function_elision,
     strip_instrumentation,
 )
-from shadowlab.shadowvm import ExecInput, PopEv, PushEv, execute, observables
+from shadowlab.shadowvm import ExecInput, execute, observables
 from shadowlab.gen import GenConfig, generate_program
 
 from conftest import DEEP_CHAIN
@@ -33,21 +33,26 @@ def planned(program):
     return analysis, plan
 
 
+def sfe_instrumented(plan):
+    """The functions the SFE policy leaves instrumented."""
+    return {n for n, fp in plan.per_function.items() if resolve_mode(fp, "SFE") != FN_ELIDED}
+
+
 def test_elision_call_tree(call_tree):
-    analysis, _ = planned(call_tree)
-    assert safe_function_elision(call_tree, analysis.safety) == frozenset({"a", "c", "f"})
+    _, plan = planned(call_tree)
+    assert sfe_instrumented(plan) == {"a", "c", "f"}
 
 
 def test_elision_all_safe_program():
     p = parse_program("fn main {\nb0:\n  store.global g\n  halt\n}")
-    analysis, _ = planned(p)
-    assert safe_function_elision(p, analysis.safety) == frozenset()
+    _, plan = planned(p)
+    assert sfe_instrumented(plan) == set()
 
 
 def test_elision_icall_main():
     p = parse_program("fn main {\nb0:\n  movi r1, 0\n  icall r1\n  halt\n}")
-    analysis, _ = planned(p)
-    assert "main" in safe_function_elision(p, analysis.safety)
+    _, plan = planned(p)
+    assert "main" in sfe_instrumented(plan)
 
 
 def test_safe_paths_memo_cfg(memo_cfg):
@@ -122,8 +127,8 @@ def test_lowering_two_parallel_unsafe_branches(fixture_diamond):
     for decisions in [(True, True), (True, False)]:
         trace, outcome = execute(ip, ExecInput(decisions), 1000)
         assert outcome.kind == "completed"
-        assert sum(1 for e in trace.events if isinstance(e, PushEv)) == 1
-        assert sum(1 for e in trace.events if isinstance(e, PopEv)) == 1
+        assert sum(1 for e in trace.log if e[0] == "push") == 1
+        assert sum(1 for e in trace.log if e[0] == "pop") == 1
     trace, outcome = execute(ip, ExecInput((False,)), 1000)
     assert trace.shadow_ops == 0
 
@@ -319,6 +324,14 @@ def test_strip_recovers_original(memo_cfg):
     for mode in ("FULL", "SFE", "PO"):
         ip = apply_plan(memo_cfg, plan, mode)
         assert strip_instrumentation(ip) == memo_cfg
+
+
+def test_strip_keeps_high_block_ids_of_unlowered_functions():
+    # b1000 is an original block, not a clone, in a function no mode lowers
+    p = parse_program("fn main {\nb0:\n  call f\n  halt\n}\nfn f {\nb0:\n  br b1000\nb1000:\n  ret\n}")
+    _, plan = planned(p)
+    for mode in MODES:
+        assert strip_instrumentation(apply_plan(p, plan, mode)) == p, mode
 
 
 @settings(max_examples=25, deadline=None)
