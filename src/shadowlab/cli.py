@@ -29,6 +29,8 @@ from .transform import (
 )
 from .shadowvm import (
     COMPLETED,
+    MAX_COUNTEREXAMPLES,
+    AnalysisChecks,
     CampaignCase,
     ExecInput,
     build_checks,
@@ -294,6 +296,7 @@ class VerifyConfig:
 
 @dataclass
 class _Prepared:
+    analysis: ProgramAnalysis
     targets: dict[str, InstrumentedProgram]
     inputs: list[ExecInput]
 
@@ -309,7 +312,7 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
     if diags:
         violations.extend(f"{name}: {d.reason}" for d in diags)
         return None
-    _, plan = plan_program(program)
+    analysis, plan = plan_program(program)
     targets = {}
     for mode in modes:
         ip = apply_plan(program, plan, mode)
@@ -319,14 +322,13 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
             continue
         targets[mode] = ip
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program, cfg.max_decisions)
-    return _Prepared(targets, inputs)
+    return _Prepared(analysis, targets, inputs)
 
 
 def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     """Generate corpora, instrument under every mode, execute, and check the
     whole invariant suite.  Returns (report, all-invariants-hold)."""
     violations: list[str] = []
-    counterexamples: list[dict] = []
 
     benign = generate_corpus(
         GenConfig(seed=cfg.seed, count=cfg.benign_count, attack_density=0.0, budget=cfg.budget)
@@ -352,7 +354,8 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         if light:
             for rf in light.functions.values():
                 coverage[rf.mode] += 1
-        base = compile(program, build_checks(program, with_liveness=True))
+        analysis = prepared.analysis
+        base = compile(program, AnalysisChecks(analysis.heights, analysis.liveness, analysis.classes))
         compiled = {mode: compile(ip, build_checks(ip.program)) for mode, ip in prepared.targets.items()}
         for i, inp in enumerate(prepared.inputs):
             base_trace, base_outcome = execute(base, inp, cfg.budget)
@@ -414,11 +417,10 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 control_cases.append(
                     CampaignCase(name, "ELIDE-ALL", control_ip, inp, True, None, cfg.budget)
                 )
-    report = run_campaign(cases, cfg.budget)
+    report = run_campaign(cases)
     violations.extend(report.violations)
-    counterexamples.extend(report.counterexamples)
 
-    control = run_campaign(control_cases, cfg.budget)
+    control = run_campaign(control_cases)
     violations.extend(control.violations)
     control_undetected = control.undetected
 
@@ -457,7 +459,9 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         "plan_coverage": coverage,
         "checks": checks,
         "violations": violations[:100],
-        "counterexamples": [dict(c, trace=c["trace"].to_json()) for c in counterexamples[:3]],
+        "counterexamples": [
+            dict(c, trace=c["trace"].to_json()) for c in report.counterexamples[:MAX_COUNTEREXAMPLES]
+        ],
     }
     return out, all(checks.values())
 

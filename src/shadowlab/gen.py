@@ -44,12 +44,10 @@ class GenConfig:
     safe_path_fraction: float = 0.5
     loop_prob: float = 0.3
     max_level: int = 6
-    inputs_per_program: int = 6
-    max_decisions: int = 20
     budget: int = 20000
 
     def __post_init__(self):
-        if min(self.count, self.min_functions, self.max_decisions, self.budget) < 1:
+        if min(self.count, self.min_functions, self.budget) < 1:
             raise ValueError("bounds must be positive")
         if self.min_functions < 3 or self.max_functions < self.min_functions:
             raise ValueError("need at least 3 functions")

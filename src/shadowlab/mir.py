@@ -113,10 +113,6 @@ class Block:
             return (term.args[0], term.args[1])
         return ()
 
-    @property
-    def has_indirect_call(self) -> bool:
-        return any(i.opcode == "icall" for i in self.instrs)
-
     def __eq__(self, other):
         return (
             isinstance(other, Block)

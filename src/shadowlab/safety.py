@@ -1,12 +1,12 @@
-"""Return-address safety: flow joins over blocks and functions, SCC condensation
-of the call graph, and the bottom-up worklist fixpoint.
+"""Return-address safety: the bottom-up worklist fixpoint over the call graph.
 
 The value lattice is flat over {True, False}: Bottom below both, Top above.
-A block's value joins the safety of each of its stores (True iff the write
-cannot reach a return-address slot) with the values of its direct call
-targets; a block containing an indirect call joins False, since indirect
-call targets cannot be trusted.  A function or block is considered safe when
-its fixpoint value is Bottom or True.
+A block's value joins the safety of each of its stores with the values of
+its direct call targets.  A store's safety is read from the write classes of
+`analysis.classify_writes`: True unless its class is UNSAFE (a write that may
+reach a return-address slot).  A block containing an indirect call joins
+False, since indirect call targets cannot be trusted.  A function or block
+is considered safe when its fixpoint value is Bottom or True.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .mir import Block, CallGraph, Function, Program, build_call_graph, sccs
-from .analysis import HeightMap, is_safe_height
+from .mir import Program, build_call_graph, sccs
+from .analysis import UNSAFE
 
 RS_BOTTOM = 0
 RS_TRUE = 1
@@ -34,65 +34,6 @@ def rs_join(a: int, b: int) -> int:
 def rs_is_safe(value: int) -> bool:
     """(value joined with True) stays at or below True."""
     return value in (RS_BOTTOM, RS_TRUE)
-
-
-def write_safety(ins, dest_height) -> int:
-    """True for writes that cannot touch a return address, else False."""
-    if ins.opcode == "store.global":
-        return RS_TRUE
-    return RS_TRUE if is_safe_height(dest_height) else RS_FALSE
-
-
-def flow_block(block: Block, heights: HeightMap, d: int, fn_values: Mapping[str, int]) -> int:
-    """Join incoming value with the block's write safeties and callee values."""
-    v = d
-    for idx, ins in enumerate(block.instrs):
-        if ins.is_store:
-            v = rs_join(v, write_safety(ins, heights.dest(block.bid, idx)))
-        if ins.opcode == "call":
-            v = rs_join(v, fn_values.get(ins.args[0], RS_FALSE))
-        elif ins.opcode == "icall":
-            v = rs_join(v, RS_FALSE)
-    return v
-
-
-def flow_function(
-    fn: Function,
-    heights: HeightMap,
-    d: int,
-    block_values: Mapping[tuple[str, int], int],
-    fn_values: Mapping[str, int],
-) -> int:
-    """Fold the function value over one application of flow_block per block."""
-    v = d
-    for bid, block in fn.blocks.items():
-        v = rs_join(v, flow_block(block, heights, block_values[(fn.name, bid)], fn_values))
-    return v
-
-
-@dataclass(frozen=True)
-class SccDag:
-    components: tuple[tuple[str, ...], ...]
-    edges: frozenset[tuple[int, int]]
-    postorder: tuple[int, ...]
-
-
-def condense_sccs(graph: CallGraph) -> SccDag:
-    """Tarjan condensation; postorder visits callees before callers."""
-    order = {name: i for i, name in enumerate(graph.nodes)}
-    succs: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for a, b in sorted(graph.direct_edges, key=lambda e: (order[e[0]], order[e[1]])):
-        succs[a].append(b)
-
-    components = [tuple(sorted(comp, key=order.get)) for comp in sccs(graph.nodes, succs)]
-    comp_of = {name: idx for idx, comp in enumerate(components) for name in comp}
-
-    edges = frozenset(
-        (comp_of[a], comp_of[b]) for a, b in graph.direct_edges if comp_of[a] != comp_of[b]
-    )
-    # Tarjan emits a component only after everything reachable from it,
-    # so emission order itself is the bottom-up postorder.
-    return SccDag(tuple(components), edges, tuple(range(len(components))))
 
 
 @dataclass
@@ -119,62 +60,73 @@ class SafetyResult:
         }
 
 
-def calculate_ra_safety(program: Program, heights: Mapping[str, HeightMap]) -> SafetyResult:
-    """Worklist fixpoint over call-graph components in bottom-up postorder.
+def calculate_ra_safety(
+    program: Program, classes: Mapping[str, Mapping[tuple[int, int], str]]
+) -> SafetyResult:
+    """Worklist fixpoint over call-graph components, callees first.
 
-    All block and function values start at Bottom.  Components are processed
-    callees-first; within a component a FIFO worklist (seeded in declaration
-    then block-id order) re-queues the call-site blocks of a function whose
-    value rose, so mutually recursive functions converge before the component
-    is folded.
+    One scan per block, before the fixpoint, records the block's own value
+    (the join of its stores' safety and False for an indirect call) and its
+    direct callees.  All block and function values start at Bottom.  Within
+    a component a FIFO worklist (seeded in declaration then block-id order)
+    joins each block's own value with its callees' values and re-queues the
+    call-site blocks of a function whose value rose, so mutually recursive
+    functions converge together.
     """
-    graph = build_call_graph(program)
-    dag = condense_sccs(graph)
-
-    block_values: dict[tuple[str, int], int] = {}
-    fn_values: dict[str, int] = {}
-    for fn in program.functions.values():
-        fn_values[fn.name] = RS_BOTTOM
-        for bid in fn.blocks:
-            block_values[(fn.name, bid)] = RS_BOTTOM
-
+    own: dict[tuple[str, int], int] = {}
+    callees: dict[tuple[str, int], list[str]] = {}
     call_sites: dict[str, list[tuple[str, int]]] = {}
-    for fn in program.functions.values():
-        for bid, _, ins in fn.iter_instrs():
-            if ins.opcode == "call":
-                site = (fn.name, bid)
-                sites = call_sites.setdefault(ins.args[0], [])
-                if site not in sites:
-                    sites.append(site)
+    for name, fn in program.functions.items():
+        fn_classes = classes[name]
+        for bid, block in fn.blocks.items():
+            site = (name, bid)
+            v = RS_BOTTOM
+            called: list[str] = []
+            for idx, ins in enumerate(block.instrs):
+                if ins.is_store:
+                    v = rs_join(v, RS_FALSE if fn_classes[(bid, idx)] == UNSAFE else RS_TRUE)
+                elif ins.opcode == "call":
+                    callee = ins.args[0]
+                    if callee not in called:
+                        called.append(callee)
+                        call_sites.setdefault(callee, []).append(site)
+                elif ins.opcode == "icall":
+                    v = rs_join(v, RS_FALSE)
+            own[site] = v
+            callees[site] = called
 
-    fn_order = {name: i for i, name in enumerate(program.functions)}
-    for comp_idx in dag.postorder:
-        comp = set(dag.components[comp_idx])
-        seed = [
+    graph = build_call_graph(program)
+    order = {name: i for i, name in enumerate(graph.nodes)}
+    succs: dict[str, list[str]] = {name: [] for name in graph.nodes}
+    for a, b in sorted(graph.direct_edges, key=lambda e: (order[e[0]], order[e[1]])):
+        succs[a].append(b)
+
+    block_values = dict.fromkeys(own, RS_BOTTOM)
+    fn_values = dict.fromkeys(program.functions, RS_BOTTOM)
+    # Tarjan emits a component only after everything reachable from it.
+    for comp in sccs(graph.nodes, succs):
+        members = set(comp)
+        work = deque(
             (name, bid)
-            for name in sorted(comp, key=fn_order.get)
+            for name in sorted(comp, key=order.get)
             for bid in program.functions[name].blocks
-        ]
-        work = deque(seed)
-        queued = set(seed)
+        )
+        queued = set(work)
         while work:
-            name, bid = work.popleft()
-            queued.discard((name, bid))
-            fn = program.functions[name]
-            new = flow_block(fn.blocks[bid], heights[name], block_values[(name, bid)], fn_values)
-            if new == block_values[(name, bid)]:
+            site = work.popleft()
+            queued.discard(site)
+            new = own[site]
+            for callee in callees[site]:
+                new = rs_join(new, fn_values.get(callee, RS_FALSE))
+            if new == block_values[site]:
                 continue
-            block_values[(name, bid)] = new
+            block_values[site] = new
+            name = site[0]
             merged = rs_join(fn_values[name], new)
             if merged != fn_values[name]:
                 fn_values[name] = merged
-                for site in call_sites.get(name, ()):
-                    if site[0] in comp and site not in queued:
-                        work.append(site)
-                        queued.add(site)
-        for name in sorted(comp, key=fn_order.get):
-            fn = program.functions[name]
-            fn_values[name] = flow_function(
-                fn, heights[name], fn_values[name], block_values, fn_values
-            )
+                for caller in call_sites.get(name, ()):
+                    if caller[0] in members and caller not in queued:
+                        work.append(caller)
+                        queued.add(caller)
     return SafetyResult(block_values, fn_values)

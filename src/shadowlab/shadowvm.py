@@ -69,6 +69,9 @@ UNDETECTED = "undetected"
 BUDGET = "budget"
 FAULT = "fault"
 
+# Undetected runs whose whole trace a campaign report keeps, and shows.
+MAX_COUNTEREXAMPLES = 3
+
 
 @dataclass(frozen=True)
 class Outcome:
@@ -497,7 +500,7 @@ class CampaignReport:
     undetected: int = 0
     per_mode: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)   # {"case", "mode", "trace": Trace} per undetected run
+    counterexamples: list = field(default_factory=list)   # {"case", "mode", "trace": Trace}, first undetected runs only
 
     def mode_stats(self, mode: str) -> dict:
         return self.per_mode.setdefault(
@@ -598,15 +601,19 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
     return problems
 
 
-def run_campaign(cases: list[CampaignCase], budget: int = 10000) -> CampaignReport:
-    """Execute all cases, aggregate detection and overhead, check invariants."""
+def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
+    """Execute all cases, aggregate detection and overhead, check invariants.
+
+    Every undetected run is counted; only the first MAX_COUNTEREXAMPLES keep
+    their trace as a counterexample.
+    """
     report = CampaignReport()
     prev = None
     for case in cases:
         if prev is None or case.target is not prev.target or case.checks is not prev.checks:
             compiled = compile(case.target, case.checks)
         prev = case
-        trace, outcome = execute(compiled, case.inp, case.budget or budget)
+        trace, outcome = execute(compiled, case.inp, case.budget)
         report.cases += 1
         st = report.mode_stats(case.mode)
         st["runs"] += 1
@@ -620,7 +627,8 @@ def run_campaign(cases: list[CampaignCase], budget: int = 10000) -> CampaignRepo
                 report.detected += 1
             elif outcome.kind == UNDETECTED:
                 report.undetected += 1
-                report.counterexamples.append({"case": case.name, "mode": case.mode, "trace": trace})
+                if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
+                    report.counterexamples.append({"case": case.name, "mode": case.mode, "trace": trace})
             else:
                 report.violations.append(
                     f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}"

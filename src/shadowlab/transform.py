@@ -130,7 +130,7 @@ def analyze_program(program: Program) -> ProgramAnalysis:
     summaries = {}
     for name, fn in program.functions.items():
         classes[name], summaries[name] = classify_writes(fn, heights[name])
-    safety = calculate_ra_safety(program, heights)
+    safety = calculate_ra_safety(program, classes)
     return ProgramAnalysis(heights, liveness, classes, summaries, safety)
 
 

@@ -1,16 +1,13 @@
 from hypothesis import given, settings, strategies as st
 
-from shadowlab.mir import build_call_graph, parse_program
-from shadowlab.analysis import TOP, InstrFacts, stack_heights
+from shadowlab.mir import build_call_graph, parse_program, sccs
+from shadowlab.analysis import SAFE_STACK, UNSAFE, classify_writes, is_safe_height, stack_heights
 from shadowlab.safety import (
     RS_BOTTOM,
     RS_FALSE,
     RS_TOP,
     RS_TRUE,
     calculate_ra_safety,
-    condense_sccs,
-    flow_block,
-    flow_function,
     rs_is_safe,
     rs_join,
 )
@@ -21,9 +18,43 @@ def all_heights(program):
     return {name: stack_heights(fn) for name, fn in program.functions.items()}
 
 
+def all_classes(program):
+    """The write classes `calculate_ra_safety` reads, as `analyze_program` builds them."""
+    return {
+        name: classify_writes(fn, stack_heights(fn))[0] for name, fn in program.functions.items()
+    }
+
+
+def flow_block(block, heights, d, fn_values):
+    """Join incoming value with the block's write safeties and callee values.
+
+    A store is safe when it writes a global or a slot provably below the
+    return address, decided here from the heights alone."""
+    v = d
+    for idx, ins in enumerate(block.instrs):
+        if ins.is_store:
+            safe = ins.opcode == "store.global" or is_safe_height(heights.dest(block.bid, idx))
+            v = rs_join(v, RS_TRUE if safe else RS_FALSE)
+        if ins.opcode == "call":
+            v = rs_join(v, fn_values.get(ins.args[0], RS_FALSE))
+        elif ins.opcode == "icall":
+            v = rs_join(v, RS_FALSE)
+    return v
+
+
+def flow_function(fn, heights, d, block_values, fn_values):
+    """Fold the function value over one application of flow_block per block."""
+    v = d
+    for bid, block in fn.blocks.items():
+        v = rs_join(v, flow_block(block, heights, block_values[(fn.name, bid)], fn_values))
+    return v
+
+
 def chaotic_oracle(program, heights):
     """Independent fixpoint: re-apply the flow joins over every block and
-    function until nothing changes anywhere."""
+    function until nothing changes anywhere.  It derives store safety from
+    the heights itself, so agreeing with `calculate_ra_safety` also checks
+    the write classes that function reads."""
     bv = {(f.name, b): RS_BOTTOM for f in program.functions.values() for b in f.blocks}
     fv = {name: RS_BOTTOM for name in program.functions}
     changed = True
@@ -43,6 +74,16 @@ def chaotic_oracle(program, heights):
     return bv, fv
 
 
+def call_graph_sccs(program):
+    """Call-graph components in `mir.sccs` emission order, members sorted."""
+    graph = build_call_graph(program)
+    order = {name: i for i, name in enumerate(graph.nodes)}
+    succs = {name: [] for name in graph.nodes}
+    for a, b in sorted(graph.direct_edges, key=lambda e: (order[e[0]], order[e[1]])):
+        succs[a].append(b)
+    return [tuple(sorted(comp, key=order.get)) for comp in sccs(graph.nodes, succs)]
+
+
 def test_join_table():
     assert rs_join(RS_BOTTOM, RS_TRUE) == RS_TRUE
     assert rs_join(RS_TRUE, RS_FALSE) == RS_TOP
@@ -52,38 +93,41 @@ def test_join_table():
     assert not rs_is_safe(RS_FALSE) and not rs_is_safe(RS_TOP)
 
 
+def block_value(text, fn="t", bid=0):
+    p = parse_program(text)
+    return calculate_ra_safety(p, all_classes(p)).block_values[(fn, bid)]
+
+
 def test_flow_block_no_stores_no_calls():
-    p = parse_program("fn t {\nb0:\n  movi r1, 5\n  ret\n}")
-    h = stack_heights(p.functions["t"])
-    assert flow_block(p.functions["t"].blocks[0], h, RS_BOTTOM, {}) == RS_BOTTOM
+    assert block_value("fn t {\nb0:\n  movi r1, 5\n  ret\n}") == RS_BOTTOM
 
 
 def test_flow_block_single_safe_store():
-    p = parse_program("fn t {\nb0:\n  spadd -16\n  store.sp 0\n  ret\n}")
-    h = stack_heights(p.functions["t"])
+    text = "fn t {\nb0:\n  spadd -16\n  store.sp 0\n  ret\n}"
+    h = stack_heights(parse_program(text).functions["t"])
     assert h.dest(0, 1) == -16  # is_safe holds
-    assert flow_block(p.functions["t"].blocks[0], h, RS_BOTTOM, {}) == RS_TRUE
+    assert block_value(text) == RS_TRUE
 
 
 def test_flow_block_icall_tops_out_true():
-    p = parse_program("fn t {\nb0:\n  movi r2, 0\n  icall r2\n  ret\n}")
-    h = stack_heights(p.functions["t"])
-    assert flow_block(p.functions["t"].blocks[0], h, RS_TRUE, {}) == RS_TOP
+    assert block_value("fn t {\nb0:\n  movi r2, 0\n  icall r2\n  ret\n}") == RS_FALSE
+    # a safe store makes the block True; the indirect call then tops it out
+    text = "fn t {\nb0:\n  spadd -16\n  store.sp 0\n  movi r2, 0\n  icall r2\n  ret\n}"
+    assert block_value(text) == RS_TOP
 
 
 def test_flow_block_joins_callee_values():
-    p = parse_program("fn t {\nb0:\n  call u\n  ret\n}\nfn u { b0: ret }")
-    h = stack_heights(p.functions["t"])
-    block = p.functions["t"].blocks[0]
-    assert flow_block(block, h, RS_BOTTOM, {"u": RS_FALSE}) == RS_FALSE
-    assert flow_block(block, h, RS_BOTTOM, {"u": RS_TRUE}) == RS_TRUE
+    caller = "fn t {\nb0:\n  call u\n  ret\n}\n"
+    unsafe_u = "fn u {\nb0:\n  movi r9, 320\n  store.reg r9\n  ret\n}"
+    safe_u = "fn u {\nb0:\n  spadd -16\n  store.sp 0\n  ret\n}"
+    assert block_value(caller + unsafe_u) == RS_FALSE
+    assert block_value(caller + safe_u) == RS_TRUE
 
 
 def test_condense_call_tree(call_tree):
-    dag = condense_sccs(build_call_graph(call_tree))
-    assert len(dag.components) == 6
-    pos = {comp[0]: i for i, comp in enumerate(dag.components)}
-    order = {name: dag.postorder.index(pos[name]) for name in "abcdef"}
+    components = call_graph_sccs(call_tree)
+    assert len(components) == 6
+    order = {comp[0]: i for i, comp in enumerate(components)}
     # callees precede callers
     assert order["d"] < order["b"] and order["e"] < order["b"]
     assert order["f"] < order["c"]
@@ -92,17 +136,15 @@ def test_condense_call_tree(call_tree):
 
 def test_condense_mutual_recursion_single_component():
     p = parse_program("fn f {\nb0:\n  call g\n  ret\n}\nfn g {\nb0:\n  call f\n  ret\n}")
-    dag = condense_sccs(build_call_graph(p))
-    assert dag.components == (("f", "g"),)
+    assert call_graph_sccs(p) == [("f", "g")]
 
 
 def test_condense_single_function():
-    dag = condense_sccs(build_call_graph(parse_program("fn main { b0: halt }")))
-    assert dag.components == (("main",),)
+    assert call_graph_sccs(parse_program("fn main { b0: halt }")) == [("main",)]
 
 
 def test_call_tree_verdicts(call_tree):
-    s = calculate_ra_safety(call_tree, all_heights(call_tree))
+    s = calculate_ra_safety(call_tree, all_classes(call_tree))
     assert {n: s.ra_safe_fn(n) for n in call_tree.functions} == {
         "a": False,
         "b": True,
@@ -114,18 +156,15 @@ def test_call_tree_verdicts(call_tree):
 
 
 def test_call_tree_c_unsafe_only_by_propagation(call_tree):
-    from shadowlab.analysis import UNSAFE, classify_writes
-
-    heights = all_heights(call_tree)
-    classes, _ = classify_writes(call_tree.functions["c"], heights["c"])
-    assert UNSAFE not in classes.values()
-    s = calculate_ra_safety(call_tree, heights)
+    classes = all_classes(call_tree)
+    assert UNSAFE not in classes["c"].values()
+    s = calculate_ra_safety(call_tree, classes)
     assert not s.ra_safe_fn("c")
 
 
 def test_global_only_function_is_safe():
     p = parse_program("fn t {\nb0:\n  store.global g\n  ret\n}")
-    s = calculate_ra_safety(p, all_heights(p))
+    s = calculate_ra_safety(p, all_classes(p))
     assert s.ra_safe_fn("t")
 
 
@@ -133,21 +172,20 @@ def test_self_recursion_with_safe_store_is_safe():
     p = parse_program(
         "fn r {\nb0:\n  spadd -16\n  brc b1, b2\nb1:\n  call r\n  br b2\nb2:\n  store.sp 0\n  ret\n}"
     )
-    heights = all_heights(p)
-    s = calculate_ra_safety(p, heights)
+    s = calculate_ra_safety(p, all_classes(p))
     assert s.ra_safe_fn("r")
-    assert (chaotic_oracle(p, heights)[1]) == s.fn_values
+    assert (chaotic_oracle(p, all_heights(p))[1]) == s.fn_values
 
 
 def test_icall_makes_function_and_block_unsafe():
     p = parse_program("fn t {\nb0:\n  movi r2, 0\n  icall r2\n  ret\n}")
-    s = calculate_ra_safety(p, all_heights(p))
+    s = calculate_ra_safety(p, all_classes(p))
     assert not s.ra_safe_fn("t")
     assert not s.ra_safe_block("t", 0)
 
 
 def test_external_json_dump_shape(call_tree):
-    s = calculate_ra_safety(call_tree, all_heights(call_tree))
+    s = calculate_ra_safety(call_tree, all_classes(call_tree))
     dump = s.to_json()
     assert dump["functions"]["b"] == "safe"
     assert dump["functions"]["c"] == "unsafe"
@@ -159,9 +197,8 @@ def test_external_json_dump_shape(call_tree):
 def test_oracle_equivalence(seed):
     cfg = GenConfig(max_functions=12)
     p = generate_program(seed, cfg, adversarial=seed % 3 == 0)
-    heights = all_heights(p)
-    s = calculate_ra_safety(p, heights)
-    bv, fv = chaotic_oracle(p, heights)
+    s = calculate_ra_safety(p, all_classes(p))
+    bv, fv = chaotic_oracle(p, all_heights(p))
     assert s.block_values == bv
     assert s.fn_values == fv
 
@@ -171,7 +208,7 @@ def test_oracle_equivalence(seed):
 def test_call_chain_contamination(seed):
     # unsafety propagates to every function that reaches it through calls
     p = generate_program(seed, GenConfig(), adversarial=False)
-    s = calculate_ra_safety(p, all_heights(p))
+    s = calculate_ra_safety(p, all_classes(p))
     g = build_call_graph(p)
     succs = {}
     for a, b in g.direct_edges:
@@ -191,16 +228,13 @@ def test_call_chain_contamination(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_monotone_degradation(seed):
-    # flipping one provably-safe store to unknown never makes a verdict safer
-    from shadowlab.analysis import SAFE_STACK, classify_writes
-
+    # flipping one provably-safe store to unsafe never makes a verdict safer
     p = generate_program(seed, GenConfig(), adversarial=False)
-    heights = all_heights(p)
-    before = calculate_ra_safety(p, heights)
+    classes = all_classes(p)
+    before = calculate_ra_safety(p, classes)
     flip = None
-    for name, fn in p.functions.items():
-        classes, _ = classify_writes(fn, heights[name])
-        for site, cls in sorted(classes.items()):
+    for name in p.functions:
+        for site, cls in sorted(classes[name].items()):
             if cls == SAFE_STACK:
                 flip = (name, site)
                 break
@@ -209,10 +243,8 @@ def test_monotone_degradation(seed):
     if flip is None:
         return
     name, site = flip
-    hm = heights[name]
-    facts = hm.facts[site]
-    hm.facts[site] = InstrFacts(facts.sp, facts.regs, TOP)
-    after = calculate_ra_safety(p, heights)
+    classes[name][site] = UNSAFE
+    after = calculate_ra_safety(p, classes)
     for fn_name in p.functions:
         if not before.ra_safe_fn(fn_name):
             assert not after.ra_safe_fn(fn_name)
@@ -224,7 +256,7 @@ def test_result_is_a_fixpoint(seed):
     # re-applying either flow function to the result reproduces it exactly
     p = generate_program(seed, GenConfig(), adversarial=False)
     heights = all_heights(p)
-    s = calculate_ra_safety(p, heights)
+    s = calculate_ra_safety(p, all_classes(p))
     for name, fn in p.functions.items():
         for bid, block in fn.blocks.items():
             assert flow_block(block, heights[name], s.block_values[(name, bid)], s.fn_values) == s.block_values[(name, bid)]

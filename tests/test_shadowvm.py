@@ -249,6 +249,16 @@ def test_campaign_detects_under_light():
     assert report.undetected == 0
 
 
+def test_campaign_keeps_first_counterexamples_only():
+    # every miss is counted, but only the first three keep their whole trace
+    _, ip = instrument(ADVERSARIAL, "ELIDE-ALL")
+    cases = [CampaignCase(f"p{i}", "ELIDE-ALL", ip, ExecInput(), True, budget=1000) for i in range(5)]
+    report = run_campaign(cases)
+    assert report.fired == report.undetected == 5
+    assert [c["case"] for c in report.counterexamples] == ["p0", "p1", "p2"]
+    assert all(c["trace"].corruptions for c in report.counterexamples)
+
+
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through
 # the transition block b2000 (push) and, for the input (1, 1, 0), the clones
 # b1004 (an unsafe store) and b1007 (pop); the input (0,) takes the safe walk
