@@ -20,8 +20,12 @@ entry states join elementwise, and the height fixpoint is a FIFO worklist
 from the entry block.  Liveness works on int bitmasks (bit r stands for
 register r).  Its worklist is seeded in postorder of the forward CFG, i.e.
 reverse postorder of the reverse CFG, with unreachable blocks appended, and
-a block whose live-in set changes re-queues its predecessors.  Dead sets are
-frozensets, one object per distinct set within a function.
+a block whose live-in set changes re-queues its predecessors.  Dead sets
+stay bitmasks: planning counts their bits and the VM checks against them.
+
+Both analyses return plain dicts keyed by (block id, instruction index):
+`stack_heights` maps each instruction to its InstrFacts, `dead_registers`
+to the mask of registers dead just before it.
 """
 
 from __future__ import annotations
@@ -84,21 +88,6 @@ class InstrFacts(NamedTuple):
     regs: tuple
     dest: Height
 
-    def reg(self, r: int):
-        return self.regs[r]
-
-
-@dataclass
-class HeightMap:
-    function: str
-    facts: dict[tuple[int, int], InstrFacts]
-
-    def at(self, bid: int, idx: int) -> InstrFacts:
-        return self.facts[(bid, idx)]
-
-    def dest(self, bid: int, idx: int):
-        return self.facts[(bid, idx)].dest
-
 
 ALL_BOTTOM = (BOTTOM,) * NUM_REGS
 ALL_TOP = (TOP,) * NUM_REGS
@@ -144,7 +133,7 @@ def _step(sp, regs: tuple, ins: Instr):
     return sp, regs, dest
 
 
-def stack_heights(fn: Function) -> HeightMap:
+def stack_heights(fn: Function) -> dict[tuple[int, int], InstrFacts]:
     """Forward dataflow fixpoint over the CFG, FIFO worklist from the entry.
 
     Entry state: stack pointer at height 0, all registers Bottom.  A block is
@@ -179,7 +168,7 @@ def stack_heights(fn: Function) -> HeightMap:
             if succ not in queued:
                 work.append(succ)
                 queued.add(succ)
-    return HeightMap(fn.name, facts)
+    return facts
 
 
 @dataclass(frozen=True)
@@ -208,7 +197,7 @@ class WriteSummary:
         }
 
 
-def classify_writes(fn: Function, heights: HeightMap):
+def classify_writes(fn: Function, heights: dict[tuple[int, int], InstrFacts]):
     """Total classification of every store: stack | global | unsafe."""
     classes: dict[tuple[int, int], str] = {}
     counts = {SAFE_STACK: 0, GLOBAL: 0, UNSAFE: 0}
@@ -217,7 +206,7 @@ def classify_writes(fn: Function, heights: HeightMap):
             continue
         if ins.opcode == "store.global":
             cls = GLOBAL
-        elif is_safe_height(heights.dest(bid, idx)):
+        elif is_safe_height(heights[(bid, idx)].dest):
             cls = SAFE_STACK
         else:
             cls = UNSAFE
@@ -253,32 +242,6 @@ def instr_masks(ins: Instr) -> tuple[int, int]:
     return 0, 0
 
 
-# the registers of each 8-bit half of a mask, for building sets from masks
-_LOW_REGS = tuple(tuple(r for r in range(8) if m >> r & 1) for m in range(256))
-_HIGH_REGS = tuple(tuple(r + 8 for r in regs) for regs in _LOW_REGS)
-
-
-def _regs_of(mask: int) -> frozenset[int]:
-    return frozenset(_LOW_REGS[mask & 255] + _HIGH_REGS[mask >> 8])
-
-
-def instr_uses(ins: Instr) -> frozenset[int]:
-    return _regs_of(instr_masks(ins)[0])
-
-
-def instr_defs(ins: Instr) -> frozenset[int]:
-    return _regs_of(instr_masks(ins)[1])
-
-
-@dataclass
-class LivenessMap:
-    function: str
-    dead: dict[tuple[int, int], frozenset[int]]
-
-    def dead_at(self, bid: int, idx: int) -> frozenset[int]:
-        return self.dead[(bid, idx)]
-
-
 def _postorder(entry: int, succs: dict[int, tuple[int, ...]]) -> list[int]:
     """Blocks reachable from `entry`, each after all of its DFS descendants."""
     order: list[int] = []
@@ -297,10 +260,10 @@ def _postorder(entry: int, succs: dict[int, tuple[int, ...]]) -> list[int]:
     return order
 
 
-def dead_registers(fn: Function) -> LivenessMap:
+def dead_registers(fn: Function) -> dict[tuple[int, int], int]:
     """Backward may-liveness; dead = registers never read before overwritten.
 
-    The dead set at (block, index) describes the point just before that
+    The dead mask at (block, index) describes the point just before that
     instruction executes.  The worklist starts in postorder of the forward
     CFG, so a block is first visited after its successors, with unreachable
     blocks last; a block whose live-in set grows re-queues its predecessors.
@@ -344,16 +307,11 @@ def dead_registers(fn: Function) -> LivenessMap:
                     work.append(pred)
                     queued.add(pred)
 
-    interned: dict[int, frozenset[int]] = {}
-    dead: dict[tuple[int, int], frozenset[int]] = {}
+    dead: dict[tuple[int, int], int] = {}
     for bid, pairs in masks.items():
         live = live_out[bid]
         for idx in range(len(pairs) - 1, -1, -1):
             uses, defines = pairs[idx]
             live = live & ~defines | uses
-            mask = ALL_MASK & ~live
-            regs = interned.get(mask)
-            if regs is None:
-                regs = interned[mask] = _regs_of(mask)
-            dead[(bid, idx)] = regs
-    return LivenessMap(fn.name, dead)
+            dead[(bid, idx)] = ALL_MASK & ~live
+    return dead

@@ -167,23 +167,6 @@ class Program:
         if not self.entry and self.functions:
             self.entry = next(iter(self.functions))
 
-    @property
-    def globals(self) -> tuple[str, ...]:
-        names = {
-            ins.args[0]
-            for fn in self.functions.values()
-            for _, _, ins in fn.iter_instrs()
-            if ins.opcode == "store.global"
-        }
-        return tuple(sorted(names))
-
-    def function_index(self, name: str) -> int:
-        """Position in declaration order; doubles as the function's address."""
-        for i, n in enumerate(self.functions):
-            if n == name:
-                return i
-        raise KeyError(name)
-
     def __eq__(self, other):
         return (
             isinstance(other, Program)
@@ -202,13 +185,6 @@ class Diagnostic:
 
     def render(self, path: str = "<mir>") -> str:
         return f"{path}:{self.line}: {self.reason}"
-
-
-@dataclass(frozen=True)
-class CallGraph:
-    nodes: tuple[str, ...]
-    direct_edges: frozenset[tuple[str, str]]
-    has_indirect_call: frozenset[str]
 
 
 _FN_RE = re.compile(r"^fn\s+([A-Za-z_][\w.]*)\s*\{(.*)$")
@@ -505,19 +481,6 @@ def validate_program(program: Program, allow_shadow: bool = False) -> list[Diagn
             if bid not in seen:
                 diag(fn.name, bid, f"{fn.name}.b{bid}: unreachable block", block.src_line)
     return diags
-
-
-def build_call_graph(program: Program) -> CallGraph:
-    """Direct call edges plus the set of functions containing indirect calls."""
-    edges = set()
-    indirect = set()
-    for fn in program.functions.values():
-        for _, _, ins in fn.iter_instrs():
-            if ins.opcode == "call":
-                edges.add((fn.name, ins.args[0]))
-            elif ins.opcode == "icall":
-                indirect.add(fn.name)
-    return CallGraph(tuple(program.functions), frozenset(edges), frozenset(indirect))
 
 
 def sccs(nodes: Iterable, succs: Mapping) -> list[list]:

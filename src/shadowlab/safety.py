@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .mir import Program, build_call_graph, sccs
+from .mir import Program, sccs
 from .analysis import UNSAFE
 
 RS_BOTTOM = 0
@@ -67,17 +67,21 @@ def calculate_ra_safety(
 
     One scan per block, before the fixpoint, records the block's own value
     (the join of its stores' safety and False for an indirect call) and its
-    direct callees.  All block and function values start at Bottom.  Within
-    a component a FIFO worklist (seeded in declaration then block-id order)
-    joins each block's own value with its callees' values and re-queues the
-    call-site blocks of a function whose value rose, so mutually recursive
-    functions converge together.
+    direct callees; the callees that the program defines are the call
+    graph's edges, and one outside it joins False.  All block and function
+    values start at Bottom.  Within a component a FIFO worklist (seeded with
+    its functions' blocks in declaration order) joins each block's own value
+    with its callees' values and re-queues the call-site blocks of a
+    function whose value rose, so mutually recursive functions converge
+    together.
     """
     own: dict[tuple[str, int], int] = {}
     callees: dict[tuple[str, int], list[str]] = {}
     call_sites: dict[str, list[tuple[str, int]]] = {}
+    succs: dict[str, list[str]] = {}    # callees in the program, first call first
     for name, fn in program.functions.items():
         fn_classes = classes[name]
+        fn_succs = succs[name] = []
         for bid, block in fn.blocks.items():
             site = (name, bid)
             v = RS_BOTTOM
@@ -94,17 +98,13 @@ def calculate_ra_safety(
                     v = rs_join(v, RS_FALSE)
             own[site] = v
             callees[site] = called
+            fn_succs += [c for c in called if c in program.functions and c not in fn_succs]
 
-    graph = build_call_graph(program)
-    order = {name: i for i, name in enumerate(graph.nodes)}
-    succs: dict[str, list[str]] = {name: [] for name in graph.nodes}
-    for a, b in sorted(graph.direct_edges, key=lambda e: (order[e[0]], order[e[1]])):
-        succs[a].append(b)
-
+    order = {name: i for i, name in enumerate(program.functions)}
     block_values = dict.fromkeys(own, RS_BOTTOM)
     fn_values = dict.fromkeys(program.functions, RS_BOTTOM)
     # Tarjan emits a component only after everything reachable from it.
-    for comp in sccs(graph.nodes, succs):
+    for comp in sccs(program.functions, succs):
         members = set(comp)
         work = deque(
             (name, bid)

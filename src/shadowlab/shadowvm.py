@@ -15,9 +15,10 @@ Running is split in two.  `compile(target, checks)` decodes a program once:
 per block a tuple of instruction tuples with small-int opcodes, each call
 site's callee and cookie resolved, each shadow operation's cost looked up,
 and the analysis results to validate (expected store height, write class,
-dead registers) placed in per-instruction slots.  `execute` runs a compiled
-program on one input with no per-run set-up beyond fresh registers, memory
-and trace; given a Program or InstrumentedProgram it compiles it first.
+and the dead, used and defined registers as bitmasks) placed in
+per-instruction slots.  `execute` runs a compiled program on one input with
+no per-run set-up beyond fresh registers, memory and trace; given a Program
+or InstrumentedProgram it compiles it first.
 Callers that run one target on many inputs compile it once.
 
 The trace is a log of plain tuples, one `(kind, *fields)` per event, which
@@ -42,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .mir import Program, RETURN_REG
-from .analysis import HeightMap, LivenessMap, UNSAFE, instr_defs, instr_uses
+from .mir import NUM_REGS, Program, RETURN_REG
+from .analysis import InstrFacts, UNSAFE, instr_masks
 from .transform import (
     COST_POP,
     COST_PUSH,
@@ -91,8 +92,8 @@ class ExecInput:
 class AnalysisChecks:
     """Per-function analysis results the VM validates while executing."""
 
-    heights: Mapping[str, HeightMap] | None = None
-    liveness: Mapping[str, LivenessMap] | None = None
+    heights: Mapping[str, Mapping[tuple[int, int], InstrFacts]] | None = None
+    liveness: Mapping[str, Mapping[tuple[int, int], int]] | None = None   # dead-register masks
     classes: Mapping[str, Mapping[tuple[int, int], str]] | None = None
 
 
@@ -135,7 +136,7 @@ class Frame:
     ra_slot: int
     cookie: int
     ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
-    poison: set | None = None   # registers dead here; made by the first liveness check
+    poison: int = 0         # mask of registers dead here, from the `live` slots
 
 
 class _VmFault(Exception):
@@ -205,9 +206,11 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
       stores    a = operand, b = write class, c = expected height or None
       shadow    a = operand, (b, c) = cost charged per execution
       movi      b = immediate masked to a word;  corrupt: b = value masked
-    `live` is (dead before, uses, defs) when the liveness check has anything
-    to do at that instruction, else None.  Write classes, expected heights and
-    dead sets come from `checks`, which apply to the program they were built for.
+    `live` is (dead before, uses, defs) as register bitmasks when the
+    liveness check has anything to do at that instruction, else None.  Write
+    classes, expected heights and dead masks come from `checks`, which apply
+    to the program they were built for; a position they lack reads as no
+    dead registers and no expected height.
     """
     if isinstance(target, InstrumentedProgram):
         program, resolved = target.program, target.functions
@@ -245,13 +248,14 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                     b = cookie
                 elif op == STORE_SP or op == STORE_REG:
                     b = cmap.get((bid, idx)) if cmap is not None else None
-                    fact = hmap.facts.get((bid, idx)) if hmap is not None else None
+                    fact = hmap.get((bid, idx)) if hmap is not None else None
                     c = fact.dest if fact is not None and isinstance(fact.dest, int) else None
                 elif op >= SPUSH:
                     b, c = costs.get((bid, idx)) or DEFAULT_COSTS[opname]
                 live = None
                 if lmap is not None:
-                    dead, uses, defs = lmap.dead.get((bid, idx)), instr_uses(ins), instr_defs(ins)
+                    dead = lmap.get((bid, idx), 0)
+                    uses, defs = instr_masks(ins)
                     if dead or uses or defs:
                         live = (dead, uses, defs)
                 code.append((op, a, b, c, live))
@@ -315,15 +319,12 @@ def execute(
 
             if live is not None and checking:
                 dead, uses, defs = live
-                poison = frame.poison
-                if poison is None:
-                    poison = frame.poison = set()
-                if dead:
-                    poison |= dead
+                poison = frame.poison | dead
                 bad = uses & poison
                 if bad:
-                    trace.liveness_violations.append((fname, bid, idx, tuple(sorted(bad))))
-                poison -= defs
+                    regs_read = tuple(r for r in range(NUM_REGS) if bad >> r & 1)
+                    trace.liveness_violations.append((fname, bid, idx, regs_read))
+                frame.poison = poison & ~defs
 
             if op < RET:
                 if op == MOVI:
@@ -498,28 +499,8 @@ class CampaignReport:
     fired: int = 0
     detected: int = 0
     undetected: int = 0
-    per_mode: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     counterexamples: list = field(default_factory=list)   # {"case", "mode", "trace": Trace}, first undetected runs only
-
-    def mode_stats(self, mode: str) -> dict:
-        return self.per_mode.setdefault(
-            mode, {"runs": 0, "shadow_instr": 0, "total_instr": 0, "shadow_ops": 0}
-        )
-
-    def to_json(self) -> dict:
-        per_mode = {}
-        for mode, st in sorted(self.per_mode.items()):
-            ratio = st["shadow_instr"] / st["total_instr"] if st["total_instr"] else 0.0
-            per_mode[mode] = dict(st, overhead_ratio=ratio)
-        return {
-            "cases": self.cases,
-            "fired": self.fired,
-            "detected": self.detected,
-            "undetected": self.undetected,
-            "per_mode": per_mode,
-            "violations": self.violations[:50],
-        }
 
 
 class _Activation:
@@ -602,7 +583,7 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
 
 
 def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
-    """Execute all cases, aggregate detection and overhead, check invariants.
+    """Execute all cases, count detections, check invariants.
 
     Every undetected run is counted; only the first MAX_COUNTEREXAMPLES keep
     their trace as a counterexample.
@@ -615,12 +596,6 @@ def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
         prev = case
         trace, outcome = execute(compiled, case.inp, case.budget)
         report.cases += 1
-        st = report.mode_stats(case.mode)
-        st["runs"] += 1
-        st["shadow_instr"] += trace.shadow_instr
-        st["total_instr"] += trace.total_instr
-        st["shadow_ops"] += trace.shadow_ops
-
         if trace.corruptions:
             report.fired += 1
             if outcome.kind == ABORTED:

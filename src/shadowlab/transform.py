@@ -37,8 +37,7 @@ from .mir import (
     sccs,
 )
 from .analysis import (
-    HeightMap,
-    LivenessMap,
+    InstrFacts,
     UNSAFE,
     WriteSummary,
     classify_writes,
@@ -115,8 +114,8 @@ class InstrumentationPlan:
 
 @dataclass
 class ProgramAnalysis:
-    heights: dict[str, HeightMap]
-    liveness: dict[str, LivenessMap]
+    heights: dict[str, dict[tuple[int, int], InstrFacts]]
+    liveness: dict[str, dict[tuple[int, int], int]]     # dead-register masks
     classes: dict[str, dict[tuple[int, int], str]]
     summaries: dict[str, WriteSummary]
     safety: SafetyResult
@@ -181,7 +180,7 @@ def count_safe_paths(fn: Function, safety: SafetyResult, cap: int = PATH_COUNT_C
 
 
 def lower_instrumentation(
-    fn: Function, safety: SafetyResult, heights: HeightMap
+    fn: Function, safety: SafetyResult, heights: Mapping[tuple[int, int], InstrFacts]
 ) -> LoweredCfg | None:
     """Clone the CFG and collect the transition edges entering unsafe blocks.
 
@@ -220,7 +219,7 @@ def lower_instrumentation(
 
     push_heights: dict[tuple[int, int], int] = {}
     for src, dst in transitions:
-        h = heights.at(dst, 0).sp
+        h = heights[(dst, 0)].sp
         if not isinstance(h, int):
             return None
         push_heights[(src, dst)] = h
@@ -299,14 +298,14 @@ def inline_eligible(fn: Function) -> bool:
 
 def _chase_point(
     block: Block,
-    liveness: LivenessMap,
+    dead: Mapping[tuple[int, int], int],
     classes: Mapping[tuple[int, int], str],
 ) -> tuple[int, int] | None:
     """Earliest in-block point with two dead registers reachable without
     crossing an unsafe store, a call, or a statically unknown sp change."""
     delta = 0
     for idx in range(len(block.instrs)):
-        if len(liveness.dead_at(block.bid, idx)) >= 2:
+        if dead[(block.bid, idx)].bit_count() >= 2:
             return idx, delta
         ins = block.instrs[idx]
         op = ins.opcode
@@ -348,9 +347,7 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
         plan.entry_chase = _chase_point(entry, liveness[name], classes[name])
         if plan.lowered is not None:
             for src, dst in plan.lowered.transition_edges:
-                plan.edge_dead[(src, dst)] = (
-                    len(liveness[name].dead_at(dst, 0)) >= 2
-                )
+                plan.edge_dead[(src, dst)] = liveness[name][(dst, 0)].bit_count() >= 2
         per_function[name] = plan
     return InstrumentationPlan(per_function, inline_callees, inline_sites)
 

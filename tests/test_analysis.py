@@ -12,14 +12,18 @@ from shadowlab.analysis import (
     UNSAFE,
     classify_writes,
     dead_registers,
-    instr_defs,
-    instr_uses,
+    instr_masks,
     is_safe_height,
     join_height,
     stack_heights,
     _step,
 )
 from shadowlab.gen import GenConfig, generate_program
+
+
+def regs(mask):
+    """The registers of a dead-register mask, bit r for r<r>."""
+    return frozenset(r for r in range(NUM_REGS) if mask >> r & 1)
 
 
 def heights_of(text, name=None):
@@ -39,12 +43,12 @@ def test_join_is_flat_lattice():
 
 def test_store_after_frame_setup():
     _, h = heights_of("fn t {\nb0:\n  spadd -16\n  store.sp 8\n  ret\n}")
-    assert h.dest(0, 1) == -8
+    assert h[(0, 1)].dest == -8
 
 
 def test_store_hits_return_slot():
     _, h = heights_of("fn t {\nb0:\n  spadd -16\n  store.sp 16\n  ret\n}")
-    assert h.dest(0, 1) == 0
+    assert h[(0, 1)].dest == 0
 
 
 def test_loop_growth_goes_top():
@@ -52,35 +56,35 @@ def test_loop_growth_goes_top():
     _, h = heights_of(
         "fn l {\nb0:\n  br b1\nb1:\n  spadd -8\n  brc b1, b2\nb2:\n  store.sp 0\n  ret\n}"
     )
-    assert h.dest(2, 0) is TOP
+    assert h[(2, 0)].dest is TOP
 
 
 def test_store_through_lea_register():
     _, h = heights_of("fn t {\nb0:\n  spadd -16\n  lea.sp r3, 4\n  store.reg r3\n  ret\n}")
-    assert h.dest(0, 2) == -12
+    assert h[(0, 2)].dest == -12
 
 
 def test_store_through_constant_register_is_top():
     _, h = heights_of("fn t {\nb0:\n  movi r3, 256\n  store.reg r3\n  ret\n}")
-    assert h.dest(0, 1) is TOP
+    assert h[(0, 1)].dest is TOP
 
 
 def test_arithmetic_taints_stack_pointer_copy():
     _, h = heights_of(
         "fn t {\nb0:\n  lea.sp r3, -16\n  movi r4, 0\n  binop r3, r4\n  store.reg r3\n  ret\n}"
     )
-    assert h.dest(0, 3) is TOP
+    assert h[(0, 3)].dest is TOP
 
 
 def test_spmov_concrete_and_tainted():
     _, h = heights_of(
         "fn t {\nb0:\n  lea.sp r3, -16\n  spmov r3\n  store.sp 0\n  ret\n}"
     )
-    assert h.dest(0, 2) == -16
+    assert h[(0, 2)].dest == -16
     _, h2 = heights_of(
         "fn t {\nb0:\n  movi r3, 100\n  spmov r3\n  store.sp 0\n  ret\n}"
     )
-    assert h2.dest(0, 2) is TOP
+    assert h2[(0, 2)].dest is TOP
 
 
 def test_call_clobbers_register_heights_but_not_sp():
@@ -89,8 +93,8 @@ def test_call_clobbers_register_heights_but_not_sp():
         "fn u { b0: ret }",
         "t",
     )
-    assert h.dest(0, 3) is TOP   # register heights do not survive a call
-    assert h.dest(0, 4) == -8    # the stack pointer does
+    assert h[(0, 3)].dest is TOP   # register heights do not survive a call
+    assert h[(0, 4)].dest == -8    # the stack pointer does
 
 
 def test_branch_join_of_unequal_heights():
@@ -98,7 +102,7 @@ def test_branch_join_of_unequal_heights():
         "fn t {\nb0:\n  brc b1, b2\nb1:\n  spadd -8\n  br b3\nb2:\n  spadd -16\n  br b3\n"
         "b3:\n  store.sp 0\n  ret\n}"
     )
-    assert h.dest(3, 0) is TOP
+    assert h[(3, 0)].dest is TOP
 
 
 def test_classify_boundary_cases():
@@ -144,18 +148,18 @@ def test_height_fixpoint_is_stable(seed):
     for fn in p.functions.values():
         h = stack_heights(fn)
         for bid, block in fn.blocks.items():
-            facts = h.at(bid, 0)
+            facts = h[(bid, 0)]
             sp, regs = facts.sp, facts.regs
             for idx, ins in enumerate(block.instrs):
-                recorded = h.at(bid, idx)
+                recorded = h[(bid, idx)]
                 assert recorded.sp == sp and recorded.regs == regs
                 sp, regs, dest = _step(sp, regs, ins)
                 assert dest == recorded.dest
             for succ in block.successors:
-                entry = h.at(succ, 0)
+                entry = h[(succ, 0)]
                 assert join_height(entry.sp, sp) == entry.sp
                 for r in range(NUM_REGS):
-                    assert join_height(entry.reg(r), regs[r]) == entry.reg(r)
+                    assert join_height(entry.regs[r], regs[r]) == entry.regs[r]
 
 
 def test_is_safe_height_boundary():
@@ -170,36 +174,36 @@ def test_is_safe_height_boundary():
 def test_dead_after_write_before_read():
     p = parse_program("fn x {\nb0:\n  movi r1, 5\n  store.global g\n  ret\n}")
     lm = dead_registers(p.functions["x"])
-    assert 1 in lm.dead_at(0, 2)   # at ret
-    assert 1 in lm.dead_at(0, 0)   # written before any read
+    assert 1 in regs(lm[(0, 2)])   # at ret
+    assert 1 in regs(lm[(0, 0)])   # written before any read
 
 
 def test_all_but_return_register_dead_at_ret():
     p = parse_program("fn y { b0: ret }")
     lm = dead_registers(p.functions["y"])
-    assert len(lm.dead_at(0, 0)) == 15
-    assert 0 not in lm.dead_at(0, 0)
+    assert len(regs(lm[(0, 0)])) == 15
+    assert 0 not in regs(lm[(0, 0)])
 
 
 def test_saved_then_overwritten_registers(fixture_chase):
     # no dead registers at entry, exactly two once the saves are past
     lm = dead_registers(fixture_chase.functions["chasefn"])
-    assert len(lm.dead_at(0, 0)) == 0
-    assert len(lm.dead_at(0, 1)) == 0
-    assert lm.dead_at(0, 2) == frozenset({1, 2})
+    assert len(regs(lm[(0, 0)])) == 0
+    assert len(regs(lm[(0, 1)])) == 0
+    assert regs(lm[(0, 2)]) == frozenset({1, 2})
 
 
 def test_calls_keep_registers_live():
     p = parse_program("fn t {\nb0:\n  movi r5, 1\n  call u\n  ret\n}\nfn u { b0: ret }")
     lm = dead_registers(p.functions["t"])
     # r5 is written at 0, but everything else stays live into the call
-    assert lm.dead_at(0, 0) == frozenset({5})
+    assert regs(lm[(0, 0)]) == frozenset({5})
 
 
 def test_stores_read_the_value_register():
     p = parse_program("fn t {\nb0:\n  store.sp -8\n  ret\n}")
     lm = dead_registers(p.functions["t"])
-    assert 0 not in lm.dead_at(0, 0)
+    assert 0 not in regs(lm[(0, 0)])
 
 
 def _reference_dead(fn) -> dict:
@@ -214,7 +218,8 @@ def _reference_dead(fn) -> dict:
             out = frozenset().union(*(live_in[s] for s in block.successors))
             live = out
             for ins in reversed(block.instrs):
-                live = (live - instr_defs(ins)) | instr_uses(ins)
+                uses, defs = map(regs, instr_masks(ins))
+                live = (live - defs) | uses
             if (out, live) != (live_out[bid], live_in[bid]):
                 live_out[bid], live_in[bid] = out, live
                 changed = True
@@ -222,8 +227,8 @@ def _reference_dead(fn) -> dict:
     for bid, block in fn.blocks.items():
         live = live_out[bid]
         for idx in range(len(block.instrs) - 1, -1, -1):
-            ins = block.instrs[idx]
-            live = (live - instr_defs(ins)) | instr_uses(ins)
+            uses, defs = map(regs, instr_masks(block.instrs[idx]))
+            live = (live - defs) | uses
             dead[(bid, idx)] = frozenset(range(NUM_REGS)) - live
     return dead
 
@@ -263,7 +268,7 @@ def _random_cfgs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_random_cfgs())
 def test_liveness_matches_round_robin_reference(fn):
-    assert dead_registers(fn).dead == _reference_dead(fn)
+    assert {at: regs(m) for at, m in dead_registers(fn).items()} == _reference_dead(fn)
 
 
 @settings(max_examples=30, deadline=None)
@@ -271,7 +276,7 @@ def test_liveness_matches_round_robin_reference(fn):
 def test_liveness_matches_reference_on_generated_programs(seed):
     p = generate_program(seed, GenConfig(), adversarial=seed % 2 == 0)
     for fn in p.functions.values():
-        assert dead_registers(fn).dead == _reference_dead(fn)
+        assert {at: regs(m) for at, m in dead_registers(fn).items()} == _reference_dead(fn)
 
 
 # ---- equivalence pin: every analysis result over a fixed corpus ----
@@ -360,12 +365,12 @@ def _analysis_record(program) -> list:
         hmap, lmap = analysis.heights[name], analysis.liveness[name]
         instrs = []
         for bid, idx, _ in fn.iter_instrs():
-            facts = hmap.facts.get((bid, idx))
+            facts = hmap.get((bid, idx))
             heights = None
             if facts is not None:
-                regs = [_height_json(facts.reg(r)) for r in range(16)]
-                heights = [_height_json(facts.sp), _height_json(facts.dest), regs]
-            instrs.append([bid, idx, heights, sorted(lmap.dead_at(bid, idx))])
+                reg_heights = [_height_json(facts.regs[r]) for r in range(16)]
+                heights = [_height_json(facts.sp), _height_json(facts.dest), reg_heights]
+            instrs.append([bid, idx, heights, sorted(regs(lmap[(bid, idx)]))])
         classes = sorted([b, i, c] for (b, i), c in analysis.classes[name].items())
         record.append([name, instrs, classes])
     return [record, analysis.safety.to_json()]

@@ -5,7 +5,6 @@ from shadowlab.mir import (
     OPERAND_SHAPES,
     Instr,
     MirError,
-    build_call_graph,
     parse_program,
     print_program,
     validate_program,
@@ -261,53 +260,6 @@ def test_diagnostic_rendering():
     assert d.render("x.mir").startswith("x.mir:3:")
 
 
-def test_call_graph_call_tree(call_tree):
-    g = build_call_graph(call_tree)
-    assert g.direct_edges == frozenset(
-        {("a", "b"), ("a", "c"), ("b", "d"), ("b", "e"), ("c", "f")}
-    )
-    assert g.has_indirect_call == frozenset()
-
-
-def test_call_graph_isolated_node():
-    g = build_call_graph(parse_program("fn main { b0: halt }"))
-    assert g.nodes == ("main",)
-    assert g.direct_edges == frozenset()
-
-
-def test_call_graph_mutual_recursion():
-    p = parse_program(
-        "fn f {\nb0:\n  call g\n  ret\n}\nfn g {\nb0:\n  call f\n  ret\n}"
-    )
-    g = build_call_graph(p)
-    assert g.direct_edges == frozenset({("f", "g"), ("g", "f")})
-
-
-def test_call_graph_records_icall():
-    p = parse_program("fn f {\nb0:\n  movi r1, 0\n  icall r1\n  ret\n}")
-    assert build_call_graph(p).has_indirect_call == frozenset({"f"})
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_call_graph_matches_brute_force_scan(seed):
-    p = generate_program(seed, GenConfig(), adversarial=False)
-    g = build_call_graph(p)
-    brute = {
-        (fn.name, ins.args[0])
-        for fn in p.functions.values()
-        for _, _, ins in fn.iter_instrs()
-        if ins.opcode == "call"
-    }
-    assert g.direct_edges == frozenset(brute)
-    indirect = {
-        fn.name
-        for fn in p.functions.values()
-        if any(ins.opcode == "icall" for _, _, ins in fn.iter_instrs())
-    }
-    assert g.has_indirect_call == frozenset(indirect)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_successor_counts_match_terminators(seed):
@@ -321,11 +273,3 @@ def test_successor_counts_match_terminators(seed):
 def test_entry_must_exist():
     with pytest.raises(MirError, match="unknown entry"):
         parse_program("#entry nope\nfn main { b0: halt }")
-
-
-def test_globals_derived_from_stores(call_tree):
-    assert call_tree.globals == ("side",)
-
-
-def test_function_index_and_address(call_tree):
-    assert call_tree.function_index("a") == 0

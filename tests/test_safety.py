@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from shadowlab.mir import build_call_graph, parse_program, sccs
+from shadowlab.mir import Block, Function, Instr, Program, parse_program, sccs
 from shadowlab.analysis import SAFE_STACK, UNSAFE, classify_writes, is_safe_height, stack_heights
 from shadowlab.safety import (
     RS_BOTTOM,
@@ -12,6 +12,7 @@ from shadowlab.safety import (
     rs_join,
 )
 from shadowlab.gen import GenConfig, generate_program
+from shadowlab.transform import analyze_program
 
 
 def all_heights(program):
@@ -33,7 +34,7 @@ def flow_block(block, heights, d, fn_values):
     v = d
     for idx, ins in enumerate(block.instrs):
         if ins.is_store:
-            safe = ins.opcode == "store.global" or is_safe_height(heights.dest(block.bid, idx))
+            safe = ins.opcode == "store.global" or is_safe_height(heights[(block.bid, idx)].dest)
             v = rs_join(v, RS_TRUE if safe else RS_FALSE)
         if ins.opcode == "call":
             v = rs_join(v, fn_values.get(ins.args[0], RS_FALSE))
@@ -74,14 +75,22 @@ def chaotic_oracle(program, heights):
     return bv, fv
 
 
+def call_edges(program):
+    """Each function's direct callees that the program defines, first call
+    first, by a plain scan of every instruction."""
+    succs = {name: [] for name in program.functions}
+    for fn in program.functions.values():
+        callees = succs[fn.name]
+        for _, _, ins in fn.iter_instrs():
+            if ins.opcode == "call" and ins.args[0] in program.functions and ins.args[0] not in callees:
+                callees.append(ins.args[0])
+    return succs
+
+
 def call_graph_sccs(program):
     """Call-graph components in `mir.sccs` emission order, members sorted."""
-    graph = build_call_graph(program)
-    order = {name: i for i, name in enumerate(graph.nodes)}
-    succs = {name: [] for name in graph.nodes}
-    for a, b in sorted(graph.direct_edges, key=lambda e: (order[e[0]], order[e[1]])):
-        succs[a].append(b)
-    return [tuple(sorted(comp, key=order.get)) for comp in sccs(graph.nodes, succs)]
+    order = {name: i for i, name in enumerate(program.functions)}
+    return [tuple(sorted(comp, key=order.get)) for comp in sccs(program.functions, call_edges(program))]
 
 
 def test_join_table():
@@ -105,7 +114,7 @@ def test_flow_block_no_stores_no_calls():
 def test_flow_block_single_safe_store():
     text = "fn t {\nb0:\n  spadd -16\n  store.sp 0\n  ret\n}"
     h = stack_heights(parse_program(text).functions["t"])
-    assert h.dest(0, 1) == -16  # is_safe holds
+    assert h[(0, 1)].dest == -16  # is_safe holds
     assert block_value(text) == RS_TRUE
 
 
@@ -177,6 +186,14 @@ def test_self_recursion_with_safe_store_is_safe():
     assert (chaotic_oracle(p, all_heights(p))[1]) == s.fn_values
 
 
+def test_call_outside_the_program_is_unsafe():
+    # a direct call to a function the program does not define joins False
+    p = Program({"main": Function("main", {0: Block(0, (Instr("call", ("ghost",)), Instr("ret")))})})
+    s = analyze_program(p).safety
+    assert not s.ra_safe_fn("main")
+    assert not s.ra_safe_block("main", 0)
+
+
 def test_icall_makes_function_and_block_unsafe():
     p = parse_program("fn t {\nb0:\n  movi r2, 0\n  icall r2\n  ret\n}")
     s = calculate_ra_safety(p, all_classes(p))
@@ -209,10 +226,7 @@ def test_call_chain_contamination(seed):
     # unsafety propagates to every function that reaches it through calls
     p = generate_program(seed, GenConfig(), adversarial=False)
     s = calculate_ra_safety(p, all_classes(p))
-    g = build_call_graph(p)
-    succs = {}
-    for a, b in g.direct_edges:
-        succs.setdefault(a, set()).add(b)
+    succs = call_edges(p)
     for start in p.functions:
         reach, work = set(), [start]
         while work:
