@@ -31,7 +31,6 @@ to the mask of registers dead just before it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .mir import NUM_REGS, RETURN_REG, WORD_SIZE, Function, Instr
@@ -171,48 +170,23 @@ def stack_heights(fn: Function) -> dict[tuple[int, int], InstrFacts]:
     return facts
 
 
-@dataclass(frozen=True)
-class WriteSummary:
-    stack: int
-    global_: int
-    unsafe: int
-
-    @property
-    def total(self) -> int:
-        return self.stack + self.global_ + self.unsafe
-
-    def __add__(self, other: "WriteSummary") -> "WriteSummary":
-        return WriteSummary(
-            self.stack + other.stack, self.global_ + other.global_, self.unsafe + other.unsafe
-        )
-
-    def to_json(self) -> dict:
-        total = self.total
-        pct = lambda n: (100.0 * n / total) if total else 0.0
-        return {
-            "stack_pct": pct(self.stack),
-            "global_pct": pct(self.global_),
-            "unsafe_pct": pct(self.unsafe),
-            "total": total,
-        }
-
-
-def classify_writes(fn: Function, heights: dict[tuple[int, int], InstrFacts]):
-    """Total classification of every store: stack | global | unsafe."""
+def classify_writes(
+    fn: Function, heights: dict[tuple[int, int], InstrFacts]
+) -> dict[tuple[int, int], str]:
+    """Total classification of every store: its (block id, instruction index)
+    maps to SAFE_STACK, GLOBAL or UNSAFE."""
     classes: dict[tuple[int, int], str] = {}
-    counts = {SAFE_STACK: 0, GLOBAL: 0, UNSAFE: 0}
-    for bid, idx, ins in fn.iter_instrs():
-        if not ins.is_store:
-            continue
-        if ins.opcode == "store.global":
-            cls = GLOBAL
-        elif is_safe_height(heights[(bid, idx)].dest):
-            cls = SAFE_STACK
-        else:
-            cls = UNSAFE
-        classes[(bid, idx)] = cls
-        counts[cls] += 1
-    return classes, WriteSummary(counts[SAFE_STACK], counts[GLOBAL], counts[UNSAFE])
+    for bid, block in fn.blocks.items():
+        for idx, ins in enumerate(block.instrs):
+            if not ins.is_store:
+                continue
+            if ins.opcode == "store.global":
+                classes[(bid, idx)] = GLOBAL
+            elif is_safe_height(heights[(bid, idx)].dest):
+                classes[(bid, idx)] = SAFE_STACK
+            else:
+                classes[(bid, idx)] = UNSAFE
+    return classes
 
 
 ALL_MASK = (1 << NUM_REGS) - 1

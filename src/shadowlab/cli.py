@@ -7,12 +7,13 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
 from .mir import NUM_REGS, SHADOW_OPCODES, MirError, Program, parse_program, print_program, validate_program
-from .analysis import WriteSummary
+from .analysis import GLOBAL, SAFE_STACK, UNSAFE
 from .transform import (
     FN_ELIDED,
     FN_FULL,
@@ -65,7 +66,7 @@ def _load(path: str) -> Program:
     except OSError as exc:
         raise SystemExit(f"error: {exc}")
     try:
-        program = parse_program(text, path)
+        program = parse_program(text)
     except MirError as exc:
         raise SystemExit(f"{path}:{exc.line}: {exc.msg}")
     has_shadow = any(
@@ -102,7 +103,16 @@ def _instr_stats(plan: InstrumentationPlan) -> dict:
 
 
 def _write_stats(analysis: ProgramAnalysis) -> dict:
-    return sum(analysis.summaries.values(), WriteSummary(0, 0, 0)).to_json()
+    """Shares of the program's stores per write class."""
+    counts = Counter(cls for classes in analysis.classes.values() for cls in classes.values())
+    total = sum(counts.values())
+    pct = lambda n: 100.0 * n / total if total else 0.0
+    return {
+        "stack_pct": pct(counts[SAFE_STACK]),
+        "global_pct": pct(counts[GLOBAL]),
+        "unsafe_pct": pct(counts[UNSAFE]),
+        "total": total,
+    }
 
 
 def cmd_analyze(args) -> int:
@@ -154,6 +164,12 @@ def cmd_instrument(args) -> int:
 def _usage_error(msg: str) -> NoReturn:
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _positive(flag: str, value: int) -> int:
+    if value < 1:
+        _usage_error(f"{flag} {value}: must be a positive integer")
+    return value
 
 
 def _parse_input(args) -> ExecInput:
@@ -237,7 +253,11 @@ def _seed(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = GenConfig(seed=_seed(args), count=args.count, attack_density=args.attack_density)
+    if not 0.0 <= args.attack_density <= 1.0:
+        _usage_error(f"--attack-density {args.attack_density}: must be a probability from 0 to 1")
+    cfg = GenConfig(
+        seed=_seed(args), count=_positive("--count", args.count), attack_density=args.attack_density
+    )
     out_dir = Path(args.out)
     names = []
     for name, program in generate_corpus(cfg):
@@ -291,7 +311,6 @@ class VerifyConfig:
     adversarial_count: int = 40
     inputs_per_program: int = 6
     budget: int = 20000
-    max_decisions: int = 20
 
 
 @dataclass
@@ -321,7 +340,7 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
             violations.extend(f"{name}/{mode}: {d.reason}" for d in bad)
             continue
         targets[mode] = ip
-    inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program, cfg.max_decisions)
+    inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program)
     return _Prepared(analysis, targets, inputs)
 
 
@@ -469,10 +488,10 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
 def cmd_verify(args) -> int:
     cfg = VerifyConfig(
         seed=_seed(args),
-        benign_count=args.benign,
-        adversarial_count=args.count,
-        inputs_per_program=args.inputs,
-        budget=args.budget,
+        benign_count=_positive("--benign", args.benign),
+        adversarial_count=_positive("--count", args.count),
+        inputs_per_program=_positive("--inputs", args.inputs),
+        budget=_positive("--budget", args.budget),
     )
     report, ok = verify_run(cfg)
     if args.json:

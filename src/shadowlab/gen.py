@@ -376,11 +376,11 @@ def generate_corpus(cfg: GenConfig) -> list[tuple[str, Program]]:
     return out
 
 
-def generate_inputs(seed: int, count: int, max_decisions: int = 20) -> list[ExecInput]:
+def generate_inputs(seed: int, count: int) -> list[ExecInput]:
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n = rng.randint(2, max_decisions)
+        n = rng.randint(2, 20)
         decisions = tuple(rng.random() < 0.5 for _ in range(n))
         regs = tuple(rng.randint(0, 63) for _ in range(16))
         out.append(ExecInput(decisions, regs))

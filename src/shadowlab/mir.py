@@ -161,7 +161,6 @@ class Program:
     functions: dict[str, Function]
     entry: str = ""
     adversarial: bool = False
-    source_path: str = "<mir>"
 
     def __post_init__(self):
         if not self.entry and self.functions:
@@ -178,8 +177,6 @@ class Program:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    function: str | None
-    block: int | None
     reason: str
     line: int = 0
 
@@ -196,9 +193,8 @@ _INT_RE = re.compile(r"^-?\d+$")
 
 
 class _Parser:
-    def __init__(self, text: str, path: str):
+    def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.path = path
         self.functions: dict[str, Function] = {}
         self.entry: str | None = None
         self.adversarial = False
@@ -227,12 +223,7 @@ class _Parser:
             self.feed(raw.strip(), no)
         if self.fn_name is not None:
             raise self.error(f"unterminated function '{self.fn_name}'", self.fn_line)
-        program = Program(
-            self.functions,
-            entry=self.entry or "",
-            adversarial=self.adversarial,
-            source_path=self.path,
-        )
+        program = Program(self.functions, entry=self.entry or "", adversarial=self.adversarial)
         self.resolve(program)
         return program
 
@@ -373,9 +364,9 @@ class _Parser:
                             raise self.error(f"unknown function '{ins.args[0]}'", line, ins.args[0])
 
 
-def parse_program(text: str, path: str = "<mir>") -> Program:
+def parse_program(text: str) -> Program:
     """Parse MIR text; raises MirError with line/column on malformed input."""
-    return _Parser(text, path).run()
+    return _Parser(text).run()
 
 
 def print_program(program: Program) -> str:
@@ -398,26 +389,24 @@ def validate_program(program: Program, allow_shadow: bool = False) -> list[Diagn
     """Structural validation; returns an empty list iff all invariants hold."""
     diags: list[Diagnostic] = []
 
-    def diag(fn, bid, reason, line=0):
-        diags.append(Diagnostic(fn, bid, reason, line))
+    def diag(reason, line=0):
+        diags.append(Diagnostic(reason, line))
 
     if program.entry not in program.functions:
-        diag(None, None, f"entry function '{program.entry}' does not exist")
+        diag(f"entry function '{program.entry}' does not exist")
         return diags
 
     for fn in program.functions.values():
         if not fn.blocks:
-            diag(fn.name, None, "function has no blocks", fn.src_line)
+            diag("function has no blocks", fn.src_line)
             continue
         for bid, block in fn.blocks.items():
             if not block.instrs:
-                diag(fn.name, bid, f"{fn.name}.b{bid}: empty block", block.src_line)
+                diag(f"{fn.name}.b{bid}: empty block", block.src_line)
                 continue
             term = block.instrs[-1]
             if term.opcode not in TERMINATORS:
                 diag(
-                    fn.name,
-                    bid,
                     f"{fn.name}.b{bid}: block does not end with a control transfer",
                     block.src_line,
                 )
@@ -425,49 +414,30 @@ def validate_program(program: Program, allow_shadow: bool = False) -> list[Diagn
                 line = block.instr_lines[idx] if idx < len(block.instr_lines) else block.src_line
                 if ins.opcode in TERMINATORS and idx != len(block.instrs) - 1:
                     diag(
-                        fn.name,
-                        bid,
                         f"{fn.name}.b{bid}: control transfer '{ins.opcode}' before end of block",
                         line,
                     )
                 if ins.opcode in SHADOW_OPCODES and not allow_shadow:
                     diag(
-                        fn.name,
-                        bid,
                         f"{fn.name}.b{bid}: shadow instruction '{ins.opcode}' in plain program",
                         line,
                     )
                 if ins.opcode == "corrupt" and not program.adversarial:
-                    diag(
-                        fn.name,
-                        bid,
-                        f"{fn.name}.b{bid}: adversarial instruction in benign program",
-                        line,
-                    )
+                    diag(f"{fn.name}.b{bid}: adversarial instruction in benign program", line)
                 if ins.opcode == "unwind" and ins.args[0] < 1:
-                    diag(fn.name, bid, f"{fn.name}.b{bid}: unwind count must be >= 1", line)
+                    diag(f"{fn.name}.b{bid}: unwind count must be >= 1", line)
                 shape = OPERAND_SHAPES[ins.opcode]
                 for kind, arg in zip(shape, ins.args):
                     if kind == "r" and not 0 <= arg < NUM_REGS:
-                        diag(fn.name, bid, f"{fn.name}.b{bid}: register index out of range", line)
+                        diag(f"{fn.name}.b{bid}: register index out of range", line)
                 if ins.opcode in ("br", "brc"):
                     for target in ins.args:
                         if target not in fn.blocks:
-                            diag(
-                                fn.name,
-                                bid,
-                                f"{fn.name}.b{bid}: branch to unknown block b{target}",
-                                line,
-                            )
+                            diag(f"{fn.name}.b{bid}: branch to unknown block b{target}", line)
                 if ins.opcode == "brc" and ins.args[0] == ins.args[1]:
-                    diag(fn.name, bid, f"{fn.name}.b{bid}: brc arms must differ", line)
+                    diag(f"{fn.name}.b{bid}: brc arms must differ", line)
                 if ins.opcode == "call" and ins.args[0] not in program.functions:
-                    diag(
-                        fn.name,
-                        bid,
-                        f"{fn.name}.b{bid}: call to unknown function '{ins.args[0]}'",
-                        line,
-                    )
+                    diag(f"{fn.name}.b{bid}: call to unknown function '{ins.args[0]}'", line)
         # reachability over intra-procedural edges
         seen = set()
         work = [fn.entry_block]
@@ -479,7 +449,7 @@ def validate_program(program: Program, allow_shadow: bool = False) -> list[Diagn
             work.extend(fn.blocks[b].successors)
         for bid, block in fn.blocks.items():
             if bid not in seen:
-                diag(fn.name, bid, f"{fn.name}.b{bid}: unreachable block", block.src_line)
+                diag(f"{fn.name}.b{bid}: unreachable block", block.src_line)
     return diags
 
 

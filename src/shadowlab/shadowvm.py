@@ -155,9 +155,7 @@ def build_checks(program: Program, with_liveness: bool = False) -> AnalysisCheck
     from .analysis import classify_writes, dead_registers, stack_heights
 
     heights = {name: stack_heights(fn) for name, fn in program.functions.items()}
-    classes = {
-        name: classify_writes(fn, heights[name])[0] for name, fn in program.functions.items()
-    }
+    classes = {name: classify_writes(fn, heights[name]) for name, fn in program.functions.items()}
     liveness = None
     if with_liveness:
         liveness = {name: dead_registers(fn) for name, fn in program.functions.items()}

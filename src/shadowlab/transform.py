@@ -39,7 +39,6 @@ from .mir import (
 from .analysis import (
     InstrFacts,
     UNSAFE,
-    WriteSummary,
     classify_writes,
     dead_registers,
     instr_masks,
@@ -85,17 +84,15 @@ class ShadowOp:
 
 @dataclass(frozen=True)
 class LoweredCfg:
-    clone_map: dict[int, int]
+    clone_map: dict[int, int]                              # original id -> clone id
     transition_edges: tuple[tuple[int, int], ...]          # (src, original dst) in DFS order
-    push_heights: dict[tuple[int, int], int]
-    reachable_originals: tuple[int, ...]
-    reachable_clones: tuple[int, ...]
-    clone_exits: tuple[int, ...]
+    push_heights: dict[tuple[int, int], int]               # transition edge -> height at dst entry
+    reachable_originals: tuple[int, ...]                   # original blocks kept, in fn.blocks order
+    cloned: tuple[int, ...]                                # original ids whose clones are kept, same order
 
 
 @dataclass
 class FunctionPlan:
-    name: str
     ra_safe: bool
     safe_paths: int
     leaf: bool
@@ -117,7 +114,6 @@ class ProgramAnalysis:
     heights: dict[str, dict[tuple[int, int], InstrFacts]]
     liveness: dict[str, dict[tuple[int, int], int]]     # dead-register masks
     classes: dict[str, dict[tuple[int, int], str]]
-    summaries: dict[str, WriteSummary]
     safety: SafetyResult
 
 
@@ -125,12 +121,9 @@ def analyze_program(program: Program) -> ProgramAnalysis:
     """Run every per-function analysis plus the safety fixpoint."""
     heights = {name: stack_heights(fn) for name, fn in program.functions.items()}
     liveness = {name: dead_registers(fn) for name, fn in program.functions.items()}
-    classes = {}
-    summaries = {}
-    for name, fn in program.functions.items():
-        classes[name], summaries[name] = classify_writes(fn, heights[name])
+    classes = {name: classify_writes(fn, heights[name]) for name, fn in program.functions.items()}
     safety = calculate_ra_safety(program, classes)
-    return ProgramAnalysis(heights, liveness, classes, summaries, safety)
+    return ProgramAnalysis(heights, liveness, classes, safety)
 
 
 def plan_program(program: Program) -> tuple[ProgramAnalysis, InstrumentationPlan]:
@@ -139,7 +132,7 @@ def plan_program(program: Program) -> tuple[ProgramAnalysis, InstrumentationPlan
     return analysis, plan
 
 
-def count_safe_paths(fn: Function, safety: SafetyResult, cap: int = PATH_COUNT_CAP) -> int:
+def count_safe_paths(fn: Function, safety: SafetyResult) -> int:
     """Entry-to-exit paths through safe blocks only, loops collapsed, capped.
 
     Unsafe blocks are removed outright, then strongly connected groups of the
@@ -173,9 +166,9 @@ def count_safe_paths(fn: Function, safety: SafetyResult, cap: int = PATH_COUNT_C
         if not w:
             continue
         if any(b in exits for b in components[cid]):
-            total = min(cap, total + w)
+            total = min(PATH_COUNT_CAP, total + w)
         for s in sorted(comp_succs[cid]):
-            ways[s] = min(cap, ways[s] + w)
+            ways[s] = min(PATH_COUNT_CAP, ways[s] + w)
     return total
 
 
@@ -187,8 +180,12 @@ def lower_instrumentation(
     Depth-first over intra-procedural edges in ascending block-id order with
     edge marking; the first unsafe block on a path redirects the traversed
     edge to that block's clone and carries the push, and the walk does not
-    descend past it.  Returns None when lowering cannot apply: the entry
-    block itself is unsafe, or a push site has no concrete stack height.
+    descend past it.  The blocks the walk descends into are the originals the
+    lowered function keeps: every edge out of one leads to another or is a
+    transition.  Clones branch only to clones, so the clones it keeps are
+    those of the blocks reachable in the original CFG from a transition
+    target.  Returns None when lowering cannot apply: the entry block itself
+    is unsafe, or a push site has no concrete stack height.
     """
     assert not safety.ra_safe_fn(fn.name), "lowering a safe function is a caller bug"
     if not safety.ra_safe_block(fn.name, fn.entry_block):
@@ -198,6 +195,7 @@ def lower_instrumentation(
 
     transitions: list[tuple[int, int]] = []
     visited: set[tuple[int, int]] = set()
+    originals = {fn.entry_block}
 
     def out_edges(bid: int) -> Iterator[tuple[int, int]]:
         return iter([(bid, succ) for succ in sorted(fn.blocks[bid].successors)])
@@ -211,6 +209,7 @@ def lower_instrumentation(
                 continue
             visited.add(edge)
             if safety.ra_safe_block(fn.name, edge[1]):
+                originals.add(edge[1])
                 stack.append(out_edges(edge[1]))
                 break
             transitions.append(edge)
@@ -224,44 +223,20 @@ def lower_instrumentation(
             return None
         push_heights[(src, dst)] = h
 
-    clone_map = {bid: bid + CLONE_OFFSET for bid in fn.blocks}
-    tset = set(transitions)
-
-    def final_succs(bid: int) -> list[int]:
-        if bid >= CLONE_OFFSET:
-            orig = bid - CLONE_OFFSET
-            return [clone_map[s] for s in fn.blocks[orig].successors]
-        out = []
-        for s in fn.blocks[bid].successors:
-            out.append(clone_map[s] if (bid, s) in tset else s)
-        return out
-
-    seen: set[int] = set()
-    work = [fn.entry_block]
+    cloned: set[int] = set()
+    work = [dst for _, dst in transitions]
     while work:
-        b = work.pop()
-        if b in seen:
-            continue
-        seen.add(b)
-        work.extend(final_succs(b))
+        bid = work.pop()
+        if bid not in cloned:
+            cloned.add(bid)
+            work.extend(fn.blocks[bid].successors)
 
-    reachable_originals = tuple(bid for bid in fn.blocks if bid in seen)
-    reachable_clones = tuple(
-        clone_map[bid] for bid in fn.blocks if clone_map[bid] in seen
-    )
-    clone_exits = tuple(
-        clone_map[bid]
-        for bid in fn.blocks
-        if clone_map[bid] in seen
-        and fn.blocks[bid].terminator.opcode in ("ret", "halt")
-    )
     return LoweredCfg(
-        clone_map,
+        {bid: bid + CLONE_OFFSET for bid in fn.blocks},
         tuple(transitions),
         push_heights,
-        reachable_originals,
-        reachable_clones,
-        clone_exits,
+        tuple(bid for bid in fn.blocks if bid in originals),
+        tuple(bid for bid in fn.blocks if bid in cloned),
     )
 
 
@@ -338,7 +313,7 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
     for name, fn in program.functions.items():
         ra_safe = safety.ra_safe_fn(name)
         paths = count_safe_paths(fn, safety)
-        plan = FunctionPlan(name, ra_safe, paths, fn.is_leaf)
+        plan = FunctionPlan(ra_safe, paths, fn.is_leaf)
         if not ra_safe and paths >= 1:
             plan.lowered = lower_instrumentation(fn, safety, heights[name])
         if plan.leaf:
@@ -597,17 +572,16 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
                     (Instr("spush", (height,)), Instr("br", (low.clone_map[edge[1]],))),
                 )
                 rf.op_costs[(tid, 0)] = cost
-            clone_exit_set = set(low.clone_exits)
-            for cid in low.reachable_clones:
-                orig = fn.blocks[cid - CLONE_OFFSET]
-                body = inlined(orig.instrs, cid)
+            for bid in low.cloned:
+                cid = low.clone_map[bid]
+                body = inlined(fn.blocks[bid].instrs, cid)
                 term = body[-1]
                 if term.opcode in ("br", "brc"):
                     term = Instr(
                         term.opcode, tuple(low.clone_map[t] for t in term.args)
                     )
                 instrs = body[:-1] + (term,)
-                if cid in clone_exit_set:
+                if term.opcode in ("ret", "halt"):
                     ops.append(ShadowOp("pop", ("exit", cid), 0, None, COST_POP))
                     instrs = instrs[:-1] + (Instr("spop"), instrs[-1])
                     rf.op_costs[(cid, len(instrs) - 2)] = COST_POP
@@ -617,12 +591,7 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
         resolved[name] = rf
         new_functions[name] = Function(name, blocks)
 
-    new_program = Program(
-        new_functions,
-        entry=program.entry,
-        adversarial=program.adversarial,
-        source_path=program.source_path,
-    )
+    new_program = Program(new_functions, entry=program.entry, adversarial=program.adversarial)
     return InstrumentedProgram(new_program, mode, resolved)
 
 

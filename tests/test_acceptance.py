@@ -59,7 +59,7 @@ def test_call_tree_verdicts(call_tree):
     expected = {"a": False, "b": True, "c": False, "d": True, "e": True, "f": False}
     from shadowlab.analysis import UNSAFE, classify_writes
 
-    c_classes, _ = classify_writes(call_tree.functions["c"], heights["c"])
+    c_classes = classify_writes(call_tree.functions["c"], heights["c"])
     propagation_only = UNSAFE not in c_classes.values()
     elapsed = time.time() - t0
     crit(

@@ -283,6 +283,28 @@ def test_cli_run_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
     _assert_usage_error(capsys, ["run", path], "malformed plan sidecar")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--count", "0"], "--count"),
+        (["gen", "--count", "-3"], "--count"),
+        (["gen", "--count", "2", "--attack-density", "7"], "--attack-density"),
+        (["gen", "--count", "2", "--attack-density", "-0.5"], "--attack-density"),
+        (["gen", "--count", "2", "--attack-density", "nan"], "--attack-density"),
+        (["verify", "--count", "0"], "--count"),
+        (["verify", "--benign", "0"], "--benign"),
+        (["verify", "--budget", "0"], "--budget"),
+        (["verify", "--count", "2", "--benign", "2", "--inputs", "0"], "--inputs"),
+    ],
+)
+def test_cli_gen_and_verify_reject_out_of_range_numbers(capsys, tmp_path, argv, flag):
+    out = tmp_path / "out"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    _assert_usage_error(capsys, argv, flag)
+    assert not out.exists()
+
+
 def test_cli_analyze_deep_chain(capsys, tmp_path):
     path = write_fixture(tmp_path, "deep.mir", DEEP_CHAIN)
     assert main(["analyze", path]) == 0

@@ -22,7 +22,7 @@ def all_heights(program):
 def all_classes(program):
     """The write classes `calculate_ra_safety` reads, as `analyze_program` builds them."""
     return {
-        name: classify_writes(fn, stack_heights(fn))[0] for name, fn in program.functions.items()
+        name: classify_writes(fn, stack_heights(fn)) for name, fn in program.functions.items()
     }
 
 

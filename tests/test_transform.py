@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shadowlab.mir import Block, Function, Instr, Program, parse_program, validate_program
 from shadowlab.transform import (
@@ -25,7 +25,7 @@ from shadowlab.transform import (
 from shadowlab.shadowvm import ExecInput, execute, observables
 from shadowlab.gen import GenConfig, generate_program
 
-from conftest import DEEP_CHAIN
+from conftest import DEEP_CHAIN, FIXTURE_DIAMOND, MEMO_CFG
 
 
 def planned(program):
@@ -95,8 +95,63 @@ def test_lowering_memo_cfg_structure(memo_cfg):
     assert low.transition_edges == ((3, 4),)
     assert low.push_heights == {(3, 4): -16}
     assert low.reachable_originals == (1, 2, 3, 5, 6)
-    assert set(low.clone_exits) == {1006, 1007}
-    assert set(low.reachable_clones) == {1002, 1003, 1004, 1005, 1006, 1007}
+    assert low.cloned == (2, 3, 4, 5, 6, 7)
+
+
+def reference_reachability(fn, transition_edges):
+    """Reachability over the lowered graph itself, the oracle for the sets
+    lowering reads off its one walk.  From the entry block, an original block
+    branches to the clone of a transition edge's target and to the original of
+    any other successor, and a clone branches to clones.  Returns the reachable
+    originals, the originals whose clones are reachable, and those clones'
+    exits, each in block order."""
+    tset = set(transition_edges)
+
+    def final_succs(node):
+        is_clone, bid = node
+        return [(is_clone or (bid, s) in tset, s) for s in fn.blocks[bid].successors]
+
+    seen = set()
+    work = [(False, fn.entry_block)]
+    while work:
+        node = work.pop()
+        if node not in seen:
+            seen.add(node)
+            work.extend(final_succs(node))
+    originals = tuple(bid for bid in fn.blocks if (False, bid) in seen)
+    cloned = tuple(bid for bid in fn.blocks if (True, bid) in seen)
+    exits = tuple(bid for bid in cloned if fn.blocks[bid].terminator.opcode in ("ret", "halt"))
+    return originals, cloned, exits
+
+
+# a lowered function whose clone exits by halt, not ret
+HALTING_MAIN = "fn main {\nb0:\n  brc b1, b2\nb1:\n  movi r9, 256\n  store.reg r9\n  halt\nb2:\n  halt\n}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+@example(MEMO_CFG)
+@example(FIXTURE_DIAMOND)
+@example(DEEP_CHAIN)
+@example(HALTING_MAIN)
+def test_lowering_matches_two_walk_reference(source):
+    if isinstance(source, str):
+        program = parse_program(source)
+    else:
+        program = generate_program(source, GenConfig(), adversarial=source % 2 == 0)
+    _, plan = planned(program)
+    lowered = [name for name, fp in plan.per_function.items() if fp.lowered is not None]
+    assert lowered or not isinstance(source, str)
+    ip = apply_plan(program, plan, "PO")
+    for name in lowered:
+        fn, low, rf = program.functions[name], plan.per_function[name].lowered, ip.functions[name]
+        originals, cloned, exits = reference_reachability(fn, low.transition_edges)
+        assert low.reachable_originals == originals
+        assert low.cloned == cloned
+        pops = tuple(op.site for op in rf.shadow_ops if op.kind == "pop")
+        assert pops == tuple(("exit", low.clone_map[bid]) for bid in exits)
+        kept = {*originals, *(low.clone_map[bid] for bid in cloned), *rf.transition_blocks}
+        assert set(ip.program.functions[name].blocks) == kept
 
 
 def test_lowering_applied_memo_cfg(memo_cfg):
