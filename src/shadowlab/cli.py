@@ -30,7 +30,6 @@ from .transform import (
 )
 from .shadowvm import (
     COMPLETED,
-    MAX_COUNTEREXAMPLES,
     AnalysisChecks,
     CampaignCase,
     ExecInput,
@@ -213,13 +212,14 @@ def _load_plan(sidecar: Path, program: Program) -> InstrumentedProgram:
 
 
 def cmd_run(args) -> int:
+    budget = _positive("--budget", args.budget)
     program = _load(args.file)
     inp = _parse_input(args)
     target: Program | InstrumentedProgram = program
     sidecar = Path(args.file + ".plan.json")
     if sidecar.exists():
         target = _load_plan(sidecar, program)
-    trace, outcome = execute(target, inp, args.budget)
+    trace, outcome = execute(target, inp, budget, record=args.json or args.trace)
     if args.json:
         print(
             json.dumps(
@@ -446,9 +446,9 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     # ---- determinism spot check ----
     determinism_ok = True
     for case in cases[:3]:
-        t1, o1 = execute(case.target, case.inp, cfg.budget)
-        t2, o2 = execute(case.target, case.inp, cfg.budget)
-        if t1.log != t2.log or o1 != o2:
+        t1, o1 = execute(case.target, case.inp, cfg.budget, case.checks, record=True)
+        t2, o2 = execute(case.target, case.inp, cfg.budget, case.checks, record=True)
+        if t1.log != t2.log or t1.activation_problems != t2.activation_problems or o1 != o2:
             determinism_ok = False
             violations.append(f"{case.name}/{case.mode}: nondeterministic trace")
 
@@ -478,8 +478,14 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         "plan_coverage": coverage,
         "checks": checks,
         "violations": violations[:100],
+        # the campaign ran unrecorded: run each reported miss again for its trace
         "counterexamples": [
-            dict(c, trace=c["trace"].to_json()) for c in report.counterexamples[:MAX_COUNTEREXAMPLES]
+            {
+                "case": case.name,
+                "mode": case.mode,
+                "trace": execute(case.target, case.inp, case.budget, case.checks, record=True)[0].to_json(),
+            }
+            for case, _ in report.counterexamples
         ],
     }
     return out, all(checks.values())

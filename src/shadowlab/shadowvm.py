@@ -21,9 +21,17 @@ no per-run set-up beyond fresh registers, memory and trace; given a Program
 or InstrumentedProgram it compiles it first.
 Callers that run one target on many inputs compile it once.
 
-The trace is a log of plain tuples, one `(kind, *fields)` per event, which
-the step loop appends and `check_activations`, `to_lines` and `to_json` read
-by position.  The kind is the event's name; the eleven layouts are
+The step loop also checks each activation of a planned function as it runs
+(`check_activations` reports the result): counts of shadow pushes and pops,
+whether its walk entered a clone or transition block, where its unsafe
+stores fell, and the shadow depth at its call and return live on its
+`Frame`.  An activation's problems are found when it returns, or, for one
+still on the stack or unwound, once the run's outcome is known.
+
+Under `execute(..., record=True)` the trace also keeps a log of plain
+tuples, one `(kind, *fields)` per event, which `to_lines` and `to_json` read
+by position; otherwise the log stays empty.  The kind is the event's name;
+the eleven layouts are
   ("call", act, fn, shadow_top)            callee's activation and name
   ("enter", act, fn, bid)                  each block entered
   ("store", act, fn, bid, idx, wclass, addr, height)
@@ -41,6 +49,7 @@ by position.  The kind is the event's name; the eleven layouts are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping
 
 from .mir import NUM_REGS, Program, RETURN_REG
@@ -52,6 +61,7 @@ from .transform import (
     COST_RF_PUSH,
     FN_LOWERED,
     InstrumentedProgram,
+    ResolvedFunction,
 )
 
 MEM_BYTES = 1 << 16
@@ -99,7 +109,7 @@ class AnalysisChecks:
 
 @dataclass
 class Trace:
-    log: list               # one plain tuple (kind, *fields) per event, in order
+    log: list               # one plain tuple (kind, *fields) per event, in order; [] unless recorded
     instr_count: int = 0
     shadow_instr: int = 0
     shadow_mem: int = 0
@@ -109,6 +119,7 @@ class Trace:
     globals_log: list = field(default_factory=list)
     height_violations: list = field(default_factory=list)
     liveness_violations: list = field(default_factory=list)
+    activation_problems: list = field(default_factory=list)   # (act, fn, message), ordered by act
     corruptions: int = 0    # corrupt instructions executed
 
     @property
@@ -130,12 +141,24 @@ class Trace:
         }
 
 
+# Where an unsafe store fell in its activation, as bits of Frame.unsafe's items.
+_BEFORE_PUSH = 1            # no shadow push had run yet
+_AFTER_POP = 2              # a shadow pop had already run
+
+
 @dataclass(slots=True)
 class Frame:
     act: int
     ra_slot: int
     cookie: int
     ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
+    fn: _Fn                 # the called function, whose plan the activation checks read
+    call_top: int | None    # shadow depth at the call; None for the entry activation
+    tainted: bool = False   # entered a clone or transition block (never an entry block): a tainted walk
+    pushes: int = 0
+    pops: int = 0
+    pop_first: bool = False             # the first pop ran before any push
+    unsafe: list | None = None          # per unsafe store of a lowered function, its _BEFORE_PUSH | _AFTER_POP bits
     poison: int = 0         # mask of registers dead here, from the `live` slots
 
 
@@ -163,15 +186,18 @@ def build_checks(program: Program, with_liveness: bool = False) -> AnalysisCheck
 
 
 class _Fn:
-    """One function's decoded code: block id -> tuple of decoded instructions."""
+    """One function's decoded code, block id -> tuple of decoded instructions,
+    and what its plan tells the activation checks."""
 
-    __slots__ = ("name", "entry", "blocks", "entry_code")
+    __slots__ = ("name", "entry", "blocks", "entry_code", "planned", "lowered")
 
-    def __init__(self, name: str, entry: int):
+    def __init__(self, name: str, entry: int, rf: ResolvedFunction | None):
         self.name = name
         self.entry = entry
         self.blocks: dict[int, tuple] = {}
         self.entry_code: tuple = ()
+        self.planned = rf is not None
+        self.lowered = rf is not None and rf.mode == FN_LOWERED
 
 
 @dataclass(frozen=True)
@@ -204,6 +230,8 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
       stores    a = operand, b = write class, c = expected height or None
       shadow    a = operand, (b, c) = cost charged per execution
       movi      b = immediate masked to a word;  corrupt: b = value masked
+      br, brc   c = the targets that are clone or transition blocks, as a
+                frozenset, or None when there are none
     `live` is (dead before, uses, defs) as register bitmasks when the
     liveness check has anything to do at that instruction, else None.  Write
     classes, expected heights and dead masks come from `checks`, which apply
@@ -218,11 +246,12 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
     liveness = checks.liveness if checks else None
     classes = checks.classes if checks else None
 
-    fns = {name: _Fn(name, fn.entry_block) for name, fn in program.functions.items()}
+    fns = {name: _Fn(name, fn.entry_block, resolved.get(name)) for name, fn in program.functions.items()}
     cookie = COOKIE_BASE
     for name, fn in program.functions.items():
         rf = resolved.get(name)
         costs = rf.op_costs if rf else {}
+        tainted = rf.tainted_blocks if rf else ()
         hmap = heights.get(name) if heights is not None else None
         lmap = liveness.get(name) if liveness is not None else None
         cmap = classes.get(name) if classes is not None else None
@@ -244,6 +273,8 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                     if op == CALL:
                         a = fns[a]
                     b = cookie
+                elif op == BR or op == BRC:
+                    c = frozenset(t for t in args if t in tainted) or None
                 elif op == STORE_SP or op == STORE_REG:
                     b = cmap.get((bid, idx)) if cmap is not None else None
                     fact = hmap.get((bid, idx)) if hmap is not None else None
@@ -271,11 +302,13 @@ def execute(
     inp: ExecInput = ExecInput(),
     budget: int = 10000,
     checks: AnalysisChecks | None = None,
+    record: bool = False,
 ) -> tuple[Trace, Outcome]:
     """Small-step execution; deterministic in (target, inp).
 
     A Program or InstrumentedProgram is compiled with `checks` first; a
-    CompiledProgram already carries its checks."""
+    CompiledProgram already carries its checks.  The event log is kept only
+    when `record` is set; nothing else about the run depends on it."""
     if not isinstance(target, CompiledProgram):
         target = compile(target, checks)
     elif checks is not None:
@@ -290,8 +323,10 @@ def execute(
 
     sp = MEM_BYTES - 8
     mem[sp >> 3] = EXIT_COOKIE
-    frame = Frame(0, sp, EXIT_COOKIE, None)
+    fn = target.entry
+    frame = Frame(0, sp, EXIT_COOKIE, None, fn, None)
     frames = [frame]
+    unwound: list[Frame] = []
     act = 0
     next_act = 1
 
@@ -300,9 +335,10 @@ def execute(
 
     trace = Trace(log=[])
     ev = trace.log.append
-    fn = target.entry
+    problems = trace.activation_problems
     fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
-    ev(("enter", 0, fname, bid))
+    if record:
+        ev(("enter", 0, fname, bid))
     steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
     checking = True   # off after an unwind: frame/function pairing no longer matches the analyses
 
@@ -338,7 +374,12 @@ def execute(
                     height = addr - frame.ra_slot
                     if c is not None and checking and height != c:
                         trace.height_violations.append((fname, bid, idx, c, height))
-                    ev(("store", act, fname, bid, idx, b, addr, height))
+                    if b == UNSAFE and frame.fn.lowered:
+                        if frame.unsafe is None:
+                            frame.unsafe = []
+                        frame.unsafe.append((frame.pushes == 0) * _BEFORE_PUSH | (frame.pops > 0) * _AFTER_POP)
+                    if record:
+                        ev(("store", act, fname, bid, idx, b, addr, height))
                 elif op == BINOP:
                     regs[a] = (regs[a] + regs[b]) & MASK
                 elif op == LEA_SP:
@@ -348,14 +389,16 @@ def execute(
                 elif op == STORE_GLOBAL:
                     trace.globals_log.append((a, regs[RETURN_REG]))
                     mem_accesses += 1
-                    ev(("store", act, fname, bid, idx, "global", -1, None))
+                    if record:
+                        ev(("store", act, fname, bid, idx, "global", -1, None))
                 elif op == CORRUPT:
                     depth = min(a, len(frames) - 1)
                     victim = frames[-1 - depth]
                     mem[victim.ra_slot >> 3] = b
                     mem_accesses += 1
                     corruptions += 1
-                    ev(("corrupt", act, depth, victim.act))
+                    if record:
+                        ev(("corrupt", act, depth, victim.act))
                 elif op == LOAD_SP or op == LOAD_REG:
                     addr = sp + b if op == LOAD_SP else regs[b]
                     if addr & 7 or not 0 <= addr < MEM_BYTES:
@@ -372,7 +415,11 @@ def execute(
                     frames.pop()
                     sp = frame.ra_slot + 8
                     ok = value == frame.cookie
-                    ev(("ret", act, fname, ok, len(shadow)))
+                    # only a lowered function's walk or an unbalanced depth can fail a check
+                    if frame.fn.planned and (frame.fn.lowered or frame.call_top != len(shadow)):
+                        _check_activation(frame, len(shadow), True, problems)
+                    if record:
+                        ev(("ret", act, fname, ok, len(shadow)))
                     if not ok:
                         outcome = Outcome(UNDETECTED, evidence=(fname, frame.cookie, value))
                         break
@@ -384,12 +431,18 @@ def execute(
                     act = frame.act
                 elif op == BR:
                     bid, block, idx = a, code[a], 0
-                    ev(("enter", act, fname, bid))
+                    if c:
+                        frame.tainted = True
+                    if record:
+                        ev(("enter", act, fname, bid))
                 elif op == BRC:
                     bid = (a if decisions[di] else b) if di < n_decisions else b
                     di += 1
                     block, idx = code[bid], 0
-                    ev(("enter", act, fname, bid))
+                    if c and bid in c:
+                        frame.tainted = True
+                    if record:
+                        ev(("enter", act, fname, bid))
                 elif op == CALL or op == ICALL:
                     if op == CALL:
                         callee = a
@@ -407,23 +460,27 @@ def execute(
                     mem_accesses += 1
                     act = next_act
                     next_act += 1
-                    frame = Frame(act, sp, b, (fname, code, bid, block, idx + 1))
+                    frame = Frame(act, sp, b, (fname, code, bid, block, idx + 1), callee, len(shadow))
                     frames.append(frame)
-                    ev(("call", act, callee.name, len(shadow)))
                     fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
-                    ev(("enter", act, fname, bid))
+                    if record:
+                        ev(("call", act, fname, len(shadow)))
+                        ev(("enter", act, fname, bid))
                 elif op == HALT:
-                    ev(("halt", regs[RETURN_REG]))
+                    if record:
+                        ev(("halt", regs[RETURN_REG]))
                     outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
                     break
                 else:  # UNWIND
                     if a >= len(frames):
                         raise _VmFault(f"unwind {a} with {len(frames)} frames")
+                    unwound += frames[-a:]
                     del frames[-a:]
                     frame = frames[-1]
                     sp = frame.ra_slot
                     checking = False
-                    ev(("unwind", act, a))
+                    if record:
+                        ev(("unwind", act, a))
                     act = frame.act
                     idx += 1
             elif op == UNKNOWN:
@@ -439,11 +496,15 @@ def execute(
                     if len(shadow) >= SHADOW_CAPACITY:
                         raise _VmFault("shadow region overflow")
                     shadow.append(mem.get(ra_addr >> 3, 0))
-                    ev(("push", act, fname, bid, idx, False))
+                    frame.pushes += 1
+                    if record:
+                        ev(("push", act, fname, bid, idx, False))
                 elif op == RFPUSH:
                     scratch = regs[a]
                     regs[a] = mem.get(frame.ra_slot >> 3, 0)
-                    ev(("push", act, fname, bid, idx, True))
+                    frame.pushes += 1
+                    if record:
+                        ev(("push", act, fname, bid, idx, True))
                 else:  # SPOP, or RFPOP
                     ra = mem.get(frame.ra_slot >> 3, 0)
                     rf = op == RFPOP
@@ -459,16 +520,30 @@ def execute(
                                 break
                             k += 1
                         if matched < 0:
-                            ev(("abort", act, fname, bid, idx))
+                            if record:
+                                ev(("abort", act, fname, bid, idx))
                             outcome = Outcome(ABORTED, site=(fname, bid, idx))
                             break
                     if rf:
                         regs[a] = scratch
-                    ev(("pop", act, fname, bid, idx, matched, rf))
+                    if not frame.pops and not frame.pushes:
+                        frame.pop_first = True
+                    frame.pops += 1
+                    if record:
+                        ev(("pop", act, fname, bid, idx, matched, rf))
                 idx += 1
     except _VmFault as fault:
-        ev(("fault", fault.reason))
+        if record:
+            ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
+
+    # activations that never returned, now that `completed` is known; with no
+    # return depth, only a lowered function's walk can fail a check
+    completed = outcome.kind == COMPLETED
+    for f in (*unwound, *frames):
+        if f.fn.lowered:
+            _check_activation(f, None, completed, problems)
+    problems.sort(key=itemgetter(0))
 
     trace.instr_count = steps - shadow_ops
     trace.shadow_instr = shadow_instr
@@ -498,83 +573,47 @@ class CampaignReport:
     detected: int = 0
     undetected: int = 0
     violations: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)   # {"case", "mode", "trace": Trace}, first undetected runs only
+    counterexamples: list = field(default_factory=list)   # (CampaignCase, Trace), first undetected runs only
 
 
-class _Activation:
-    """What one activation did, for check_activations."""
-
-    __slots__ = ("fn", "push", "pop", "clone", "unsafe", "call_top", "ret_top")
-
-    def __init__(self, fn: str):
-        self.fn = fn
-        self.push: list[int] = []
-        self.pop: list[int] = []
-        self.clone = False          # entered a clone or transition block: a tainted walk
-        self.unsafe: list[int] = []
-        self.call_top: int | None = None
-        self.ret_top: int | None = None
-
-
-_ACTIVATION_KINDS = frozenset(("call", "enter", "push", "pop", "store", "ret"))
+def _check_activation(frame: Frame, ret_top: int | None, completed: bool, out: list) -> None:
+    """Append (act, fn, message) for each check the activation in `frame`
+    failed: a lowered function's tainted walk runs one covering push and pop
+    around its unsafe stores, its safe walk runs none, and a returning
+    activation leaves the shadow as deep as its call found it.  `ret_top` is
+    the depth at the return, None if it never returned; `completed` says the
+    walk ran to its end, so its pop is due."""
+    fn = frame.fn
+    where = (frame.act, fn.name)
+    if fn.lowered:
+        pushes, pops, unsafe = frame.pushes, frame.pops, frame.unsafe or ()
+        if frame.tainted:
+            if pushes != 1 or (completed and pops != 1):
+                out.append((*where, f"tainted walk executed {pushes} pushes, {pops} pops"))
+            elif frame.pop_first:
+                out.append((*where, "pop before push"))
+            for bits in unsafe:
+                if bits & _BEFORE_PUSH and pushes:
+                    out.append((*where, "unsafe store before the covering push"))
+                if bits & _AFTER_POP:
+                    out.append((*where, "unsafe store after the covering pop"))
+        else:
+            if pushes or pops:
+                out.append((*where, "safe walk executed shadow operations"))
+            if unsafe:
+                out.append((*where, "unsafe store on a walk that never left safe blocks"))
+    if ret_top is not None and frame.call_top is not None and ret_top != frame.call_top:
+        out.append((*where, f"shadow depth {ret_top} at return, {frame.call_top} at call"))
 
 
 def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> list[str]:
     """Per-activation structural checks: one covering check per tainted walk,
-    clean safe walks, ordered push/pop pairs, and shadow-depth balance."""
-    problems: list[str] = []
-    acts: dict[int, _Activation] = {}
-    plans = case.target.functions
-
-    # every activation event is (kind, act, fn, ...); the log is read by position
-    for pos, e in enumerate(trace.log):
-        kind = e[0]
-        if kind not in _ACTIVATION_KINDS or (kind == "store" and e[5] != UNSAFE):   # e[5]: wclass
-            continue
-        r = acts.get(e[1])
-        if r is None:
-            r = acts[e[1]] = _Activation(e[2])
-        if kind == "enter":
-            rf = plans.get(e[2])
-            if rf is not None and e[3] in rf.tainted_blocks:      # e[3]: bid
-                r.clone = True
-        elif kind == "store":
-            r.unsafe.append(pos)
-        elif kind == "push":
-            r.push.append(pos)
-        elif kind == "pop":
-            r.pop.append(pos)
-        elif kind == "call":
-            r.call_top = e[-1]      # shadow_top, last in call and ret
-        else:
-            r.ret_top = e[-1]
-
-    for act, r in acts.items():
-        fn = r.fn
-        if fn not in plans:
-            continue
-        where = f"{case.name}/{case.mode} act {act} fn {fn}"
-        if plans[fn].mode == FN_LOWERED:
-            if r.clone:
-                completed = r.ret_top is not None or outcome.kind == COMPLETED
-                if len(r.push) != 1 or (completed and len(r.pop) != 1):
-                    problems.append(
-                        f"activation: {where}: tainted walk executed {len(r.push)} pushes, {len(r.pop)} pops"
-                    )
-                elif r.pop and r.pop[0] < r.push[0]:
-                    problems.append(f"activation: {where}: pop before push")
-                for pos in r.unsafe:
-                    if r.push and pos < r.push[0]:
-                        problems.append(f"activation: {where}: unsafe store before the covering push")
-                    if r.pop and pos > r.pop[0]:
-                        problems.append(f"activation: {where}: unsafe store after the covering pop")
-            else:
-                if r.push or r.pop:
-                    problems.append(f"activation: {where}: safe walk executed shadow operations")
-                if r.unsafe:
-                    problems.append(f"activation: {where}: unsafe store on a walk that never left safe blocks")
-        if r.call_top is not None and r.ret_top is not None and r.call_top != r.ret_top:
-            problems.append(f"activation: {where}: shadow depth {r.ret_top} at return, {r.call_top} at call")
+    clean safe walks, ordered push/pop pairs, and shadow-depth balance, as
+    `execute` found them, then the shadow's balance at completion."""
+    problems = [
+        f"activation: {case.name}/{case.mode} act {act} fn {fn}: {message}"
+        for act, fn, message in trace.activation_problems
+    ]
     if outcome.kind == COMPLETED and trace.final_shadow_top != 0:
         problems.append(f"activation: {case.name}/{case.mode}: shadow not balanced at completion")
     return problems
@@ -583,8 +622,8 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
 def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
     """Execute all cases, count detections, check invariants.
 
-    Every undetected run is counted; only the first MAX_COUNTEREXAMPLES keep
-    their trace as a counterexample.
+    Every undetected run is counted; only the first MAX_COUNTEREXAMPLES are
+    kept, as (case, unrecorded trace) counterexamples.
     """
     report = CampaignReport()
     prev = None
@@ -601,7 +640,7 @@ def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
             elif outcome.kind == UNDETECTED:
                 report.undetected += 1
                 if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-                    report.counterexamples.append({"case": case.name, "mode": case.mode, "trace": trace})
+                    report.counterexamples.append((case, trace))
             else:
                 report.violations.append(
                     f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}"

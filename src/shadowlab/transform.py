@@ -23,7 +23,6 @@ Plans record every candidate; `apply_plan` resolves them per mode:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Mapping
 
 from .mir import (
@@ -363,7 +362,7 @@ class ResolvedFunction:
     chase_shifts: dict[str, tuple] = field(default_factory=dict)
     op_costs: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
-    @cached_property
+    @property
     def tainted_blocks(self) -> frozenset[int]:
         """Clone and transition block ids: a walk that enters one is tainted
         and must execute exactly one check."""

@@ -191,7 +191,7 @@ def test_pop_unwind_path():
         program = parse_program(unwind_fixture(k))
         _, plan = plan_program(program)
         ip = apply_plan(program, plan, "FULL")
-        trace, outcome = execute(ip, ExecInput(), 1000)
+        trace, outcome = execute(ip, ExecInput(), 1000, record=True)
         matched = [e[5] for e in trace.log if e[0] == "pop"]     # e[5]: matched_after
         aborted = any(e[0] == "abort" for e in trace.log)
         results[k] = (outcome.kind, max(matched), aborted)

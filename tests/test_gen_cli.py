@@ -305,6 +305,28 @@ def test_cli_gen_and_verify_reject_out_of_range_numbers(capsys, tmp_path, argv, 
     assert not out.exists()
 
 
+def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
+    # with the unsound control as the only detection mode the campaign misses
+    # attacks, and the report runs its first misses again to record their logs
+    import shadowlab.cli as cli
+    from shadowlab.shadowvm import MAX_COUNTEREXAMPLES
+
+    monkeypatch.setattr(cli, "DETECTION_MODES", ("ELIDE-ALL",))
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=3, adversarial_count=6, inputs_per_program=4))
+    assert not ok and report["undetected"] > MAX_COUNTEREXAMPLES == len(report["counterexamples"])
+    for c in report["counterexamples"]:
+        assert c["mode"] == "ELIDE-ALL"
+        events = c["trace"]["events"]
+        assert events[0][0] == "enter" and any(e[0] == "corrupt" for e in events)
+        assert events[-1][0] == "ret" and events[-1][3] is False     # ("ret", act, fn, ok, shadow_top)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_run_rejects_non_positive_budget(capsys, tmp_path, budget):
+    path = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    _assert_usage_error(capsys, ["run", path, "--budget", budget], "--budget")
+
+
 def test_cli_analyze_deep_chain(capsys, tmp_path):
     path = write_fixture(tmp_path, "deep.mir", DEEP_CHAIN)
     assert main(["analyze", path]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -5,8 +6,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowlab.analysis import UNSAFE
 from shadowlab.mir import parse_program, print_program
-from shadowlab.transform import MODES, InstrumentedProgram, apply_plan, plan_program
+from shadowlab.transform import FN_LOWERED, MODES, InstrumentedProgram, apply_plan, plan_program
 from shadowlab.shadowvm import (
     ABORTED,
     BUDGET,
@@ -17,6 +19,7 @@ from shadowlab.shadowvm import (
     ExecInput,
     build_checks,
     check_activations,
+    compile,
     execute,
     observables,
     run_campaign,
@@ -84,7 +87,7 @@ def test_uninstrumented_benign_run(call_tree):
 
 def test_corruption_aborts_at_pop_under_full():
     _, ip = instrument(ADVERSARIAL, "FULL")
-    trace, outcome = execute(ip, ExecInput(), 1000)
+    trace, outcome = execute(ip, ExecInput(), 1000, record=True)
     assert outcome.kind == ABORTED
     assert outcome.site[0] == "victim"
     assert any(e[0] == "abort" for e in trace.log)
@@ -99,7 +102,7 @@ def test_corruption_undetected_without_instrumentation():
 
 def test_parent_frame_attack_detected_in_ancestor():
     _, ip = instrument(PARENT_ATTACK, "LIGHT")
-    trace, outcome = execute(ip, ExecInput(), 1000)
+    trace, outcome = execute(ip, ExecInput(), 1000, record=True)
     assert outcome.kind == ABORTED
     # ("corrupt", act, depth, target_act) and ("abort", act, fn, bid, idx)
     corrupt = next(e for e in trace.log if e[0] == "corrupt")
@@ -126,7 +129,7 @@ def test_unwind_matches_after_k():
         p = parse_program(unwind_fixture(k))
         _, plan = plan_program(p)
         ip = apply_plan(p, plan, "FULL")
-        trace, outcome = execute(ip, ExecInput(), 1000)
+        trace, outcome = execute(ip, ExecInput(), 1000, record=True)
         assert outcome.kind == COMPLETED
         matched = [e[5] for e in trace.log if e[0] == "pop"]     # e[5]: matched_after
         assert max(matched) == k
@@ -139,9 +142,9 @@ def test_determinism():
     _, plan = plan_program(p)
     ip = apply_plan(p, plan, "LIGHT")
     inp = generate_inputs(7, 1)[0]
-    t1, o1 = execute(ip, inp, 5000)
-    t2, o2 = execute(ip, inp, 5000)
-    assert t1.log == t2.log and o1 == o2
+    t1, o1 = execute(ip, inp, 5000, record=True)
+    t2, o2 = execute(ip, inp, 5000, record=True)
+    assert t1.log and t1.log == t2.log and o1 == o2
 
 
 def test_budget_exhaustion():
@@ -220,6 +223,121 @@ def test_shadow_balance_and_height_checks(seed):
         assert not trace.height_violations
 
 
+# ---- activation checks: the log walk they replaced is the reference ----
+
+class _Activation:
+    """What one activation did, for reference_activations."""
+
+    __slots__ = ("fn", "push", "pop", "clone", "unsafe", "call_top", "ret_top")
+
+    def __init__(self, fn: str):
+        self.fn = fn
+        self.push: list[int] = []
+        self.pop: list[int] = []
+        self.clone = False          # entered a clone or transition block: a tainted walk
+        self.unsafe: list[int] = []
+        self.call_top: int | None = None
+        self.ret_top: int | None = None
+
+
+_ACTIVATION_KINDS = frozenset(("call", "enter", "push", "pop", "store", "ret"))
+
+
+def reference_activations(case, trace, outcome) -> list[str]:
+    """check_activations as a walk over a recorded trace's event log."""
+    problems: list[str] = []
+    acts: dict[int, _Activation] = {}
+    plans = case.target.functions
+
+    # every activation event is (kind, act, fn, ...); the log is read by position
+    for pos, e in enumerate(trace.log):
+        kind = e[0]
+        if kind not in _ACTIVATION_KINDS or (kind == "store" and e[5] != UNSAFE):   # e[5]: wclass
+            continue
+        r = acts.get(e[1])
+        if r is None:
+            r = acts[e[1]] = _Activation(e[2])
+        if kind == "enter":
+            rf = plans.get(e[2])
+            if rf is not None and e[3] in rf.tainted_blocks:      # e[3]: bid
+                r.clone = True
+        elif kind == "store":
+            r.unsafe.append(pos)
+        elif kind == "push":
+            r.push.append(pos)
+        elif kind == "pop":
+            r.pop.append(pos)
+        elif kind == "call":
+            r.call_top = e[-1]      # shadow_top, last in call and ret
+        else:
+            r.ret_top = e[-1]
+
+    for act, r in acts.items():
+        fn = r.fn
+        if fn not in plans:
+            continue
+        where = f"{case.name}/{case.mode} act {act} fn {fn}"
+        if plans[fn].mode == FN_LOWERED:
+            if r.clone:
+                completed = r.ret_top is not None or outcome.kind == COMPLETED
+                if len(r.push) != 1 or (completed and len(r.pop) != 1):
+                    problems.append(
+                        f"activation: {where}: tainted walk executed {len(r.push)} pushes, {len(r.pop)} pops"
+                    )
+                elif r.pop and r.pop[0] < r.push[0]:
+                    problems.append(f"activation: {where}: pop before push")
+                for pos in r.unsafe:
+                    if r.push and pos < r.push[0]:
+                        problems.append(f"activation: {where}: unsafe store before the covering push")
+                    if r.pop and pos > r.pop[0]:
+                        problems.append(f"activation: {where}: unsafe store after the covering pop")
+            else:
+                if r.push or r.pop:
+                    problems.append(f"activation: {where}: safe walk executed shadow operations")
+                if r.unsafe:
+                    problems.append(f"activation: {where}: unsafe store on a walk that never left safe blocks")
+        if r.call_top is not None and r.ret_top is not None and r.call_top != r.ret_top:
+            problems.append(f"activation: {where}: shadow depth {r.ret_top} at return, {r.call_top} at call")
+    if outcome.kind == COMPLETED and trace.final_shadow_top != 0:
+        problems.append(f"activation: {case.name}/{case.mode}: shadow not balanced at completion")
+    return problems
+
+
+def checked_run(case, compiled, budget):
+    """Run `compiled` on the case's input unrecorded and recorded; assert that
+    recording changed nothing but the log and that the online activation
+    checks equal the log walk's.  Returns the unrecorded run's problems."""
+    plain, outcome = execute(compiled, case.inp, budget)
+    recorded, recorded_outcome = execute(compiled, case.inp, budget, record=True)
+    assert plain.log == []
+    assert recorded_outcome == outcome
+    assert dataclasses.replace(recorded, log=[]) == plain
+    problems = check_activations(case, plain, outcome)
+    assert problems == reference_activations(case, recorded, outcome), case.name
+    return problems
+
+
+def test_online_checks_and_recording_over_pinned_corpus():
+    for label, target, checks, inputs, budget in _pinned_runs():
+        ip = target if isinstance(target, InstrumentedProgram) else InstrumentedProgram(target, "BASE", {})
+        compiled = compile(ip, checks)
+        for inp in inputs:
+            checked_run(CampaignCase(label, ip.mode, ip, inp, False), compiled, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.one_of(st.integers(1, 120), st.just(20000)))
+def test_online_checks_match_log_walk_on_generated_programs(seed, adversarial, budget):
+    p = generate_program(seed, GenConfig(max_functions=7), adversarial=adversarial)
+    _, plan = plan_program(p)
+    inputs = generate_inputs(seed, 2)
+    for mode in MODES:
+        ip = apply_plan(p, plan, mode)
+        compiled = compile(ip, build_checks(ip.program))
+        for inp in inputs:
+            checked_run(CampaignCase(f"g{seed}", mode, ip, inp, adversarial), compiled, budget)
+
+
 def test_campaign_benign_has_no_aborts():
     cases = []
     for seed in range(5):
@@ -255,8 +373,8 @@ def test_campaign_keeps_first_counterexamples_only():
     cases = [CampaignCase(f"p{i}", "ELIDE-ALL", ip, ExecInput(), True, budget=1000) for i in range(5)]
     report = run_campaign(cases)
     assert report.fired == report.undetected == 5
-    assert [c["case"] for c in report.counterexamples] == ["p0", "p1", "p2"]
-    assert all(c["trace"].corruptions for c in report.counterexamples)
+    assert [case.name for case, _ in report.counterexamples] == ["p0", "p1", "p2"]
+    assert all(trace.corruptions for _, trace in report.counterexamples)
 
 
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through
@@ -277,7 +395,7 @@ def test_activation_problems_are_reported():
     tainted, safe = ExecInput((True, True, False)), ExecInput((False,))
     where = "memo/PO act 1 fn memo"
 
-    def problems(edits, inp=tainted):
+    def problems(edits, inp=tainted, budget=1000):
         edited = text
         for old, new in edits:
             assert edited.count(old) == 1, old
@@ -285,12 +403,13 @@ def test_activation_problems_are_reported():
         # the edited code runs under the unedited plan, checked against its own analyses
         program = parse_program(edited)
         target = InstrumentedProgram(program, ip.mode, ip.functions)
-        trace, outcome = execute(target, inp, 1000, build_checks(program))
-        return check_activations(CampaignCase("memo", "PO", target, inp, False), trace, outcome)
+        return checked_run(CampaignCase("memo", "PO", target, inp, False), compile(target, build_checks(program)), budget)
 
     push, pop = "b2000:\n  spush -16\n", "b1007:\n  spop\n"
     store = "b1004:\n  movi r9, 512\n  store.reg r9\n"
     assert problems([]) == [] and problems([], safe) == []
+    # cut off after the push in b2000, which its `brc` entered, before b2000's `br`
+    assert problems([], budget=10) == []
     safe_exit = "  store.sp 0\n  ret\nb2000:"
     cases = [
         # an extra push: two pushes, and one more shadow entry at the return
@@ -321,8 +440,80 @@ def test_activation_problems_are_reported():
     ]
 
 
+# f's tainted walk starts at an unconditional `br` into its transition block;
+# on the input (1, 1) g unwinds past f, so f's walk never pops, yet the run
+# completes.
+BR_TAINTED_WALK = """\
+#entry main
+
+fn main {
+b0:
+  spadd -16
+  call f
+  spadd 16
+  ret
+}
+
+fn f {
+b0:
+  spadd -16
+  brc b1, b3
+b1:
+  movi r1, 1
+  br b2
+b2:
+  movi r9, 512
+  store.reg r9
+  call g
+  spadd 16
+  ret
+b3:
+  spadd 16
+  ret
+}
+
+fn g {
+b0:
+  brc b1, b2
+b1:
+  unwind 2
+  ret
+b2:
+  ret
+}
+"""
+
+
+def test_activation_checks_follow_br_entry_and_unwind():
+    p = parse_program(BR_TAINTED_WALK)
+    _, plan = plan_program(p)
+    for mode in ("PO", "LIGHT"):
+        ip = apply_plan(p, plan, mode)
+        assert ip.functions["f"].mode == FN_LOWERED
+        compiled = compile(ip, build_checks(ip.program))
+        expected = {
+            (True, False): [],
+            (False,): [],
+            (True, True): [
+                f"activation: br/{mode} act 1 fn f: tainted walk executed 1 pushes, 0 pops",
+                f"activation: br/{mode}: shadow not balanced at completion",
+            ],
+        }
+        for decisions, problems in expected.items():
+            case = CampaignCase("br", mode, ip, ExecInput(decisions), False)
+            assert checked_run(case, compiled, 1000) == problems, decisions
+    # g, which no mode instruments, edited to leave a shadow entry behind
+    text = print_program(ip.program)
+    assert text.count("b2:\n  ret\n}") == 1
+    target = InstrumentedProgram(parse_program(text.replace("b2:\n  ret\n}", "b2:\n  spush 0\n  ret\n}")), mode, ip.functions)
+    case = CampaignCase("br", mode, target, ExecInput((True, False)), False)
+    assert checked_run(case, compile(target, build_checks(target.program)), 1000) == [
+        f"activation: br/{mode} act 2 fn g: shadow depth 3 at return, 2 at call"
+    ]
+
+
 def test_trace_serialization_forms(call_tree):
-    trace, outcome = execute(call_tree, ExecInput((True,)), 1000)
+    trace, outcome = execute(call_tree, ExecInput((True,)), 1000, record=True)
     lines = trace.to_lines()
     assert lines and all(isinstance(l, str) for l in lines)
     blob = trace.to_json()
@@ -395,13 +586,12 @@ def test_vm_equivalence_pin():
     digest = hashlib.sha256()
     for label, target, checks, inputs, budget in _pinned_runs():
         for inp in inputs:
-            record = [label, _run_record(*execute(target, inp, budget, checks))]
+            record = [label, _run_record(*execute(target, inp, budget, checks, record=True))]
             digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_VM_DIGEST
 
 
 def test_compiled_program_reused_across_inputs():
-    from shadowlab.shadowvm import compile
     programs = list(generate_corpus(GenConfig(seed=37, count=6, attack_density=0.5)))
     programs.append(("unwind", parse_program(unwind_fixture(2))))
     for name, p in programs:
@@ -414,11 +604,10 @@ def test_compiled_program_reused_across_inputs():
         for target, checks in targets:
             compiled = compile(target, checks)
             for inp in inputs:
-                assert execute(compiled, inp, 20000) == execute(target, inp, 20000, checks), name
+                assert execute(compiled, inp, 20000, record=True) == execute(target, inp, 20000, checks, record=True), name
 
 
 def test_compiled_program_carries_its_checks(call_tree):
-    from shadowlab.shadowvm import compile
     checks = build_checks(call_tree)
     with pytest.raises(ValueError):
         execute(compile(call_tree), ExecInput(), 100, checks)

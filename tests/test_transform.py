@@ -180,7 +180,7 @@ def test_lowering_two_parallel_unsafe_branches(fixture_diamond):
     assert ip.functions["main"].mode == FN_LOWERED
     # one push on either path, counted from traces
     for decisions in [(True, True), (True, False)]:
-        trace, outcome = execute(ip, ExecInput(decisions), 1000)
+        trace, outcome = execute(ip, ExecInput(decisions), 1000, record=True)
         assert outcome.kind == "completed"
         assert sum(1 for e in trace.log if e[0] == "push") == 1
         assert sum(1 for e in trace.log if e[0] == "pop") == 1
