@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shadowlab.mir import Block, Function, Instr, Program, parse_program, validate_program
+from shadowlab.mir import Block, Function, Instr, Program, parse_program, print_program, validate_program
 from shadowlab.transform import (
     COST_PUSH,
     COST_PUSH_CHASED,
@@ -23,7 +26,7 @@ from shadowlab.transform import (
     strip_instrumentation,
 )
 from shadowlab.shadowvm import ExecInput, execute, observables
-from shadowlab.gen import GenConfig, generate_program
+from shadowlab.gen import GenConfig, generate_corpus, generate_program
 
 from conftest import DEEP_CHAIN, FIXTURE_DIAMOND, MEMO_CFG
 
@@ -409,3 +412,28 @@ def test_strip_is_behavior_preserving(seed):
     assert validate_program(stripped) == []
     for inp in (ExecInput((True, False, True)), ExecInput((False, True))):
         assert observables(*execute(p, inp, 20000)) == observables(*execute(stripped, inp, 20000))
+
+
+# sha256 of every mode's printed program, plan JSON and stripped text over a
+# fixed gen corpus and the conftest fixtures, recorded before `apply_plan`
+# shared the blocks and functions a mode leaves unchanged: a change here means
+# the instrumented output changed.
+PINNED_TRANSFORM_DIGEST = "1a4b12f5a1db766b6ecfddc9b6a759e36041b9459ffe707b63a37a312353a1b1"
+
+
+def test_transform_outputs_pin():
+    from conftest import CALL_TREE, FIXTURE_CHASE, FIXTURE_INLINE, FIXTURE_REGFRAME
+
+    programs = list(generate_corpus(GenConfig(seed=31, count=20, attack_density=0.5)))
+    fixtures = [CALL_TREE, MEMO_CFG, FIXTURE_CHASE, FIXTURE_REGFRAME, FIXTURE_INLINE, FIXTURE_DIAMOND, DEEP_CHAIN]
+    programs += [(f"fixture{i}", parse_program(text)) for i, text in enumerate(fixtures)]
+    digest = hashlib.sha256()
+    for name, p in programs:
+        _, plan = planned(p)
+        for mode in MODES:
+            ip = apply_plan(p, plan, mode)
+            digest.update(f"{name}/{mode}\n".encode())
+            digest.update(print_program(ip.program).encode())
+            digest.update(json.dumps(ip.to_json(), sort_keys=True).encode())
+            digest.update(print_program(strip_instrumentation(ip)).encode())
+    assert digest.hexdigest() == PINNED_TRANSFORM_DIGEST
