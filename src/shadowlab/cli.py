@@ -71,7 +71,8 @@ def _load(path: str) -> Program:
     has_shadow = any(
         ins.opcode in SHADOW_OPCODES
         for fn in program.functions.values()
-        for _, _, ins in fn.iter_instrs()
+        for block in fn.blocks.values()
+        for ins in block.instrs
     )
     diags = validate_program(program, allow_shadow=has_shadow)
     if diags:
@@ -315,7 +316,7 @@ class VerifyConfig:
 
 @dataclass
 class _Prepared:
-    analysis: ProgramAnalysis
+    checks: AnalysisChecks      # the input program's analysis
     targets: dict[str, InstrumentedProgram]
     inputs: list[ExecInput]
 
@@ -335,13 +336,15 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
     targets = {}
     for mode in modes:
         ip = apply_plan(program, plan, mode)
-        bad = validate_program(ip.program, allow_shadow=True)
+        # a function apply_plan shared with the input has already passed
+        bad = validate_program(ip.program, allow_shadow=True, checked=program.functions)
         if bad:
             violations.extend(f"{name}/{mode}: {d.reason}" for d in bad)
             continue
         targets[mode] = ip
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program)
-    return _Prepared(analysis, targets, inputs)
+    checks = AnalysisChecks(analysis.heights, analysis.liveness, analysis.classes)
+    return _Prepared(checks, targets, inputs)
 
 
 def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
@@ -373,9 +376,11 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         if light:
             for rf in light.functions.values():
                 coverage[rf.mode] += 1
-        analysis = prepared.analysis
-        base = compile(program, AnalysisChecks(analysis.heights, analysis.liveness, analysis.classes))
-        compiled = {mode: compile(ip, build_checks(ip.program)) for mode, ip in prepared.targets.items()}
+        reuse = (program, prepared.checks)
+        base = compile(program, prepared.checks)
+        compiled = {
+            mode: compile(ip, build_checks(ip.program, reuse=reuse)) for mode, ip in prepared.targets.items()
+        }
         for i, inp in enumerate(prepared.inputs):
             base_trace, base_outcome = execute(base, inp, cfg.budget)
             height_bad += len(base_trace.height_violations)
@@ -427,7 +432,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
             ip = prepared.targets.get(mode)
             if ip is None:
                 continue
-            checks = build_checks(ip.program)
+            checks = build_checks(ip.program, reuse=(program, prepared.checks))
             for inp in prepared.inputs:
                 cases.append(CampaignCase(name, mode, ip, inp, True, checks, cfg.budget))
         control_ip = prepared.targets.get("ELIDE-ALL")

@@ -91,7 +91,7 @@ class Instr:
         return self.opcode in STORE_OPCODES
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Block:
     bid: int
     instrs: tuple[Instr, ...]
@@ -121,7 +121,7 @@ class Block:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Function:
     name: str
     blocks: dict[int, Block]
@@ -146,7 +146,9 @@ class Function:
 
     @property
     def is_leaf(self) -> bool:
-        return not any(i.opcode in ("call", "icall") for _, _, i in self.iter_instrs())
+        return not any(
+            i.opcode in ("call", "icall") for block in self.blocks.values() for i in block.instrs
+        )
 
     def __eq__(self, other):
         return (
@@ -385,9 +387,17 @@ def print_program(program: Program) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate_program(program: Program, allow_shadow: bool = False) -> list[Diagnostic]:
-    """Structural validation; returns an empty list iff all invariants hold."""
+def validate_program(
+    program: Program, allow_shadow: bool = False, checked: Mapping[str, Function] | None = None
+) -> list[Diagnostic]:
+    """Structural validation; returns an empty list iff all invariants hold.
+
+    `checked` holds functions that already passed, in a program with the same
+    function names and `adversarial` flag: a function of `program` that is
+    the same object as its entry there is not walked again.
+    """
     diags: list[Diagnostic] = []
+    checked = checked or {}
 
     def diag(reason, line=0):
         diags.append(Diagnostic(reason, line))
@@ -397,6 +407,8 @@ def validate_program(program: Program, allow_shadow: bool = False) -> list[Diagn
         return diags
 
     for fn in program.functions.values():
+        if checked.get(fn.name) is fn:
+            continue
         if not fn.blocks:
             diag("function has no blocks", fn.src_line)
             continue

@@ -173,15 +173,31 @@ def observables(trace: Trace, outcome: Outcome) -> tuple:
     return outcome.kind, outcome.r0, tuple(trace.globals_log)
 
 
-def build_checks(program: Program, with_liveness: bool = False) -> AnalysisChecks:
-    """Analysis results for the given program, for the VM to validate live."""
+def build_checks(
+    program: Program,
+    with_liveness: bool = False,
+    reuse: tuple[Program, AnalysisChecks] | None = None,
+) -> AnalysisChecks:
+    """Analysis results for the given program, for the VM to validate live.
+
+    `reuse` is another program and checks built for it with heights and
+    classes, such as the program `apply_plan` instrumented and its analysis.
+    A function that is the same object in both takes those facts instead of
+    being analysed again: they depend on nothing but the function."""
     from .analysis import classify_writes, dead_registers, stack_heights
 
-    heights = {name: stack_heights(fn) for name, fn in program.functions.items()}
-    classes = {name: classify_writes(fn, heights[name]) for name, fn in program.functions.items()}
-    liveness = None
-    if with_liveness:
-        liveness = {name: dead_registers(fn) for name, fn in program.functions.items()}
+    shared: set[str] = set()
+    if reuse is not None:
+        original, known = reuse
+        shared = {n for n, fn in program.functions.items() if original.functions.get(n) is fn}
+    heights, classes = {}, {}
+    liveness = {} if with_liveness else None
+    for name, fn in program.functions.items():
+        same = name in shared
+        heights[name] = known.heights[name] if same else stack_heights(fn)
+        classes[name] = known.classes[name] if same else classify_writes(fn, heights[name])
+        if liveness is not None:
+            liveness[name] = known.liveness[name] if same and known.liveness else dead_registers(fn)
     return AnalysisChecks(heights, liveness, classes)
 
 

@@ -22,8 +22,9 @@ Plans record every candidate; `apply_plan` resolves them per mode:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .mir import (
     Block,
@@ -70,8 +71,7 @@ class PlanError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ShadowOp:
+class ShadowOp(NamedTuple):
     kind: str                      # push | pop | rfpush | rfpop
     site: tuple                    # ("entry", bid) | ("instr", bid, idx) | ("edge", src, dst) | ("exit", bid)
     entry_height: int = 0          # stack height where the covered region is entered
@@ -242,9 +242,10 @@ def lower_instrumentation(
 def find_free_register(fn: Function) -> int | None:
     """Lowest register never referenced by the function body; r0 is excluded."""
     used = 0
-    for _, _, ins in fn.iter_instrs():
-        uses, defs = instr_masks(ins)
-        used |= uses | defs
+    for block in fn.blocks.values():
+        for ins in block.instrs:
+            uses, defs = instr_masks(ins)
+            used |= uses | defs
     for r in range(1, 16):
         if not used >> r & 1:
             return r
@@ -305,7 +306,8 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
     inline_sites = tuple(
         (fn.name, bid, idx, ins.args[0])
         for fn in program.functions.values()
-        for bid, idx, ins in fn.iter_instrs()
+        for bid, block in fn.blocks.items()
+        for idx, ins in enumerate(block.instrs)
         if ins.opcode == "call" and ins.args[0] in inline_callees
     )
 
@@ -352,7 +354,7 @@ def resolve_mode(plan: FunctionPlan, mode: str) -> str:
     raise PlanError(f"unknown mode '{mode}'")
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolvedFunction:
     mode: str
     shadow_ops: tuple[ShadowOp, ...] = ()
@@ -436,25 +438,38 @@ class InstrumentedProgram:
         }
 
 
+_SPOP = Instr("spop")
+
+
 def _inline_block(
     instrs: tuple[Instr, ...],
     program: Program,
     callees: frozenset[str],
 ) -> tuple[tuple[Instr, ...], list[tuple[int, str]]]:
-    out: list[Instr] = []
-    inlined: list[tuple[int, str]] = []
-    for idx, ins in enumerate(instrs):
-        if ins.opcode == "call" and ins.args[0] in callees:
-            body = next(iter(program.functions[ins.args[0]].blocks.values())).instrs
-            out.extend(body[:-1])  # splice minus the trailing ret
-            inlined.append((idx, ins.args[0]))
-        else:
-            out.append(ins)
-    return tuple(out), inlined
+    """Splice each call to one of `callees` with the callee's body minus its
+    trailing ret; also the (index, callee) of each splice.  A block that calls
+    none of them comes back as the same tuple."""
+    hits = [
+        (idx, ins.args[0])
+        for idx, ins in enumerate(instrs)
+        if ins.opcode == "call" and ins.args[0] in callees
+    ] if callees else []
+    if not hits:
+        return instrs, hits
+    out = list(instrs)
+    for idx, callee in reversed(hits):
+        out[idx:idx + 1] = next(iter(program.functions[callee].blocks.values())).instrs[:-1]
+    return tuple(out), hits
 
 
 def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> InstrumentedProgram:
-    """Splice shadow pseudo-instructions and cloned blocks per the plan."""
+    """Splice shadow pseudo-instructions and cloned blocks per the plan.
+
+    Only what the mode changes is built.  A block it does not rewrite, and a
+    function none of whose blocks it rewrites (every elided one, and all of
+    ELIDE-ALL), is the input's own object, shared by the input and every
+    mode's output: neither may be mutated afterwards.
+    """
     if mode not in MODES:
         raise PlanError(f"unknown mode '{mode}'")
     mechanisms = mode in ("MO", "LIGHT")
@@ -481,7 +496,8 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
 
         if fn_mode in (FN_ELIDED, FN_FULL, FN_REGFRAME):
             for bid, block in fn.blocks.items():
-                blocks[bid] = Block(bid, inlined(block.instrs, bid))
+                body = inlined(block.instrs, bid)
+                blocks[bid] = block if body is block.instrs else Block(bid, body)
             if fn_mode != FN_ELIDED:
                 entry_bid = fn.entry_block
                 if fn_mode == FN_REGFRAME:
@@ -522,11 +538,7 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
                 for ebid in fn.exit_blocks:
                     ops.append(ShadowOp(pop_kind, ("exit", ebid), 0, pop_reg, pop_cost))
                     xb = blocks[ebid]
-                    pop_ins = (
-                        Instr("rfpop", (fp.free_reg,))
-                        if fn_mode == FN_REGFRAME
-                        else Instr("spop")
-                    )
+                    pop_ins = Instr("rfpop", (fp.free_reg,)) if fn_mode == FN_REGFRAME else _SPOP
                     blocks[ebid] = Block(
                         ebid, xb.instrs[:-1] + (pop_ins, xb.instrs[-1])
                     )
@@ -554,9 +566,12 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
                 return ins
 
             for bid in low.reachable_originals:
-                body = inlined(fn.blocks[bid].instrs, bid)
-                body = body[:-1] + (remap_original(body[-1], bid),)
-                blocks[bid] = Block(bid, body)
+                block = fn.blocks[bid]
+                body = inlined(block.instrs, bid)
+                term = remap_original(body[-1], bid)
+                if term is not body[-1]:
+                    body = body[:-1] + (term,)
+                blocks[bid] = block if body is block.instrs else Block(bid, body)
             for edge in low.transition_edges:
                 tid = tids[edge]
                 height = low.push_heights[edge]
@@ -582,13 +597,14 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
                 instrs = body[:-1] + (term,)
                 if term.opcode in ("ret", "halt"):
                     ops.append(ShadowOp("pop", ("exit", cid), 0, None, COST_POP))
-                    instrs = instrs[:-1] + (Instr("spop"), instrs[-1])
+                    instrs = instrs[:-1] + (_SPOP, instrs[-1])
                     rf.op_costs[(cid, len(instrs) - 2)] = COST_POP
                 blocks[cid] = Block(cid, instrs)
 
         rf.shadow_ops = tuple(ops)
         resolved[name] = rf
-        new_functions[name] = Function(name, blocks)
+        kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
+        new_functions[name] = fn if kept else Function(name, blocks)
 
     new_program = Program(new_functions, entry=program.entry, adversarial=program.adversarial)
     return InstrumentedProgram(new_program, mode, resolved)
