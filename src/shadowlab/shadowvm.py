@@ -433,7 +433,7 @@ def execute(
                     ok = value == frame.cookie
                     # only a lowered function's walk or an unbalanced depth can fail a check
                     if frame.fn.planned and (frame.fn.lowered or frame.call_top != len(shadow)):
-                        _check_activation(frame, len(shadow), True, problems)
+                        _check_activation(frame, len(shadow), COMPLETED, problems)
                     if record:
                         ev(("ret", act, fname, ok, len(shadow)))
                     if not ok:
@@ -553,12 +553,11 @@ def execute(
             ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
 
-    # activations that never returned, now that `completed` is known; with no
+    # activations that never returned, now that the outcome is known; with no
     # return depth, only a lowered function's walk can fail a check
-    completed = outcome.kind == COMPLETED
     for f in (*unwound, *frames):
         if f.fn.lowered:
-            _check_activation(f, None, completed, problems)
+            _check_activation(f, None, outcome.kind, problems)
     problems.sort(key=itemgetter(0))
 
     trace.instr_count = steps - shadow_ops
@@ -592,19 +591,25 @@ class CampaignReport:
     counterexamples: list = field(default_factory=list)   # (CampaignCase, Trace), first undetected runs only
 
 
-def _check_activation(frame: Frame, ret_top: int | None, completed: bool, out: list) -> None:
+def _check_activation(frame: Frame, ret_top: int | None, end: str, out: list) -> None:
     """Append (act, fn, message) for each check the activation in `frame`
     failed: a lowered function's tainted walk runs one covering push and pop
     around its unsafe stores, its safe walk runs none, and a returning
     activation leaves the shadow as deep as its call found it.  `ret_top` is
-    the depth at the return, None if it never returned; `completed` says the
-    walk ran to its end, so its pop is due."""
+    the depth at the return, None if it never returned.  `end` is COMPLETED
+    for a walk that ran to its end, so its pop is due; otherwise the run's
+    outcome.  A walk the budget cut short may not have reached its push yet,
+    so only a second push fails it."""
     fn = frame.fn
     where = (frame.act, fn.name)
     if fn.lowered:
         pushes, pops, unsafe = frame.pushes, frame.pops, frame.unsafe or ()
         if frame.tainted:
-            if pushes != 1 or (completed and pops != 1):
+            if end == BUDGET:
+                miscounted = pushes > 1
+            else:
+                miscounted = pushes != 1 or (end == COMPLETED and pops != 1)
+            if miscounted:
                 out.append((*where, f"tainted walk executed {pushes} pushes, {pops} pops"))
             elif frame.pop_first:
                 out.append((*where, "pop before push"))

@@ -279,12 +279,17 @@ def reference_activations(case, trace, outcome) -> list[str]:
         where = f"{case.name}/{case.mode} act {act} fn {fn}"
         if plans[fn].mode == FN_LOWERED:
             if r.clone:
-                completed = r.ret_top is not None or outcome.kind == COMPLETED
-                if len(r.push) != 1 or (completed and len(r.pop) != 1):
+                if r.ret_top is None and outcome.kind == BUDGET:
+                    # cut short, perhaps before its push: only a second push is wrong
+                    miscounted = len(r.push) > 1
+                else:
+                    completed = r.ret_top is not None or outcome.kind == COMPLETED
+                    miscounted = len(r.push) != 1 or (completed and len(r.pop) != 1)
+                if miscounted:
                     problems.append(
                         f"activation: {where}: tainted walk executed {len(r.push)} pushes, {len(r.pop)} pops"
                     )
-                elif r.pop and r.pop[0] < r.push[0]:
+                elif r.pop and (not r.push or r.pop[0] < r.push[0]):
                     problems.append(f"activation: {where}: pop before push")
                 for pos in r.unsafe:
                     if r.push and pos < r.push[0]:
@@ -438,6 +443,27 @@ def test_activation_problems_are_reported():
     assert problems([("  spadd 16\n  spop\n", "  spadd 16\n")]) == [
         "activation: memo/PO: shadow not balanced at completion"
     ]
+
+
+def test_budget_cut_walk_is_checked_only_for_a_second_push():
+    p = parse_program(MEMO_CALLER)
+    _, plan = plan_program(p)
+    ip = apply_plan(p, plan, "PO")
+    tainted = ExecInput((True, True, False))
+    # step 9 enters memo's transition block b2000, step 10 is its push
+    case = CampaignCase("memo", "PO", ip, tainted, False)
+    compiled = compile(ip, build_checks(ip.program))
+    for budget in (9, 10):
+        assert execute(compiled, tainted, budget)[1].kind == BUDGET
+        assert checked_run(case, compiled, budget) == [], budget
+    text = print_program(ip.program)
+    assert text.count("b2000:\n  spush -16\n") == 1
+    doubled = parse_program(text.replace("b2000:\n  spush -16\n", "b2000:\n  spush -16\n  spush -16\n"))
+    target = InstrumentedProgram(doubled, ip.mode, ip.functions)
+    case = CampaignCase("memo", "PO", target, tainted, False)
+    compiled = compile(target, build_checks(doubled))
+    assert checked_run(case, compiled, 10) == []
+    assert checked_run(case, compiled, 11) == ["activation: memo/PO act 1 fn memo: tainted walk executed 2 pushes, 0 pops"]
 
 
 # f's tainted walk starts at an unconditional `br` into its transition block;
