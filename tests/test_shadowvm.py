@@ -15,6 +15,7 @@ from shadowlab.shadowvm import (
     COMPLETED,
     FAULT,
     UNDETECTED,
+    AnalysisChecks,
     CampaignCase,
     ExecInput,
     build_checks,
@@ -309,25 +310,29 @@ def reference_activations(case, trace, outcome) -> list[str]:
 
 
 def checked_run(case, compiled, budget):
-    """Run `compiled` on the case's input unrecorded and recorded; assert that
-    recording changed nothing but the log and that the online activation
-    checks equal the log walk's.  Returns the unrecorded run's problems."""
-    plain, outcome = execute(compiled, case.inp, budget)
-    recorded, recorded_outcome = execute(compiled, case.inp, budget, record=True)
+    """Run `compiled` on the case's input unrecorded and recorded, and check
+    the pair as `check_recording` does."""
+    recorded = execute(compiled, case.inp, budget, record=True)
+    return check_recording(case, execute(compiled, case.inp, budget), recorded, reference_activations(case, *recorded))
+
+
+def check_recording(case, plain_run, recorded_run, reference):
+    """Assert that recording changed nothing but the log and that the online
+    activation checks equal `reference`, the log walk's problems.  Returns
+    the unrecorded run's problems."""
+    (plain, outcome), (recorded, recorded_outcome) = plain_run, recorded_run
     assert plain.log == []
     assert recorded_outcome == outcome
     assert dataclasses.replace(recorded, log=[]) == plain
     problems = check_activations(case, plain, outcome)
-    assert problems == reference_activations(case, recorded, outcome), case.name
+    assert problems == reference, case.name
     return problems
 
 
-def test_online_checks_and_recording_over_pinned_corpus():
-    for label, target, checks, inputs, budget in _pinned_runs():
-        ip = target if isinstance(target, InstrumentedProgram) else InstrumentedProgram(target, "BASE", {})
-        compiled = compile(ip, checks)
-        for inp in inputs:
-            checked_run(CampaignCase(label, ip.mode, ip, inp, False), compiled, budget)
+def test_online_checks_and_recording_over_pinned_corpus(pinned_runs):
+    runs, _ = pinned_runs
+    for case, plain_run, recorded_run, reference in runs:
+        check_recording(case, plain_run, recorded_run, reference)
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,6 +385,22 @@ def test_campaign_keeps_first_counterexamples_only():
     assert report.fired == report.undetected == 5
     assert [case.name for case, _ in report.counterexamples] == ["p0", "p1", "p2"]
     assert all(trace.corruptions for _, trace in report.counterexamples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.booleans())
+def test_reused_checks_equal_fresh_ones(seed, adversarial, with_liveness, known_liveness):
+    p = generate_program(seed, GenConfig(max_functions=7), adversarial=adversarial)
+    analysis, plan = plan_program(p)
+    known = AnalysisChecks(analysis.heights, analysis.liveness if known_liveness else None, analysis.classes)
+    for mode in MODES:
+        ip = apply_plan(p, plan, mode)
+        reused = build_checks(ip.program, with_liveness, reuse=(p, known))
+        assert reused == build_checks(ip.program, with_liveness), mode
+        for name, fn in ip.program.functions.items():
+            if fn is p.functions[name]:
+                assert reused.heights[name] is analysis.heights[name]
+                assert reused.classes[name] is analysis.classes[name]
 
 
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through
@@ -551,8 +572,8 @@ def test_trace_serialization_forms(call_tree):
 
 # sha256 of every run's trace, violations, final shadow depth and outcome
 # below, recorded before the VM was split into compile and run: a change
-# here means the VM's observable behaviour changed.  The pin uses nothing
-# newer than `execute`, so it runs against that interpreter too.
+# here means the VM's observable behaviour changed.  Its runs come from the
+# `pinned_runs` fixture, which compiles each target once for all its inputs.
 PINNED_VM_DIGEST = "5cc1562c8f7df3b4b18074369b28ea13805adc10e11d8a99070af5b5b36bd37e"
 
 
@@ -598,6 +619,29 @@ def _pinned_runs():
             yield f"{name}/{mode}/short", target, checks, inputs[:1], 12
 
 
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """Every run of `_pinned_runs`, executed once for the tests that read it.
+
+    Returns the runs and the sha256 the VM pin checks.  Each run is (case,
+    unrecorded run, recorded run, the log walk's problems), a run being a
+    (trace, outcome).  A recorded trace is hashed and walked here, then kept
+    without its log: 660k live events would make every later collection of
+    the cyclic GC slow."""
+    runs, digest = [], hashlib.sha256()
+    for label, target, checks, inputs, budget in _pinned_runs():
+        ip = target if isinstance(target, InstrumentedProgram) else InstrumentedProgram(target, "BASE", {})
+        compiled = compile(ip, checks)
+        for inp in inputs:
+            case = CampaignCase(label, ip.mode, ip, inp, False, budget=budget)
+            recorded, outcome = execute(compiled, inp, budget, record=True)
+            digest.update(json.dumps([label, _run_record(recorded, outcome)], sort_keys=True).encode())
+            reference = reference_activations(case, recorded, outcome)
+            recorded_run = (dataclasses.replace(recorded, log=[]), outcome)
+            runs.append((case, execute(compiled, inp, budget), recorded_run, reference))
+    return runs, digest.hexdigest()
+
+
 def _run_record(trace, outcome) -> list:
     return [
         trace.to_json(),
@@ -608,13 +652,9 @@ def _run_record(trace, outcome) -> list:
     ]
 
 
-def test_vm_equivalence_pin():
-    digest = hashlib.sha256()
-    for label, target, checks, inputs, budget in _pinned_runs():
-        for inp in inputs:
-            record = [label, _run_record(*execute(target, inp, budget, checks, record=True))]
-            digest.update(json.dumps(record, sort_keys=True).encode())
-    assert digest.hexdigest() == PINNED_VM_DIGEST
+def test_vm_equivalence_pin(pinned_runs):
+    _, digest = pinned_runs
+    assert digest == PINNED_VM_DIGEST
 
 
 def test_compiled_program_reused_across_inputs():

@@ -437,3 +437,36 @@ def test_transform_outputs_pin():
             digest.update(json.dumps(ip.to_json(), sort_keys=True).encode())
             digest.update(print_program(strip_instrumentation(ip)).encode())
     assert digest.hexdigest() == PINNED_TRANSFORM_DIGEST
+
+
+def test_modes_share_elided_functions(call_tree, memo_cfg):
+    _, plan = planned(call_tree)
+    sfe, po = (apply_plan(call_tree, plan, mode) for mode in ("SFE", "PO"))
+    for name in ("b", "d", "e"):
+        assert sfe.functions[name].mode == po.functions[name].mode == FN_ELIDED
+        assert sfe.program.functions[name] is po.program.functions[name] is call_tree.functions[name]
+    assert sfe.program.functions["a"] is not call_tree.functions["a"]
+    elide_all = apply_plan(call_tree, plan, "ELIDE-ALL")
+    assert all(elide_all.program.functions[n] is fn for n, fn in call_tree.functions.items())
+    # a rewritten function keeps the blocks the mode leaves alone: FULL pushes
+    # in memo's entry b1 and pops in its exits b6 and b7
+    _, plan = planned(memo_cfg)
+    memo, full = memo_cfg.functions["memo"], apply_plan(memo_cfg, plan, "FULL").program.functions["memo"]
+    assert [bid for bid in memo.blocks if full.blocks[bid] is memo.blocks[bid]] == [2, 3, 4, 5]
+
+
+def test_applying_every_mode_leaves_the_input_unchanged():
+    programs = [parse_program(text) for text in (MEMO_CFG, FIXTURE_DIAMOND, DEEP_CHAIN)]
+    programs += [p for _, p in generate_corpus(GenConfig(seed=7, count=6, attack_density=0.5))]
+    for p in programs:
+        text = print_program(p)
+        blocks = {name: dict(fn.blocks) for name, fn in p.functions.items()}
+        _, plan = planned(p)
+        outputs = [apply_plan(p, plan, mode) for mode in MODES]
+        assert print_program(p) == text
+        for name, fn in p.functions.items():
+            assert list(fn.blocks.items()) == list(blocks[name].items())
+            assert all(fn.blocks[bid] is block for bid, block in blocks[name].items())
+        for ip in outputs:
+            strip_instrumentation(ip)
+        assert print_program(p) == text
