@@ -12,13 +12,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
-from .mir import NUM_REGS, SHADOW_OPCODES, MirError, Program, parse_program, print_program, validate_program
+from .mir import NUM_REGS, MirError, Program, parse_program, print_program, validate_program
 from .analysis import GLOBAL, SAFE_STACK, UNSAFE
 from .transform import (
     FN_ELIDED,
     FN_FULL,
     FN_LOWERED,
     FN_REGFRAME,
+    MODE_FLAGS,
+    MODES,
     InstrumentationPlan,
     InstrumentedProgram,
     PlanError,
@@ -42,7 +44,7 @@ from .shadowvm import (
 )
 from .gen import GenConfig, generate_corpus, generate_inputs
 
-SOUND_MODES = ("FULL", "SFE", "PO", "MO", "LIGHT")
+SOUND_MODES = tuple(MODE_FLAGS)
 DETECTION_MODES = ("FULL", "SFE", "PO", "LIGHT")
 
 
@@ -59,7 +61,9 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _load(path: str) -> Program:
+def _load(path: str, allow_shadow: bool = False) -> Program:
+    """The parsed and validated program at `path`.  Only `run` takes shadow
+    instructions; every other command rejects an instrumented program."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -68,13 +72,7 @@ def _load(path: str) -> Program:
         program = parse_program(text)
     except MirError as exc:
         raise SystemExit(f"{path}:{exc.line}: {exc.msg}")
-    has_shadow = any(
-        ins.opcode in SHADOW_OPCODES
-        for fn in program.functions.values()
-        for block in fn.blocks.values()
-        for ins in block.instrs
-    )
-    diags = validate_program(program, allow_shadow=has_shadow)
+    diags = validate_program(program, allow_shadow=allow_shadow)
     if diags:
         for d in diags:
             print(d.render(path), file=sys.stderr)
@@ -214,7 +212,7 @@ def _load_plan(sidecar: Path, program: Program) -> InstrumentedProgram:
 
 def cmd_run(args) -> int:
     budget = _positive("--budget", args.budget)
-    program = _load(args.file)
+    program = _load(args.file, allow_shadow=True)
     inp = _parse_input(args)
     target: Program | InstrumentedProgram = program
     sidecar = Path(args.file + ".plan.json")
@@ -534,7 +532,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("instrument", help="write an instrumented program")
     p.add_argument("file")
-    p.add_argument("--mode", required=True, choices=["FULL", "SFE", "PO", "MO", "LIGHT", "ELIDE-ALL"])
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(fn=cmd_instrument)
 

@@ -10,7 +10,8 @@ register; direct calls to single-block leaf callees are inlined away; entry
 pushes chase forward within their block to a point with two dead registers,
 eliding the scratch save/restore.
 
-Plans record every candidate; `apply_plan` resolves them per mode:
+Plans record every candidate; `apply_plan` resolves them per mode.  A sound
+mode is two policy flags and one mechanism flag (`MODE_FLAGS`):
 
   FULL       entry/exit instrumentation on every function
   SFE        FULL minus safe functions
@@ -46,7 +47,22 @@ from .analysis import (
 )
 from .safety import SafetyResult, calculate_ra_safety
 
-MODES = ("FULL", "SFE", "PO", "MO", "LIGHT", "ELIDE-ALL")
+
+class ModeFlags(NamedTuple):
+    elide_safe: bool      # policy: no instrumentation in safe functions
+    lower_paths: bool     # policy: pushes on the edges into unsafe blocks
+    mechanisms: bool      # register frames, inlining, dead-register chase
+
+
+# Every sound mode; ELIDE-ALL, which instruments nothing, is the one other mode.
+MODE_FLAGS = {
+    "FULL": ModeFlags(False, False, False),
+    "SFE": ModeFlags(True, False, False),
+    "PO": ModeFlags(True, True, False),
+    "MO": ModeFlags(False, False, True),
+    "LIGHT": ModeFlags(True, True, True),
+}
+MODES = (*MODE_FLAGS, "ELIDE-ALL")
 
 CLONE_OFFSET = 1000
 TRANSITION_BASE = 2000
@@ -331,27 +347,16 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
 def resolve_mode(plan: FunctionPlan, mode: str) -> str:
     if mode == "ELIDE-ALL":
         return FN_ELIDED
-    if mode == "FULL":
-        return FN_FULL
-    if mode == "SFE":
-        return FN_ELIDED if plan.ra_safe else FN_FULL
-    if mode == "PO":
-        if plan.ra_safe:
-            return FN_ELIDED
-        return FN_LOWERED if plan.lowered is not None else FN_FULL
-    if mode == "MO":
-        if plan.leaf and plan.free_reg is not None:
-            return FN_REGFRAME
-        return FN_FULL
-    if mode == "LIGHT":
-        if plan.ra_safe:
-            return FN_ELIDED
-        if plan.lowered is not None:
-            return FN_LOWERED
-        if plan.leaf and plan.free_reg is not None:
-            return FN_REGFRAME
-        return FN_FULL
-    raise PlanError(f"unknown mode '{mode}'")
+    if mode not in MODE_FLAGS:
+        raise PlanError(f"unknown mode '{mode}'")
+    elide_safe, lower_paths, mechanisms = MODE_FLAGS[mode]
+    if elide_safe and plan.ra_safe:
+        return FN_ELIDED
+    if lower_paths and plan.lowered is not None:
+        return FN_LOWERED
+    if mechanisms and plan.leaf and plan.free_reg is not None:
+        return FN_REGFRAME
+    return FN_FULL
 
 
 @dataclass(slots=True)
@@ -398,31 +403,33 @@ class ResolvedFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "ResolvedFunction":
-        rf = cls(data["mode"])
-        rf.shadow_ops = tuple(
-            ShadowOp(
-                o["kind"],
-                tuple(o["site"]),
-                o["entry_height"],
-                o["reg"],
-                tuple(o["cost"]),
-                o["chased"],
-                o["transition"],
-            )
-            for o in data["shadow_ops"]
+        return cls(
+            data["mode"],
+            shadow_ops=tuple(
+                ShadowOp(
+                    o["kind"],
+                    tuple(o["site"]),
+                    o["entry_height"],
+                    o["reg"],
+                    tuple(o["cost"]),
+                    o["chased"],
+                    o["transition"],
+                )
+                for o in data["shadow_ops"]
+            ),
+            clone_map=(
+                {int(k): v for k, v in data["clone_map"].items()} if data.get("clone_map") else None
+            ),
+            transition_blocks={
+                int(k): tuple(v) for k, v in data.get("transition_blocks", {}).items()
+            },
+            inlined_calls=tuple(tuple(c) for c in data.get("inlined_calls", ())),
+            chase_shifts={k: tuple(v) for k, v in data.get("chase_shifts", {}).items()},
+            op_costs={
+                (int(k.split(":")[0]), int(k.split(":")[1])): tuple(v)
+                for k, v in data.get("op_costs", {}).items()
+            },
         )
-        if data.get("clone_map"):
-            rf.clone_map = {int(k): v for k, v in data["clone_map"].items()}
-        rf.transition_blocks = {
-            int(k): tuple(v) for k, v in data.get("transition_blocks", {}).items()
-        }
-        rf.inlined_calls = tuple(tuple(c) for c in data.get("inlined_calls", ()))
-        rf.chase_shifts = {k: tuple(v) for k, v in data.get("chase_shifts", {}).items()}
-        rf.op_costs = {
-            (int(k.split(":")[0]), int(k.split(":")[1])): tuple(v)
-            for k, v in data.get("op_costs", {}).items()
-        }
-        return rf
 
 
 @dataclass
@@ -438,7 +445,9 @@ class InstrumentedProgram:
         }
 
 
-_SPOP = Instr("spop")
+# the pop spliced before every ret or halt of FULL functions and of clones:
+# its (kind, register, cost, instruction)
+_SPOP_EXIT = ("pop", None, COST_POP, Instr("spop"))
 
 
 def _inline_block(
@@ -468,141 +477,104 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
     Only what the mode changes is built.  A block it does not rewrite, and a
     function none of whose blocks it rewrites (every elided one, and all of
     ELIDE-ALL), is the input's own object, shared by the input and every
-    mode's output: neither may be mutated afterwards.
+    mode's output: neither may be mutated afterwards.  Within one output,
+    every `spush` of one height is one instruction object.
     """
     if mode not in MODES:
         raise PlanError(f"unknown mode '{mode}'")
-    mechanisms = mode in ("MO", "LIGHT")
+    mechanisms = mode in MODE_FLAGS and MODE_FLAGS[mode].mechanisms
     callees = plan.inline_callees if mechanisms else frozenset()
+    spushes: dict[int, Instr] = {}
+
+    def spush(height: int) -> Instr:
+        ins = spushes.get(height)
+        if ins is None:
+            ins = spushes[height] = Instr("spush", (height,))
+        return ins
 
     new_functions: dict[str, Function] = {}
     resolved: dict[str, ResolvedFunction] = {}
-
     for name, fn in program.functions.items():
         fp = plan.per_function.get(name)
         if fp is None:
             raise PlanError(f"stale plan: no entry for function '{name}'")
         fn_mode = resolve_mode(fp, mode)
-        rf = ResolvedFunction(fn_mode)
-        ops: list[ShadowOp] = []
-
-        def inlined(instrs, bid):
-            body, hits = _inline_block(instrs, program, callees)
-            if hits:
-                rf.inlined_calls += tuple((bid, idx, callee) for idx, callee in hits)
-            return body
-
         blocks: dict[int, Block] = {}
+        ops: list[ShadowOp] = []
+        op_costs: dict[tuple[int, int], tuple[int, int]] = {}
+        inlined: list[tuple[int, int, str]] = []
+        chase_shifts: dict[str, tuple] = {}
+        clone_map: dict[int, int] | None = None
+        transition_blocks: dict[int, tuple[int, int]] = {}
 
-        if fn_mode in (FN_ELIDED, FN_FULL, FN_REGFRAME):
-            for bid, block in fn.blocks.items():
-                body = inlined(block.instrs, bid)
-                blocks[bid] = block if body is block.instrs else Block(bid, body)
-            if fn_mode != FN_ELIDED:
-                entry_bid = fn.entry_block
-                if fn_mode == FN_REGFRAME:
-                    push = ShadowOp(
-                        "rfpush", ("entry", entry_bid), 0, fp.free_reg, COST_RF_PUSH
-                    )
-                    pop_kind, pop_cost, pop_reg = "rfpop", COST_RF_POP, fp.free_reg
-                    k = 0
-                else:
-                    if mechanisms and fp.entry_chase is not None:
-                        k, delta = fp.entry_chase
-                    else:
-                        k, delta = 0, 0
-                    chased = mechanisms and fp.entry_chase is not None
-                    site = ("instr", entry_bid, k) if k else ("entry", entry_bid)
-                    push = ShadowOp(
-                        "push",
-                        site,
-                        delta,
-                        None,
-                        COST_PUSH_CHASED if chased else COST_PUSH,
-                        chased,
-                    )
-                    if k:
-                        rf.chase_shifts[f"b{entry_bid}:0"] = (entry_bid, k, -delta)
-                    pop_kind, pop_cost, pop_reg = "pop", COST_POP, None
-                ops.append(push)
-                eb = blocks[entry_bid]
-                push_ins = (
-                    Instr("rfpush", (fp.free_reg,))
-                    if fn_mode == FN_REGFRAME
-                    else Instr("spush", (push.entry_height,))
-                )
-                blocks[entry_bid] = Block(
-                    entry_bid, eb.instrs[:k] + (push_ins,) + eb.instrs[k:]
-                )
-                rf.op_costs[(entry_bid, k)] = push.cost
-                for ebid in fn.exit_blocks:
-                    ops.append(ShadowOp(pop_kind, ("exit", ebid), 0, pop_reg, pop_cost))
-                    xb = blocks[ebid]
-                    pop_ins = Instr("rfpop", (fp.free_reg,)) if fn_mode == FN_REGFRAME else _SPOP
-                    blocks[ebid] = Block(
-                        ebid, xb.instrs[:-1] + (pop_ins, xb.instrs[-1])
-                    )
-                    rf.op_costs[(ebid, len(blocks[ebid].instrs) - 2)] = pop_cost
-        else:  # FN_LOWERED
+        def emit(bid, out_id, targets, push, pop):
+            """Block `bid` as block `out_id`: calls to `callees` inlined, its
+            branch targets mapped through `targets`, the `push` (index, op,
+            instruction) spliced in, and the `pop` (kind, register, cost,
+            instruction) spliced before a ret or halt."""
+            block = fn.blocks[bid]
+            body, hits = _inline_block(block.instrs, program, callees)
+            inlined.extend((out_id, idx, callee) for idx, callee in hits)
+            term = body[-1]
+            if targets and term.opcode in ("br", "brc"):
+                args = tuple(targets.get(t, t) for t in term.args)
+                if args != term.args:
+                    body = body[:-1] + (Instr(term.opcode, args),)
+            if push is not None:
+                k, op, ins = push
+                ops.append(op)
+                op_costs[(out_id, k)] = op.cost
+                body = body[:k] + (ins,) + body[k:]
+            if pop is not None and term.opcode in ("ret", "halt"):
+                kind, reg, cost, ins = pop
+                ops.append(ShadowOp(kind, ("exit", out_id), 0, reg, cost))
+                op_costs[(out_id, len(body) - 1)] = cost
+                body = body[:-1] + (ins, term)
+            blocks[out_id] = block if body is block.instrs and out_id == bid else Block(out_id, body)
+
+        if fn_mode == FN_LOWERED:
             low = fp.lowered
-            rf.clone_map = dict(low.clone_map)
-            tids = {
-                edge: TRANSITION_BASE + i for i, edge in enumerate(low.transition_edges)
-            }
-            rf.transition_blocks = {tid: edge for edge, tid in tids.items()}
-            tset = set(low.transition_edges)
-
-            def remap_original(ins: Instr, src: int) -> Instr:
-                if ins.opcode == "br":
-                    t = ins.args[0]
-                    if (src, t) in tset:
-                        return Instr("br", (tids[(src, t)],))
-                elif ins.opcode == "brc":
-                    a, b = ins.args
-                    na = tids[(src, a)] if (src, a) in tset else a
-                    nb = tids[(src, b)] if (src, b) in tset else b
-                    if (na, nb) != (a, b):
-                        return Instr("brc", (na, nb))
-                return ins
-
+            clone_map = dict(low.clone_map)
+            tids = {edge: TRANSITION_BASE + i for i, edge in enumerate(low.transition_edges)}
+            transition_blocks = {tid: edge for edge, tid in tids.items()}
+            by_src: dict[int, dict[int, int]] = {}
+            for (src, dst), tid in tids.items():
+                by_src.setdefault(src, {})[dst] = tid
             for bid in low.reachable_originals:
-                block = fn.blocks[bid]
-                body = inlined(block.instrs, bid)
-                term = remap_original(body[-1], bid)
-                if term is not body[-1]:
-                    body = body[:-1] + (term,)
-                blocks[bid] = block if body is block.instrs else Block(bid, body)
-            for edge in low.transition_edges:
-                tid = tids[edge]
+                emit(bid, bid, by_src.get(bid), None, None)
+            for edge, tid in tids.items():
                 height = low.push_heights[edge]
-                drc = fp.edge_dead.get(edge, False) if mechanisms else False
+                drc = mechanisms and fp.edge_dead.get(edge, False)
                 base = COST_PUSH_CHASED if drc else COST_PUSH
                 cost = (base[0] + COST_TRANSITION_EDGE[0], base[1] + COST_TRANSITION_EDGE[1])
-                ops.append(
-                    ShadowOp("push", ("edge",) + edge, height, None, cost, drc, True)
-                )
-                blocks[tid] = Block(
-                    tid,
-                    (Instr("spush", (height,)), Instr("br", (low.clone_map[edge[1]],))),
-                )
-                rf.op_costs[(tid, 0)] = cost
+                ops.append(ShadowOp("push", ("edge",) + edge, height, None, cost, drc, True))
+                op_costs[(tid, 0)] = cost
+                blocks[tid] = Block(tid, (spush(height), Instr("br", (low.clone_map[edge[1]],))))
             for bid in low.cloned:
-                cid = low.clone_map[bid]
-                body = inlined(fn.blocks[bid].instrs, cid)
-                term = body[-1]
-                if term.opcode in ("br", "brc"):
-                    term = Instr(
-                        term.opcode, tuple(low.clone_map[t] for t in term.args)
-                    )
-                instrs = body[:-1] + (term,)
-                if term.opcode in ("ret", "halt"):
-                    ops.append(ShadowOp("pop", ("exit", cid), 0, None, COST_POP))
-                    instrs = instrs[:-1] + (_SPOP, instrs[-1])
-                    rf.op_costs[(cid, len(instrs) - 2)] = COST_POP
-                blocks[cid] = Block(cid, instrs)
+                emit(bid, low.clone_map[bid], low.clone_map, None, _SPOP_EXIT)
+        else:
+            entry = fn.entry_block
+            push = pop = None
+            if fn_mode == FN_REGFRAME:
+                reg = fp.free_reg
+                rfpush = ShadowOp("rfpush", ("entry", entry), 0, reg, COST_RF_PUSH)
+                push = (0, rfpush, Instr("rfpush", (reg,)))
+                pop = ("rfpop", reg, COST_RF_POP, Instr("rfpop", (reg,)))
+            elif fn_mode == FN_FULL:
+                chased = mechanisms and fp.entry_chase is not None
+                k, delta = fp.entry_chase if chased else (0, 0)
+                site = ("instr", entry, k) if k else ("entry", entry)
+                cost = COST_PUSH_CHASED if chased else COST_PUSH
+                push = (k, ShadowOp("push", site, delta, None, cost, chased), spush(delta))
+                if k:
+                    chase_shifts[f"b{entry}:0"] = (entry, k, -delta)
+                pop = _SPOP_EXIT
+            for bid in fn.blocks:
+                emit(bid, bid, None, push if bid == entry else None, pop)
 
-        rf.shadow_ops = tuple(ops)
-        resolved[name] = rf
+        resolved[name] = ResolvedFunction(
+            fn_mode, tuple(ops), clone_map, transition_blocks, tuple(inlined), chase_shifts, op_costs
+        )
         kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
         new_functions[name] = fn if kept else Function(name, blocks)
 

@@ -176,6 +176,30 @@ def test_cli_run_instrumented_file(capsys, tmp_path):
     assert blob["trace"]["shadow_instr"] == 21
 
 
+# `instrument`, `analyze` and `stats` take only uninstrumented programs: an
+# instrumented one fails validation like any other invalid program, so FULL
+# output is never instrumented a second time
+@pytest.mark.parametrize("command", ["instrument", "analyze", "stats"])
+def test_cli_rejects_instrumented_input(capsys, tmp_path, command):
+    path = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    full = tmp_path / "full" / "a.mir"
+    assert main(["instrument", path, "--mode", "FULL", "-o", str(full)]) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.rglob("*"))
+    argv = {
+        "instrument": ["instrument", str(full), "--mode", "FULL", "-o", str(tmp_path / "again.mir")],
+        "analyze": ["analyze", str(full), "--json"],
+        "stats": ["stats", str(full.parent)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{full}:5: a.b0: shadow instruction 'spush' in plain program" in err.splitlines()
+    assert sorted(tmp_path.rglob("*")) == files
+
+
 def test_cli_run_trace_lines(capsys, tmp_path):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)
     assert main(["run", path, "--input", "1", "--trace"]) == 0

@@ -1,21 +1,31 @@
 import hashlib
+import itertools
 import json
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shadowlab.mir import Block, Function, Instr, Program, parse_program, print_program, validate_program
 from shadowlab.transform import (
+    COST_POP,
     COST_PUSH,
     COST_PUSH_CHASED,
     COST_RF_POP,
     COST_RF_PUSH,
+    COST_TRANSITION_EDGE,
     FN_ELIDED,
     FN_FULL,
     FN_LOWERED,
     FN_REGFRAME,
     MODES,
+    TRANSITION_BASE,
+    FunctionPlan,
+    InstrumentedProgram,
+    PlanError,
     ResolvedFunction,
+    ShadowOp,
+    _inline_block,
     apply_plan,
     count_safe_paths,
     find_free_register,
@@ -28,7 +38,7 @@ from shadowlab.transform import (
 from shadowlab.shadowvm import ExecInput, execute, observables
 from shadowlab.gen import GenConfig, generate_corpus, generate_program
 
-from conftest import DEEP_CHAIN, FIXTURE_DIAMOND, MEMO_CFG
+from conftest import CALL_TREE, DEEP_CHAIN, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
 
 
 def planned(program):
@@ -358,23 +368,69 @@ def test_mode_ladder_resolution(memo_cfg):
     assert resolve_mode(fp, "ELIDE-ALL") == FN_ELIDED
 
 
-def test_stale_plan_rejected(call_tree, memo_cfg):
-    from shadowlab.transform import PlanError
+# the mode ladder as an if-chain, as `resolve_mode` was written before the
+# mode table: the oracle for the table
+def reference_resolve_mode(plan, mode):
+    if mode == "ELIDE-ALL":
+        return FN_ELIDED
+    if mode == "FULL":
+        return FN_FULL
+    if mode == "SFE":
+        return FN_ELIDED if plan.ra_safe else FN_FULL
+    if mode == "PO":
+        if plan.ra_safe:
+            return FN_ELIDED
+        return FN_LOWERED if plan.lowered is not None else FN_FULL
+    if mode == "MO":
+        if plan.leaf and plan.free_reg is not None:
+            return FN_REGFRAME
+        return FN_FULL
+    if mode == "LIGHT":
+        if plan.ra_safe:
+            return FN_ELIDED
+        if plan.lowered is not None:
+            return FN_LOWERED
+        if plan.leaf and plan.free_reg is not None:
+            return FN_REGFRAME
+        return FN_FULL
+    raise PlanError(f"unknown mode '{mode}'")
 
+def test_mode_table_matches_if_chain():
+    for ra_safe, lowered, leaf, free_reg in itertools.product(
+        (False, True), (None, object()), (False, True), (None, 3)
+    ):
+        fp = FunctionPlan(ra_safe, 1, leaf, lowered=lowered, free_reg=free_reg)
+        for mode in MODES:
+            assert resolve_mode(fp, mode) == reference_resolve_mode(fp, mode), (fp, mode)
+    with pytest.raises(PlanError, match="unknown mode 'HALF'"):
+        resolve_mode(fp, "HALF")
+
+
+def test_stale_plan_rejected(call_tree, memo_cfg):
     _, plan = planned(memo_cfg)
     with pytest.raises(PlanError):
         apply_plan(call_tree, plan, "FULL")
 
 
-def test_plan_roundtrips_through_json(memo_cfg):
-    _, plan = planned(memo_cfg)
-    ip = apply_plan(memo_cfg, plan, "LIGHT")
-    for name, rf in ip.functions.items():
-        again = ResolvedFunction.from_json(rf.to_json())
-        assert again.mode == rf.mode
-        assert again.shadow_ops == rf.shadow_ops
-        assert again.op_costs == rf.op_costs
-        assert again.clone_map == rf.clone_map
+def pinned_corpus():
+    """The programs behind PINNED_TRANSFORM_DIGEST: a fixed gen corpus and
+    the conftest fixtures."""
+    from conftest import CALL_TREE, FIXTURE_CHASE, FIXTURE_INLINE, FIXTURE_REGFRAME
+
+    programs = list(generate_corpus(GenConfig(seed=31, count=20, attack_density=0.5)))
+    fixtures = [CALL_TREE, MEMO_CFG, FIXTURE_CHASE, FIXTURE_REGFRAME, FIXTURE_INLINE, FIXTURE_DIAMOND, DEEP_CHAIN]
+    return programs + [(f"fixture{i}", parse_program(text)) for i, text in enumerate(fixtures)]
+
+
+def test_plan_roundtrips_through_json():
+    records = 0
+    for _, p in pinned_corpus():
+        _, plan = planned(p)
+        for mode in MODES:
+            for rf in apply_plan(p, plan, mode).functions.values():
+                assert ResolvedFunction.from_json(rf.to_json()) == rf
+                records += 1
+    assert records == 930     # 155 functions, six modes
 
 
 def test_strip_recovers_original(memo_cfg):
@@ -422,13 +478,8 @@ PINNED_TRANSFORM_DIGEST = "1a4b12f5a1db766b6ecfddc9b6a759e36041b9459ffe707b63a37
 
 
 def test_transform_outputs_pin():
-    from conftest import CALL_TREE, FIXTURE_CHASE, FIXTURE_INLINE, FIXTURE_REGFRAME
-
-    programs = list(generate_corpus(GenConfig(seed=31, count=20, attack_density=0.5)))
-    fixtures = [CALL_TREE, MEMO_CFG, FIXTURE_CHASE, FIXTURE_REGFRAME, FIXTURE_INLINE, FIXTURE_DIAMOND, DEEP_CHAIN]
-    programs += [(f"fixture{i}", parse_program(text)) for i, text in enumerate(fixtures)]
     digest = hashlib.sha256()
-    for name, p in programs:
+    for name, p in pinned_corpus():
         _, plan = planned(p)
         for mode in MODES:
             ip = apply_plan(p, plan, mode)
@@ -470,3 +521,177 @@ def test_applying_every_mode_leaves_the_input_unchanged():
         for ip in outputs:
             strip_instrumentation(ip)
         assert print_program(p) == text
+
+
+# `apply_plan` as it was before one block rewrite served every function mode:
+# three loops, a pop spliced in two places, and a new `spush` per push
+_SPOP = Instr("spop")
+
+
+def reference_apply_plan(program, plan, mode):
+    if mode not in MODES:
+        raise PlanError(f"unknown mode '{mode}'")
+    mechanisms = mode in ("MO", "LIGHT")
+    callees = plan.inline_callees if mechanisms else frozenset()
+
+    new_functions: dict[str, Function] = {}
+    resolved: dict[str, ResolvedFunction] = {}
+
+    for name, fn in program.functions.items():
+        fp = plan.per_function.get(name)
+        if fp is None:
+            raise PlanError(f"stale plan: no entry for function '{name}'")
+        fn_mode = reference_resolve_mode(fp, mode)
+        rf = ResolvedFunction(fn_mode)
+        ops: list[ShadowOp] = []
+
+        def inlined(instrs, bid):
+            body, hits = _inline_block(instrs, program, callees)
+            if hits:
+                rf.inlined_calls += tuple((bid, idx, callee) for idx, callee in hits)
+            return body
+
+        blocks: dict[int, Block] = {}
+
+        if fn_mode in (FN_ELIDED, FN_FULL, FN_REGFRAME):
+            for bid, block in fn.blocks.items():
+                body = inlined(block.instrs, bid)
+                blocks[bid] = block if body is block.instrs else Block(bid, body)
+            if fn_mode != FN_ELIDED:
+                entry_bid = fn.entry_block
+                if fn_mode == FN_REGFRAME:
+                    push = ShadowOp(
+                        "rfpush", ("entry", entry_bid), 0, fp.free_reg, COST_RF_PUSH
+                    )
+                    pop_kind, pop_cost, pop_reg = "rfpop", COST_RF_POP, fp.free_reg
+                    k = 0
+                else:
+                    if mechanisms and fp.entry_chase is not None:
+                        k, delta = fp.entry_chase
+                    else:
+                        k, delta = 0, 0
+                    chased = mechanisms and fp.entry_chase is not None
+                    site = ("instr", entry_bid, k) if k else ("entry", entry_bid)
+                    push = ShadowOp(
+                        "push",
+                        site,
+                        delta,
+                        None,
+                        COST_PUSH_CHASED if chased else COST_PUSH,
+                        chased,
+                    )
+                    if k:
+                        rf.chase_shifts[f"b{entry_bid}:0"] = (entry_bid, k, -delta)
+                    pop_kind, pop_cost, pop_reg = "pop", COST_POP, None
+                ops.append(push)
+                eb = blocks[entry_bid]
+                push_ins = (
+                    Instr("rfpush", (fp.free_reg,))
+                    if fn_mode == FN_REGFRAME
+                    else Instr("spush", (push.entry_height,))
+                )
+                blocks[entry_bid] = Block(
+                    entry_bid, eb.instrs[:k] + (push_ins,) + eb.instrs[k:]
+                )
+                rf.op_costs[(entry_bid, k)] = push.cost
+                for ebid in fn.exit_blocks:
+                    ops.append(ShadowOp(pop_kind, ("exit", ebid), 0, pop_reg, pop_cost))
+                    xb = blocks[ebid]
+                    pop_ins = Instr("rfpop", (fp.free_reg,)) if fn_mode == FN_REGFRAME else _SPOP
+                    blocks[ebid] = Block(
+                        ebid, xb.instrs[:-1] + (pop_ins, xb.instrs[-1])
+                    )
+                    rf.op_costs[(ebid, len(blocks[ebid].instrs) - 2)] = pop_cost
+        else:  # FN_LOWERED
+            low = fp.lowered
+            rf.clone_map = dict(low.clone_map)
+            tids = {
+                edge: TRANSITION_BASE + i for i, edge in enumerate(low.transition_edges)
+            }
+            rf.transition_blocks = {tid: edge for edge, tid in tids.items()}
+            tset = set(low.transition_edges)
+
+            def remap_original(ins: Instr, src: int) -> Instr:
+                if ins.opcode == "br":
+                    t = ins.args[0]
+                    if (src, t) in tset:
+                        return Instr("br", (tids[(src, t)],))
+                elif ins.opcode == "brc":
+                    a, b = ins.args
+                    na = tids[(src, a)] if (src, a) in tset else a
+                    nb = tids[(src, b)] if (src, b) in tset else b
+                    if (na, nb) != (a, b):
+                        return Instr("brc", (na, nb))
+                return ins
+
+            for bid in low.reachable_originals:
+                block = fn.blocks[bid]
+                body = inlined(block.instrs, bid)
+                term = remap_original(body[-1], bid)
+                if term is not body[-1]:
+                    body = body[:-1] + (term,)
+                blocks[bid] = block if body is block.instrs else Block(bid, body)
+            for edge in low.transition_edges:
+                tid = tids[edge]
+                height = low.push_heights[edge]
+                drc = fp.edge_dead.get(edge, False) if mechanisms else False
+                base = COST_PUSH_CHASED if drc else COST_PUSH
+                cost = (base[0] + COST_TRANSITION_EDGE[0], base[1] + COST_TRANSITION_EDGE[1])
+                ops.append(
+                    ShadowOp("push", ("edge",) + edge, height, None, cost, drc, True)
+                )
+                blocks[tid] = Block(
+                    tid,
+                    (Instr("spush", (height,)), Instr("br", (low.clone_map[edge[1]],))),
+                )
+                rf.op_costs[(tid, 0)] = cost
+            for bid in low.cloned:
+                cid = low.clone_map[bid]
+                body = inlined(fn.blocks[bid].instrs, cid)
+                term = body[-1]
+                if term.opcode in ("br", "brc"):
+                    term = Instr(
+                        term.opcode, tuple(low.clone_map[t] for t in term.args)
+                    )
+                instrs = body[:-1] + (term,)
+                if term.opcode in ("ret", "halt"):
+                    ops.append(ShadowOp("pop", ("exit", cid), 0, None, COST_POP))
+                    instrs = instrs[:-1] + (_SPOP, instrs[-1])
+                    rf.op_costs[(cid, len(instrs) - 2)] = COST_POP
+                blocks[cid] = Block(cid, instrs)
+
+        rf.shadow_ops = tuple(ops)
+        resolved[name] = rf
+        kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
+        new_functions[name] = fn if kept else Function(name, blocks)
+
+    new_program = Program(new_functions, entry=program.entry, adversarial=program.adversarial)
+    return InstrumentedProgram(new_program, mode, resolved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+@example(CALL_TREE)
+@example(MEMO_CFG)
+@example(FIXTURE_CHASE)
+@example(FIXTURE_REGFRAME)
+@example(FIXTURE_INLINE)
+@example(FIXTURE_DIAMOND)
+@example(HALTING_MAIN)
+def test_apply_plan_matches_reference(source):
+    if isinstance(source, str):
+        program = parse_program(source)
+    else:
+        program = generate_program(source, GenConfig(), adversarial=source % 2 == 0)
+    _, plan = planned(program)
+    for mode in MODES:
+        ip, ref = apply_plan(program, plan, mode), reference_apply_plan(program, plan, mode)
+        assert print_program(ip.program) == print_program(ref.program), mode
+        assert json.dumps(ip.to_json(), sort_keys=True) == json.dumps(ref.to_json(), sort_keys=True), mode
+        spushes = {}
+        for fn in ip.program.functions.values():
+            for block in fn.blocks.values():
+                for ins in block.instrs:
+                    if ins.opcode == "spush":
+                        assert spushes.setdefault(ins.args, ins) is ins, (mode, ins)
+
