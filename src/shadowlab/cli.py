@@ -45,7 +45,9 @@ from .shadowvm import (
 from .gen import GenConfig, generate_corpus, generate_inputs
 
 SOUND_MODES = tuple(MODE_FLAGS)
-DETECTION_MODES = ("FULL", "SFE", "PO", "LIGHT")
+# the overhead ladder: sound modes from the most shadow operations to the fewest
+LADDER = ("FULL", "SFE", "PO", "LIGHT")
+DETECTION_MODES = LADDER
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -358,7 +360,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     )
 
     # ---- benign corpus: transparency, per-trace monotonicity, aggregates ----
-    mode_totals = {m: {"shadow_instr": 0, "total_instr": 0, "shadow_ops": 0} for m in SOUND_MODES}
+    mode_totals = {m: {"shadow_instr": 0, "total_instr": 0} for m in SOUND_MODES}
     transparency_pairs = 0
     transparency_bad = 0
     mono_bad = 0
@@ -404,18 +406,15 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 totals = mode_totals[mode]
                 totals["shadow_instr"] += trace.shadow_instr
                 totals["total_instr"] += trace.total_instr
-                totals["shadow_ops"] += trace.shadow_ops
-            chain = ("LIGHT", "PO", "SFE", "FULL")
-            if all(m in ops for m in chain):
-                if not (ops["LIGHT"] <= ops["PO"] <= ops["SFE"] <= ops["FULL"]):
+            if all(m in ops for m in LADDER):
+                if not all(ops[a] >= ops[b] for a, b in zip(LADDER, LADDER[1:])):
                     mono_bad += 1
                     violations.append(f"{name}[{i}]: shadow-op counts not monotone {ops}")
 
     ratios = {}
     for mode, totals in mode_totals.items():
         ratios[mode] = totals["shadow_instr"] / totals["total_instr"] if totals["total_instr"] else 0.0
-    ladder = ("FULL", "SFE", "PO", "LIGHT")
-    ratio_ok = all(ratios[a] > ratios[b] for a, b in zip(ladder, ladder[1:]))
+    ratio_ok = all(ratios[a] > ratios[b] for a, b in zip(LADDER, LADDER[1:]))
     if not ratio_ok:
         violations.append(f"aggregate overhead ratios not strictly decreasing: {ratios}")
 
@@ -441,6 +440,8 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 )
     report = run_campaign(cases)
     violations.extend(report.violations)
+    height_bad += report.height_violations
+    liveness_bad += report.liveness_violations
 
     control = run_campaign(control_cases)
     violations.extend(control.violations)

@@ -587,6 +587,8 @@ class CampaignReport:
     fired: int = 0
     detected: int = 0
     undetected: int = 0
+    height_violations: int = 0     # stores whose height differed from the analysis, over all runs
+    liveness_violations: int = 0   # reads of registers the analysis called dead, over all runs
     violations: list = field(default_factory=list)
     counterexamples: list = field(default_factory=list)   # (CampaignCase, Trace), first undetected runs only
 
@@ -671,6 +673,8 @@ def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
                 f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}"
             )
 
+        report.height_violations += len(trace.height_violations)
+        report.liveness_violations += len(trace.liveness_violations)
         for v in trace.height_violations:
             report.violations.append(f"{case.name}/{case.mode}: height violation {v}")
         for v in trace.liveness_violations:

@@ -24,6 +24,7 @@ mode is two policy flags and one mechanism flag (`MODE_FLAGS`):
 from __future__ import annotations
 
 import operator
+import types
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
@@ -150,41 +151,27 @@ def plan_program(program: Program) -> tuple[ProgramAnalysis, InstrumentationPlan
 def count_safe_paths(fn: Function, safety: SafetyResult) -> int:
     """Entry-to-exit paths through safe blocks only, loops collapsed, capped.
 
-    Unsafe blocks are removed outright, then strongly connected groups of the
-    remaining safe blocks collapse to single nodes so a loop contributes its
-    enclosing path once.
+    Unsafe blocks are removed outright, and one fold over the strongly
+    connected groups of safe blocks reachable from the entry counts the
+    paths of the condensed graph, so a loop contributes its enclosing path
+    once.  Tarjan emits each group after every group it reaches, the entry's
+    last; a group's count is 1 if it holds an exit, plus the capped sum of
+    the counts of the distinct groups it branches to.
     """
-    safe = [bid for bid in fn.blocks if safety.ra_safe_block(fn.name, bid)]
+    safe = {bid for bid in fn.blocks if safety.ra_safe_block(fn.name, bid)}
     if fn.entry_block not in safe:
         return 0
-    safe_set = set(safe)
-    succs = {
-        bid: sorted(s for s in fn.blocks[bid].successors if s in safe_set) for bid in safe
-    }
-    components = [tuple(sorted(comp)) for comp in sccs(sorted(safe), succs)]
-    comp_of = {bid: cid for cid, comp in enumerate(components) for bid in comp}
-
-    comp_succs: dict[int, set[int]] = {i: set() for i in range(len(components))}
-    for bid in safe:
-        for s in succs[bid]:
-            if comp_of[bid] != comp_of[s]:
-                comp_succs[comp_of[bid]].add(comp_of[s])
-
+    succs = {bid: [s for s in fn.blocks[bid].successors if s in safe] for bid in safe}
     exits = set(fn.exit_blocks)
-    entry_comp = comp_of[fn.entry_block]
-    # Tarjan emission order is reverse-topological; walk it backwards for the DP
-    ways = [0] * len(components)
-    ways[entry_comp] = 1
-    total = 0
-    for cid in range(len(components) - 1, -1, -1):
-        w = ways[cid]
-        if not w:
-            continue
-        if any(b in exits for b in components[cid]):
-            total = min(PATH_COUNT_CAP, total + w)
-        for s in sorted(comp_succs[cid]):
-            ways[s] = min(PATH_COUNT_CAP, ways[s] + w)
-    return total
+    comp_of: dict[int, int] = {}
+    counts: list[int] = []
+    for cid, comp in enumerate(sccs([fn.entry_block], succs)):
+        comp_of.update(dict.fromkeys(comp, cid))
+        n = int(any(b in exits for b in comp))
+        for s in {comp_of[t] for b in comp for t in succs[b]} - {cid}:
+            n = min(PATH_COUNT_CAP, n + counts[s])
+        counts.append(n)
+    return counts[-1]
 
 
 def lower_instrumentation(
@@ -364,10 +351,10 @@ class ResolvedFunction:
     mode: str
     shadow_ops: tuple[ShadowOp, ...] = ()
     clone_map: dict[int, int] | None = None
-    transition_blocks: dict[int, tuple[int, int]] = field(default_factory=dict)
+    transition_blocks: Mapping[int, tuple[int, int]] = field(default_factory=dict)
     inlined_calls: tuple[tuple[int, int, str], ...] = ()
-    chase_shifts: dict[str, tuple] = field(default_factory=dict)
-    op_costs: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    chase_shifts: Mapping[str, tuple] = field(default_factory=dict)
+    op_costs: Mapping[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
     @property
     def tainted_blocks(self) -> frozenset[int]:
@@ -444,6 +431,10 @@ class InstrumentedProgram:
             "functions": {n: rf.to_json() for n, rf in self.functions.items()},
         }
 
+
+# the one read-only empty mapping every ResolvedFunction without transition
+# blocks, chase shifts or op costs holds (dataclass refuses it as a default)
+_EMPTY: Mapping = types.MappingProxyType({})
 
 # the pop spliced before every ret or halt of FULL functions and of clones:
 # its (kind, register, cost, instruction)
@@ -573,7 +564,13 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
                 emit(bid, bid, None, push if bid == entry else None, pop)
 
         resolved[name] = ResolvedFunction(
-            fn_mode, tuple(ops), clone_map, transition_blocks, tuple(inlined), chase_shifts, op_costs
+            fn_mode,
+            tuple(ops),
+            clone_map,
+            transition_blocks or _EMPTY,
+            tuple(inlined),
+            chase_shifts or _EMPTY,
+            op_costs or _EMPTY,
         )
         kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
         new_functions[name] = fn if kept else Function(name, blocks)

@@ -345,6 +345,43 @@ def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
         assert events[-1][0] == "ret" and events[-1][3] is False     # ("ret", act, fn, ok, shadow_top)
 
 
+@pytest.mark.parametrize("skew", ["height", "liveness"])
+def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
+    # wrong analysis facts on the adversarial targets only: the detection
+    # campaign's runs report them, and the soundness checks must fail
+    import shadowlab.cli as cli
+    from shadowlab.mir import NUM_REGS
+    from shadowlab.shadowvm import AnalysisChecks
+
+    real = cli.build_checks
+
+    def skewed(program, with_liveness=False, reuse=None):
+        checks = real(program, with_liveness, reuse)
+        if not program.adversarial:
+            return checks
+        if skew == "height":
+            heights = {
+                name: {at: f._replace(dest=f.dest - 8) if isinstance(f.dest, int) else f for at, f in facts.items()}
+                for name, facts in checks.heights.items()
+            }
+            return AnalysisChecks(heights, checks.liveness, checks.classes)
+        every = (1 << NUM_REGS) - 1
+        liveness = {
+            name: {(bid, idx): every for bid, block in fn.blocks.items() for idx in range(len(block.instrs))}
+            for name, fn in program.functions.items()
+        }
+        return AnalysisChecks(checks.heights, liveness, checks.classes)
+
+    monkeypatch.setattr(cli, "build_checks", skewed)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
+    assert any(f"{skew} violation" in v for v in report["violations"])
+    assert not ok
+    checks = report["checks"]
+    assert not checks[f"{skew}_soundness"]
+    other = "liveness" if skew == "height" else "height"
+    assert checks[f"{other}_soundness"]
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_cli_run_rejects_non_positive_budget(capsys, tmp_path, budget):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)

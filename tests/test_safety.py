@@ -1,4 +1,7 @@
-from hypothesis import given, settings, strategies as st
+from collections import deque
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shadowlab.mir import Block, Function, Instr, Program, parse_program, sccs
 from shadowlab.analysis import SAFE_STACK, UNSAFE, classify_writes, is_safe_height, stack_heights
@@ -13,6 +16,8 @@ from shadowlab.safety import (
 )
 from shadowlab.gen import GenConfig, generate_program
 from shadowlab.transform import analyze_program
+
+from conftest import CALL_TREE, FIXTURE_DIAMOND, FIXTURE_INLINE, MEMO_CFG
 
 
 def all_heights(program):
@@ -278,3 +283,146 @@ def test_result_is_a_fixpoint(seed):
             flow_function(fn, heights[name], s.fn_values[name], s.block_values, s.fn_values)
             == s.fn_values[name]
         )
+
+
+def reference_ra_safety(program, classes):
+    """The FIFO worklist over call-graph components that the one-pass fold
+    replaced, kept as its oracle.  Within each component, callees first, a
+    worklist seeded with its functions' blocks in declaration order joins each
+    block's own value with its callees' values, and re-queues the call-site
+    blocks of a function whose value rose."""
+    own, callees, call_sites = {}, {}, {}
+    succs = {}
+    for name, fn in program.functions.items():
+        fn_succs = succs[name] = []
+        for bid, block in fn.blocks.items():
+            site = (name, bid)
+            v = RS_BOTTOM
+            called = []
+            for idx, ins in enumerate(block.instrs):
+                if ins.is_store:
+                    v = rs_join(v, RS_FALSE if classes[name][(bid, idx)] == UNSAFE else RS_TRUE)
+                elif ins.opcode == "call":
+                    callee = ins.args[0]
+                    if callee not in called:
+                        called.append(callee)
+                        call_sites.setdefault(callee, []).append(site)
+                elif ins.opcode == "icall":
+                    v = rs_join(v, RS_FALSE)
+            own[site] = v
+            callees[site] = called
+            fn_succs += [c for c in called if c in program.functions and c not in fn_succs]
+
+    order = {name: i for i, name in enumerate(program.functions)}
+    block_values = dict.fromkeys(own, RS_BOTTOM)
+    fn_values = dict.fromkeys(program.functions, RS_BOTTOM)
+    for comp in sccs(program.functions, succs):
+        members = set(comp)
+        work = deque(
+            (name, bid) for name in sorted(comp, key=order.get) for bid in program.functions[name].blocks
+        )
+        queued = set(work)
+        while work:
+            site = work.popleft()
+            queued.discard(site)
+            new = own[site]
+            for callee in callees[site]:
+                new = rs_join(new, fn_values.get(callee, RS_FALSE))
+            if new == block_values[site]:
+                continue
+            block_values[site] = new
+            name = site[0]
+            merged = rs_join(fn_values[name], new)
+            if merged != fn_values[name]:
+                fn_values[name] = merged
+                for caller in call_sites.get(name, ()):
+                    if caller[0] in members and caller not in queued:
+                        work.append(caller)
+                        queued.add(caller)
+    return block_values, fn_values
+
+
+def assert_matches_reference(program):
+    """Four-valued equality with the worklist, dict order included."""
+    classes = all_classes(program)
+    s = calculate_ra_safety(program, classes)
+    bv, fv = reference_ra_safety(program, classes)
+    assert list(s.block_values.items()) == list(bv.items())
+    assert list(s.fn_values.items()) == list(fv.items())
+    return s
+
+
+# a block body per own value: none, a safe store, an unsafe store
+OWN_BODY = {
+    RS_BOTTOM: "  movi r1, 1\n",
+    RS_TRUE: "  spadd -16\n  store.sp 0\n  spadd 16\n",
+    RS_FALSE: "  movi r9, 320\n  store.reg r9\n",
+}
+
+
+def ring(owns):
+    """A call ring f0 -> f1 -> ... -> f0, fi's first block with own value
+    owns[i]; `main` calls f0."""
+    n = len(owns)
+    fns = ["fn main {\nb0:\n  call f0\n  halt\n}"]
+    for i, own in enumerate(owns):
+        fns.append(
+            f"fn f{i} {{\nb0:\n{OWN_BODY[own]}  brc b1, b2\nb1:\n  call f{(i + 1) % n}\n  br b2\nb2:\n  ret\n}}"
+        )
+    return parse_program("#entry main\n\n" + "\n\n".join(fns))
+
+
+@pytest.mark.parametrize(
+    "owns, expected",
+    [
+        ((RS_BOTTOM,) * 60, RS_BOTTOM),
+        (tuple((RS_BOTTOM, RS_TRUE)[i % 2] for i in range(60)), RS_TRUE),
+        (tuple((RS_BOTTOM, RS_TRUE, RS_FALSE)[i % 3] for i in range(60)), RS_TOP),
+        ((RS_TRUE,) * 59 + (RS_FALSE,), RS_TOP),
+        ((RS_BOTTOM,) * 52 + (RS_FALSE,), RS_FALSE),
+    ],
+    ids=["bottom", "bottom-true", "bottom-true-false", "one-false", "bottom-false"],
+)
+def test_ring_folds_like_the_worklist(owns, expected):
+    p = ring(owns)
+    s = assert_matches_reference(p)
+    assert {s.fn_values[f"f{i}"] for i in range(len(owns))} == {expected}
+    assert s.fn_values["main"] == expected
+    # each block: its own value joined with its callees' values
+    assert s.block_values[("f0", 1)] == expected
+    assert s.block_values[("f0", 2)] == RS_BOTTOM
+
+
+def test_component_calling_outside_the_program():
+    # f and g call each other and g calls `ghost`, which the program does not
+    # define (the parser refuses such a call, so the block is built directly)
+    p = ring((RS_TRUE, RS_BOTTOM))
+    f = Block(0, (Instr("spadd", (-16,)), Instr("store.sp", (0,)), Instr("call", ("g",)), Instr("ret")))
+    g = Block(0, (Instr("call", ("ghost",)), Instr("call", ("f",)), Instr("ret")))
+    p = Program({**p.functions, "f": Function("f", {0: f}), "g": Function("g", {0: g})}, entry="main")
+    s = assert_matches_reference(p)
+    assert s.fn_values["f"] == s.fn_values["g"] == RS_TOP
+    assert s.block_values[("g", 0)] == RS_TOP
+    assert s.fn_values["f0"] == s.fn_values["f1"] == s.fn_values["main"] == RS_TRUE
+
+
+def test_self_recursion_folds_like_the_worklist():
+    safe = "fn r {\nb0:\n  spadd -16\n  brc b1, b2\nb1:\n  call r\n  br b2\nb2:\n  store.sp 0\n  ret\n}"
+    unsafe = "fn r {\nb0:\n  brc b1, b2\nb1:\n  call r\n  br b2\nb2:\n  movi r9, 320\n  store.reg r9\n  ret\n}"
+    for text, expected in ((safe, RS_TRUE), (unsafe, RS_FALSE)):
+        s = assert_matches_reference(parse_program(text))
+        assert s.fn_values["r"] == s.block_values[("r", 1)] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+@example(CALL_TREE)
+@example(MEMO_CFG)
+@example(FIXTURE_INLINE)
+@example(FIXTURE_DIAMOND)
+def test_fold_matches_worklist_reference(source):
+    if isinstance(source, str):
+        assert_matches_reference(parse_program(source))
+    else:
+        cfg = GenConfig(max_functions=3 + source % 20)
+        assert_matches_reference(generate_program(source, cfg, adversarial=source % 3 == 0))

@@ -6,7 +6,7 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shadowlab.mir import Block, Function, Instr, Program, parse_program, print_program, validate_program
+from shadowlab.mir import Block, Function, Instr, Program, parse_program, print_program, sccs, validate_program
 from shadowlab.transform import (
     COST_POP,
     COST_PUSH,
@@ -19,6 +19,7 @@ from shadowlab.transform import (
     FN_LOWERED,
     FN_REGFRAME,
     MODES,
+    PATH_COUNT_CAP,
     TRANSITION_BASE,
     FunctionPlan,
     InstrumentedProgram,
@@ -101,6 +102,103 @@ def test_safe_paths_saturate_at_cap():
     assert count_safe_paths(p.functions["wide"], analysis.safety) == 1 << 16
 
 
+# a lowered function whose clone exits by halt, not ret
+HALTING_MAIN = "fn main {\nb0:\n  brc b1, b2\nb1:\n  movi r9, 256\n  store.reg r9\n  halt\nb2:\n  halt\n}"
+
+
+def reference_safe_paths(fn, safety):
+    """The forward dynamic program over the condensed safe CFG that the
+    one-pass fold replaced, kept as its oracle: path counts flow from the
+    entry's component through a component-edge table in topological order,
+    and each component holding an exit adds its count to the total."""
+    safe = [bid for bid in fn.blocks if safety.ra_safe_block(fn.name, bid)]
+    if fn.entry_block not in safe:
+        return 0
+    safe_set = set(safe)
+    succs = {bid: sorted(s for s in fn.blocks[bid].successors if s in safe_set) for bid in safe}
+    components = [tuple(sorted(comp)) for comp in sccs(sorted(safe), succs)]
+    comp_of = {bid: cid for cid, comp in enumerate(components) for bid in comp}
+    comp_succs = {i: set() for i in range(len(components))}
+    for bid in safe:
+        for s in succs[bid]:
+            if comp_of[bid] != comp_of[s]:
+                comp_succs[comp_of[bid]].add(comp_of[s])
+    exits = set(fn.exit_blocks)
+    ways = [0] * len(components)
+    ways[comp_of[fn.entry_block]] = 1
+    total = 0
+    for cid in range(len(components) - 1, -1, -1):
+        w = ways[cid]
+        if not w:
+            continue
+        if any(b in exits for b in components[cid]):
+            total = min(PATH_COUNT_CAP, total + w)
+        for s in sorted(comp_succs[cid]):
+            ways[s] = min(PATH_COUNT_CAP, ways[s] + w)
+    return total
+
+
+def paths_and_reference(text, name="t"):
+    p = parse_program(text)
+    analysis, _ = planned(p)
+    fn = p.functions[name]
+    return count_safe_paths(fn, analysis.safety), reference_safe_paths(fn, analysis.safety)
+
+
+UNSAFE_STORE = "  movi r9, 256\n  store.reg r9\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # one block
+        ("fn t {\nb0:\n  ret\n}", 1),
+        ("fn t {\nb0:\n  movi r1, 3\n  halt\n}", 1),
+        # a two-block loop and a self-loop collapse: one path each
+        ("fn t {\nb0:\n  br b1\nb1:\n  brc b2, b3\nb2:\n  br b1\nb3:\n  ret\n}", 1),
+        ("fn t {\nb0:\n  brc b0, b1\nb1:\n  ret\n}", 1),
+        # a loop with two ways around it still counts its two ways out once each
+        ("fn t {\nb0:\n  brc b1, b2\nb1:\n  brc b0, b3\nb2:\n  brc b0, b3\nb3:\n  ret\n}", 1),
+        ("fn t {\nb0:\n  brc b1, b2\nb1:\n  br b3\nb2:\n  brc b0, b4\nb3:\n  ret\nb4:\n  ret\n}", 2),
+        # the safe exit b2 is reachable only through the unsafe b1
+        (f"fn t {{\nb0:\n  br b1\nb1:\n{UNSAFE_STORE}  br b2\nb2:\n  ret\n}}", 0),
+        (f"fn t {{\nb0:\n  brc b1, b3\nb1:\n{UNSAFE_STORE}  br b2\nb2:\n  ret\nb3:\n  br b3\n}}", 0),
+        # an exit inside a loop, and one after it
+        ("fn t {\nb0:\n  br b1\nb1:\n  brc b2, b3\nb2:\n  brc b1, b4\nb3:\n  ret\nb4:\n  ret\n}", 2),
+    ],
+)
+def test_safe_paths_match_forward_reference(text, expected):
+    assert paths_and_reference(text) == (expected, expected)
+
+
+def test_safe_paths_saturation_matches_reference():
+    # 20 chained diamonds behind a loop: 2^20 paths saturate at the cap
+    lines = ["fn t {", "b0:", "  brc b0, b1"]
+    for i in range(20):
+        b = 3 * i + 1
+        lines += [f"b{b}:", f"  brc b{b + 1}, b{b + 2}", f"b{b + 1}:", f"  br b{b + 3}", f"b{b + 2}:", f"  br b{b + 3}"]
+    lines += [f"b{3 * 20 + 1}:", "  ret", "}"]
+    assert paths_and_reference("\n".join(lines)) == (PATH_COUNT_CAP, PATH_COUNT_CAP)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+@example(CALL_TREE)
+@example(MEMO_CFG)
+@example(FIXTURE_DIAMOND)
+@example(DEEP_CHAIN)
+@example(HALTING_MAIN)
+def test_safe_paths_match_forward_reference_on_generated(source):
+    if isinstance(source, str):
+        program = parse_program(source)
+    else:
+        cfg = GenConfig(max_blocks=4 + source % 12, loop_prob=0.5)
+        program = generate_program(source, cfg, adversarial=source % 2 == 0)
+    analysis, _ = planned(program)
+    for fn in program.functions.values():
+        assert count_safe_paths(fn, analysis.safety) == reference_safe_paths(fn, analysis.safety), fn.name
+
+
 def test_lowering_memo_cfg_structure(memo_cfg):
     analysis, _ = planned(memo_cfg)
     fn = memo_cfg.functions["memo"]
@@ -135,10 +233,6 @@ def reference_reachability(fn, transition_edges):
     cloned = tuple(bid for bid in fn.blocks if (True, bid) in seen)
     exits = tuple(bid for bid in cloned if fn.blocks[bid].terminator.opcode in ("ret", "halt"))
     return originals, cloned, exits
-
-
-# a lowered function whose clone exits by halt, not ret
-HALTING_MAIN = "fn main {\nb0:\n  brc b1, b2\nb1:\n  movi r9, 256\n  store.reg r9\n  halt\nb2:\n  halt\n}"
 
 
 @settings(max_examples=200, deadline=None)
