@@ -16,10 +16,11 @@ per block a tuple of instruction tuples with small-int opcodes, each call
 site's callee and cookie resolved, each shadow operation's cost looked up,
 and the analysis results to validate (expected store height, write class,
 and the dead, used and defined registers as bitmasks) placed in
-per-instruction slots.  `execute` runs a compiled program on one input with
-no per-run set-up beyond fresh registers, memory and trace; given a Program
-or InstrumentedProgram it compiles it first.
-Callers that run one target on many inputs compile it once.
+per-instruction slots; it is the one way checks reach the VM.  `execute`
+runs a compiled program on one input with no per-run set-up beyond fresh
+registers, memory and trace; given a Program or InstrumentedProgram it
+compiles it first, without checks.  Callers that run one target on many
+inputs compile it once, and a campaign case carries its compiled target.
 
 The step loop also checks each activation of a planned function as it runs
 (`check_activations` reports the result): counts of shadow pushes and pops,
@@ -82,6 +83,8 @@ FAULT = "fault"
 
 # Undetected runs whose whole trace a campaign report keeps, and shows.
 MAX_COUNTEREXAMPLES = 3
+# Violation messages a campaign report keeps, and `verify` shows.
+MAX_VIOLATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -317,18 +320,16 @@ def execute(
     target: CompiledProgram | InstrumentedProgram | Program,
     inp: ExecInput = ExecInput(),
     budget: int = 10000,
-    checks: AnalysisChecks | None = None,
     record: bool = False,
 ) -> tuple[Trace, Outcome]:
     """Small-step execution; deterministic in (target, inp).
 
-    A Program or InstrumentedProgram is compiled with `checks` first; a
-    CompiledProgram already carries its checks.  The event log is kept only
-    when `record` is set; nothing else about the run depends on it."""
+    A CompiledProgram runs with the checks it was compiled with; a Program
+    or InstrumentedProgram is compiled first, without checks.  The event log
+    is kept only when `record` is set; nothing else about the run depends
+    on it."""
     if not isinstance(target, CompiledProgram):
-        target = compile(target, checks)
-    elif checks is not None:
-        raise ValueError("a compiled program carries its checks: pass them to compile()")
+        target = compile(target)
     by_index = target.functions
 
     mem: dict[int, int] = {}    # word index -> value; unwritten words read 0
@@ -574,10 +575,9 @@ def execute(
 class CampaignCase:
     name: str
     mode: str
-    target: InstrumentedProgram
+    target: CompiledProgram | InstrumentedProgram | Program   # run as `execute` runs it
     inp: ExecInput
     adversarial: bool
-    checks: AnalysisChecks | None = None
     budget: int = 10000
 
 
@@ -589,8 +589,14 @@ class CampaignReport:
     undetected: int = 0
     height_violations: int = 0     # stores whose height differed from the analysis, over all runs
     liveness_violations: int = 0   # reads of registers the analysis called dead, over all runs
-    violations: list = field(default_factory=list)
+    violations: list = field(default_factory=list)        # the first MAX_VIOLATIONS messages
+    violation_count: int = 0       # every message, kept or not
+    activation_count: int = 0      # of those, the activation problems
     counterexamples: list = field(default_factory=list)   # (CampaignCase, Trace), first undetected runs only
+
+    def violation(self, *messages: str) -> None:
+        self.violation_count += len(messages)
+        self.violations.extend(messages[: MAX_VIOLATIONS - len(self.violations)])
 
 
 def _check_activation(frame: Frame, ret_top: int | None, end: str, out: list) -> None:
@@ -643,18 +649,14 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
 
 
 def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
-    """Execute all cases, count detections, check invariants.
-
-    Every undetected run is counted; only the first MAX_COUNTEREXAMPLES are
-    kept, as (case, unrecorded trace) counterexamples.
+    """Execute all cases, each on its own target, count detections, check
+    invariants.  Every undetected run and every violation is counted; only
+    the first MAX_COUNTEREXAMPLES undetected runs are kept, as (case,
+    unrecorded trace) counterexamples, and the first MAX_VIOLATIONS messages.
     """
     report = CampaignReport()
-    prev = None
     for case in cases:
-        if prev is None or case.target is not prev.target or case.checks is not prev.checks:
-            compiled = compile(case.target, case.checks)
-        prev = case
-        trace, outcome = execute(compiled, case.inp, case.budget)
+        trace, outcome = execute(case.target, case.inp, case.budget)
         report.cases += 1
         if trace.corruptions:
             report.fired += 1
@@ -665,19 +667,17 @@ def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
                 if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                     report.counterexamples.append((case, trace))
             else:
-                report.violations.append(
-                    f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}"
-                )
+                report.violation(f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}")
         elif outcome.kind not in (COMPLETED,):
-            report.violations.append(
-                f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}"
-            )
+            report.violation(f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}")
 
         report.height_violations += len(trace.height_violations)
         report.liveness_violations += len(trace.liveness_violations)
         for v in trace.height_violations:
-            report.violations.append(f"{case.name}/{case.mode}: height violation {v}")
+            report.violation(f"{case.name}/{case.mode}: height violation {v}")
         for v in trace.liveness_violations:
-            report.violations.append(f"{case.name}/{case.mode}: liveness violation {v}")
-        report.violations.extend(check_activations(case, trace, outcome))
+            report.violation(f"{case.name}/{case.mode}: liveness violation {v}")
+        problems = check_activations(case, trace, outcome)
+        report.activation_count += len(problems)
+        report.violation(*problems)
     return report

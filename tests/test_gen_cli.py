@@ -345,10 +345,9 @@ def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
         assert events[-1][0] == "ret" and events[-1][3] is False     # ("ret", act, fn, ok, shadow_top)
 
 
-@pytest.mark.parametrize("skew", ["height", "liveness"])
-def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
-    # wrong analysis facts on the adversarial targets only: the detection
-    # campaign's runs report them, and the soundness checks must fail
+def _skew_checks(monkeypatch, skew):
+    """Make verify build wrong analysis facts for the adversarial targets
+    only: heights off by 8, or every register dead."""
     import shadowlab.cli as cli
     from shadowlab.mir import NUM_REGS
     from shadowlab.shadowvm import AnalysisChecks
@@ -373,6 +372,15 @@ def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
         return AnalysisChecks(checks.heights, liveness, checks.classes)
 
     monkeypatch.setattr(cli, "build_checks", skewed)
+
+
+@pytest.mark.parametrize("skew", ["height", "liveness"])
+def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
+    # the detection campaign's runs report the wrong facts, and the soundness
+    # checks must fail
+    import shadowlab.cli as cli
+
+    _skew_checks(monkeypatch, skew)
     report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
     assert any(f"{skew} violation" in v for v in report["violations"])
     assert not ok
@@ -380,6 +388,67 @@ def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
     assert not checks[f"{skew}_soundness"]
     other = "liveness" if skew == "height" else "height"
     assert checks[f"{other}_soundness"]
+
+
+def test_verify_compiles_each_target_once(monkeypatch):
+    # the base and five modes per benign program, four detection modes and the
+    # control per adversarial one, and one fresh compile per determinism pair
+    import shadowlab.cli as cli
+    import shadowlab.shadowvm as vm
+
+    real, compiled = vm.compile, []
+
+    def counted(target, checks=None):
+        compiled.append(target)
+        return real(target, checks)
+
+    monkeypatch.setattr(cli, "compile", counted)
+    monkeypatch.setattr(vm, "compile", counted)
+    cfg = cli.VerifyConfig(seed=2, benign_count=3, adversarial_count=4, inputs_per_program=3)
+    report, ok = cli.verify_run(cfg)
+    assert ok and not report["violations"]    # every program and mode is valid
+    determinism = min(3, report["adversarial_executions"])
+    assert len(compiled) == 6 * cfg.benign_count + 5 * cfg.adversarial_count + determinism
+
+
+# sha256 of the JSON of `violations` in the skewed-heights report below, as
+# recorded when the detection campaign kept all 624 of its messages
+SKEWED_VIOLATIONS_SHA256 = "f9f87e749620d51cad1869603d33601627cfab8c1af644c6bedfdba583edab0d"
+
+
+def test_verify_keeps_first_violations(monkeypatch):
+    # a campaign keeps only the messages the report shows, and counts the rest
+    import shadowlab.cli as cli
+    from shadowlab.shadowvm import MAX_VIOLATIONS
+
+    _skew_checks(monkeypatch, "height")
+    real, reports = cli.run_campaign, []
+
+    def campaign(cases):
+        reports.append(real(cases))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=10, inputs_per_program=6))
+    assert not ok and len(report["violations"]) == MAX_VIOLATIONS
+    assert hashlib.sha256(json.dumps(report["violations"]).encode()).hexdigest() == SKEWED_VIOLATIONS_SHA256
+    assert report["checks"] == {
+        "aggregate_overhead_ladder": False,
+        "control_detects_missing_instrumentation": True,
+        "detection_rate": True,
+        "determinism": True,
+        "exactly_one_check_and_balance": True,
+        "height_soundness": False,
+        "liveness_soundness": True,
+        "no_other_violations": False,
+        "plan_mode_coverage": True,
+        "shadow_op_monotonicity": True,
+        "transparency": True,
+        "validation_soundness": True,
+    }
+    detection, _ = reports
+    assert detection.violation_count == 624 and detection.activation_count == 0
+    assert all(len(r.violations) <= MAX_VIOLATIONS for r in reports)
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -14,6 +14,7 @@ from shadowlab.shadowvm import (
     BUDGET,
     COMPLETED,
     FAULT,
+    MAX_VIOLATIONS,
     UNDETECTED,
     AnalysisChecks,
     CampaignCase,
@@ -117,9 +118,9 @@ def test_parent_frame_attack_detected_in_ancestor():
 def test_lowered_paths_memo_cfg(memo_cfg):
     _, plan = plan_program(memo_cfg)
     ip = apply_plan(memo_cfg, plan, "PO")
-    checks = build_checks(ip.program)
+    compiled = compile(ip, build_checks(ip.program))
     for decisions, ops in [((False,), 0), ((True, False), 0), ((True, True, False), 2)]:
-        trace, outcome = execute(ip, ExecInput(decisions), 1000, checks)
+        trace, outcome = execute(compiled, ExecInput(decisions), 1000)
         assert outcome.kind == COMPLETED
         assert trace.shadow_ops == ops
         assert not trace.height_violations
@@ -216,9 +217,9 @@ def test_shadow_balance_and_height_checks(seed):
     p = generate_program(seed, GenConfig(max_functions=7), adversarial=False)
     _, plan = plan_program(p)
     ip = apply_plan(p, plan, "FULL")
-    checks = build_checks(ip.program)
+    compiled = compile(ip, build_checks(ip.program))
     for inp in generate_inputs(seed ^ 0x5EED, 2):
-        trace, outcome = execute(ip, inp, 20000, checks)
+        trace, outcome = execute(compiled, inp, 20000)
         assert outcome.kind == COMPLETED
         assert trace.final_shadow_top == 0
         assert not trace.height_violations
@@ -375,6 +376,50 @@ def test_campaign_detects_under_light():
     assert report.fired > 0
     assert report.detected == report.fired
     assert report.undetected == 0
+
+
+def _campaign_view(report):
+    """The report with each counterexample's case as (name, mode, input), so
+    reports over differently held targets compare equal."""
+    return dataclasses.replace(
+        report, counterexamples=[((c.name, c.mode, c.inp), trace) for c, trace in report.counterexamples]
+    )
+
+
+def test_campaign_runs_compiled_and_uncompiled_targets_alike():
+    # a case runs its target as execute runs it: an InstrumentedProgram is
+    # compiled without checks for each run, a compiled one is shared by its cases
+    held, compiled = [], []
+    for name, p in generate_corpus(GenConfig(seed=41, count=6, attack_density=0.5)):
+        _, plan = plan_program(p)
+        inputs = generate_inputs(len(name), 3)
+        for mode in ("FULL", "LIGHT", "ELIDE-ALL"):
+            ip = apply_plan(p, plan, mode)
+            target = compile(ip)
+            held += [CampaignCase(name, mode, ip, inp, p.adversarial) for inp in inputs]
+            compiled += [CampaignCase(name, mode, target, inp, p.adversarial) for inp in inputs]
+    report = run_campaign(held)
+    assert report.fired and report.undetected and report.counterexamples
+    assert _campaign_view(report) == _campaign_view(run_campaign(compiled))
+
+
+def test_campaign_keeps_first_violations_and_counts_all():
+    # past MAX_VIOLATIONS messages a campaign only counts, activation problems too
+    p = parse_program(MEMO_CALLER)
+    _, plan = plan_program(p)
+    ip = apply_plan(p, plan, "PO")
+    push = "b2000:\n  spush -16\n"
+    doubled = parse_program(print_program(ip.program).replace(push, push + "  spush -16\n"))
+    tainted = ExecInput((True, True, False))
+    # each run of the first case has one height violation, of the second, activation problems
+    skewed = CampaignCase("memo", "BASE", compile(p, build_checks(_twin(p))), tainted, False)
+    target = compile(InstrumentedProgram(doubled, ip.mode, ip.functions), build_checks(doubled))
+    cases = [skewed] * MAX_VIOLATIONS + [CampaignCase("memo", "PO", target, tainted, False)] * 3
+    every = [m for case in cases for m in run_campaign([case]).violations]
+    report = run_campaign(cases)
+    assert report.violations == every[:MAX_VIOLATIONS] and report.violation_count == len(every)
+    assert report.activation_count == sum(m.startswith("activation: ") for m in every) > 0
+    assert not any(m.startswith("activation: ") for m in report.violations)
 
 
 def test_campaign_keeps_first_counterexamples_only():
@@ -670,10 +715,5 @@ def test_compiled_program_reused_across_inputs():
         for target, checks in targets:
             compiled = compile(target, checks)
             for inp in inputs:
-                assert execute(compiled, inp, 20000, record=True) == execute(target, inp, 20000, checks, record=True), name
-
-
-def test_compiled_program_carries_its_checks(call_tree):
-    checks = build_checks(call_tree)
-    with pytest.raises(ValueError):
-        execute(compile(call_tree), ExecInput(), 100, checks)
+                fresh = execute(compile(target, checks), inp, 20000, record=True)
+                assert execute(compiled, inp, 20000, record=True) == fresh, name
