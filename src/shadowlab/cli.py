@@ -32,6 +32,7 @@ from .transform import (
 )
 from .shadowvm import (
     COMPLETED,
+    FAULT,
     MAX_VIOLATIONS,
     AnalysisChecks,
     CampaignCase,
@@ -242,6 +243,8 @@ def cmd_run(args) -> int:
     extra = f" r0={outcome.r0}" if outcome.kind == COMPLETED else ""
     if outcome.site:
         extra = f" at {outcome.site[0]}.b{outcome.site[1]}"
+    if outcome.kind == FAULT:
+        extra = f": {outcome.evidence[0]}"
     print(f"outcome: {outcome.kind}{extra}")
     print(
         f"instructions: {trace.instr_count}  shadow: {trace.shadow_instr}  "
@@ -439,6 +442,8 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
 
     control = run_campaign(control_cases)
     violations.extend(control.violations)
+    height_bad += control.height_violations
+    liveness_bad += control.liveness_violations
     control_undetected = control.undetected
     activation_bad += report.activation_count + control.activation_count
 
@@ -567,7 +572,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_stats)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: what is still buffered
+        # goes nowhere, so flushing it at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

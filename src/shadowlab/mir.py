@@ -434,8 +434,11 @@ def validate_program(
                         f"{fn.name}.b{bid}: shadow instruction '{ins.opcode}' in plain program",
                         line,
                     )
-                if ins.opcode == "corrupt" and not program.adversarial:
-                    diag(f"{fn.name}.b{bid}: adversarial instruction in benign program", line)
+                if ins.opcode == "corrupt":
+                    if not program.adversarial:
+                        diag(f"{fn.name}.b{bid}: adversarial instruction in benign program", line)
+                    if ins.args[0] < 0:
+                        diag(f"{fn.name}.b{bid}: corrupt depth must be >= 0", line)
                 if ins.opcode == "unwind" and ins.args[0] < 1:
                     diag(f"{fn.name}.b{bid}: unwind count must be >= 1", line)
                 shape = OPERAND_SHAPES[ins.opcode]

@@ -25,8 +25,10 @@ inputs compile it once, and a campaign case carries its compiled target.
 The step loop also checks each activation of a planned function as it runs
 (`check_activations` reports the result): counts of shadow pushes and pops,
 whether its walk entered a clone or transition block, where its unsafe
-stores fell, and the shadow depth at its call and return live on its
-`Frame`.  An activation's problems are found when it returns, or, for one
+stores fell, and the shadow depth at its call and return.  The running
+activation keeps these, its return-address slot and cookie in the loop's
+own locals; a call saves the caller's as one tuple, which the return
+restores.  An activation's problems are found when it returns, or, for one
 still on the stack or unwound, once the run's outcome is known.
 
 Under `execute(..., record=True)` the trace also keeps a log of plain
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .mir import NUM_REGS, Program, RETURN_REG
 from .analysis import InstrFacts, UNSAFE, instr_masks
@@ -87,8 +89,7 @@ MAX_COUNTEREXAMPLES = 3
 MAX_VIOLATIONS = 100
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str
     site: tuple | None = None
     evidence: tuple | None = None
@@ -144,25 +145,28 @@ class Trace:
         }
 
 
-# Where an unsafe store fell in its activation, as bits of Frame.unsafe's items.
+# Where an unsafe store fell in its activation, as bits of the items of its
+# `unsafe` list.
 _BEFORE_PUSH = 1            # no shadow push had run yet
 _AFTER_POP = 2              # a shadow pop had already run
 
-
-@dataclass(slots=True)
-class Frame:
-    act: int
-    ra_slot: int
-    cookie: int
-    ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
-    fn: _Fn                 # the called function, whose plan the activation checks read
-    call_top: int | None    # shadow depth at the call; None for the entry activation
-    tainted: bool = False   # entered a clone or transition block (never an entry block): a tainted walk
-    pushes: int = 0
-    pops: int = 0
-    pop_first: bool = False             # the first pop ran before any push
-    unsafe: list | None = None          # per unsafe store of a lowered function, its _BEFORE_PUSH | _AFTER_POP bits
-    poison: int = 0         # mask of registers dead here, from the `live` slots
+# The running activation lives in `execute`'s locals:
+#   act        its number, in call order; the entry activation is 0
+#   fn         the called _Fn, whose plan the activation checks read
+#   call_top   shadow depth at the call; None for the entry activation
+#   tainted    entered a clone or transition block (never an entry block): a tainted walk
+#   pushes, pops
+#   pop_first  the first pop ran before any push
+#   unsafe     per unsafe store of a lowered function, its _BEFORE_PUSH | _AFTER_POP bits, or None
+#   ra_slot    address of its return-address word
+#   cookie     the return address its caller stored there
+#   poison     mask of registers dead here, from the `live` slots
+# A call saves the caller's as one tuple on `callers`, these fields in this
+# order and then where it resumes, (fname, code, bid, block, idx).  The
+# first _CHECKED fields are `_check_activation`'s arguments.
+_CHECKED = 8
+_RA_SLOT = 8
+_ACTIVATION = 11            # the fields an unwind restores; it resumes in the code that unwound
 
 
 class _VmFault(Exception):
@@ -337,14 +341,16 @@ def execute(
     decisions = inp.decisions
     n_decisions = len(decisions)
     di = 0
+    bad_bits = ~(MEM_BYTES - 8)     # an address with any of these set is not an aligned word of memory
 
     sp = MEM_BYTES - 8
     mem[sp >> 3] = EXIT_COOKIE
+    # the running activation (layout above), then the callers' saved ones
     fn = target.entry
-    frame = Frame(0, sp, EXIT_COOKIE, None, fn, None)
-    frames = [frame]
-    unwound: list[Frame] = []
-    act = 0
+    act, call_top, tainted, pushes, pops, pop_first, unsafe = 0, None, False, 0, 0, False, None
+    ra_slot, cookie, poison = sp, EXIT_COOKIE, 0
+    callers: list[tuple] = []
+    unwound: list[tuple] = []
     next_act = 1
 
     shadow: list[int] = []
@@ -357,7 +363,7 @@ def execute(
     if record:
         ev(("enter", 0, fname, bid))
     steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
-    checking = True   # off after an unwind: frame/function pairing no longer matches the analyses
+    checking = True   # off after an unwind: activation/function pairing no longer matches the analyses
 
     outcome: Outcome | None = None
     try:
@@ -370,86 +376,91 @@ def execute(
 
             if live is not None and checking:
                 dead, uses, defs = live
-                poison = frame.poison | dead
+                poison |= dead
                 bad = uses & poison
                 if bad:
                     regs_read = tuple(r for r in range(NUM_REGS) if bad >> r & 1)
                     trace.liveness_violations.append((fname, bid, idx, regs_read))
-                frame.poison = poison & ~defs
+                poison &= ~defs
 
             if op < RET:
                 if op == MOVI:
                     regs[a] = b
+                elif op == MOVR:
+                    regs[a] = regs[b]
+                elif op == BINOP:
+                    regs[a] = (regs[a] + regs[b]) & MASK
                 elif op == SPADD:
                     sp += a
-                elif op == STORE_REG or op == STORE_SP:
+                elif op == STORE_SP or op == STORE_REG:
                     addr = sp + a if op == STORE_SP else regs[a]
-                    if addr & 7 or not 0 <= addr < MEM_BYTES:
+                    if addr & bad_bits:
                         raise _bad_address(addr)
                     mem[addr >> 3] = regs[RETURN_REG]
                     mem_accesses += 1
-                    height = addr - frame.ra_slot
+                    height = addr - ra_slot
                     if c is not None and checking and height != c:
                         trace.height_violations.append((fname, bid, idx, c, height))
-                    if b == UNSAFE and frame.fn.lowered:
-                        if frame.unsafe is None:
-                            frame.unsafe = []
-                        frame.unsafe.append((frame.pushes == 0) * _BEFORE_PUSH | (frame.pops > 0) * _AFTER_POP)
+                    if b == UNSAFE and fn.lowered:
+                        if unsafe is None:
+                            unsafe = []
+                        unsafe.append((pushes == 0) * _BEFORE_PUSH | (pops > 0) * _AFTER_POP)
                     if record:
                         ev(("store", act, fname, bid, idx, b, addr, height))
-                elif op == BINOP:
-                    regs[a] = (regs[a] + regs[b]) & MASK
-                elif op == LEA_SP:
-                    regs[a] = (sp + b) & MASK
-                elif op == MOVR:
-                    regs[a] = regs[b]
                 elif op == STORE_GLOBAL:
                     trace.globals_log.append((a, regs[RETURN_REG]))
                     mem_accesses += 1
                     if record:
                         ev(("store", act, fname, bid, idx, "global", -1, None))
-                elif op == CORRUPT:
-                    depth = min(a, len(frames) - 1)
-                    victim = frames[-1 - depth]
-                    mem[victim.ra_slot >> 3] = b
-                    mem_accesses += 1
-                    corruptions += 1
-                    if record:
-                        ev(("corrupt", act, depth, victim.act))
+                elif op == LEA_SP:
+                    regs[a] = (sp + b) & MASK
                 elif op == LOAD_SP or op == LOAD_REG:
                     addr = sp + b if op == LOAD_SP else regs[b]
-                    if addr & 7 or not 0 <= addr < MEM_BYTES:
+                    if addr & bad_bits:
                         raise _bad_address(addr)
                     regs[a] = mem.get(addr >> 3, 0)
                     mem_accesses += 1
+                elif op == CORRUPT:
+                    depth = min(a, len(callers))
+                    if depth:
+                        saved = callers[-depth]
+                        victim, slot = saved[0], saved[_RA_SLOT]
+                    else:
+                        victim, slot = act, ra_slot
+                    mem[slot >> 3] = b
+                    mem_accesses += 1
+                    corruptions += 1
+                    if record:
+                        ev(("corrupt", act, depth, victim))
                 else:  # SPMOV
                     sp = regs[a]
                 idx += 1
             elif op < SPUSH:
                 if op == RET:
-                    value = mem.get(frame.ra_slot >> 3, 0)
+                    value = mem.get(ra_slot >> 3, 0)
                     mem_accesses += 1
-                    frames.pop()
-                    sp = frame.ra_slot + 8
-                    ok = value == frame.cookie
+                    sp = ra_slot + 8
+                    ok = value == cookie
+                    top = len(shadow)
                     # only a lowered function's walk or an unbalanced depth can fail a check
-                    if frame.fn.planned and (frame.fn.lowered or frame.call_top != len(shadow)):
-                        _check_activation(frame, len(shadow), COMPLETED, problems)
+                    if fn.planned and (fn.lowered or call_top != top):
+                        _check_activation(act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, top, COMPLETED, problems)
                     if record:
-                        ev(("ret", act, fname, ok, len(shadow)))
+                        ev(("ret", act, fname, ok, top))
                     if not ok:
-                        outcome = Outcome(UNDETECTED, evidence=(fname, frame.cookie, value))
+                        outcome = Outcome(UNDETECTED, evidence=(fname, cookie, value))
+                        fn = None
                         break
-                    if frame.ret_to is None:
+                    if not callers:
                         outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
+                        fn = None
                         break
-                    fname, code, bid, block, idx = frame.ret_to
-                    frame = frames[-1]
-                    act = frame.act
+                    (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie, poison,
+                     fname, code, bid, block, idx) = callers.pop()
                 elif op == BR:
                     bid, block, idx = a, code[a], 0
                     if c:
-                        frame.tainted = True
+                        tainted = True
                     if record:
                         ev(("enter", act, fname, bid))
                 elif op == BRC:
@@ -457,7 +468,7 @@ def execute(
                     di += 1
                     block, idx = code[bid], 0
                     if c and bid in c:
-                        frame.tainted = True
+                        tainted = True
                     if record:
                         ev(("enter", act, fname, bid))
                 elif op == CALL or op == ICALL:
@@ -471,14 +482,18 @@ def execute(
                     sp -= 8
                     if sp < STACK_FLOOR:
                         raise _VmFault("stack overflow")
-                    if sp & 7 or sp >= MEM_BYTES:
+                    if sp & bad_bits:
                         raise _bad_address(sp)
                     mem[sp >> 3] = b
                     mem_accesses += 1
+                    callers.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
+                                    poison, fname, code, bid, block, idx + 1))
                     act = next_act
                     next_act += 1
-                    frame = Frame(act, sp, b, (fname, code, bid, block, idx + 1), callee, len(shadow))
-                    frames.append(frame)
+                    fn, call_top, ra_slot, cookie = callee, len(shadow), sp, b
+                    tainted = pop_first = False
+                    pushes = pops = poison = 0
+                    unsafe = None
                     fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
                     if record:
                         ev(("call", act, fname, len(shadow)))
@@ -488,17 +503,19 @@ def execute(
                         ev(("halt", regs[RETURN_REG]))
                     outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
                     break
-                else:  # UNWIND
-                    if a >= len(frames):
-                        raise _VmFault(f"unwind {a} with {len(frames)} frames")
-                    unwound += frames[-a:]
-                    del frames[-a:]
-                    frame = frames[-1]
-                    sp = frame.ra_slot
+                else:  # UNWIND: drop `a` activations, then run on in this code as the one below them
+                    depth = len(callers) - a
+                    if depth < 0:
+                        raise _VmFault(f"unwind {a} with {len(callers) + 1} frames")
+                    unwound += callers[depth + 1:]
+                    unwound.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe))
                     checking = False
                     if record:
                         ev(("unwind", act, a))
-                    act = frame.act
+                    (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
+                     poison) = callers[depth][:_ACTIVATION]
+                    del callers[depth:]
+                    sp = ra_slot
                     idx += 1
             elif op == UNKNOWN:
                 raise _VmFault(f"unhandled opcode {a}")
@@ -508,22 +525,22 @@ def execute(
                 shadow_ops += 1
                 if op == SPUSH:
                     ra_addr = sp - a
-                    if ra_addr & 7 or not 0 <= ra_addr < MEM_BYTES:
+                    if ra_addr & bad_bits:
                         raise _bad_address(ra_addr)
                     if len(shadow) >= SHADOW_CAPACITY:
                         raise _VmFault("shadow region overflow")
                     shadow.append(mem.get(ra_addr >> 3, 0))
-                    frame.pushes += 1
+                    pushes += 1
                     if record:
                         ev(("push", act, fname, bid, idx, False))
                 elif op == RFPUSH:
                     scratch = regs[a]
-                    regs[a] = mem.get(frame.ra_slot >> 3, 0)
-                    frame.pushes += 1
+                    regs[a] = mem.get(ra_slot >> 3, 0)
+                    pushes += 1
                     if record:
                         ev(("push", act, fname, bid, idx, True))
                 else:  # SPOP, or RFPOP
-                    ra = mem.get(frame.ra_slot >> 3, 0)
+                    ra = mem.get(ra_slot >> 3, 0)
                     rf = op == RFPOP
                     if rf and regs[a] == ra:
                         matched = 0
@@ -543,9 +560,9 @@ def execute(
                             break
                     if rf:
                         regs[a] = scratch
-                    if not frame.pops and not frame.pushes:
-                        frame.pop_first = True
-                    frame.pops += 1
+                    if not pops and not pushes:
+                        pop_first = True
+                    pops += 1
                     if record:
                         ev(("pop", act, fname, bid, idx, matched, rf))
                 idx += 1
@@ -554,11 +571,15 @@ def execute(
             ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
 
-    # activations that never returned, now that the outcome is known; with no
-    # return depth, only a lowered function's walk can fail a check
-    for f in (*unwound, *frames):
-        if f.fn.lowered:
-            _check_activation(f, None, outcome.kind, problems)
+    # activations that never returned, now that the outcome is known: the
+    # unwound ones, the callers and, unless a return ended the run (fn is
+    # then None), the running one; with no return depth, only a lowered
+    # function's walk can fail a check
+    if fn is not None:
+        callers.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe))
+    for saved in (*unwound, *callers):
+        if saved[1].lowered:
+            _check_activation(*saved[:_CHECKED], None, outcome.kind, problems)
     problems.sort(key=itemgetter(0))
 
     trace.instr_count = steps - shadow_ops
@@ -599,29 +620,30 @@ class CampaignReport:
         self.violations.extend(messages[: MAX_VIOLATIONS - len(self.violations)])
 
 
-def _check_activation(frame: Frame, ret_top: int | None, end: str, out: list) -> None:
-    """Append (act, fn, message) for each check the activation in `frame`
-    failed: a lowered function's tainted walk runs one covering push and pop
-    around its unsafe stores, its safe walk runs none, and a returning
-    activation leaves the shadow as deep as its call found it.  `ret_top` is
-    the depth at the return, None if it never returned.  `end` is COMPLETED
-    for a walk that ran to its end, so its pop is due; otherwise the run's
-    outcome.  A walk the budget cut short may not have reached its push yet,
-    so only a second push fails it."""
-    fn = frame.fn
-    where = (frame.act, fn.name)
+def _check_activation(
+    act: int, fn: _Fn, call_top: int | None, tainted: bool, pushes: int, pops: int, pop_first: bool,
+    unsafe: list | None, ret_top: int | None, end: str, out: list,
+) -> None:
+    """Append (act, fn name, message) for each check the activation failed,
+    given its fields as `execute` keeps them: a lowered function's tainted
+    walk runs one covering push and pop around its unsafe stores, its safe
+    walk runs none, and a returning activation leaves the shadow as deep as
+    its call found it.  `ret_top` is the depth at the return, None if it
+    never returned.  `end` is COMPLETED for a walk that ran to its end, so
+    its pop is due; otherwise the run's outcome.  A walk the budget cut short
+    may not have reached its push yet, so only a second push fails it."""
+    where = (act, fn.name)
     if fn.lowered:
-        pushes, pops, unsafe = frame.pushes, frame.pops, frame.unsafe or ()
-        if frame.tainted:
+        if tainted:
             if end == BUDGET:
                 miscounted = pushes > 1
             else:
                 miscounted = pushes != 1 or (end == COMPLETED and pops != 1)
             if miscounted:
                 out.append((*where, f"tainted walk executed {pushes} pushes, {pops} pops"))
-            elif frame.pop_first:
+            elif pop_first:
                 out.append((*where, "pop before push"))
-            for bits in unsafe:
+            for bits in unsafe or ():
                 if bits & _BEFORE_PUSH and pushes:
                     out.append((*where, "unsafe store before the covering push"))
                 if bits & _AFTER_POP:
@@ -631,8 +653,8 @@ def _check_activation(frame: Frame, ret_top: int | None, end: str, out: list) ->
                 out.append((*where, "safe walk executed shadow operations"))
             if unsafe:
                 out.append((*where, "unsafe store on a walk that never left safe blocks"))
-    if ret_top is not None and frame.call_top is not None and ret_top != frame.call_top:
-        out.append((*where, f"shadow depth {ret_top} at return, {frame.call_top} at call"))
+    if ret_top is not None and call_top is not None and ret_top != call_top:
+        out.append((*where, f"shadow depth {ret_top} at return, {call_top} at call"))
 
 
 def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> list[str]:

@@ -345,31 +345,36 @@ def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
         assert events[-1][0] == "ret" and events[-1][3] is False     # ("ret", act, fn, ok, shadow_top)
 
 
-def _skew_checks(monkeypatch, skew):
-    """Make verify build wrong analysis facts for the adversarial targets
-    only: heights off by 8, or every register dead."""
-    import shadowlab.cli as cli
+def _skewed(checks, program, skew):
+    """`checks` for `program` with wrong facts: heights off by 8, or every
+    register dead."""
     from shadowlab.mir import NUM_REGS
     from shadowlab.shadowvm import AnalysisChecks
+
+    if skew == "height":
+        heights = {
+            name: {at: f._replace(dest=f.dest - 8) if isinstance(f.dest, int) else f for at, f in facts.items()}
+            for name, facts in checks.heights.items()
+        }
+        return AnalysisChecks(heights, checks.liveness, checks.classes)
+    every = (1 << NUM_REGS) - 1
+    liveness = {
+        name: {(bid, idx): every for bid, block in fn.blocks.items() for idx in range(len(block.instrs))}
+        for name, fn in program.functions.items()
+    }
+    return AnalysisChecks(checks.heights, liveness, checks.classes)
+
+
+def _skew_checks(monkeypatch, skew):
+    """Make verify build wrong analysis facts for the adversarial targets
+    only."""
+    import shadowlab.cli as cli
 
     real = cli.build_checks
 
     def skewed(program, with_liveness=False, reuse=None):
         checks = real(program, with_liveness, reuse)
-        if not program.adversarial:
-            return checks
-        if skew == "height":
-            heights = {
-                name: {at: f._replace(dest=f.dest - 8) if isinstance(f.dest, int) else f for at, f in facts.items()}
-                for name, facts in checks.heights.items()
-            }
-            return AnalysisChecks(heights, checks.liveness, checks.classes)
-        every = (1 << NUM_REGS) - 1
-        liveness = {
-            name: {(bid, idx): every for bid, block in fn.blocks.items() for idx in range(len(block.instrs))}
-            for name, fn in program.functions.items()
-        }
-        return AnalysisChecks(checks.heights, liveness, checks.classes)
+        return _skewed(checks, program, skew) if program.adversarial else checks
 
     monkeypatch.setattr(cli, "build_checks", skewed)
 
@@ -383,6 +388,32 @@ def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
     _skew_checks(monkeypatch, skew)
     report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
     assert any(f"{skew} violation" in v for v in report["violations"])
+    assert not ok
+    checks = report["checks"]
+    assert not checks[f"{skew}_soundness"]
+    other = "liveness" if skew == "height" else "height"
+    assert checks[f"{other}_soundness"]
+
+
+@pytest.mark.parametrize("skew", ["height", "liveness"])
+def test_verify_counts_control_campaign_violations(monkeypatch, skew):
+    # only the ELIDE-ALL targets, which run in the control campaign, are
+    # compiled with wrong facts, and the soundness checks must still fail
+    import shadowlab.cli as cli
+    from shadowlab.transform import InstrumentedProgram
+
+    real, controls = cli.compile, []
+
+    def compile_skewed(target, checks=None):
+        if isinstance(target, InstrumentedProgram) and target.mode == "ELIDE-ALL":
+            controls.append(target)
+            checks = _skewed(checks, target.program, skew)
+        return real(target, checks)
+
+    monkeypatch.setattr(cli, "compile", compile_skewed)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
+    skewed = [v for v in report["violations"] if f"{skew} violation" in v]
+    assert controls and skewed and all("/ELIDE-ALL: " in v for v in skewed)
     assert not ok
     checks = report["checks"]
     assert not checks[f"{skew}_soundness"]
@@ -451,6 +482,44 @@ def test_verify_keeps_first_violations(monkeypatch):
     assert all(len(r.violations) <= MAX_VIOLATIONS for r in reports)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("fn main {\nb0:\n  call main\n  ret\n}\n", "stack overflow"),
+        ("fn main {\nb0:\n  movi r1, 5\n  icall r1\n  halt\n}\n", "indirect call to invalid address 5"),
+        ("fn main {\nb0:\n  unwind 3\n  ret\n}\n", "unwind 3 with 1 frames"),
+    ],
+    ids=["recursion", "icall", "unwind"],
+)
+def test_cli_run_prints_fault_reason(capsys, tmp_path, text, reason):
+    path = write_fixture(tmp_path, "f.mir", text)
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"outcome: fault: {reason}"
+
+
+def test_cli_run_into_closed_pipe_prints_no_traceback(tmp_path):
+    # the reader takes one line of a long trace and closes the pipe, as `| head -1` does
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import shadowlab
+
+    path = write_fixture(tmp_path, "loop.mir", "fn main {\nb0:\n  movi r1, 1\n  br b1\nb1:\n  br b0\n}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(shadowlab.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shadowlab.cli", "run", path, "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"enter 0 main 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_cli_run_rejects_non_positive_budget(capsys, tmp_path, budget):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)
@@ -515,9 +584,11 @@ def test_cli_outputs_pin(capsys, tmp_path):
 
 # sha256 of `run --trace` and `run --json` output for a fixed gen corpus plus
 # an unwinding and a faulting program, uninstrumented and under every mode
-# with its plan sidecar, recorded before the VM's trace became a log of plain
-# tuples: it pins the text and JSON forms of every event kind.
-PINNED_RUN_DIGEST = "6723c7072eec7d16236c4b53cb9f25978dcf3fddbfc89daec2aa16a7bb28f43b"
+# with its plan sidecar: it pins the text and JSON forms of every event kind.
+# Recorded before the VM's trace became a log of plain tuples, and recorded
+# again when `outcome: fault` lines gained their reason, the only lines that
+# changed then.
+PINNED_RUN_DIGEST = "52e92abb793d854aed7f167a2797f9762f55596f50cac1a6c7298aedc4588e36"
 
 
 def test_cli_run_outputs_pin(capsys, tmp_path):

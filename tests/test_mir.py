@@ -230,6 +230,14 @@ def test_validate_corrupt_in_benign_program():
     assert any("adversarial instruction in benign program" in r for r in reasons)
 
 
+def test_validate_negative_corrupt_depth():
+    # `corrupt` counts activations down from the running one; `run` raised
+    # IndexError on a negative depth
+    text = "#adversarial true\nfn f {\nb0:\n  corrupt %d, 1\n  ret\n}"
+    assert [d.reason for d in validate_program(parse_program(text % -1))] == ["f.b0: corrupt depth must be >= 0"]
+    assert validate_program(parse_program(text % 0)) == []
+
+
 def test_validate_unreachable_block():
     p = parse_program("fn f {\nb0:\n  ret\nb1:\n  ret\n}")
     reasons = [d.reason for d in validate_program(p)]

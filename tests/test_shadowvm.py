@@ -1,24 +1,61 @@
+from __future__ import annotations
+
 import dataclasses
 import hashlib
 import json
 import re
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.analysis import UNSAFE
-from shadowlab.mir import parse_program, print_program
+from shadowlab.mir import NUM_REGS, RETURN_REG, Program, parse_program, print_program
 from shadowlab.transform import FN_LOWERED, MODES, InstrumentedProgram, apply_plan, plan_program
 from shadowlab.shadowvm import (
+    _AFTER_POP,
+    _BEFORE_PUSH,
     ABORTED,
+    BINOP,
+    BR,
+    BRC,
     BUDGET,
+    CALL,
     COMPLETED,
+    CORRUPT,
+    EXIT_COOKIE,
     FAULT,
+    HALT,
+    ICALL,
+    LEA_SP,
+    LOAD_REG,
+    LOAD_SP,
+    MASK,
     MAX_VIOLATIONS,
+    MEM_BYTES,
+    MOVI,
+    MOVR,
+    RET,
+    RFPOP,
+    RFPUSH,
+    SHADOW_CAPACITY,
+    SPADD,
+    SPUSH,
+    STACK_FLOOR,
+    STORE_GLOBAL,
+    STORE_REG,
+    STORE_SP,
     UNDETECTED,
+    UNKNOWN,
     AnalysisChecks,
     CampaignCase,
+    CompiledProgram,
     ExecInput,
+    Outcome,
+    Trace,
+    _bad_address,
+    _Fn,
+    _VmFault,
     build_checks,
     check_activations,
     compile,
@@ -717,3 +754,496 @@ def test_compiled_program_reused_across_inputs():
             for inp in inputs:
                 fresh = execute(compile(target, checks), inp, 20000, record=True)
                 assert execute(compiled, inp, 20000, record=True) == fresh, name
+
+
+# ---- the step loop with one Frame object per activation is the reference ----
+
+@dataclasses.dataclass(slots=True)
+class _Frame:
+    act: int
+    ra_slot: int
+    cookie: int
+    ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
+    fn: _Fn                 # the called function, whose plan the activation checks read
+    call_top: int | None    # shadow depth at the call; None for the entry activation
+    tainted: bool = False   # entered a clone or transition block (never an entry block): a tainted walk
+    pushes: int = 0
+    pops: int = 0
+    pop_first: bool = False             # the first pop ran before any push
+    unsafe: list | None = None          # per unsafe store of a lowered function, its _BEFORE_PUSH | _AFTER_POP bits
+    poison: int = 0         # mask of registers dead here, from the `live` slots
+
+
+def reference_execute(
+    target: CompiledProgram | InstrumentedProgram | Program,
+    inp: ExecInput = ExecInput(),
+    budget: int = 10000,
+    record: bool = False,
+) -> tuple[Trace, Outcome]:
+    """`execute` as it was with one _Frame object per activation."""
+    if not isinstance(target, CompiledProgram):
+        target = compile(target)
+    by_index = target.functions
+
+    mem: dict[int, int] = {}    # word index -> value; unwritten words read 0
+    regs = [v & MASK for v in inp.regs] + [0] * (16 - len(inp.regs))
+    decisions = inp.decisions
+    n_decisions = len(decisions)
+    di = 0
+
+    sp = MEM_BYTES - 8
+    mem[sp >> 3] = EXIT_COOKIE
+    fn = target.entry
+    frame = _Frame(0, sp, EXIT_COOKIE, None, fn, None)
+    frames = [frame]
+    unwound: list[_Frame] = []
+    act = 0
+    next_act = 1
+
+    shadow: list[int] = []
+    scratch = 0
+
+    trace = Trace(log=[])
+    ev = trace.log.append
+    problems = trace.activation_problems
+    fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
+    if record:
+        ev(("enter", 0, fname, bid))
+    steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
+    checking = True   # off after an unwind: frame/function pairing no longer matches the analyses
+
+    outcome: Outcome | None = None
+    try:
+        while True:
+            if steps >= budget:
+                outcome = Outcome(BUDGET)
+                break
+            steps += 1
+            op, a, b, c, live = block[idx]
+
+            if live is not None and checking:
+                dead, uses, defs = live
+                poison = frame.poison | dead
+                bad = uses & poison
+                if bad:
+                    regs_read = tuple(r for r in range(NUM_REGS) if bad >> r & 1)
+                    trace.liveness_violations.append((fname, bid, idx, regs_read))
+                frame.poison = poison & ~defs
+
+            if op < RET:
+                if op == MOVI:
+                    regs[a] = b
+                elif op == SPADD:
+                    sp += a
+                elif op == STORE_REG or op == STORE_SP:
+                    addr = sp + a if op == STORE_SP else regs[a]
+                    if addr & 7 or not 0 <= addr < MEM_BYTES:
+                        raise _bad_address(addr)
+                    mem[addr >> 3] = regs[RETURN_REG]
+                    mem_accesses += 1
+                    height = addr - frame.ra_slot
+                    if c is not None and checking and height != c:
+                        trace.height_violations.append((fname, bid, idx, c, height))
+                    if b == UNSAFE and frame.fn.lowered:
+                        if frame.unsafe is None:
+                            frame.unsafe = []
+                        frame.unsafe.append((frame.pushes == 0) * _BEFORE_PUSH | (frame.pops > 0) * _AFTER_POP)
+                    if record:
+                        ev(("store", act, fname, bid, idx, b, addr, height))
+                elif op == BINOP:
+                    regs[a] = (regs[a] + regs[b]) & MASK
+                elif op == LEA_SP:
+                    regs[a] = (sp + b) & MASK
+                elif op == MOVR:
+                    regs[a] = regs[b]
+                elif op == STORE_GLOBAL:
+                    trace.globals_log.append((a, regs[RETURN_REG]))
+                    mem_accesses += 1
+                    if record:
+                        ev(("store", act, fname, bid, idx, "global", -1, None))
+                elif op == CORRUPT:
+                    depth = min(a, len(frames) - 1)
+                    victim = frames[-1 - depth]
+                    mem[victim.ra_slot >> 3] = b
+                    mem_accesses += 1
+                    corruptions += 1
+                    if record:
+                        ev(("corrupt", act, depth, victim.act))
+                elif op == LOAD_SP or op == LOAD_REG:
+                    addr = sp + b if op == LOAD_SP else regs[b]
+                    if addr & 7 or not 0 <= addr < MEM_BYTES:
+                        raise _bad_address(addr)
+                    regs[a] = mem.get(addr >> 3, 0)
+                    mem_accesses += 1
+                else:  # SPMOV
+                    sp = regs[a]
+                idx += 1
+            elif op < SPUSH:
+                if op == RET:
+                    value = mem.get(frame.ra_slot >> 3, 0)
+                    mem_accesses += 1
+                    frames.pop()
+                    sp = frame.ra_slot + 8
+                    ok = value == frame.cookie
+                    # only a lowered function's walk or an unbalanced depth can fail a check
+                    if frame.fn.planned and (frame.fn.lowered or frame.call_top != len(shadow)):
+                        _reference_check_activation(frame, len(shadow), COMPLETED, problems)
+                    if record:
+                        ev(("ret", act, fname, ok, len(shadow)))
+                    if not ok:
+                        outcome = Outcome(UNDETECTED, evidence=(fname, frame.cookie, value))
+                        break
+                    if frame.ret_to is None:
+                        outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
+                        break
+                    fname, code, bid, block, idx = frame.ret_to
+                    frame = frames[-1]
+                    act = frame.act
+                elif op == BR:
+                    bid, block, idx = a, code[a], 0
+                    if c:
+                        frame.tainted = True
+                    if record:
+                        ev(("enter", act, fname, bid))
+                elif op == BRC:
+                    bid = (a if decisions[di] else b) if di < n_decisions else b
+                    di += 1
+                    block, idx = code[bid], 0
+                    if c and bid in c:
+                        frame.tainted = True
+                    if record:
+                        ev(("enter", act, fname, bid))
+                elif op == CALL or op == ICALL:
+                    if op == CALL:
+                        callee = a
+                    else:
+                        address = regs[a]
+                        if not 0 <= address < len(by_index):
+                            raise _VmFault(f"indirect call to invalid address {address}")
+                        callee = by_index[address]
+                    sp -= 8
+                    if sp < STACK_FLOOR:
+                        raise _VmFault("stack overflow")
+                    if sp & 7 or sp >= MEM_BYTES:
+                        raise _bad_address(sp)
+                    mem[sp >> 3] = b
+                    mem_accesses += 1
+                    act = next_act
+                    next_act += 1
+                    frame = _Frame(act, sp, b, (fname, code, bid, block, idx + 1), callee, len(shadow))
+                    frames.append(frame)
+                    fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
+                    if record:
+                        ev(("call", act, fname, len(shadow)))
+                        ev(("enter", act, fname, bid))
+                elif op == HALT:
+                    if record:
+                        ev(("halt", regs[RETURN_REG]))
+                    outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
+                    break
+                else:  # UNWIND
+                    if a >= len(frames):
+                        raise _VmFault(f"unwind {a} with {len(frames)} frames")
+                    unwound += frames[-a:]
+                    del frames[-a:]
+                    frame = frames[-1]
+                    sp = frame.ra_slot
+                    checking = False
+                    if record:
+                        ev(("unwind", act, a))
+                    act = frame.act
+                    idx += 1
+            elif op == UNKNOWN:
+                raise _VmFault(f"unhandled opcode {a}")
+            else:
+                shadow_instr += b
+                shadow_mem += c
+                shadow_ops += 1
+                if op == SPUSH:
+                    ra_addr = sp - a
+                    if ra_addr & 7 or not 0 <= ra_addr < MEM_BYTES:
+                        raise _bad_address(ra_addr)
+                    if len(shadow) >= SHADOW_CAPACITY:
+                        raise _VmFault("shadow region overflow")
+                    shadow.append(mem.get(ra_addr >> 3, 0))
+                    frame.pushes += 1
+                    if record:
+                        ev(("push", act, fname, bid, idx, False))
+                elif op == RFPUSH:
+                    scratch = regs[a]
+                    regs[a] = mem.get(frame.ra_slot >> 3, 0)
+                    frame.pushes += 1
+                    if record:
+                        ev(("push", act, fname, bid, idx, True))
+                else:  # SPOP, or RFPOP
+                    ra = mem.get(frame.ra_slot >> 3, 0)
+                    rf = op == RFPOP
+                    if rf and regs[a] == ra:
+                        matched = 0
+                    else:
+                        # unwind the shadow until the on-stack address matches
+                        matched = -1
+                        k = 0
+                        while shadow:
+                            if shadow.pop() == ra:
+                                matched = k
+                                break
+                            k += 1
+                        if matched < 0:
+                            if record:
+                                ev(("abort", act, fname, bid, idx))
+                            outcome = Outcome(ABORTED, site=(fname, bid, idx))
+                            break
+                    if rf:
+                        regs[a] = scratch
+                    if not frame.pops and not frame.pushes:
+                        frame.pop_first = True
+                    frame.pops += 1
+                    if record:
+                        ev(("pop", act, fname, bid, idx, matched, rf))
+                idx += 1
+    except _VmFault as fault:
+        if record:
+            ev(("fault", fault.reason))
+        outcome = Outcome(FAULT, evidence=(fault.reason,))
+
+    # activations that never returned, now that the outcome is known; with no
+    # return depth, only a lowered function's walk can fail a check
+    for f in (*unwound, *frames):
+        if f.fn.lowered:
+            _reference_check_activation(f, None, outcome.kind, problems)
+    problems.sort(key=itemgetter(0))
+
+    trace.instr_count = steps - shadow_ops
+    trace.shadow_instr = shadow_instr
+    trace.shadow_mem = shadow_mem
+    trace.shadow_ops = shadow_ops
+    trace.mem_accesses = mem_accesses
+    trace.corruptions = corruptions
+    trace.final_shadow_top = len(shadow)
+    return trace, outcome
+
+
+def _reference_check_activation(frame: _Frame, ret_top: int | None, end: str, out: list) -> None:
+    """Append (act, fn, message) for each check the activation in `frame`
+    failed: a lowered function's tainted walk runs one covering push and pop
+    around its unsafe stores, its safe walk runs none, and a returning
+    activation leaves the shadow as deep as its call found it.  `ret_top` is
+    the depth at the return, None if it never returned.  `end` is COMPLETED
+    for a walk that ran to its end, so its pop is due; otherwise the run's
+    outcome.  A walk the budget cut short may not have reached its push yet,
+    so only a second push fails it."""
+    fn = frame.fn
+    where = (frame.act, fn.name)
+    if fn.lowered:
+        pushes, pops, unsafe = frame.pushes, frame.pops, frame.unsafe or ()
+        if frame.tainted:
+            if end == BUDGET:
+                miscounted = pushes > 1
+            else:
+                miscounted = pushes != 1 or (end == COMPLETED and pops != 1)
+            if miscounted:
+                out.append((*where, f"tainted walk executed {pushes} pushes, {pops} pops"))
+            elif frame.pop_first:
+                out.append((*where, "pop before push"))
+            for bits in unsafe:
+                if bits & _BEFORE_PUSH and pushes:
+                    out.append((*where, "unsafe store before the covering push"))
+                if bits & _AFTER_POP:
+                    out.append((*where, "unsafe store after the covering pop"))
+        else:
+            if pushes or pops:
+                out.append((*where, "safe walk executed shadow operations"))
+            if unsafe:
+                out.append((*where, "unsafe store on a walk that never left safe blocks"))
+    if ret_top is not None and frame.call_top is not None and ret_top != frame.call_top:
+        out.append((*where, f"shadow depth {ret_top} at return, {frame.call_top} at call"))
+
+
+def _run_view(run):
+    """Everything a run shows: its whole trace (event log, counters, height
+    and liveness violations, activation problems, final shadow depth) and
+    its outcome's fields."""
+    trace, outcome = run
+    return trace, (outcome.kind, outcome.site, outcome.evidence, outcome.r0)
+
+
+def _budgets(steps: int) -> list[int]:
+    """Budgets below a run's full length: every one up to 32, then the powers
+    of two up to 1,024.  Every longer run of the pinned corpus is the `call
+    main` recursion, whose later steps repeat its first ones."""
+    return sorted({*range(1, min(steps, 33)), *(1 << k for k in range(6, min(steps - 1, 1024).bit_length()))})
+
+
+def check_against_reference(compiled, inp, budget, label, sweep=True):
+    """execute runs as reference_execute does on one input: at `budget`, and,
+    with `sweep`, at budgets from 1 below the run's full length, unrecorded
+    and recorded in turn.  PINNED_VM_DIGEST pins the recorded runs of the
+    pinned corpus at their full length."""
+    expected = reference_execute(compiled, inp, budget)
+    assert _run_view(execute(compiled, inp, budget)) == _run_view(expected), label
+    if not sweep:
+        return
+    for i, cut in enumerate(_budgets(expected[0].instr_count + expected[0].shadow_ops)):
+        record = i % 2 == 1
+        assert _run_view(execute(compiled, inp, cut, record)) == _run_view(
+            reference_execute(compiled, inp, cut, record)
+        ), (label, cut, record)
+
+
+def test_step_loop_matches_reference_over_pinned_corpus():
+    # budgets are swept on the runs with checks; a run without them steps
+    # alike but for the checks, and a short run is a prefix of a checked one
+    for label, target, checks, inputs, budget in _pinned_runs():
+        compiled = compile(target, checks)
+        for inp in inputs:
+            check_against_reference(compiled, inp, budget, label, sweep=label.endswith(("/True", "/twin")))
+
+
+# corrupt at depth 0 with no caller (main's b1), and in leaf at depth 0, 1
+# and 7, deeper than the two callers below it
+CORRUPT_DEPTHS = """\
+#entry main
+#adversarial true
+
+fn main {
+b0:
+  spadd -16
+  brc b1, b2
+b1:
+  corrupt 0, 4242
+  br b2
+b2:
+  call mid
+  spadd 16
+  ret
+}
+
+fn mid {
+b0:
+  call leaf
+  ret
+}
+
+fn leaf {
+b0:
+  brc b1, b2
+b1:
+  corrupt 0, 1111
+  ret
+b2:
+  brc b3, b4
+b3:
+  corrupt 1, 2222
+  ret
+b4:
+  corrupt 7, 3333
+  ret
+}
+"""
+
+
+def unwind_then_calls(k: int) -> str:
+    """h unwinds k activations of main -> f -> g -> h, then calls and
+    returns on as the one below them; k = 4 unwinds past main and faults."""
+    return f"""\
+#entry main
+
+fn main {{
+b0:
+  spadd -16
+  call f
+  call leaf
+  movi r0, 1
+  spadd 16
+  ret
+}}
+
+fn f {{
+b0:
+  spadd -16
+  call g
+  call leaf
+  movi r9, 512
+  store.reg r9
+  spadd 16
+  ret
+}}
+
+fn g {{
+b0:
+  call h
+  ret
+}}
+
+fn h {{
+b0:
+  spadd -16
+  brc b1, b2
+b1:
+  unwind {k}
+  call leaf
+  spadd 16
+  ret
+b2:
+  spadd 16
+  ret
+}}
+
+fn leaf {{
+b0:
+  movi r0, 7
+  store.global out
+  ret
+}}
+"""
+
+
+# unbounded recursion through an unsafe store: the shadow region overflows
+# where main is instrumented, the stack where it is not
+OVERFLOW = "fn main {\nb0:\n  spadd -16\n  movi r1, 512\n  store.reg r1\n  call main\n  spadd 16\n  ret\n}\n"
+
+_NEW_PATHS = [
+    # a lowered function that calls another between its push and its pop
+    ("br-walk", BR_TAINTED_WALK, [(True, False), (False,), (True, True)]),
+    ("memo-caller", MEMO_CALLER, [(True, True, False), (False,), (True, False)]),
+    ("corrupt", CORRUPT_DEPTHS, [(True, True), (False, True), (False, False, True), (False, False, False)]),
+    *((f"unwind{k}", unwind_then_calls(k), [(True,), (False,)]) for k in (1, 2, 3, 4)),
+    ("overflow", OVERFLOW, [()]),
+]
+
+
+@pytest.mark.parametrize("name, text, decisions", _NEW_PATHS, ids=[n for n, _, _ in _NEW_PATHS])
+def test_step_loop_matches_reference_on_new_paths(name, text, decisions):
+    p = parse_program(text)
+    _, plan = plan_program(p)
+    inputs = [ExecInput(d, tuple(range(16))) for d in decisions]
+    for mode, target in [("BASE", p)] + [(m, apply_plan(p, plan, m)) for m in MODES]:
+        program = target if mode == "BASE" else target.program
+        for checks in (None, build_checks(program, with_liveness=True)):
+            compiled = compile(target, checks)
+            for inp in inputs:
+                label = f"{name}/{mode}/{inp.decisions}"
+                check_against_reference(compiled, inp, 100_000, label)
+                recorded = execute(compiled, inp, 100_000, True)
+                assert _run_view(recorded) == _run_view(reference_execute(compiled, inp, 100_000, True)), label
+
+
+def test_step_loop_matches_reference_on_a_miscounted_walk():
+    # memo's walk pushes twice, so a budget that cuts the run after the second
+    # push leaves a problem on the activation still running at the end
+    p = parse_program(MEMO_CALLER)
+    _, plan = plan_program(p)
+    ip = apply_plan(p, plan, "PO")
+    push = "b2000:\n  spush -16\n"
+    doubled = parse_program(print_program(ip.program).replace(push, push + "  spush -16\n"))
+    target = InstrumentedProgram(doubled, ip.mode, ip.functions)
+    compiled = compile(target, build_checks(doubled, with_liveness=True))
+    for decisions in ((True, True, False), (True, False), (False,)):
+        check_against_reference(compiled, ExecInput(decisions), 1000, f"doubled/{decisions}")
+
+
+def test_outcome_fields_and_defaults():
+    assert Outcome._fields == ("kind", "site", "evidence", "r0")
+    assert Outcome(BUDGET) == Outcome(BUDGET, None, None, None)
+    assert Outcome(COMPLETED, r0=3).r0 == 3 and Outcome(FAULT, evidence=("x",)).evidence == ("x",)
