@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
-from .mir import NUM_REGS, MirError, Program, parse_program, print_program, validate_program
+from .mir import NUM_REGS, Diagnostic, MirError, Program, parse_program, print_program, validate_program
 from .analysis import GLOBAL, SAFE_STACK, UNSAFE
 from .transform import (
     FN_ELIDED,
@@ -36,6 +36,7 @@ from .shadowvm import (
     MAX_VIOLATIONS,
     AnalysisChecks,
     CampaignCase,
+    CheckMappingError,
     CompiledProgram,
     ExecInput,
     build_checks,
@@ -76,7 +77,7 @@ def _load(path: str, allow_shadow: bool = False) -> Program:
     try:
         program = parse_program(text)
     except MirError as exc:
-        raise SystemExit(f"{path}:{exc.line}: {exc.msg}")
+        raise SystemExit(Diagnostic(exc.msg, exc.line).render(path))
     diags = validate_program(program, allow_shadow=allow_shadow)
     if diags:
         for d in diags:
@@ -348,7 +349,13 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
         if bad:
             violations.extend(f"{name}/{mode}: {d.reason}" for d in bad)
             continue
-        targets[mode] = compile(ip, build_checks(ip.program, reuse=(program, checks)))
+        try:
+            # heights and classes map from the input's analysis by position
+            mapped = build_checks(ip, reuse=(program, checks))
+        except CheckMappingError as exc:
+            violations.append(f"{name}/{mode}: {exc}")
+            continue
+        targets[mode] = compile(ip, mapped)
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program)
     return _Prepared(checks, plan, targets, inputs)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 WORD_SIZE = 8
 NUM_REGS = 16
@@ -139,11 +139,6 @@ class Function:
             if b.terminator is not None and b.terminator.opcode in ("ret", "halt")
         )
 
-    def iter_instrs(self) -> Iterator[tuple[int, int, Instr]]:
-        for bid, block in self.blocks.items():
-            for idx, ins in enumerate(block.instrs):
-                yield bid, idx, ins
-
     @property
     def is_leaf(self) -> bool:
         return not any(
@@ -183,7 +178,8 @@ class Diagnostic:
     line: int = 0
 
     def render(self, path: str = "<mir>") -> str:
-        return f"{path}:{self.line}: {self.reason}"
+        """`path:line: reason`, or `path: reason` when no line is known."""
+        return f"{path}:{self.line}: {self.reason}" if self.line else f"{path}: {self.reason}"
 
 
 _FN_RE = re.compile(r"^fn\s+([A-Za-z_][\w.]*)\s*\{(.*)$")

@@ -22,6 +22,13 @@ registers, memory and trace; given a Program or InstrumentedProgram it
 compiles it first, without checks.  Callers that run one target on many
 inputs compile it once, and a campaign case carries its compiled target.
 
+The checks of an instrumented target come from its input's analysis
+(`build_checks(ip, reuse=(input, checks))`): a store keeps the height and
+write class of the input instruction at its position, shadow operations
+aside, so the VM validates the rewrite against the program it was made
+from, not against itself.  Only a rewrite that inlined a call is analysed
+again.
+
 The step loop also checks each activation of a planned function as it runs
 (`check_activations` reports the result): counts of shadow pushes and pops,
 whether its walk entered a clone or transition block, where its unsafe
@@ -55,7 +62,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .mir import NUM_REGS, Program, RETURN_REG
+from .mir import NUM_REGS, Function, Program, RETURN_REG, SHADOW_OPCODES, STORE_OPCODES
 from .analysis import InstrFacts, UNSAFE, instr_masks
 from .transform import (
     COST_POP,
@@ -180,8 +187,13 @@ def observables(trace: Trace, outcome: Outcome) -> tuple:
     return outcome.kind, outcome.r0, tuple(trace.globals_log)
 
 
+class CheckMappingError(Exception):
+    """An instrumented function whose instructions, shadow operations aside,
+    are not its input's in order: checks cannot be mapped onto it."""
+
+
 def build_checks(
-    program: Program,
+    target: InstrumentedProgram | Program,
     with_liveness: bool = False,
     reuse: tuple[Program, AnalysisChecks] | None = None,
 ) -> AnalysisChecks:
@@ -190,9 +202,21 @@ def build_checks(
     `reuse` is another program and checks built for it with heights and
     classes, such as the program `apply_plan` instrumented and its analysis.
     A function that is the same object in both takes those facts instead of
-    being analysed again: they depend on nothing but the function."""
+    being analysed again: they depend on nothing but the function.
+
+    Given an InstrumentedProgram with `reuse`, the heights and classes of a
+    function the mode rewrote are mapped from its input function's, not
+    analysed again (`_mapped_facts`), unless the rewrite inlined a call; they
+    cover its stores only, which is all `compile` reads.  An output
+    instruction that is not the input's at its position raises
+    CheckMappingError.  Liveness, when asked for, is analysed on every
+    function `reuse` does not share."""
     from .analysis import classify_writes, dead_registers, stack_heights
 
+    if isinstance(target, InstrumentedProgram):
+        program, resolved = target.program, target.functions
+    else:
+        program, resolved = target, None
     shared: set[str] = set()
     if reuse is not None:
         original, known = reuse
@@ -201,11 +225,67 @@ def build_checks(
     liveness = {} if with_liveness else None
     for name, fn in program.functions.items():
         same = name in shared
-        heights[name] = known.heights[name] if same else stack_heights(fn)
-        classes[name] = known.classes[name] if same else classify_writes(fn, heights[name])
+        if same:
+            heights[name], classes[name] = known.heights[name], known.classes[name]
+        elif reuse is not None and resolved is not None and not resolved[name].inlined_calls:
+            heights[name], classes[name] = _mapped_facts(
+                original.functions.get(name), fn, resolved[name], known.heights[name], known.classes[name]
+            )
+        else:
+            heights[name] = stack_heights(fn)
+            classes[name] = classify_writes(fn, heights[name])
         if liveness is not None:
             liveness[name] = known.liveness[name] if same and known.liveness else dead_registers(fn)
     return AnalysisChecks(heights, liveness, classes)
+
+
+def _mapped_facts(
+    source: Function | None,
+    fn: Function,
+    rf: ResolvedFunction,
+    heights: Mapping[tuple[int, int], InstrFacts],
+    classes: Mapping[tuple[int, int], str],
+) -> tuple[dict[tuple[int, int], InstrFacts], dict[tuple[int, int], str]]:
+    """The heights and classes at the stores of `fn`, the rewrite `rf`
+    describes of `source`, taken from `source`'s.
+
+    Instrumentation inserts shadow operations without changing what the
+    other instructions do: a clone is its original block under the inverse
+    of `clone_map`, any other block its own id, and within a block the i-th
+    instruction that is not a shadow operation is the source block's i-th.
+    A transition block holds a push and a branch, and no store."""
+    name = fn.name
+    if source is None:
+        raise CheckMappingError(f"{name}: no input function to map checks from")
+    origin = {cid: bid for bid, cid in (rf.clone_map or {}).items()}
+    transitions = rf.transition_blocks
+    hmap, cmap = {}, {}
+    for bid, block in fn.blocks.items():
+        if bid in transitions:
+            if any(i.opcode not in SHADOW_OPCODES and i.opcode != "br" for i in block.instrs):
+                raise CheckMappingError(f"{name}.b{bid}: transition block holds more than a push and a branch")
+            continue
+        src = origin.get(bid, bid)
+        src_block = source.blocks.get(src)
+        if src_block is None:
+            raise CheckMappingError(f"{name}.b{bid}: no input block b{src}")
+        src_instrs = src_block.instrs
+        n = len(src_instrs)
+        i = 0
+        for idx, ins in enumerate(block.instrs):
+            op = ins.opcode
+            if op in SHADOW_OPCODES:
+                continue
+            if i == n or src_instrs[i].opcode != op:
+                was = src_instrs[i].opcode if i < n else "the block's end"
+                raise CheckMappingError(f"{name}.b{bid}[{idx}]: {op} where input b{src}[{i}] has {was}")
+            if op in STORE_OPCODES:
+                hmap[(bid, idx)] = heights[(src, i)]
+                cmap[(bid, idx)] = classes[(src, i)]
+            i += 1
+        if i != n:
+            raise CheckMappingError(f"{name}.b{bid}: ends where input b{src}[{i}] has {src_instrs[i].opcode}")
+    return hmap, cmap
 
 
 class _Fn:

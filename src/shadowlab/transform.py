@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 import types
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .mir import (
     Block,
@@ -123,6 +123,12 @@ class InstrumentationPlan:
     per_function: dict[str, FunctionPlan]
     inline_callees: frozenset[str]
     inline_sites: tuple[tuple[str, int, int, str], ...]    # (caller, bid, idx, callee)
+    # what `apply_plan` has built from this plan: (name, function mode,
+    # mechanisms flag) -> (input function, (callee, function) spliced into it,
+    # output function, ResolvedFunction)
+    rewrites: dict[tuple[str, str, bool], tuple] = field(default_factory=dict, repr=False, compare=False)
+    # one `spush` instruction per height, over every output of this plan
+    spushes: dict[int, Instr] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -462,20 +468,124 @@ def _inline_block(
     return tuple(out), hits
 
 
+def _rewrite(
+    program: Program,
+    fn: Function,
+    fp: FunctionPlan,
+    fn_mode: str,
+    mechanisms: bool,
+    callees: frozenset[str],
+    spush: Callable[[int], Instr],
+) -> tuple[Function, ResolvedFunction]:
+    """`fn` instrumented as `fn_mode`, with its ResolvedFunction."""
+    blocks: dict[int, Block] = {}
+    ops: list[ShadowOp] = []
+    op_costs: dict[tuple[int, int], tuple[int, int]] = {}
+    inlined: list[tuple[int, int, str]] = []
+    chase_shifts: dict[str, tuple] = {}
+    clone_map: dict[int, int] | None = None
+    transition_blocks: dict[int, tuple[int, int]] = {}
+
+    def emit(bid, out_id, targets, push, pop):
+        """Block `bid` as block `out_id`: calls to `callees` inlined, its
+        branch targets mapped through `targets`, the `push` (index, op,
+        instruction) spliced in, and the `pop` (kind, register, cost,
+        instruction) spliced before a ret or halt."""
+        block = fn.blocks[bid]
+        body, hits = _inline_block(block.instrs, program, callees)
+        inlined.extend((out_id, idx, callee) for idx, callee in hits)
+        term = body[-1]
+        if targets and term.opcode in ("br", "brc"):
+            args = tuple(targets.get(t, t) for t in term.args)
+            if args != term.args:
+                body = body[:-1] + (Instr(term.opcode, args),)
+        if push is not None:
+            k, op, ins = push
+            ops.append(op)
+            op_costs[(out_id, k)] = op.cost
+            body = body[:k] + (ins,) + body[k:]
+        if pop is not None and term.opcode in ("ret", "halt"):
+            kind, reg, cost, ins = pop
+            ops.append(ShadowOp(kind, ("exit", out_id), 0, reg, cost))
+            op_costs[(out_id, len(body) - 1)] = cost
+            body = body[:-1] + (ins, term)
+        blocks[out_id] = block if body is block.instrs and out_id == bid else Block(out_id, body)
+
+    if fn_mode == FN_LOWERED:
+        low = fp.lowered
+        clone_map = dict(low.clone_map)
+        tids = {edge: TRANSITION_BASE + i for i, edge in enumerate(low.transition_edges)}
+        transition_blocks = {tid: edge for edge, tid in tids.items()}
+        by_src: dict[int, dict[int, int]] = {}
+        for (src, dst), tid in tids.items():
+            by_src.setdefault(src, {})[dst] = tid
+        for bid in low.reachable_originals:
+            emit(bid, bid, by_src.get(bid), None, None)
+        for edge, tid in tids.items():
+            height = low.push_heights[edge]
+            drc = mechanisms and fp.edge_dead.get(edge, False)
+            base = COST_PUSH_CHASED if drc else COST_PUSH
+            cost = (base[0] + COST_TRANSITION_EDGE[0], base[1] + COST_TRANSITION_EDGE[1])
+            ops.append(ShadowOp("push", ("edge",) + edge, height, None, cost, drc, True))
+            op_costs[(tid, 0)] = cost
+            blocks[tid] = Block(tid, (spush(height), Instr("br", (low.clone_map[edge[1]],))))
+        for bid in low.cloned:
+            emit(bid, low.clone_map[bid], low.clone_map, None, _SPOP_EXIT)
+    else:
+        entry = fn.entry_block
+        push = pop = None
+        if fn_mode == FN_REGFRAME:
+            reg = fp.free_reg
+            rfpush = ShadowOp("rfpush", ("entry", entry), 0, reg, COST_RF_PUSH)
+            push = (0, rfpush, Instr("rfpush", (reg,)))
+            pop = ("rfpop", reg, COST_RF_POP, Instr("rfpop", (reg,)))
+        elif fn_mode == FN_FULL:
+            chased = mechanisms and fp.entry_chase is not None
+            k, delta = fp.entry_chase if chased else (0, 0)
+            site = ("instr", entry, k) if k else ("entry", entry)
+            cost = COST_PUSH_CHASED if chased else COST_PUSH
+            push = (k, ShadowOp("push", site, delta, None, cost, chased), spush(delta))
+            if k:
+                chase_shifts[f"b{entry}:0"] = (entry, k, -delta)
+            pop = _SPOP_EXIT
+        for bid in fn.blocks:
+            emit(bid, bid, None, push if bid == entry else None, pop)
+
+    rf = ResolvedFunction(
+        fn_mode,
+        tuple(ops),
+        clone_map,
+        transition_blocks or _EMPTY,
+        tuple(inlined),
+        chase_shifts or _EMPTY,
+        op_costs or _EMPTY,
+    )
+    kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
+    return (fn if kept else Function(fn.name, blocks)), rf
+
+
 def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> InstrumentedProgram:
     """Splice shadow pseudo-instructions and cloned blocks per the plan.
 
     Only what the mode changes is built.  A block it does not rewrite, and a
     function none of whose blocks it rewrites (every elided one, and all of
     ELIDE-ALL), is the input's own object, shared by the input and every
-    mode's output: neither may be mutated afterwards.  Within one output,
+    mode's output: neither may be mutated afterwards.
+
+    Each rewrite is built once per plan.  A function resolves to the same
+    rewrite under every mode that gives it the same function mode and
+    mechanisms flag: FULL, SFE and PO share an unsafe, unlowered function's,
+    and MO and LIGHT theirs.  The plan keeps each rewrite it has built with
+    the input function, and the callees spliced into it, that it was built
+    from; a later call takes it only if those are the same objects in its
+    program, and builds it again otherwise.  Over every output of one plan,
     every `spush` of one height is one instruction object.
     """
     if mode not in MODES:
         raise PlanError(f"unknown mode '{mode}'")
     mechanisms = mode in MODE_FLAGS and MODE_FLAGS[mode].mechanisms
     callees = plan.inline_callees if mechanisms else frozenset()
-    spushes: dict[int, Instr] = {}
+    spushes = plan.spushes
 
     def spush(height: int) -> Instr:
         ins = spushes.get(height)
@@ -483,97 +593,23 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
             ins = spushes[height] = Instr("spush", (height,))
         return ins
 
+    functions = program.functions
     new_functions: dict[str, Function] = {}
     resolved: dict[str, ResolvedFunction] = {}
-    for name, fn in program.functions.items():
+    for name, fn in functions.items():
         fp = plan.per_function.get(name)
         if fp is None:
             raise PlanError(f"stale plan: no entry for function '{name}'")
         fn_mode = resolve_mode(fp, mode)
-        blocks: dict[int, Block] = {}
-        ops: list[ShadowOp] = []
-        op_costs: dict[tuple[int, int], tuple[int, int]] = {}
-        inlined: list[tuple[int, int, str]] = []
-        chase_shifts: dict[str, tuple] = {}
-        clone_map: dict[int, int] | None = None
-        transition_blocks: dict[int, tuple[int, int]] = {}
-
-        def emit(bid, out_id, targets, push, pop):
-            """Block `bid` as block `out_id`: calls to `callees` inlined, its
-            branch targets mapped through `targets`, the `push` (index, op,
-            instruction) spliced in, and the `pop` (kind, register, cost,
-            instruction) spliced before a ret or halt."""
-            block = fn.blocks[bid]
-            body, hits = _inline_block(block.instrs, program, callees)
-            inlined.extend((out_id, idx, callee) for idx, callee in hits)
-            term = body[-1]
-            if targets and term.opcode in ("br", "brc"):
-                args = tuple(targets.get(t, t) for t in term.args)
-                if args != term.args:
-                    body = body[:-1] + (Instr(term.opcode, args),)
-            if push is not None:
-                k, op, ins = push
-                ops.append(op)
-                op_costs[(out_id, k)] = op.cost
-                body = body[:k] + (ins,) + body[k:]
-            if pop is not None and term.opcode in ("ret", "halt"):
-                kind, reg, cost, ins = pop
-                ops.append(ShadowOp(kind, ("exit", out_id), 0, reg, cost))
-                op_costs[(out_id, len(body) - 1)] = cost
-                body = body[:-1] + (ins, term)
-            blocks[out_id] = block if body is block.instrs and out_id == bid else Block(out_id, body)
-
-        if fn_mode == FN_LOWERED:
-            low = fp.lowered
-            clone_map = dict(low.clone_map)
-            tids = {edge: TRANSITION_BASE + i for i, edge in enumerate(low.transition_edges)}
-            transition_blocks = {tid: edge for edge, tid in tids.items()}
-            by_src: dict[int, dict[int, int]] = {}
-            for (src, dst), tid in tids.items():
-                by_src.setdefault(src, {})[dst] = tid
-            for bid in low.reachable_originals:
-                emit(bid, bid, by_src.get(bid), None, None)
-            for edge, tid in tids.items():
-                height = low.push_heights[edge]
-                drc = mechanisms and fp.edge_dead.get(edge, False)
-                base = COST_PUSH_CHASED if drc else COST_PUSH
-                cost = (base[0] + COST_TRANSITION_EDGE[0], base[1] + COST_TRANSITION_EDGE[1])
-                ops.append(ShadowOp("push", ("edge",) + edge, height, None, cost, drc, True))
-                op_costs[(tid, 0)] = cost
-                blocks[tid] = Block(tid, (spush(height), Instr("br", (low.clone_map[edge[1]],))))
-            for bid in low.cloned:
-                emit(bid, low.clone_map[bid], low.clone_map, None, _SPOP_EXIT)
-        else:
-            entry = fn.entry_block
-            push = pop = None
-            if fn_mode == FN_REGFRAME:
-                reg = fp.free_reg
-                rfpush = ShadowOp("rfpush", ("entry", entry), 0, reg, COST_RF_PUSH)
-                push = (0, rfpush, Instr("rfpush", (reg,)))
-                pop = ("rfpop", reg, COST_RF_POP, Instr("rfpop", (reg,)))
-            elif fn_mode == FN_FULL:
-                chased = mechanisms and fp.entry_chase is not None
-                k, delta = fp.entry_chase if chased else (0, 0)
-                site = ("instr", entry, k) if k else ("entry", entry)
-                cost = COST_PUSH_CHASED if chased else COST_PUSH
-                push = (k, ShadowOp("push", site, delta, None, cost, chased), spush(delta))
-                if k:
-                    chase_shifts[f"b{entry}:0"] = (entry, k, -delta)
-                pop = _SPOP_EXIT
-            for bid in fn.blocks:
-                emit(bid, bid, None, push if bid == entry else None, pop)
-
-        resolved[name] = ResolvedFunction(
-            fn_mode,
-            tuple(ops),
-            clone_map,
-            transition_blocks or _EMPTY,
-            tuple(inlined),
-            chase_shifts or _EMPTY,
-            op_costs or _EMPTY,
-        )
-        kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
-        new_functions[name] = fn if kept else Function(name, blocks)
+        key = (name, fn_mode, mechanisms)
+        built = plan.rewrites.get(key)
+        if built is None or built[0] is not fn or (
+            built[1] and any(functions.get(c) is not f for c, f in built[1])
+        ):
+            out, rf = _rewrite(program, fn, fp, fn_mode, mechanisms, callees, spush)
+            spliced = tuple((c, functions[c]) for c in dict.fromkeys(c for _, _, c in rf.inlined_calls))
+            built = plan.rewrites[key] = (fn, spliced, out, rf)
+        _, _, new_functions[name], resolved[name] = built
 
     new_program = Program(new_functions, entry=program.entry, adversarial=program.adversarial)
     return InstrumentedProgram(new_program, mode, resolved)

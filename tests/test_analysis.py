@@ -134,7 +134,7 @@ def test_classification_is_total(seed):
     p = generate_program(seed, GenConfig(), adversarial=seed % 2 == 0)
     for fn in p.functions.values():
         classes = classify_writes(fn, stack_heights(fn))
-        stores = [(b, i) for b, i, ins in fn.iter_instrs() if ins.is_store]
+        stores = [(b, i) for b, block in fn.blocks.items() for i, ins in enumerate(block.instrs) if ins.is_store]
         assert sorted(classes) == sorted(stores)
 
 
@@ -362,7 +362,7 @@ def _analysis_record(program) -> list:
     for name, fn in program.functions.items():
         hmap, lmap = analysis.heights[name], analysis.liveness[name]
         instrs = []
-        for bid, idx, _ in fn.iter_instrs():
+        for bid, idx in ((b, i) for b, block in fn.blocks.items() for i in range(len(block.instrs))):
             facts = hmap.get((bid, idx))
             heights = None
             if facts is not None:

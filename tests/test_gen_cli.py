@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_corpus_density_zero_has_no_attacks():
     for _, p in generate_corpus(GenConfig(seed=3, count=10, attack_density=0.0)):
         assert not p.adversarial
         assert not any(
-            ins.opcode == "corrupt" for fn in p.functions.values() for _, _, ins in fn.iter_instrs()
+            ins.opcode == "corrupt" for fn in p.functions.values() for b in fn.blocks.values() for ins in b.instrs
         )
 
 
@@ -55,7 +56,7 @@ def test_halt_only_in_entry_function():
         for fn in p.functions.values():
             if fn.name == "main":
                 continue
-            assert not any(ins.opcode == "halt" for _, _, ins in fn.iter_instrs())
+            assert not any(ins.opcode == "halt" for b in fn.blocks.values() for ins in b.instrs)
 
 
 def test_safe_fraction_guarantee():
@@ -122,6 +123,18 @@ def test_cli_analyze_rejects_invalid(capsys, tmp_path):
         main(["analyze", path])
 
 
+@pytest.mark.parametrize(
+    "text, msg",
+    [("", "no functions in program"), ("#entry g\nfn f {\nb0:\n  ret\n}\n", "unknown entry function 'g'")],
+)
+def test_cli_error_without_a_line_names_the_file_only(tmp_path, text, msg):
+    # a parse error no line can be blamed for prints "path: msg", not "path:0: msg"
+    path = write_fixture(tmp_path, "p.mir", text)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", path])
+    assert exc.value.code == f"{path}: {msg}"
+
+
 def test_cli_instrument_modes(capsys, tmp_path):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)
     out = tmp_path / "a_sfe.mir"
@@ -129,10 +142,10 @@ def test_cli_instrument_modes(capsys, tmp_path):
     text = out.read_text()
     instrumented = parse_program(text)
     for name in ("a", "c", "f"):
-        body = {i.opcode for _, _, i in instrumented.functions[name].iter_instrs()}
+        body = {i.opcode for b in instrumented.functions[name].blocks.values() for i in b.instrs}
         assert "spush" in body and "spop" in body
     for name in ("b", "d", "e"):
-        body = {i.opcode for _, _, i in instrumented.functions[name].iter_instrs()}
+        body = {i.opcode for b in instrumented.functions[name].blocks.values() for i in b.instrs}
         assert not body & {"spush", "spop"}
     assert (tmp_path / "a_sfe.mir.plan.json").exists()
 
@@ -143,7 +156,7 @@ def test_cli_instrument_full_everywhere(capsys, tmp_path):
     assert main(["instrument", path, "--mode", "FULL", "-o", str(out)]) == 0
     instrumented = parse_program(out.read_text())
     for fn in instrumented.functions.values():
-        assert any(i.opcode == "spush" for _, _, i in fn.iter_instrs())
+        assert any(i.opcode == "spush" for b in fn.blocks.values() for i in b.instrs)
 
 
 def test_cli_instrument_light_keeps_transition_push(capsys, tmp_path):
@@ -374,6 +387,7 @@ def _skew_checks(monkeypatch, skew):
 
     def skewed(program, with_liveness=False, reuse=None):
         checks = real(program, with_liveness, reuse)
+        program = program.program
         return _skewed(checks, program, skew) if program.adversarial else checks
 
     monkeypatch.setattr(cli, "build_checks", skewed)
@@ -419,6 +433,36 @@ def test_verify_counts_control_campaign_violations(monkeypatch, skew):
     assert not checks[f"{skew}_soundness"]
     other = "liveness" if skew == "height" else "height"
     assert checks[f"{other}_soundness"]
+
+
+def test_verify_reports_an_unmappable_rewrite(monkeypatch):
+    # an apply_plan whose FULL rewrites end in halt where the input has ret:
+    # checks cannot be mapped onto them, and verify reports each such target
+    # as a violation, without a traceback
+    import shadowlab.cli as cli
+    from shadowlab.mir import Block, Function, Instr, Program
+    from shadowlab.transform import InstrumentedProgram
+
+    real = cli.apply_plan
+
+    def tampered(program, plan, mode):
+        ip = real(program, plan, mode)
+        if mode != "FULL":
+            return ip
+        functions = dict(ip.program.functions)
+        for name, fn in functions.items():
+            if fn is not program.functions[name]:
+                functions[name] = Function(name, {
+                    bid: Block(bid, b.instrs[:-1] + (Instr("halt"),)) if b.instrs[-1].opcode == "ret" else b
+                    for bid, b in fn.blocks.items()
+                })
+        return InstrumentedProgram(Program(functions, ip.program.entry, ip.program.adversarial), mode, ip.functions)
+
+    monkeypatch.setattr(cli, "apply_plan", tampered)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
+    unmapped = [v for v in report["violations"] if re.search(r"/FULL: \S+\.b\d+\[\d+\]: halt where input b\d+\[\d+\] has ret$", v)]
+    assert len(unmapped) == 5 and not ok    # every program's FULL target
+    assert report["checks"]["no_other_violations"] is False
 
 
 def test_verify_compiles_each_target_once(monkeypatch):

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from shadowlab.mir import (
     OPERAND_SHAPES,
+    Diagnostic,
     Instr,
     MirError,
     parse_program,
@@ -101,7 +102,8 @@ def test_parse_call_tree(call_tree):
     calls = [
         ins
         for fn in call_tree.functions.values()
-        for _, _, ins in fn.iter_instrs()
+        for block in fn.blocks.values()
+        for ins in block.instrs
         if ins.opcode == "call"
     ]
     assert len(calls) == 7
@@ -163,7 +165,7 @@ def test_roundtrip_fixture():
 
 def test_all_opcodes_fixture_covers_every_opcode():
     p = parse_program(ALL_OPCODES)
-    opcodes = {ins.opcode for fn in p.functions.values() for _, _, ins in fn.iter_instrs()}
+    opcodes = {ins.opcode for fn in p.functions.values() for b in fn.blocks.values() for ins in b.instrs}
     assert opcodes == set(OPERAND_SHAPES)
 
 
@@ -266,6 +268,7 @@ def test_diagnostic_rendering():
     p = parse_program("fn f {\nb0:\n  corrupt 0, 1\n  ret\n}")
     d = validate_program(p)[0]
     assert d.render("x.mir").startswith("x.mir:3:")
+    assert Diagnostic("no line", 0).render("x.mir") == "x.mir: no line"
 
 
 @settings(max_examples=40, deadline=None)

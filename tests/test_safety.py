@@ -86,7 +86,7 @@ def call_edges(program):
     succs = {name: [] for name in program.functions}
     for fn in program.functions.values():
         callees = succs[fn.name]
-        for _, _, ins in fn.iter_instrs():
+        for ins in (i for block in fn.blocks.values() for i in block.instrs):
             if ins.opcode == "call" and ins.args[0] in program.functions and ins.args[0] not in callees:
                 callees.append(ins.args[0])
     return succs

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.analysis import UNSAFE
-from shadowlab.mir import NUM_REGS, RETURN_REG, Program, parse_program, print_program
+from shadowlab.mir import NUM_REGS, RETURN_REG, Block, Function, Instr, Program, parse_program, print_program
 from shadowlab.transform import FN_LOWERED, MODES, InstrumentedProgram, apply_plan, plan_program
 from shadowlab.shadowvm import (
     _AFTER_POP,
@@ -49,6 +49,7 @@ from shadowlab.shadowvm import (
     UNKNOWN,
     AnalysisChecks,
     CampaignCase,
+    CheckMappingError,
     CompiledProgram,
     ExecInput,
     Outcome,
@@ -483,6 +484,49 @@ def test_reused_checks_equal_fresh_ones(seed, adversarial, with_liveness, known_
             if fn is p.functions[name]:
                 assert reused.heights[name] is analysis.heights[name]
                 assert reused.classes[name] is analysis.classes[name]
+
+
+def _retouched(ip, name, bid, idx, ins):
+    """`ip` with instruction `idx` of block `bid` of function `name` replaced
+    by `ins`; nothing `ip` holds is changed."""
+    fn = ip.program.functions[name]
+    block = fn.blocks[bid]
+    blocks = {**fn.blocks, bid: Block(bid, block.instrs[:idx] + (ins,) + block.instrs[idx + 1:])}
+    functions = {**ip.program.functions, name: Function(name, blocks)}
+    return InstrumentedProgram(Program(functions, ip.program.entry, ip.program.adversarial), ip.mode, ip.functions)
+
+
+def test_mapped_checks_catch_a_moved_store(call_tree):
+    # b stores at height -8 (store.sp 8 after spadd -16).  An apply_plan that
+    # moved the store to -16 breaks the input's analysis, which mapped checks
+    # carry over: each of b's two calls reports it.  Re-analysis describes
+    # the moved store, and reports nothing.
+    analysis, plan = plan_program(call_tree)
+    known = AnalysisChecks(analysis.heights, None, analysis.classes)
+    ip = apply_plan(call_tree, plan, "FULL")
+    idx = next(i for i, ins in enumerate(ip.program.functions["b"].blocks[0].instrs) if ins.opcode == "store.sp")
+    moved = _retouched(ip, "b", 0, idx, Instr("store.sp", (0,)))
+    inp = ExecInput((True, False))
+    for target, violations in ((ip, []), (moved, [("b", 0, idx, -8, -16)] * 2)):
+        trace, outcome = execute(compile(target, build_checks(target, reuse=(call_tree, known))), inp, 1000)
+        assert outcome.kind == COMPLETED and trace.height_violations == violations
+    trace, _ = execute(compile(moved, build_checks(moved.program)), inp, 1000)
+    assert trace.height_violations == []
+
+
+def test_unmappable_rewrite_raises(call_tree):
+    # an output instruction that is not its input's, shadow operations aside
+    analysis, plan = plan_program(call_tree)
+    known = AnalysisChecks(analysis.heights, None, analysis.classes)
+    ip = apply_plan(call_tree, plan, "FULL")
+    last = len(ip.program.functions["b"].blocks[0].instrs) - 1
+    halts = _retouched(ip, "b", 0, last, Instr("halt"))
+    with pytest.raises(CheckMappingError, match=rf"^b\.b0\[{last}\]: halt where input b0\[4\] has ret$"):
+        build_checks(halts, reuse=(call_tree, known))
+    assert [i.opcode for i in ip.program.functions["b"].blocks[0].instrs[:2]] == ["spush", "spadd"]
+    dropped = _retouched(ip, "b", 0, 1, Instr("spop"))
+    with pytest.raises(CheckMappingError, match=r"^b\.b0\[2\]: store\.sp where input b0\[0\] has spadd$"):
+        build_checks(dropped, reuse=(call_tree, known))
 
 
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import operator
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +37,8 @@ from shadowlab.transform import (
     resolve_mode,
     strip_instrumentation,
 )
-from shadowlab.shadowvm import ExecInput, execute, observables
+from shadowlab.analysis import join_height
+from shadowlab.shadowvm import AnalysisChecks, ExecInput, build_checks, execute, observables
 from shadowlab.gen import GenConfig, generate_corpus, generate_program
 
 from conftest import CALL_TREE, DEEP_CHAIN, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
@@ -441,7 +443,7 @@ def test_apply_sfe_call_tree(call_tree):
         "f": FN_FULL,
     }
     for name in ("b", "d", "e"):
-        body = {i.opcode for _, _, i in ip.program.functions[name].iter_instrs()}
+        body = {i.opcode for b in ip.program.functions[name].blocks.values() for i in b.instrs}
         assert not body & {"spush", "spop"}
 
 
@@ -598,6 +600,106 @@ def test_modes_share_elided_functions(call_tree, memo_cfg):
     _, plan = planned(memo_cfg)
     memo, full = memo_cfg.functions["memo"], apply_plan(memo_cfg, plan, "FULL").program.functions["memo"]
     assert [bid for bid in memo.blocks if full.blocks[bid] is memo.blocks[bid]] == [2, 3, 4, 5]
+
+
+def _unsafe_unlowered(plan):
+    return [n for n, fp in plan.per_function.items() if not fp.ra_safe and fp.lowered is None]
+
+
+def test_modes_share_rewrites(call_tree, fixture_regframe, fixture_chase):
+    # one rewrite per (function mode, mechanisms flag): FULL, SFE and PO give
+    # an unsafe, unlowered function the same one, and MO and LIGHT theirs
+    for p in (call_tree, fixture_regframe, fixture_chase):
+        _, plan = planned(p)
+        outputs = {mode: apply_plan(p, plan, mode) for mode in MODES}
+        names = _unsafe_unlowered(plan)
+        assert names
+        for name in names:
+            for group in (("FULL", "SFE", "PO"), ("MO", "LIGHT")):
+                fns = [outputs[m].program.functions[name] for m in group]
+                rfs = [outputs[m].functions[name] for m in group]
+                assert all(fn is fns[0] for fn in fns) and all(rf is rfs[0] for rf in rfs), (name, group)
+            assert outputs["FULL"].program.functions[name] is not p.functions[name]
+
+
+def test_plan_applied_to_another_program_builds_its_own(fixture_inline):
+    # the same text parsed twice: equal programs, no object in common
+    twin = parse_program(FIXTURE_INLINE)
+    _, plan = planned(fixture_inline)
+    first = {mode: apply_plan(fixture_inline, plan, mode) for mode in MODES}
+    for mode in MODES:
+        again = apply_plan(twin, plan, mode)
+        for name, fn in again.program.functions.items():
+            assert fn is not first[mode].program.functions[name] or fn is twin.functions[name], (mode, name)
+            assert again.functions[name] is not first[mode].functions[name], (mode, name)
+        assert print_program(again.program) == print_program(first[mode].program)
+        back = apply_plan(fixture_inline, plan, mode)
+        assert all(fn is not again.program.functions[n] for n, fn in back.program.functions.items())
+    # main is the same object, but the callee spliced into it is not
+    other_id = parse_program("fn id {\nb0:\n  movr r0, r2\n  ret\n}").functions["id"]
+    shares_main = Program({"main": fixture_inline.functions["main"], "id": other_id}, entry="main")
+    for mode in ("MO", "LIGHT"):
+        apply_plan(fixture_inline, plan, mode)
+        main = apply_plan(shares_main, plan, mode).program.functions["main"]
+        body = [i.text for i in main.blocks[0].instrs]
+        assert "movr r0, r2" in body and "movr r0, r1" not in body, (mode, body)
+
+
+def test_mode_order_does_not_change_outputs():
+    orders = [list(MODES), list(reversed(MODES))] + [random.Random(seed).sample(MODES, len(MODES)) for seed in range(3)]
+    for name, p in pinned_corpus():
+        texts = []
+        for order in orders:
+            _, plan = planned(p)
+            outputs = {mode: apply_plan(p, plan, mode) for mode in order}
+            texts.append(
+                {m: (print_program(ip.program), json.dumps(ip.to_json(), sort_keys=True)) for m, ip in outputs.items()}
+            )
+        assert all(t == texts[0] for t in texts), name
+
+
+def mapped_and_analysed(p):
+    """Per store of every function a mode rewrote without inlining a call:
+    (mode, function, position, its height and class mapped from the input's
+    analysis, the same re-analysed on the output)."""
+    analysis, plan = planned(p)
+    known = AnalysisChecks(analysis.heights, None, analysis.classes)
+    for mode in MODES:
+        ip = apply_plan(p, plan, mode)
+        mapped, fresh = build_checks(ip, reuse=(p, known)), build_checks(ip.program)
+        for name, fn in ip.program.functions.items():
+            if fn is p.functions[name] or ip.functions[name].inlined_calls:
+                continue
+            stores = [(b, i) for b, block in fn.blocks.items() for i, ins in enumerate(block.instrs) if ins.is_store]
+            assert sorted(mapped.heights[name]) == sorted(mapped.classes[name]) == sorted(stores)
+            for at in stores:
+                yield (
+                    mode, name, at,
+                    (mapped.heights[name][at].dest, mapped.classes[name][at]),
+                    (fresh.heights[name][at].dest, fresh.classes[name][at]),
+                )
+
+
+def test_mapped_checks_equal_reanalysis_on_pinned_corpus():
+    stores = modes = 0
+    for _, p in pinned_corpus():
+        for mode, name, at, mapped, analysed in mapped_and_analysed(p):
+            assert mapped == analysed, (mode, name, at)
+            stores += 1
+            modes |= 1 << MODES.index(mode)
+    assert stores > 1000 and modes == (1 << 5) - 1     # every mode but ELIDE-ALL rewrites
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_mapped_heights_are_equal_or_coarser(seed):
+    # a clone's entry joins fewer predecessors than its original, so the
+    # mapped height may only lose precision, never disagree
+    p = generate_program(seed, GenConfig(), adversarial=seed % 2 == 0)
+    for mode, name, at, (height, wclass), (analysed, analysed_class) in mapped_and_analysed(p):
+        assert join_height(height, analysed) == height, (mode, name, at)
+        if height == analysed:
+            assert wclass == analysed_class, (mode, name, at)
 
 
 def test_applying_every_mode_leaves_the_input_unchanged():
