@@ -43,6 +43,7 @@ from .shadowvm import (
     check_activations,
     compile,
     execute,
+    has_activation_findings,
     observables,
     run_campaign,
 )
@@ -342,13 +343,16 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
     analysis, plan = plan_program(program)
     checks = AnalysisChecks(analysis.heights, analysis.liveness, analysis.classes)
     targets = {}
+    # functions that passed: the input's, which apply_plan shares, then each
+    # valid output's, so a rewrite modes share is walked once
+    passed = {id(fn): fn for fn in program.functions.values()}
     for mode in modes:
         ip = apply_plan(program, plan, mode)
-        # a function apply_plan shared with the input has already passed
-        bad = validate_program(ip.program, allow_shadow=True, checked=program.functions)
+        bad = validate_program(ip.program, allow_shadow=True, checked=passed)
         if bad:
             violations.extend(f"{name}/{mode}: {d.reason}" for d in bad)
             continue
+        passed.update((id(fn), fn) for fn in ip.program.functions.values())
         try:
             # heights and classes map from the input's analysis by position
             mapped = build_checks(ip, reuse=(program, checks))
@@ -392,8 +396,10 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         base = compile(program, prepared.checks)
         for i, inp in enumerate(prepared.inputs):
             base_trace, base_outcome = execute(base, inp, cfg.budget)
-            height_bad += len(base_trace.height_violations)
-            liveness_bad += len(base_trace.liveness_violations)
+            if base_trace.height_violations:
+                height_bad += len(base_trace.height_violations)
+            if base_trace.liveness_violations:
+                liveness_bad += len(base_trace.liveness_violations)
             if base_outcome.kind != COMPLETED:
                 violations.append(f"{name}[{i}]: benign base run ended {base_outcome.kind}")
                 continue
@@ -404,14 +410,16 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 if target is None:
                     continue
                 trace, outcome = execute(target, inp, cfg.budget)
-                height_bad += len(trace.height_violations)
+                if trace.height_violations:
+                    height_bad += len(trace.height_violations)
                 transparency_pairs += 1
                 if observables(trace, outcome) != base_obs:
                     transparency_bad += 1
                     violations.append(f"{name}[{i}]/{mode}: observables diverge from base")
-                problems = check_activations(CampaignCase(name, mode, target, inp, False), trace, outcome)
-                activation_bad += len(problems)
-                violations.extend(problems)
+                if has_activation_findings(trace, outcome):
+                    problems = check_activations(CampaignCase(name, mode, target, inp, False), trace, outcome)
+                    activation_bad += len(problems)
+                    violations.extend(problems)
                 ops[mode] = trace.shadow_ops
                 totals = mode_totals[mode]
                 totals["shadow_instr"] += trace.shadow_instr

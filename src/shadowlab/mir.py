@@ -384,13 +384,15 @@ def print_program(program: Program) -> str:
 
 
 def validate_program(
-    program: Program, allow_shadow: bool = False, checked: Mapping[str, Function] | None = None
+    program: Program, allow_shadow: bool = False, checked: Mapping[int, Function] | None = None
 ) -> list[Diagnostic]:
     """Structural validation; returns an empty list iff all invariants hold.
 
-    `checked` holds functions that already passed, in a program with the same
-    function names and `adversarial` flag: a function of `program` that is
-    the same object as its entry there is not walked again.
+    `checked` holds functions that already passed, in programs with the same
+    function names and `adversarial` flag, keyed by `id()`: a function of
+    `program` that is one of those objects is not walked again.  Functions
+    compare equal by structure, so identity is matched through the key; the
+    mapping holds each object, so no other object takes its id.
     """
     diags: list[Diagnostic] = []
     checked = checked or {}
@@ -403,7 +405,7 @@ def validate_program(
         return diags
 
     for fn in program.functions.values():
-        if checked.get(fn.name) is fn:
+        if id(fn) in checked:
             continue
         if not fn.blocks:
             diag("function has no blocks", fn.src_line)

@@ -17,10 +17,13 @@ site's callee and cookie resolved, each shadow operation's cost looked up,
 and the analysis results to validate (expected store height, write class,
 and the dead, used and defined registers as bitmasks) placed in
 per-instruction slots; it is the one way checks reach the VM.  `execute`
-runs a compiled program on one input with no per-run set-up beyond fresh
-registers, memory and trace; given a Program or InstrumentedProgram it
-compiles it first, without checks.  Callers that run one target on many
-inputs compile it once, and a campaign case carries its compiled target.
+runs a compiled program on one input with no per-run set-up beyond a copy
+of the input's registers (`ExecInput` masks and pads them once, when it is
+built), fresh memory, and the empty lists the trace will hold: it keeps
+every field of the trace in its own locals and builds the `Trace` once, when
+the run ends.  Given a Program or InstrumentedProgram it compiles it first,
+without checks.  Callers that run one target on many inputs compile it
+once, and a campaign case carries its compiled target.
 
 The checks of an instrumented target come from its input's analysis
 (`build_checks(ip, reuse=(input, checks))`): a store keeps the height and
@@ -36,7 +39,10 @@ stores fell, and the shadow depth at its call and return.  The running
 activation keeps these, its return-address slot and cookie in the loop's
 own locals; a call saves the caller's as one tuple, which the return
 restores.  An activation's problems are found when it returns, or, for one
-still on the stack or unwound, once the run's outcome is known.
+still on the stack or unwound, once the run's outcome is known.  A run whose
+trace holds none, and that did not complete with the shadow unbalanced, has
+nothing for `check_activations` to report (`has_activation_findings`), so
+campaigns call it only on the others.
 
 Under `execute(..., record=True)` the trace also keeps a log of plain
 tuples, one `(kind, *fields)` per event, which `to_lines` and `to_json` read
@@ -105,8 +111,24 @@ class Outcome(NamedTuple):
 
 @dataclass(frozen=True)
 class ExecInput:
+    """One run's input: the branch decisions, which `brc` takes in order
+    (the false arm once they run out), and the initial registers.
+
+    The registers are masked to words and padded with zeros to NUM_REGS
+    once, when the input is built, so every run copies them as they are.
+    More than NUM_REGS registers raise ValueError."""
+
     decisions: tuple[bool, ...] = ()
-    regs: tuple[int, ...] = (0,) * 16
+    regs: tuple[int, ...] = (0,) * NUM_REGS
+
+    def __post_init__(self):
+        regs = self.regs
+        if len(regs) > NUM_REGS:
+            raise ValueError(f"{len(regs)} registers given, the VM has {NUM_REGS}")
+        # a tuple made from a list takes the freed one of the last input built;
+        # one grown from a generator would not, and each input's given tuple
+        # would stay on CPython's free list
+        object.__setattr__(self, "regs", tuple([v & MASK for v in regs] + [0] * (NUM_REGS - len(regs))))
 
 
 @dataclass
@@ -118,8 +140,11 @@ class AnalysisChecks:
     classes: Mapping[str, Mapping[tuple[int, int], str]] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Trace:
+    """What one run did.  `execute` keeps every field in its own locals while
+    it runs and builds the trace once, at the end."""
+
     log: list               # one plain tuple (kind, *fields) per event, in order; [] unless recorded
     instr_count: int = 0
     shadow_instr: int = 0
@@ -417,7 +442,7 @@ def execute(
     by_index = target.functions
 
     mem: dict[int, int] = {}    # word index -> value; unwritten words read 0
-    regs = [v & MASK for v in inp.regs] + [0] * (16 - len(inp.regs))
+    regs = list(inp.regs)
     decisions = inp.decisions
     n_decisions = len(decisions)
     di = 0
@@ -436,9 +461,12 @@ def execute(
     shadow: list[int] = []
     scratch = 0
 
-    trace = Trace(log=[])
-    ev = trace.log.append
-    problems = trace.activation_problems
+    log: list = []
+    ev = log.append
+    globals_log: list = []
+    height_violations: list = []
+    liveness_violations: list = []
+    problems: list = []
     fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
     if record:
         ev(("enter", 0, fname, bid))
@@ -460,7 +488,7 @@ def execute(
                 bad = uses & poison
                 if bad:
                     regs_read = tuple(r for r in range(NUM_REGS) if bad >> r & 1)
-                    trace.liveness_violations.append((fname, bid, idx, regs_read))
+                    liveness_violations.append((fname, bid, idx, regs_read))
                 poison &= ~defs
 
             if op < RET:
@@ -480,7 +508,7 @@ def execute(
                     mem_accesses += 1
                     height = addr - ra_slot
                     if c is not None and checking and height != c:
-                        trace.height_violations.append((fname, bid, idx, c, height))
+                        height_violations.append((fname, bid, idx, c, height))
                     if b == UNSAFE and fn.lowered:
                         if unsafe is None:
                             unsafe = []
@@ -488,7 +516,7 @@ def execute(
                     if record:
                         ev(("store", act, fname, bid, idx, b, addr, height))
                 elif op == STORE_GLOBAL:
-                    trace.globals_log.append((a, regs[RETURN_REG]))
+                    globals_log.append((a, regs[RETURN_REG]))
                     mem_accesses += 1
                     if record:
                         ev(("store", act, fname, bid, idx, "global", -1, None))
@@ -660,16 +688,13 @@ def execute(
     for saved in (*unwound, *callers):
         if saved[1].lowered:
             _check_activation(*saved[:_CHECKED], None, outcome.kind, problems)
-    problems.sort(key=itemgetter(0))
+    if len(problems) > 1:
+        problems.sort(key=itemgetter(0))
 
-    trace.instr_count = steps - shadow_ops
-    trace.shadow_instr = shadow_instr
-    trace.shadow_mem = shadow_mem
-    trace.shadow_ops = shadow_ops
-    trace.mem_accesses = mem_accesses
-    trace.corruptions = corruptions
-    trace.final_shadow_top = len(shadow)
-    return trace, outcome
+    return Trace(
+        log, steps - shadow_ops, shadow_instr, shadow_mem, shadow_ops, mem_accesses, len(shadow),
+        globals_log, height_violations, liveness_violations, problems, corruptions,
+    ), outcome
 
 
 @dataclass
@@ -737,6 +762,18 @@ def _check_activation(
         out.append((*where, f"shadow depth {ret_top} at return, {call_top} at call"))
 
 
+def _unbalanced_completion(trace: Trace, outcome: Outcome) -> bool:
+    return outcome.kind == COMPLETED and trace.final_shadow_top != 0
+
+
+def has_activation_findings(trace: Trace, outcome: Outcome) -> bool:
+    """Whether `check_activations` reports anything for this run: exactly
+    when the trace holds activation problems or the run completed with the
+    shadow unbalanced.  A caller that skips it, and building its case,
+    otherwise loses no message."""
+    return bool(trace.activation_problems) or _unbalanced_completion(trace, outcome)
+
+
 def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> list[str]:
     """Per-activation structural checks: one covering check per tainted walk,
     clean safe walks, ordered push/pop pairs, and shadow-depth balance, as
@@ -745,7 +782,7 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
         f"activation: {case.name}/{case.mode} act {act} fn {fn}: {message}"
         for act, fn, message in trace.activation_problems
     ]
-    if outcome.kind == COMPLETED and trace.final_shadow_top != 0:
+    if _unbalanced_completion(trace, outcome):
         problems.append(f"activation: {case.name}/{case.mode}: shadow not balanced at completion")
     return problems
 
@@ -773,13 +810,16 @@ def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
         elif outcome.kind not in (COMPLETED,):
             report.violation(f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}")
 
-        report.height_violations += len(trace.height_violations)
-        report.liveness_violations += len(trace.liveness_violations)
-        for v in trace.height_violations:
-            report.violation(f"{case.name}/{case.mode}: height violation {v}")
-        for v in trace.liveness_violations:
-            report.violation(f"{case.name}/{case.mode}: liveness violation {v}")
-        problems = check_activations(case, trace, outcome)
-        report.activation_count += len(problems)
-        report.violation(*problems)
+        if trace.height_violations:
+            report.height_violations += len(trace.height_violations)
+            for v in trace.height_violations:
+                report.violation(f"{case.name}/{case.mode}: height violation {v}")
+        if trace.liveness_violations:
+            report.liveness_violations += len(trace.liveness_violations)
+            for v in trace.liveness_violations:
+                report.violation(f"{case.name}/{case.mode}: liveness violation {v}")
+        if has_activation_findings(trace, outcome):
+            problems = check_activations(case, trace, outcome)
+            report.activation_count += len(problems)
+            report.violation(*problems)
     return report

@@ -227,6 +227,9 @@ def test_cli_run_registers(capsys, tmp_path):
     )
     assert main(["run", path, "--reg", "r5=77"]) == 0
     assert "r0=77" in capsys.readouterr().out
+    # a negative value runs as the word it masks to
+    assert main(["run", path, "--reg", "r5=-5"]) == 0
+    assert capsys.readouterr().out == f"outcome: completed r0={2**64 - 5}\ninstructions: 2  shadow: 0  memory accesses: 0\n"
 
 
 def test_cli_gen_and_stats(capsys, tmp_path):
@@ -484,6 +487,26 @@ def test_verify_compiles_each_target_once(monkeypatch):
     assert ok and not report["violations"]    # every program and mode is valid
     determinism = min(3, report["adversarial_executions"])
     assert len(compiled) == 6 * cfg.benign_count + 5 * cfg.adversarial_count + determinism
+
+
+def test_verify_validates_each_rewrite_once(monkeypatch):
+    # a mode's output is validated except for the functions that already
+    # passed, the input's and earlier modes', so a rewrite that modes share
+    # is walked once
+    import shadowlab.cli as cli
+
+    real, inputs, walked = cli.validate_program, [], []
+
+    def counted(program, allow_shadow=False, checked=None):
+        fns = [fn for fn in program.functions.values() if id(fn) not in (checked or {})]
+        (walked if allow_shadow else inputs).extend(fns)
+        return real(program, allow_shadow, checked)
+
+    monkeypatch.setattr(cli, "validate_program", counted)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=2, benign_count=3, adversarial_count=4, inputs_per_program=3))
+    assert ok and walked
+    assert len({id(fn) for fn in walked}) == len(walked)
+    assert not {id(fn) for fn in walked} & {id(fn) for fn in inputs}
 
 
 # sha256 of the JSON of `violations` in the skewed-heights report below, as

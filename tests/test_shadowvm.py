@@ -31,6 +31,7 @@ from shadowlab.shadowvm import (
     LOAD_REG,
     LOAD_SP,
     MASK,
+    MAX_COUNTEREXAMPLES,
     MAX_VIOLATIONS,
     MEM_BYTES,
     MOVI,
@@ -49,6 +50,7 @@ from shadowlab.shadowvm import (
     UNKNOWN,
     AnalysisChecks,
     CampaignCase,
+    CampaignReport,
     CheckMappingError,
     CompiledProgram,
     ExecInput,
@@ -539,57 +541,129 @@ MEMO_CALLER = (
 )
 
 
-def test_activation_problems_are_reported():
+_MEMO_TAINTED, _MEMO_SAFE = ExecInput((True, True, False)), ExecInput((False,))
+
+
+def _edited_memo_po(edits):
+    """MEMO_CALLER under PO with `edits` made to its text, as a target that
+    runs under the unedited plan, compiled with its own analyses."""
     p = parse_program(MEMO_CALLER)
     _, plan = plan_program(p)
     ip = apply_plan(p, plan, "PO")
-    text = print_program(ip.program)
-    tainted, safe = ExecInput((True, True, False)), ExecInput((False,))
+    edited = print_program(ip.program)
+    for old, new in edits:
+        assert edited.count(old) == 1, old
+        edited = edited.replace(old, new)
+    program = parse_program(edited)
+    target = InstrumentedProgram(program, ip.mode, ip.functions)
+    return target, compile(target, build_checks(program))
+
+
+_PUSH, _POP = "b2000:\n  spush -16\n", "b1007:\n  spop\n"
+_STORE = "b1004:\n  movi r9, 512\n  store.reg r9\n"
+_SAFE_EXIT = "  store.sp 0\n  ret\nb2000:"
+# hand edits of memo's walks under PO, each with its input and the problems
+# memo's activation shows
+MEMO_EDITS = [
+    # an extra push: two pushes, and one more shadow entry at the return
+    ([(_PUSH, _PUSH + "  spush -16\n")], _MEMO_TAINTED,
+     ["tainted walk executed 2 pushes, 1 pops", "shadow depth 2 at return, 1 at call"]),
+    # no push: the pop finds no match and aborts
+    ([(_PUSH, "b2000:\n")], _MEMO_TAINTED, ["tainted walk executed 0 pushes, 0 pops"]),
+    ([(_POP, "b1007:\n")], _MEMO_TAINTED,
+     ["tainted walk executed 1 pushes, 0 pops", "shadow depth 2 at return, 1 at call"]),
+    # the pop, a register-frame one fed the on-stack address, comes first
+    ([(_PUSH, "b2000:\n  load.sp r9, 16\n  rfpop r9\n  rfpush r9\n"), (_POP, "b1007:\n")], _MEMO_TAINTED,
+     ["pop before push", "unsafe store after the covering pop"]),
+    ([(_PUSH, "b2000:\n"), (_STORE, _STORE + "  spush -16\n")], _MEMO_TAINTED,
+     ["unsafe store before the covering push"]),
+    ([(_POP, "b1007:\n"), (_STORE, "b1004:\n  movi r9, 512\n  spop\n  store.reg r9\n")], _MEMO_TAINTED,
+     ["unsafe store after the covering pop"]),
+    # a register-frame pop leaves the walk's shadow push in place
+    ([(_POP, "b1007:\n  load.sp r9, 16\n  rfpop r9\n")], _MEMO_TAINTED, ["shadow depth 2 at return, 1 at call"]),
+    ([(_SAFE_EXIT, "  store.sp 0\n  spush -16\n  spop\n  ret\nb2000:")], _MEMO_SAFE,
+     ["safe walk executed shadow operations"]),
+    ([(_SAFE_EXIT, "  movi r9, 512\n  store.reg r9\n  ret\nb2000:")], _MEMO_SAFE,
+     ["unsafe store on a walk that never left safe blocks"]),
+]
+# main's pop dropped: every activation passes, but the completed run leaves
+# the shadow unbalanced
+MEMO_UNBALANCED = [("  spadd 16\n  spop\n", "  spadd 16\n")]
+
+
+def test_activation_problems_are_reported():
     where = "memo/PO act 1 fn memo"
 
-    def problems(edits, inp=tainted, budget=1000):
-        edited = text
-        for old, new in edits:
-            assert edited.count(old) == 1, old
-            edited = edited.replace(old, new)
-        # the edited code runs under the unedited plan, checked against its own analyses
-        program = parse_program(edited)
-        target = InstrumentedProgram(program, ip.mode, ip.functions)
-        return checked_run(CampaignCase("memo", "PO", target, inp, False), compile(target, build_checks(program)), budget)
+    def problems(edits, inp=_MEMO_TAINTED, budget=1000):
+        target, compiled = _edited_memo_po(edits)
+        return checked_run(CampaignCase("memo", "PO", target, inp, False), compiled, budget)
 
-    push, pop = "b2000:\n  spush -16\n", "b1007:\n  spop\n"
-    store = "b1004:\n  movi r9, 512\n  store.reg r9\n"
-    assert problems([]) == [] and problems([], safe) == []
+    assert problems([]) == [] and problems([], _MEMO_SAFE) == []
     # cut off after the push in b2000, which its `brc` entered, before b2000's `br`
     assert problems([], budget=10) == []
-    safe_exit = "  store.sp 0\n  ret\nb2000:"
-    cases = [
-        # an extra push: two pushes, and one more shadow entry at the return
-        ([(push, push + "  spush -16\n")], tainted,
-         ["tainted walk executed 2 pushes, 1 pops", "shadow depth 2 at return, 1 at call"]),
-        # no push: the pop finds no match and aborts
-        ([(push, "b2000:\n")], tainted, ["tainted walk executed 0 pushes, 0 pops"]),
-        ([(pop, "b1007:\n")], tainted,
-         ["tainted walk executed 1 pushes, 0 pops", "shadow depth 2 at return, 1 at call"]),
-        # the pop, a register-frame one fed the on-stack address, comes first
-        ([(push, "b2000:\n  load.sp r9, 16\n  rfpop r9\n  rfpush r9\n"), (pop, "b1007:\n")], tainted,
-         ["pop before push", "unsafe store after the covering pop"]),
-        ([(push, "b2000:\n"), (store, store + "  spush -16\n")], tainted,
-         ["unsafe store before the covering push"]),
-        ([(pop, "b1007:\n"), (store, "b1004:\n  movi r9, 512\n  spop\n  store.reg r9\n")], tainted,
-         ["unsafe store after the covering pop"]),
-        # a register-frame pop leaves the walk's shadow push in place
-        ([(pop, "b1007:\n  load.sp r9, 16\n  rfpop r9\n")], tainted, ["shadow depth 2 at return, 1 at call"]),
-        ([(safe_exit, "  store.sp 0\n  spush -16\n  spop\n  ret\nb2000:")], safe,
-         ["safe walk executed shadow operations"]),
-        ([(safe_exit, "  movi r9, 512\n  store.reg r9\n  ret\nb2000:")], safe,
-         ["unsafe store on a walk that never left safe blocks"]),
-    ]
-    for edits, inp, expected in cases:
+    for edits, inp, expected in MEMO_EDITS:
         assert problems(edits, inp) == [f"activation: {where}: {m}" for m in expected], edits
-    assert problems([("  spadd 16\n  spop\n", "  spadd 16\n")]) == [
-        "activation: memo/PO: shadow not balanced at completion"
-    ]
+    assert problems(MEMO_UNBALANCED) == ["activation: memo/PO: shadow not balanced at completion"]
+
+
+def reference_run_campaign(cases: list[CampaignCase]) -> CampaignReport:
+    """`run_campaign` as it was when it called check_activations on every run."""
+    report = CampaignReport()
+    for case in cases:
+        trace, outcome = execute(case.target, case.inp, case.budget)
+        report.cases += 1
+        if trace.corruptions:
+            report.fired += 1
+            if outcome.kind == ABORTED:
+                report.detected += 1
+            elif outcome.kind == UNDETECTED:
+                report.undetected += 1
+                if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
+                    report.counterexamples.append((case, trace))
+            else:
+                report.violation(f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}")
+        elif outcome.kind not in (COMPLETED,):
+            report.violation(f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}")
+
+        report.height_violations += len(trace.height_violations)
+        report.liveness_violations += len(trace.liveness_violations)
+        for v in trace.height_violations:
+            report.violation(f"{case.name}/{case.mode}: height violation {v}")
+        for v in trace.liveness_violations:
+            report.violation(f"{case.name}/{case.mode}: liveness violation {v}")
+        problems = check_activations(case, trace, outcome)
+        report.activation_count += len(problems)
+        report.violation(*problems)
+    return report
+
+
+# an uninstrumented main that pushes and never pops: no planned activation,
+# so no activation problem, but the completed run leaves the shadow unbalanced
+PUSH_ONLY = "#entry main\n\nfn main {\nb0:\n  spush 0\n  ret\n}\n"
+
+
+def test_campaign_checks_activations_only_where_they_report():
+    # activation problems, unbalanced completions without one, and clean
+    # runs: skipping check_activations on a run it has nothing to say about
+    # changes nothing in the report
+    cases = []
+    for edits, inp, _ in MEMO_EDITS:
+        target, compiled = _edited_memo_po(edits)
+        cases += [CampaignCase("memo", "PO", compiled, inp, False), CampaignCase("memo", "PO", target, inp, False)]
+    _, compiled = _edited_memo_po(MEMO_UNBALANCED)
+    cases.append(CampaignCase("memo", "PO", compiled, _MEMO_TAINTED, False))
+    cases.append(CampaignCase("push-only", "BASE", parse_program(PUSH_ONLY), ExecInput(), False))
+    for name, p in generate_corpus(GenConfig(seed=7, count=4, attack_density=0.5)):
+        _, plan = plan_program(p)
+        for mode in ("FULL", "LIGHT", "ELIDE-ALL"):
+            ip = apply_plan(p, plan, mode)
+            target = compile(ip, build_checks(ip.program))
+            cases += [CampaignCase(name, mode, target, inp, p.adversarial) for inp in generate_inputs(len(name), 3)]
+    expected = reference_run_campaign(cases)
+    unbalanced = [m for m in expected.violations if m.endswith(": shadow not balanced at completion")]
+    assert [m.split(":")[1].strip() for m in unbalanced] == ["memo/PO", "push-only/BASE"]
+    assert expected.activation_count > len(unbalanced) and expected.fired and expected.violation_count < MAX_VIOLATIONS
+    assert _campaign_view(run_campaign(cases)) == _campaign_view(expected)
 
 
 def test_budget_cut_walk_is_checked_only_for_a_second_push():
@@ -1285,6 +1359,15 @@ def test_step_loop_matches_reference_on_a_miscounted_walk():
     compiled = compile(target, build_checks(doubled, with_liveness=True))
     for decisions in ((True, True, False), (True, False), (False,)):
         check_against_reference(compiled, ExecInput(decisions), 1000, f"doubled/{decisions}")
+
+
+def test_exec_input_masks_and_pads_registers_once():
+    assert ExecInput().regs == (0,) * NUM_REGS
+    inp = ExecInput((True,), (-5, (1 << 64) | 3))
+    assert inp.regs == (MASK - 4, 3) + (0,) * (NUM_REGS - 2)
+    assert ExecInput(inp.decisions, inp.regs) == inp
+    with pytest.raises(ValueError, match=f"{NUM_REGS + 1} registers"):
+        ExecInput((), (0,) * (NUM_REGS + 1))
 
 
 def test_outcome_fields_and_defaults():
