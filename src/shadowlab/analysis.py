@@ -18,22 +18,27 @@ register not derived from the stack pointer; an instruction that defines no
 register hands the same tuple on, so most instructions share one.  Block
 entry states join elementwise, and the height fixpoint is a FIFO worklist
 from the entry block.  Liveness works on int bitmasks (bit r stands for
-register r).  Its worklist is seeded in postorder of the forward CFG, i.e.
-reverse postorder of the reverse CFG, with unreachable blocks appended, and
-a block whose live-in set changes re-queues its predecessors.  Dead sets
-stay bitmasks: planning counts their bits and the VM checks against them.
+register r).  Its worklist is seeded with the forward CFG's strongly
+connected components in `mir.sccs` order, each after every component it
+reaches, with unreachable blocks appended, and a block whose live-in set
+changes re-queues its predecessors.  Dead sets stay bitmasks: planning
+counts their bits and the VM checks against them.
 
 Both analyses return plain dicts keyed by (block id, instruction index):
 `stack_heights` maps each instruction to its InstrFacts, `dead_registers`
-to the mask of registers dead just before it.
+to the mask of registers dead just before it.  `AnalysisChecks` holds them
+per function, with the write classes, as the one record of a program's
+analysis: planning extends it with the safety verdicts
+(`transform.ProgramAnalysis`), and the VM validates against it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
-from .mir import NUM_REGS, RETURN_REG, WORD_SIZE, Function, Instr
+from .mir import NUM_REGS, RETURN_REG, WORD_SIZE, Function, Instr, sccs
 
 
 class _Extreme:
@@ -216,30 +221,13 @@ def instr_masks(ins: Instr) -> tuple[int, int]:
     return 0, 0
 
 
-def _postorder(entry: int, succs: dict[int, tuple[int, ...]]) -> list[int]:
-    """Blocks reachable from `entry`, each after all of its DFS descendants."""
-    order: list[int] = []
-    seen = {entry}
-    work = [(entry, iter(succs[entry]))]
-    while work:
-        node, it = work[-1]
-        for nxt in it:
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append((nxt, iter(succs[nxt])))
-                break
-        else:
-            work.pop()
-            order.append(node)
-    return order
-
-
 def dead_registers(fn: Function) -> dict[tuple[int, int], int]:
     """Backward may-liveness; dead = registers never read before overwritten.
 
     The dead mask at (block, index) describes the point just before that
-    instruction executes.  The worklist starts in postorder of the forward
-    CFG, so a block is first visited after its successors, with unreachable
+    instruction executes.  The worklist starts with the blocks reachable
+    from the entry, component by component in `mir.sccs` order, so a block
+    outside a loop is first visited after its successors, with unreachable
     blocks last; a block whose live-in set grows re-queues its predecessors.
     """
     succs: dict[int, tuple[int, ...]] = {}
@@ -259,7 +247,7 @@ def dead_registers(fn: Function) -> dict[tuple[int, int], int]:
         block_use[bid] = use
         block_def[bid] = defs
 
-    order = _postorder(fn.entry_block, succs)
+    order = [bid for comp in sccs([fn.entry_block], succs) for bid in comp]
     reached = set(order)
     order += [bid for bid in fn.blocks if bid not in reached]
     live_in = dict.fromkeys(fn.blocks, 0)
@@ -289,3 +277,14 @@ def dead_registers(fn: Function) -> dict[tuple[int, int], int]:
             live = live & ~defines | uses
             dead[(bid, idx)] = ALL_MASK & ~live
     return dead
+
+
+@dataclass
+class AnalysisChecks:
+    """A program's analysis results, per function name: the facts planning
+    reads and the VM validates while executing.  A function without dead
+    register masks is absent from `liveness`."""
+
+    heights: Mapping[str, Mapping[tuple[int, int], InstrFacts]]
+    liveness: Mapping[str, Mapping[tuple[int, int], int]]    # dead-register masks
+    classes: Mapping[str, Mapping[tuple[int, int], str]]

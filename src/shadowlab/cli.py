@@ -9,6 +9,7 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -34,7 +35,6 @@ from .shadowvm import (
     COMPLETED,
     FAULT,
     MAX_VIOLATIONS,
-    AnalysisChecks,
     CampaignCase,
     CheckMappingError,
     CompiledProgram,
@@ -323,10 +323,16 @@ class VerifyConfig:
 
 @dataclass
 class _Prepared:
-    checks: AnalysisChecks      # the input program's analysis
+    analysis: ProgramAnalysis   # the input program's
     plan: InstrumentationPlan
     targets: dict[str, CompiledProgram]   # each mode's valid output, compiled with its checks
     inputs: list[ExecInput]
+
+
+def _keep(violations: list[str], messages) -> None:
+    """Add `messages` while `violations` holds fewer than MAX_VIOLATIONS,
+    the most the report shows, as a campaign keeps only its first ones."""
+    violations.extend(islice(messages, max(0, MAX_VIOLATIONS - len(violations))))
 
 
 def _input_seed(cfg: VerifyConfig, name: str) -> int:
@@ -341,7 +347,6 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
         violations.extend(f"{name}: {d.reason}" for d in diags)
         return None
     analysis, plan = plan_program(program)
-    checks = AnalysisChecks(analysis.heights, analysis.liveness, analysis.classes)
     targets = {}
     # functions that passed: the input's, which apply_plan shares, then each
     # valid output's, so a rewrite modes share is walked once
@@ -355,13 +360,13 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
         passed.update((id(fn), fn) for fn in ip.program.functions.values())
         try:
             # heights and classes map from the input's analysis by position
-            mapped = build_checks(ip, reuse=(program, checks))
+            mapped = build_checks(ip, program, analysis)
         except CheckMappingError as exc:
             violations.append(f"{name}/{mode}: {exc}")
             continue
         targets[mode] = compile(ip, mapped)
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program)
-    return _Prepared(checks, plan, targets, inputs)
+    return _Prepared(analysis, plan, targets, inputs)
 
 
 def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
@@ -393,13 +398,15 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         if "LIGHT" in prepared.targets:
             for fp in prepared.plan.per_function.values():
                 coverage[resolve_mode(fp, "LIGHT")] += 1
-        base = compile(program, prepared.checks)
+        base = compile(program, prepared.analysis)
         for i, inp in enumerate(prepared.inputs):
             base_trace, base_outcome = execute(base, inp, cfg.budget)
             if base_trace.height_violations:
                 height_bad += len(base_trace.height_violations)
+                _keep(violations, (f"{name}[{i}]/BASE: height violation {v}" for v in base_trace.height_violations))
             if base_trace.liveness_violations:
                 liveness_bad += len(base_trace.liveness_violations)
+                _keep(violations, (f"{name}[{i}]/BASE: liveness violation {v}" for v in base_trace.liveness_violations))
             if base_outcome.kind != COMPLETED:
                 violations.append(f"{name}[{i}]: benign base run ended {base_outcome.kind}")
                 continue
@@ -412,6 +419,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 trace, outcome = execute(target, inp, cfg.budget)
                 if trace.height_violations:
                     height_bad += len(trace.height_violations)
+                    _keep(violations, (f"{name}[{i}]/{mode}: height violation {v}" for v in trace.height_violations))
                 transparency_pairs += 1
                 if observables(trace, outcome) != base_obs:
                     transparency_bad += 1

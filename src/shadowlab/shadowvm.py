@@ -26,11 +26,13 @@ without checks.  Callers that run one target on many inputs compile it
 once, and a campaign case carries its compiled target.
 
 The checks of an instrumented target come from its input's analysis
-(`build_checks(ip, reuse=(input, checks))`): a store keeps the height and
-write class of the input instruction at its position, shadow operations
-aside, so the VM validates the rewrite against the program it was made
-from, not against itself.  Only a rewrite that inlined a call is analysed
-again.
+(`build_checks(ip, input, analysis)`): a function the target shares with
+its input keeps the input's facts, and in any other rewrite a store keeps
+the height and write class of the input instruction at its position,
+shadow operations aside, so the VM validates the rewrite against the
+program it was made from, not against itself.  Only a rewrite that inlined
+a call is analysed again.  An uninstrumented input is compiled with its own
+analysis, dead register masks included.
 
 The step loop also checks each activation of a planned function as it runs
 (`check_activations` reports the result): counts of shadow pushes and pops,
@@ -69,7 +71,7 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .mir import NUM_REGS, Function, Program, RETURN_REG, SHADOW_OPCODES, STORE_OPCODES
-from .analysis import InstrFacts, UNSAFE, instr_masks
+from .analysis import AnalysisChecks, InstrFacts, UNSAFE, classify_writes, instr_masks, stack_heights
 from .transform import (
     COST_POP,
     COST_PUSH,
@@ -129,15 +131,6 @@ class ExecInput:
         # one grown from a generator would not, and each input's given tuple
         # would stay on CPython's free list
         object.__setattr__(self, "regs", tuple([v & MASK for v in regs] + [0] * (NUM_REGS - len(regs))))
-
-
-@dataclass
-class AnalysisChecks:
-    """Per-function analysis results the VM validates while executing."""
-
-    heights: Mapping[str, Mapping[tuple[int, int], InstrFacts]] | None = None
-    liveness: Mapping[str, Mapping[tuple[int, int], int]] | None = None   # dead-register masks
-    classes: Mapping[str, Mapping[tuple[int, int], str]] | None = None
 
 
 @dataclass(slots=True)
@@ -217,51 +210,30 @@ class CheckMappingError(Exception):
     are not its input's in order: checks cannot be mapped onto it."""
 
 
-def build_checks(
-    target: InstrumentedProgram | Program,
-    with_liveness: bool = False,
-    reuse: tuple[Program, AnalysisChecks] | None = None,
-) -> AnalysisChecks:
-    """Analysis results for the given program, for the VM to validate live.
+def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChecks) -> AnalysisChecks:
+    """The heights and write classes of `ip`, the instrumented `source`,
+    for the VM to validate live, from `analysis`, the analysis of `source`.
 
-    `reuse` is another program and checks built for it with heights and
-    classes, such as the program `apply_plan` instrumented and its analysis.
-    A function that is the same object in both takes those facts instead of
-    being analysed again: they depend on nothing but the function.
-
-    Given an InstrumentedProgram with `reuse`, the heights and classes of a
-    function the mode rewrote are mapped from its input function's, not
-    analysed again (`_mapped_facts`), unless the rewrite inlined a call; they
-    cover its stores only, which is all `compile` reads.  An output
+    A function `ip` shares with `source` keeps its facts.  A rewrite that
+    inlined a call is analysed again.  The heights and classes of every
+    other rewrite are mapped from its input function's (`_mapped_facts`):
+    they cover its stores only, which is all `compile` reads, and an output
     instruction that is not the input's at its position raises
-    CheckMappingError.  Liveness, when asked for, is analysed on every
-    function `reuse` does not share."""
-    from .analysis import classify_writes, dead_registers, stack_heights
-
-    if isinstance(target, InstrumentedProgram):
-        program, resolved = target.program, target.functions
-    else:
-        program, resolved = target, None
-    shared: set[str] = set()
-    if reuse is not None:
-        original, known = reuse
-        shared = {n for n, fn in program.functions.items() if original.functions.get(n) is fn}
+    CheckMappingError.  No function carries dead register masks."""
+    originals, resolved = source.functions, ip.functions
     heights, classes = {}, {}
-    liveness = {} if with_liveness else None
-    for name, fn in program.functions.items():
-        same = name in shared
-        if same:
-            heights[name], classes[name] = known.heights[name], known.classes[name]
-        elif reuse is not None and resolved is not None and not resolved[name].inlined_calls:
-            heights[name], classes[name] = _mapped_facts(
-                original.functions.get(name), fn, resolved[name], known.heights[name], known.classes[name]
-            )
-        else:
+    for name, fn in ip.program.functions.items():
+        original = originals.get(name)
+        if fn is original:
+            heights[name], classes[name] = analysis.heights[name], analysis.classes[name]
+        elif resolved[name].inlined_calls:
             heights[name] = stack_heights(fn)
             classes[name] = classify_writes(fn, heights[name])
-        if liveness is not None:
-            liveness[name] = known.liveness[name] if same and known.liveness else dead_registers(fn)
-    return AnalysisChecks(heights, liveness, classes)
+        else:
+            heights[name], classes[name] = _mapped_facts(
+                original, fn, resolved[name], analysis.heights.get(name), analysis.classes.get(name)
+            )
+    return AnalysisChecks(heights, {}, classes)
 
 
 def _mapped_facts(
@@ -364,15 +336,14 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
     liveness check has anything to do at that instruction, else None.  Write
     classes, expected heights and dead masks come from `checks`, which apply
     to the program they were built for; a position they lack reads as no
-    dead registers and no expected height.
+    dead registers and no expected height, and a function without dead
+    register masks gets no liveness check.
     """
     if isinstance(target, InstrumentedProgram):
         program, resolved = target.program, target.functions
     else:
         program, resolved = target, {}
-    heights = checks.heights if checks else None
-    liveness = checks.liveness if checks else None
-    classes = checks.classes if checks else None
+    heights, liveness, classes = (checks.heights, checks.liveness, checks.classes) if checks else ({}, {}, {})
 
     fns = {name: _Fn(name, fn.entry_block, resolved.get(name)) for name, fn in program.functions.items()}
     cookie = COOKIE_BASE
@@ -380,9 +351,9 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
         rf = resolved.get(name)
         costs = rf.op_costs if rf else {}
         tainted = rf.tainted_blocks if rf else ()
-        hmap = heights.get(name) if heights is not None else None
-        lmap = liveness.get(name) if liveness is not None else None
-        cmap = classes.get(name) if classes is not None else None
+        hmap = heights.get(name, {})
+        lmap = liveness.get(name)
+        cmap = classes.get(name, {})
         out = fns[name]
         for bid, block in fn.blocks.items():
             code = []
@@ -404,13 +375,13 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                 elif op == BR or op == BRC:
                     c = frozenset(t for t in args if t in tainted) or None
                 elif op == STORE_SP or op == STORE_REG:
-                    b = cmap.get((bid, idx)) if cmap is not None else None
-                    fact = hmap.get((bid, idx)) if hmap is not None else None
+                    b = cmap.get((bid, idx))
+                    fact = hmap.get((bid, idx))
                     c = fact.dest if fact is not None and isinstance(fact.dest, int) else None
                 elif op >= SPUSH:
                     b, c = costs.get((bid, idx)) or DEFAULT_COSTS[opname]
                 live = None
-                if lmap is not None:
+                if lmap:
                     dead = lmap.get((bid, idx), 0)
                     uses, defs = instr_masks(ins)
                     if dead or uses or defs:
@@ -560,7 +531,8 @@ def execute(
                         fn = None
                         break
                     if not callers:
-                        outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
+                        # positional: every run ends here or at halt, and keyword binding costs more
+                        outcome = Outcome(COMPLETED, None, None, regs[RETURN_REG])
                         fn = None
                         break
                     (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie, poison,
@@ -609,7 +581,7 @@ def execute(
                 elif op == HALT:
                     if record:
                         ev(("halt", regs[RETURN_REG]))
-                    outcome = Outcome(COMPLETED, r0=regs[RETURN_REG])
+                    outcome = Outcome(COMPLETED, None, None, regs[RETURN_REG])
                     break
                 else:  # UNWIND: drop `a` activations, then run on in this code as the one below them
                     depth = len(callers) - a

@@ -39,6 +39,7 @@ from .mir import (
     sccs,
 )
 from .analysis import (
+    AnalysisChecks,
     InstrFacts,
     UNSAFE,
     classify_writes,
@@ -132,10 +133,10 @@ class InstrumentationPlan:
 
 
 @dataclass
-class ProgramAnalysis:
-    heights: dict[str, dict[tuple[int, int], InstrFacts]]
-    liveness: dict[str, dict[tuple[int, int], int]]     # dead-register masks
-    classes: dict[str, dict[tuple[int, int], str]]
+class ProgramAnalysis(AnalysisChecks):
+    """Every function's analysis facts, each function with its dead
+    register masks, and the program's return-address safety."""
+
     safety: SafetyResult
 
 

@@ -364,8 +364,8 @@ def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
 def _skewed(checks, program, skew):
     """`checks` for `program` with wrong facts: heights off by 8, or every
     register dead."""
+    from shadowlab.analysis import AnalysisChecks
     from shadowlab.mir import NUM_REGS
-    from shadowlab.shadowvm import AnalysisChecks
 
     if skew == "height":
         heights = {
@@ -388,10 +388,9 @@ def _skew_checks(monkeypatch, skew):
 
     real = cli.build_checks
 
-    def skewed(program, with_liveness=False, reuse=None):
-        checks = real(program, with_liveness, reuse)
-        program = program.program
-        return _skewed(checks, program, skew) if program.adversarial else checks
+    def skewed(ip, source, analysis):
+        checks = real(ip, source, analysis)
+        return _skewed(checks, ip.program, skew) if source.adversarial else checks
 
     monkeypatch.setattr(cli, "build_checks", skewed)
 
@@ -434,6 +433,32 @@ def test_verify_counts_control_campaign_violations(monkeypatch, skew):
     assert not ok
     checks = report["checks"]
     assert not checks[f"{skew}_soundness"]
+    other = "liveness" if skew == "height" else "height"
+    assert checks[f"{other}_soundness"]
+
+
+@pytest.mark.parametrize("skew", ["height", "liveness"])
+def test_verify_names_the_benign_base_runs_with_violations(monkeypatch, skew):
+    # only the uninstrumented base of each benign program is compiled with
+    # wrong facts: every violation it counts is named, with its run and BASE
+    import shadowlab.cli as cli
+    from shadowlab.mir import Program
+
+    real, bases = cli.compile, []
+
+    def compile_skewed(target, checks=None):
+        if isinstance(target, Program):
+            bases.append(target)
+            checks = _skewed(checks, target, skew)
+        return real(target, checks)
+
+    monkeypatch.setattr(cli, "compile", compile_skewed)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
+    skewed = [v for v in report["violations"] if f"{skew} violation" in v]
+    assert bases and skewed and all(re.match(rf"prog_\d+\[\d\]/BASE: {skew} violation \(", v) for v in skewed)
+    assert not ok
+    checks = report["checks"]
+    assert not checks[f"{skew}_soundness"] and not checks["no_other_violations"]
     other = "liveness" if skew == "height" else "height"
     assert checks[f"{other}_soundness"]
 

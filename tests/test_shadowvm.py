@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from shadowlab.analysis import UNSAFE
 from shadowlab.mir import NUM_REGS, RETURN_REG, Block, Function, Instr, Program, parse_program, print_program
-from shadowlab.transform import FN_LOWERED, MODES, InstrumentedProgram, apply_plan, plan_program
+from shadowlab.transform import FN_LOWERED, MODES, InstrumentedProgram, analyze_program, apply_plan, plan_program
 from shadowlab.shadowvm import (
     _AFTER_POP,
     _BEFORE_PUSH,
@@ -48,7 +48,6 @@ from shadowlab.shadowvm import (
     STORE_SP,
     UNDETECTED,
     UNKNOWN,
-    AnalysisChecks,
     CampaignCase,
     CampaignReport,
     CheckMappingError,
@@ -158,7 +157,7 @@ def test_parent_frame_attack_detected_in_ancestor():
 def test_lowered_paths_memo_cfg(memo_cfg):
     _, plan = plan_program(memo_cfg)
     ip = apply_plan(memo_cfg, plan, "PO")
-    compiled = compile(ip, build_checks(ip.program))
+    compiled = compile(ip, analyze_program(ip.program))
     for decisions, ops in [((False,), 0), ((True, False), 0), ((True, True, False), 2)]:
         trace, outcome = execute(compiled, ExecInput(decisions), 1000)
         assert outcome.kind == COMPLETED
@@ -257,7 +256,7 @@ def test_shadow_balance_and_height_checks(seed):
     p = generate_program(seed, GenConfig(max_functions=7), adversarial=False)
     _, plan = plan_program(p)
     ip = apply_plan(p, plan, "FULL")
-    compiled = compile(ip, build_checks(ip.program))
+    compiled = compile(ip, analyze_program(ip.program))
     for inp in generate_inputs(seed ^ 0x5EED, 2):
         trace, outcome = execute(compiled, inp, 20000)
         assert outcome.kind == COMPLETED
@@ -384,7 +383,7 @@ def test_online_checks_match_log_walk_on_generated_programs(seed, adversarial, b
     inputs = generate_inputs(seed, 2)
     for mode in MODES:
         ip = apply_plan(p, plan, mode)
-        compiled = compile(ip, build_checks(ip.program))
+        compiled = compile(ip, analyze_program(ip.program))
         for inp in inputs:
             checked_run(CampaignCase(f"g{seed}", mode, ip, inp, adversarial), compiled, budget)
 
@@ -452,8 +451,8 @@ def test_campaign_keeps_first_violations_and_counts_all():
     doubled = parse_program(print_program(ip.program).replace(push, push + "  spush -16\n"))
     tainted = ExecInput((True, True, False))
     # each run of the first case has one height violation, of the second, activation problems
-    skewed = CampaignCase("memo", "BASE", compile(p, build_checks(_twin(p))), tainted, False)
-    target = compile(InstrumentedProgram(doubled, ip.mode, ip.functions), build_checks(doubled))
+    skewed = CampaignCase("memo", "BASE", compile(p, analyze_program(_twin(p))), tainted, False)
+    target = compile(InstrumentedProgram(doubled, ip.mode, ip.functions), analyze_program(doubled))
     cases = [skewed] * MAX_VIOLATIONS + [CampaignCase("memo", "PO", target, tainted, False)] * 3
     every = [m for case in cases for m in run_campaign([case]).violations]
     report = run_campaign(cases)
@@ -473,19 +472,26 @@ def test_campaign_keeps_first_counterexamples_only():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.booleans())
-def test_reused_checks_equal_fresh_ones(seed, adversarial, with_liveness, known_liveness):
+@given(st.integers(0, 10**6), st.booleans())
+def test_checks_share_input_facts_and_reanalyse_inlined_rewrites(seed, adversarial):
+    # a function the mode left alone keeps the input's fact objects, and a
+    # rewrite that inlined a call gets what fresh analysis gives it; mapped
+    # rewrites are compared with fresh analysis in test_transform
     p = generate_program(seed, GenConfig(max_functions=7), adversarial=adversarial)
     analysis, plan = plan_program(p)
-    known = AnalysisChecks(analysis.heights, analysis.liveness if known_liveness else None, analysis.classes)
     for mode in MODES:
         ip = apply_plan(p, plan, mode)
-        reused = build_checks(ip.program, with_liveness, reuse=(p, known))
-        assert reused == build_checks(ip.program, with_liveness), mode
+        checks = build_checks(ip, p, analysis)
+        assert checks.liveness == {} and list(checks.heights) == list(checks.classes) == list(ip.program.functions)
+        fresh = None
         for name, fn in ip.program.functions.items():
             if fn is p.functions[name]:
-                assert reused.heights[name] is analysis.heights[name]
-                assert reused.classes[name] is analysis.classes[name]
+                assert checks.heights[name] is analysis.heights[name], (mode, name)
+                assert checks.classes[name] is analysis.classes[name], (mode, name)
+            elif ip.functions[name].inlined_calls:
+                fresh = fresh or analyze_program(ip.program)
+                assert checks.heights[name] == fresh.heights[name], (mode, name)
+                assert checks.classes[name] == fresh.classes[name], (mode, name)
 
 
 def _retouched(ip, name, bid, idx, ins):
@@ -504,31 +510,29 @@ def test_mapped_checks_catch_a_moved_store(call_tree):
     # carry over: each of b's two calls reports it.  Re-analysis describes
     # the moved store, and reports nothing.
     analysis, plan = plan_program(call_tree)
-    known = AnalysisChecks(analysis.heights, None, analysis.classes)
     ip = apply_plan(call_tree, plan, "FULL")
     idx = next(i for i, ins in enumerate(ip.program.functions["b"].blocks[0].instrs) if ins.opcode == "store.sp")
     moved = _retouched(ip, "b", 0, idx, Instr("store.sp", (0,)))
     inp = ExecInput((True, False))
     for target, violations in ((ip, []), (moved, [("b", 0, idx, -8, -16)] * 2)):
-        trace, outcome = execute(compile(target, build_checks(target, reuse=(call_tree, known))), inp, 1000)
+        trace, outcome = execute(compile(target, build_checks(target, call_tree, analysis)), inp, 1000)
         assert outcome.kind == COMPLETED and trace.height_violations == violations
-    trace, _ = execute(compile(moved, build_checks(moved.program)), inp, 1000)
+    trace, _ = execute(compile(moved, analyze_program(moved.program)), inp, 1000)
     assert trace.height_violations == []
 
 
 def test_unmappable_rewrite_raises(call_tree):
     # an output instruction that is not its input's, shadow operations aside
     analysis, plan = plan_program(call_tree)
-    known = AnalysisChecks(analysis.heights, None, analysis.classes)
     ip = apply_plan(call_tree, plan, "FULL")
     last = len(ip.program.functions["b"].blocks[0].instrs) - 1
     halts = _retouched(ip, "b", 0, last, Instr("halt"))
     with pytest.raises(CheckMappingError, match=rf"^b\.b0\[{last}\]: halt where input b0\[4\] has ret$"):
-        build_checks(halts, reuse=(call_tree, known))
+        build_checks(halts, call_tree, analysis)
     assert [i.opcode for i in ip.program.functions["b"].blocks[0].instrs[:2]] == ["spush", "spadd"]
     dropped = _retouched(ip, "b", 0, 1, Instr("spop"))
     with pytest.raises(CheckMappingError, match=r"^b\.b0\[2\]: store\.sp where input b0\[0\] has spadd$"):
-        build_checks(dropped, reuse=(call_tree, known))
+        build_checks(dropped, call_tree, analysis)
 
 
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through
@@ -556,7 +560,7 @@ def _edited_memo_po(edits):
         edited = edited.replace(old, new)
     program = parse_program(edited)
     target = InstrumentedProgram(program, ip.mode, ip.functions)
-    return target, compile(target, build_checks(program))
+    return target, compile(target, analyze_program(program))
 
 
 _PUSH, _POP = "b2000:\n  spush -16\n", "b1007:\n  spop\n"
@@ -657,7 +661,7 @@ def test_campaign_checks_activations_only_where_they_report():
         _, plan = plan_program(p)
         for mode in ("FULL", "LIGHT", "ELIDE-ALL"):
             ip = apply_plan(p, plan, mode)
-            target = compile(ip, build_checks(ip.program))
+            target = compile(ip, analyze_program(ip.program))
             cases += [CampaignCase(name, mode, target, inp, p.adversarial) for inp in generate_inputs(len(name), 3)]
     expected = reference_run_campaign(cases)
     unbalanced = [m for m in expected.violations if m.endswith(": shadow not balanced at completion")]
@@ -673,7 +677,7 @@ def test_budget_cut_walk_is_checked_only_for_a_second_push():
     tainted = ExecInput((True, True, False))
     # step 9 enters memo's transition block b2000, step 10 is its push
     case = CampaignCase("memo", "PO", ip, tainted, False)
-    compiled = compile(ip, build_checks(ip.program))
+    compiled = compile(ip, analyze_program(ip.program))
     for budget in (9, 10):
         assert execute(compiled, tainted, budget)[1].kind == BUDGET
         assert checked_run(case, compiled, budget) == [], budget
@@ -682,7 +686,7 @@ def test_budget_cut_walk_is_checked_only_for_a_second_push():
     doubled = parse_program(text.replace("b2000:\n  spush -16\n", "b2000:\n  spush -16\n  spush -16\n"))
     target = InstrumentedProgram(doubled, ip.mode, ip.functions)
     case = CampaignCase("memo", "PO", target, tainted, False)
-    compiled = compile(target, build_checks(doubled))
+    compiled = compile(target, analyze_program(doubled))
     assert checked_run(case, compiled, 10) == []
     assert checked_run(case, compiled, 11) == ["activation: memo/PO act 1 fn memo: tainted walk executed 2 pushes, 0 pops"]
 
@@ -737,7 +741,7 @@ def test_activation_checks_follow_br_entry_and_unwind():
     for mode in ("PO", "LIGHT"):
         ip = apply_plan(p, plan, mode)
         assert ip.functions["f"].mode == FN_LOWERED
-        compiled = compile(ip, build_checks(ip.program))
+        compiled = compile(ip, analyze_program(ip.program))
         expected = {
             (True, False): [],
             (False,): [],
@@ -754,7 +758,7 @@ def test_activation_checks_follow_br_entry_and_unwind():
     assert text.count("b2:\n  ret\n}") == 1
     target = InstrumentedProgram(parse_program(text.replace("b2:\n  ret\n}", "b2:\n  spush 0\n  ret\n}")), mode, ip.functions)
     case = CampaignCase("br", mode, target, ExecInput((True, False)), False)
-    assert checked_run(case, compile(target, build_checks(target.program)), 1000) == [
+    assert checked_run(case, compile(target, analyze_program(target.program)), 1000) == [
         f"activation: br/{mode} act 2 fn g: shadow depth 3 at return, 2 at call"
     ]
 
@@ -810,10 +814,10 @@ def _pinned_runs():
     for name, p in _pinned_programs():
         _, plan = plan_program(p)
         inputs = generate_inputs(len(name) * 101 + len(p.functions), 3)
-        yield f"{name}/BASE/twin", p, build_checks(_twin(p), with_liveness=True), inputs, 20000
+        yield f"{name}/BASE/twin", p, analyze_program(_twin(p)), inputs, 20000
         targets = [("BASE", p)] + [(m, apply_plan(p, plan, m)) for m in MODES]
         for mode, target in targets:
-            checks = build_checks(target if mode == "BASE" else target.program, with_liveness=True)
+            checks = analyze_program(target if mode == "BASE" else target.program)
             for with_checks in (False, True):
                 yield f"{name}/{mode}/{with_checks}", target, checks if with_checks else None, inputs, 20000
             yield f"{name}/{mode}/short", target, checks, inputs[:1], 12
@@ -863,10 +867,10 @@ def test_compiled_program_reused_across_inputs():
     for name, p in programs:
         _, plan = plan_program(p)
         inputs = generate_inputs(len(name), 12)
-        targets = [(p, build_checks(_twin(p), with_liveness=True))]
+        targets = [(p, analyze_program(_twin(p)))]
         for mode in ("FULL", "MO", "LIGHT"):
             ip = apply_plan(p, plan, mode)
-            targets += [(ip, None), (ip, build_checks(ip.program, with_liveness=True))]
+            targets += [(ip, None), (ip, analyze_program(ip.program))]
         for target, checks in targets:
             compiled = compile(target, checks)
             for inp in inputs:
@@ -1338,7 +1342,7 @@ def test_step_loop_matches_reference_on_new_paths(name, text, decisions):
     inputs = [ExecInput(d, tuple(range(16))) for d in decisions]
     for mode, target in [("BASE", p)] + [(m, apply_plan(p, plan, m)) for m in MODES]:
         program = target if mode == "BASE" else target.program
-        for checks in (None, build_checks(program, with_liveness=True)):
+        for checks in (None, analyze_program(program)):
             compiled = compile(target, checks)
             for inp in inputs:
                 label = f"{name}/{mode}/{inp.decisions}"
@@ -1356,7 +1360,7 @@ def test_step_loop_matches_reference_on_a_miscounted_walk():
     push = "b2000:\n  spush -16\n"
     doubled = parse_program(print_program(ip.program).replace(push, push + "  spush -16\n"))
     target = InstrumentedProgram(doubled, ip.mode, ip.functions)
-    compiled = compile(target, build_checks(doubled, with_liveness=True))
+    compiled = compile(target, analyze_program(doubled))
     for decisions in ((True, True, False), (True, False), (False,)):
         check_against_reference(compiled, ExecInput(decisions), 1000, f"doubled/{decisions}")
 

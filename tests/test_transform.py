@@ -28,6 +28,7 @@ from shadowlab.transform import (
     ResolvedFunction,
     ShadowOp,
     _inline_block,
+    analyze_program,
     apply_plan,
     count_safe_paths,
     find_free_register,
@@ -38,7 +39,7 @@ from shadowlab.transform import (
     strip_instrumentation,
 )
 from shadowlab.analysis import join_height
-from shadowlab.shadowvm import AnalysisChecks, ExecInput, build_checks, execute, observables
+from shadowlab.shadowvm import ExecInput, build_checks, execute, observables
 from shadowlab.gen import GenConfig, generate_corpus, generate_program
 
 from conftest import CALL_TREE, DEEP_CHAIN, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
@@ -663,10 +664,9 @@ def mapped_and_analysed(p):
     (mode, function, position, its height and class mapped from the input's
     analysis, the same re-analysed on the output)."""
     analysis, plan = planned(p)
-    known = AnalysisChecks(analysis.heights, None, analysis.classes)
     for mode in MODES:
         ip = apply_plan(p, plan, mode)
-        mapped, fresh = build_checks(ip, reuse=(p, known)), build_checks(ip.program)
+        mapped, fresh = build_checks(ip, p, analysis), analyze_program(ip.program)
         for name, fn in ip.program.functions.items():
             if fn is p.functions[name] or ip.functions[name].inlined_calls:
                 continue
