@@ -7,9 +7,9 @@ import json
 import os
 import sys
 import tempfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -34,16 +34,14 @@ from .transform import (
 from .shadowvm import (
     COMPLETED,
     FAULT,
-    MAX_VIOLATIONS,
     CampaignCase,
+    CampaignReport,
     CheckMappingError,
     CompiledProgram,
     ExecInput,
     build_checks,
-    check_activations,
     compile,
     execute,
-    has_activation_findings,
     observables,
     run_campaign,
 )
@@ -52,19 +50,24 @@ from .gen import GenConfig, generate_corpus, generate_inputs
 SOUND_MODES = tuple(MODE_FLAGS)
 # the overhead ladder: sound modes from the most shadow operations to the fewest
 LADDER = ("FULL", "SFE", "PO", "LIGHT")
-DETECTION_MODES = LADDER
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", text=True)
+    """Write `text` to `path` through a temporary file beside it.  A path
+    that cannot be written exits 1 with one error line, as `_load` does for
+    an unreadable input."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise SystemExit(f"error: cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -329,22 +332,14 @@ class _Prepared:
     inputs: list[ExecInput]
 
 
-def _keep(violations: list[str], messages) -> None:
-    """Add `messages` while `violations` holds fewer than MAX_VIOLATIONS,
-    the most the report shows, as a campaign keeps only its first ones."""
-    violations.extend(islice(messages, max(0, MAX_VIOLATIONS - len(violations))))
-
-
 def _input_seed(cfg: VerifyConfig, name: str) -> int:
-    import zlib
-
     return cfg.seed * 7_919 + zlib.crc32(name.encode())
 
 
-def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, ...], violations: list[str]):
+def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, ...], report: CampaignReport):
     diags = validate_program(program)
     if diags:
-        violations.extend(f"{name}: {d.reason}" for d in diags)
+        report.violation(*(f"{name}: {d.reason}" for d in diags))
         return None
     analysis, plan = plan_program(program)
     targets = {}
@@ -355,14 +350,14 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
         ip = apply_plan(program, plan, mode)
         bad = validate_program(ip.program, allow_shadow=True, checked=passed)
         if bad:
-            violations.extend(f"{name}/{mode}: {d.reason}" for d in bad)
+            report.violation(*(f"{name}/{mode}: {d.reason}" for d in bad))
             continue
         passed.update((id(fn), fn) for fn in ip.program.functions.values())
         try:
             # heights and classes map from the input's analysis by position
             mapped = build_checks(ip, program, analysis)
         except CheckMappingError as exc:
-            violations.append(f"{name}/{mode}: {exc}")
+            report.violation(f"{name}/{mode}: {exc}")
             continue
         targets[mode] = compile(ip, mapped)
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program)
@@ -372,9 +367,10 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
 def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     """Generate corpora, instrument under every mode, execute, and check the
     whole invariant suite.  Returns (report, all-invariants-hold)."""
-    violations: list[str] = []
+    # the benign runs' counts, and every message the report shows, in order
+    benign = CampaignReport()
 
-    benign = generate_corpus(
+    benign_corpus = generate_corpus(
         GenConfig(seed=cfg.seed, count=cfg.benign_count, attack_density=0.0, budget=cfg.budget)
     )
     adversarial = generate_corpus(
@@ -386,13 +382,10 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     transparency_pairs = 0
     transparency_bad = 0
     mono_bad = 0
-    height_bad = 0
-    liveness_bad = 0
-    activation_bad = 0
     coverage = {FN_ELIDED: 0, FN_FULL: 0, FN_LOWERED: 0, FN_REGFRAME: 0}
 
-    for name, program in benign:
-        prepared = _prepare(name, program, cfg, SOUND_MODES, violations)
+    for name, program in benign_corpus:
+        prepared = _prepare(name, program, cfg, SOUND_MODES, benign)
         if prepared is None:
             continue
         if "LIGHT" in prepared.targets:
@@ -400,15 +393,11 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 coverage[resolve_mode(fp, "LIGHT")] += 1
         base = compile(program, prepared.analysis)
         for i, inp in enumerate(prepared.inputs):
+            run = f"{name}[{i}]"
             base_trace, base_outcome = execute(base, inp, cfg.budget)
-            if base_trace.height_violations:
-                height_bad += len(base_trace.height_violations)
-                _keep(violations, (f"{name}[{i}]/BASE: height violation {v}" for v in base_trace.height_violations))
-            if base_trace.liveness_violations:
-                liveness_bad += len(base_trace.liveness_violations)
-                _keep(violations, (f"{name}[{i}]/BASE: liveness violation {v}" for v in base_trace.liveness_violations))
+            benign.check(run, "BASE", base_trace, base_outcome)
             if base_outcome.kind != COMPLETED:
-                violations.append(f"{name}[{i}]: benign base run ended {base_outcome.kind}")
+                benign.violation(f"{run}: benign base run ended {base_outcome.kind}")
                 continue
             base_obs = observables(base_trace, base_outcome)
             ops = {}
@@ -417,17 +406,11 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 if target is None:
                     continue
                 trace, outcome = execute(target, inp, cfg.budget)
-                if trace.height_violations:
-                    height_bad += len(trace.height_violations)
-                    _keep(violations, (f"{name}[{i}]/{mode}: height violation {v}" for v in trace.height_violations))
+                benign.check(run, mode, trace, outcome)
                 transparency_pairs += 1
                 if observables(trace, outcome) != base_obs:
                     transparency_bad += 1
-                    violations.append(f"{name}[{i}]/{mode}: observables diverge from base")
-                if has_activation_findings(trace, outcome):
-                    problems = check_activations(CampaignCase(name, mode, target, inp, False), trace, outcome)
-                    activation_bad += len(problems)
-                    violations.extend(problems)
+                    benign.violation(f"{run}/{mode}: observables diverge from base")
                 ops[mode] = trace.shadow_ops
                 totals = mode_totals[mode]
                 totals["shadow_instr"] += trace.shadow_instr
@@ -435,79 +418,72 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
             if all(m in ops for m in LADDER):
                 if not all(ops[a] >= ops[b] for a, b in zip(LADDER, LADDER[1:])):
                     mono_bad += 1
-                    violations.append(f"{name}[{i}]: shadow-op counts not monotone {ops}")
+                    benign.violation(f"{run}: shadow-op counts not monotone {ops}")
 
     ratios = {}
     for mode, totals in mode_totals.items():
         ratios[mode] = totals["shadow_instr"] / totals["total_instr"] if totals["total_instr"] else 0.0
     ratio_ok = all(ratios[a] > ratios[b] for a, b in zip(LADDER, LADDER[1:]))
     if not ratio_ok:
-        violations.append(f"aggregate overhead ratios not strictly decreasing: {ratios}")
+        benign.violation(f"aggregate overhead ratios not strictly decreasing: {ratios}")
 
     # ---- adversarial corpus: detection under sound modes, control mode ----
     cases = []
     control_cases = []
     for name, program in adversarial:
-        prepared = _prepare(name, program, cfg, DETECTION_MODES + ("ELIDE-ALL",), violations)
+        prepared = _prepare(name, program, cfg, LADDER + ("ELIDE-ALL",), benign)
         if prepared is None:
             continue
         runs = {
             mode: [CampaignCase(name, mode, target, inp, True, cfg.budget) for inp in prepared.inputs]
             for mode, target in prepared.targets.items()
         }
-        for mode in DETECTION_MODES:
+        for mode in LADDER:
             cases += runs.get(mode, [])
         control_cases += runs.get("ELIDE-ALL", [])
-    report = run_campaign(cases)
-    violations.extend(report.violations)
-    height_bad += report.height_violations
-    liveness_bad += report.liveness_violations
-
+    detection = run_campaign(cases)
     control = run_campaign(control_cases)
-    violations.extend(control.violations)
-    height_bad += control.height_violations
-    liveness_bad += control.liveness_violations
-    control_undetected = control.undetected
-    activation_bad += report.activation_count + control.activation_count
+    benign.violation(*detection.violations, *control.violations)
 
     # ---- determinism spot check: a target against a fresh plan and compile ----
     programs = dict(adversarial)
     determinism_ok = True
     for case in cases[:3]:
-        again = _prepare(case.name, programs[case.name], cfg, (case.mode,), [])
+        again = _prepare(case.name, programs[case.name], cfg, (case.mode,), CampaignReport())
         t1, o1 = execute(case.target, case.inp, cfg.budget, record=True)
         t2, o2 = execute(again.targets[case.mode], case.inp, cfg.budget, record=True)
         if t1.log != t2.log or t1.activation_problems != t2.activation_problems or o1 != o2:
             determinism_ok = False
-            violations.append(f"{case.name}/{case.mode}: nondeterministic trace")
+            benign.violation(f"{case.name}/{case.mode}: nondeterministic trace")
 
+    reports = (benign, detection, control)
     checks = {
-        "validation_soundness": report.undetected == 0 and report.fired > 0,
-        "detection_rate": report.fired > 0 and report.detected == report.fired,
-        "control_detects_missing_instrumentation": control_undetected > 0,
+        "validation_soundness": detection.undetected == 0 and detection.fired > 0,
+        "detection_rate": detection.fired > 0 and detection.detected == detection.fired,
+        "control_detects_missing_instrumentation": control.undetected > 0,
         "transparency": transparency_bad == 0 and transparency_pairs > 0,
         "shadow_op_monotonicity": mono_bad == 0,
         "aggregate_overhead_ladder": ratio_ok,
-        "height_soundness": height_bad == 0,
-        "liveness_soundness": liveness_bad == 0,
-        "exactly_one_check_and_balance": activation_bad == 0,
+        "height_soundness": not any(r.height_violations for r in reports),
+        "liveness_soundness": not any(r.liveness_violations for r in reports),
+        "exactly_one_check_and_balance": not any(r.activation_count for r in reports),
         "plan_mode_coverage": all(coverage[m] > 0 for m in coverage),
         "determinism": determinism_ok,
         # a campaign keeps its first message whenever it counts one
-        "no_other_violations": not violations,
+        "no_other_violations": not benign.violation_count,
     }
     out = {
         "seed": cfg.seed,
-        "adversarial_executions": report.cases,
-        "fired": report.fired,
-        "detected": report.detected,
-        "undetected": report.undetected,
-        "control_undetected": control_undetected,
+        "adversarial_executions": detection.cases,
+        "fired": detection.fired,
+        "detected": detection.detected,
+        "undetected": detection.undetected,
+        "control_undetected": control.undetected,
         "transparency_pairs": transparency_pairs,
         "overhead_ratios": ratios,
         "plan_coverage": coverage,
         "checks": checks,
-        "violations": violations[:MAX_VIOLATIONS],
+        "violations": benign.violations,
         # the campaign ran unrecorded: run each reported miss again for its trace
         "counterexamples": [
             {
@@ -515,7 +491,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
                 "mode": case.mode,
                 "trace": execute(case.target, case.inp, case.budget, record=True)[0].to_json(),
             }
-            for case, _ in report.counterexamples
+            for case, _ in detection.counterexamples
         ],
     }
     return out, all(checks.values())

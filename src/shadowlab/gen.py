@@ -29,16 +29,12 @@ GLOBAL_POOL = ("g0", "g1", "g2", "g3")
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Corpus knobs.  All bounds must be positive; the block and instruction
-    bounds are guaranteed ceilings of the built-in shapes, whose structural
-    minima are 4 blocks and 18 instructions."""
+    """Corpus knobs.  All bounds must be positive."""
 
     seed: int = 1
     count: int = 20
     min_functions: int = 3
     max_functions: int = 10
-    max_blocks: int = 6
-    max_instrs: int = 18
     attack_density: float = 0.0
     safe_fraction: float = 0.35
     safe_path_fraction: float = 0.5
@@ -51,8 +47,6 @@ class GenConfig:
             raise ValueError("bounds must be positive")
         if self.min_functions < 3 or self.max_functions < self.min_functions:
             raise ValueError("need at least 3 functions")
-        if self.max_blocks < 4 or self.max_instrs < 18:
-            raise ValueError("built-in shapes need max_blocks >= 4 and max_instrs >= 18")
 
 
 @dataclass

@@ -41,10 +41,12 @@ stores fell, and the shadow depth at its call and return.  The running
 activation keeps these, its return-address slot and cookie in the loop's
 own locals; a call saves the caller's as one tuple, which the return
 restores.  An activation's problems are found when it returns, or, for one
-still on the stack or unwound, once the run's outcome is known.  A run whose
-trace holds none, and that did not complete with the shadow unbalanced, has
-nothing for `check_activations` to report (`has_activation_findings`), so
-campaigns call it only on the others.
+still on the stack or unwound, once the run's outcome is known.
+`CampaignReport.check` counts and names a run's height and liveness
+violations and activation findings, the same for a campaign's runs and
+`verify`'s benign ones; a run whose trace holds no activation problem, and
+that did not complete with the shadow unbalanced, has no activation message
+to build.
 
 Under `execute(..., record=True)` the trace also keeps a log of plain
 tuples, one `(kind, *fields)` per event, which `to_lines` and `to_json` read
@@ -696,6 +698,20 @@ class CampaignReport:
         self.violation_count += len(messages)
         self.violations.extend(messages[: MAX_VIOLATIONS - len(self.violations)])
 
+    def check(self, name: str, mode: str, trace: Trace, outcome: Outcome) -> None:
+        """Count and report the run's height and liveness violations, then
+        its activation findings, each message named `{name}/{mode}`."""
+        if trace.height_violations:
+            self.height_violations += len(trace.height_violations)
+            self.violation(*(f"{name}/{mode}: height violation {v}" for v in trace.height_violations))
+        if trace.liveness_violations:
+            self.liveness_violations += len(trace.liveness_violations)
+            self.violation(*(f"{name}/{mode}: liveness violation {v}" for v in trace.liveness_violations))
+        if trace.activation_problems or _unbalanced_completion(trace, outcome):
+            problems = _activation_messages(f"{name}/{mode}", trace, outcome)
+            self.activation_count += len(problems)
+            self.violation(*problems)
+
 
 def _check_activation(
     act: int, fn: _Fn, call_top: int | None, tainted: bool, pushes: int, pops: int, pop_first: bool,
@@ -738,25 +754,20 @@ def _unbalanced_completion(trace: Trace, outcome: Outcome) -> bool:
     return outcome.kind == COMPLETED and trace.final_shadow_top != 0
 
 
-def has_activation_findings(trace: Trace, outcome: Outcome) -> bool:
-    """Whether `check_activations` reports anything for this run: exactly
-    when the trace holds activation problems or the run completed with the
-    shadow unbalanced.  A caller that skips it, and building its case,
-    otherwise loses no message."""
-    return bool(trace.activation_problems) or _unbalanced_completion(trace, outcome)
+def _activation_messages(where: str, trace: Trace, outcome: Outcome) -> list[str]:
+    problems = [
+        f"activation: {where} act {act} fn {fn}: {message}" for act, fn, message in trace.activation_problems
+    ]
+    if _unbalanced_completion(trace, outcome):
+        problems.append(f"activation: {where}: shadow not balanced at completion")
+    return problems
 
 
 def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> list[str]:
     """Per-activation structural checks: one covering check per tainted walk,
     clean safe walks, ordered push/pop pairs, and shadow-depth balance, as
     `execute` found them, then the shadow's balance at completion."""
-    problems = [
-        f"activation: {case.name}/{case.mode} act {act} fn {fn}: {message}"
-        for act, fn, message in trace.activation_problems
-    ]
-    if _unbalanced_completion(trace, outcome):
-        problems.append(f"activation: {case.name}/{case.mode}: shadow not balanced at completion")
-    return problems
+    return _activation_messages(f"{case.name}/{case.mode}", trace, outcome)
 
 
 def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
@@ -782,16 +793,5 @@ def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
         elif outcome.kind not in (COMPLETED,):
             report.violation(f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}")
 
-        if trace.height_violations:
-            report.height_violations += len(trace.height_violations)
-            for v in trace.height_violations:
-                report.violation(f"{case.name}/{case.mode}: height violation {v}")
-        if trace.liveness_violations:
-            report.liveness_violations += len(trace.liveness_violations)
-            for v in trace.liveness_violations:
-                report.violation(f"{case.name}/{case.mode}: liveness violation {v}")
-        if has_activation_findings(trace, outcome):
-            problems = check_activations(case, trace, outcome)
-            report.activation_count += len(problems)
-            report.violation(*problems)
+        report.check(case.name, case.mode, trace, outcome)
     return report

@@ -80,15 +80,13 @@ def test_corpus_respects_size_bounds():
     for _, p in generate_corpus(cfg):
         assert cfg.min_functions <= len(p.functions) <= cfg.max_functions
         for fn in p.functions.values():
-            assert len(fn.blocks) <= cfg.max_blocks
-            assert all(len(b.instrs) <= cfg.max_instrs for b in fn.blocks.values())
+            assert len(fn.blocks) <= 6
+            assert all(len(b.instrs) <= 18 for b in fn.blocks.values())
 
 
 def test_config_rejects_bad_bounds():
     with pytest.raises(ValueError):
         GenConfig(count=0)
-    with pytest.raises(ValueError):
-        GenConfig(max_blocks=2)
 
 
 def test_cli_analyze_text(capsys, tmp_path):
@@ -351,7 +349,7 @@ def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
     import shadowlab.cli as cli
     from shadowlab.shadowvm import MAX_COUNTEREXAMPLES
 
-    monkeypatch.setattr(cli, "DETECTION_MODES", ("ELIDE-ALL",))
+    monkeypatch.setattr(cli, "LADDER", ("ELIDE-ALL",))
     report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=3, adversarial_count=6, inputs_per_program=4))
     assert not ok and report["undetected"] > MAX_COUNTEREXAMPLES == len(report["counterexamples"])
     for c in report["counterexamples"]:
@@ -461,6 +459,58 @@ def test_verify_names_the_benign_base_runs_with_violations(monkeypatch, skew):
     assert not checks[f"{skew}_soundness"] and not checks["no_other_violations"]
     other = "liveness" if skew == "height" else "height"
     assert checks[f"{other}_soundness"]
+
+
+def test_verify_names_the_benign_mode_runs_with_activation_problems(monkeypatch):
+    # each benign PO target is swapped for memo's PO rewrite with an extra
+    # push in its tainted walk: every activation problem is named by the run
+    # that found it, program, input and mode
+    import shadowlab.cli as cli
+    from shadowlab.transform import InstrumentedProgram
+
+    from test_shadowvm import MEMO_EDITS, _edited_memo_po
+
+    edits, _, expected = MEMO_EDITS[0]
+    _, memo = _edited_memo_po(edits)
+    real = cli.compile
+
+    def compile_swapped(target, checks=None):
+        if isinstance(target, InstrumentedProgram) and target.mode == "PO" and not target.program.adversarial:
+            return memo
+        return real(target, checks)
+
+    monkeypatch.setattr(cli, "compile", compile_swapped)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
+    found = [v for v in report["violations"] if v.startswith("activation: ")]
+    assert found[:2] == [f"activation: prog_0000[0]/PO act 1 fn memo: {m}" for m in expected]
+    assert all(re.match(r"activation: prog_\d{4}\[\d\]/PO act \d+ fn memo: ", v) for v in found)
+    assert not ok
+    checks = report["checks"]
+    assert not checks["exactly_one_check_and_balance"] and not checks["no_other_violations"]
+    assert checks["height_soundness"] and checks["liveness_soundness"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--count", "1", "--out", "{blocker}/sub"],
+        ["instrument", "{program}", "--mode", "LIGHT", "-o", "{blocker}/x.mir"],
+        ["verify", "--count", "1", "--benign", "1", "--inputs", "1", "--out", "{blocker}/r.json"],
+    ],
+    ids=["gen", "instrument", "verify"],
+)
+def test_cli_unwritable_output_is_one_error_line(capsys, tmp_path, argv):
+    # the output path runs through a regular file: one error line and exit 1,
+    # as for an unreadable input, with no traceback and no temporary file left
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    program = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(blocker=blocker, program=program) for arg in argv])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message     # printed to stderr, exit status 1
+    assert re.fullmatch(rf"error: cannot write {re.escape(str(blocker))}/\S+: (Not a directory|File exists)", message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mir", "blocker"]
 
 
 def test_verify_reports_an_unmappable_rewrite(monkeypatch):

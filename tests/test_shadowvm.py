@@ -657,6 +657,13 @@ def test_campaign_checks_activations_only_where_they_report():
     _, compiled = _edited_memo_po(MEMO_UNBALANCED)
     cases.append(CampaignCase("memo", "PO", compiled, _MEMO_TAINTED, False))
     cases.append(CampaignCase("push-only", "BASE", parse_program(PUSH_ONLY), ExecInput(), False))
+    # one run with height and liveness violations and activation problems:
+    # memo's extra push, checked against its twin's analyses
+    target, _ = _edited_memo_po(MEMO_EDITS[0][0])
+    twin = compile(target, analyze_program(_twin(target.program)))
+    cases.append(CampaignCase("memo-twin", "PO", twin, _MEMO_TAINTED, False))
+    alone = run_campaign(cases[-1:])
+    assert alone.height_violations and alone.liveness_violations and alone.activation_count
     for name, p in generate_corpus(GenConfig(seed=7, count=4, attack_density=0.5)):
         _, plan = plan_program(p)
         for mode in ("FULL", "LIGHT", "ELIDE-ALL"):

@@ -195,8 +195,7 @@ def test_safe_paths_match_forward_reference_on_generated(source):
     if isinstance(source, str):
         program = parse_program(source)
     else:
-        cfg = GenConfig(max_blocks=4 + source % 12, loop_prob=0.5)
-        program = generate_program(source, cfg, adversarial=source % 2 == 0)
+        program = generate_program(source, GenConfig(loop_prob=0.5), adversarial=source % 2 == 0)
     analysis, _ = planned(program)
     for fn in program.functions.values():
         assert count_safe_paths(fn, analysis.safety) == reference_safe_paths(fn, analysis.safety), fn.name
