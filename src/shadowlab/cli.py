@@ -78,6 +78,8 @@ def _load(path: str, allow_shadow: bool = False) -> Program:
         text = Path(path).read_text()
     except OSError as exc:
         raise SystemExit(f"error: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"error: cannot read {path} as text: {exc}")
     try:
         program = parse_program(text)
     except MirError as exc:
@@ -213,6 +215,11 @@ def _load_plan(sidecar: Path, program: Program) -> InstrumentedProgram:
             for cost in rf.op_costs.values():
                 if len(cost) != 2 or not all(type(v) is int for v in cost):
                     raise ValueError(f"operation cost {list(cost)} is not two integers")
+            for edge in rf.transition_blocks.values():
+                if len(edge) != 2 or not all(type(v) is int for v in edge):
+                    raise ValueError(f"transition edge {list(edge)} is not two integers")
+            if not all(type(v) is int for v in (rf.clone_map or {}).values()):
+                raise ValueError(f"clone_map {rf.clone_map} maps a block to a non-integer")
     except OSError as exc:
         _usage_error(f"cannot read plan sidecar {sidecar}: {exc.strerror or exc}")
     except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:

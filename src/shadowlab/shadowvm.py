@@ -29,10 +29,10 @@ The checks of an instrumented target come from its input's analysis
 (`build_checks(ip, input, analysis)`): a function the target shares with
 its input keeps the input's facts, and in any other rewrite a store keeps
 the height and write class of the input instruction at its position,
-shadow operations aside, so the VM validates the rewrite against the
-program it was made from, not against itself.  Only a rewrite that inlined
-a call is analysed again.  An uninstrumented input is compiled with its own
-analysis, dead register masks included.
+shadow operations aside, an inlined call's body the callee's, so the VM
+validates every rewrite against the program it was made from, not against
+itself.  An uninstrumented input is compiled with its own analysis, dead
+register masks included.
 
 The step loop also checks each activation of a planned function as it runs
 (`check_activations` reports the result): counts of shadow pushes and pops,
@@ -72,8 +72,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .mir import NUM_REGS, Function, Program, RETURN_REG, SHADOW_OPCODES, STORE_OPCODES
-from .analysis import AnalysisChecks, InstrFacts, UNSAFE, classify_writes, instr_masks, stack_heights
+from .mir import NUM_REGS, Block, Function, Program, RETURN_REG, SHADOW_OPCODES, STORE_OPCODES
+from .analysis import AnalysisChecks, InstrFacts, UNSAFE, instr_masks
 from .transform import (
     COST_POP,
     COST_PUSH,
@@ -216,75 +216,109 @@ def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChe
     """The heights and write classes of `ip`, the instrumented `source`,
     for the VM to validate live, from `analysis`, the analysis of `source`.
 
-    A function `ip` shares with `source` keeps its facts.  A rewrite that
-    inlined a call is analysed again.  The heights and classes of every
-    other rewrite are mapped from its input function's (`_mapped_facts`):
-    they cover its stores only, which is all `compile` reads, and an output
-    instruction that is not the input's at its position raises
-    CheckMappingError.  No function carries dead register masks."""
-    originals, resolved = source.functions, ip.functions
+    A function `ip` shares with `source` keeps its facts.  Those of every
+    other function, inlined calls or not, are mapped from its input's
+    (`_mapped_facts`): they cover its stores only, which is all `compile`
+    reads, and an output instruction that is not the input's at its
+    position raises CheckMappingError.  No function carries dead register
+    masks."""
+    originals = source.functions
     heights, classes = {}, {}
     for name, fn in ip.program.functions.items():
-        original = originals.get(name)
-        if fn is original:
+        if fn is originals.get(name):
             heights[name], classes[name] = analysis.heights[name], analysis.classes[name]
-        elif resolved[name].inlined_calls:
-            heights[name] = stack_heights(fn)
-            classes[name] = classify_writes(fn, heights[name])
         else:
-            heights[name], classes[name] = _mapped_facts(
-                original, fn, resolved[name], analysis.heights.get(name), analysis.classes.get(name)
-            )
+            heights[name], classes[name] = _mapped_facts(originals, fn, ip.functions[name], analysis)
     return AnalysisChecks(heights, {}, classes)
 
 
 def _mapped_facts(
-    source: Function | None,
-    fn: Function,
-    rf: ResolvedFunction,
-    heights: Mapping[tuple[int, int], InstrFacts],
-    classes: Mapping[tuple[int, int], str],
+    originals: Mapping[str, Function], fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks
 ) -> tuple[dict[tuple[int, int], InstrFacts], dict[tuple[int, int], str]]:
     """The heights and classes at the stores of `fn`, the rewrite `rf`
-    describes of `source`, taken from `source`'s.
+    describes of its input in `originals`, taken from `analysis`.
 
     Instrumentation inserts shadow operations without changing what the
     other instructions do: a clone is its original block under the inverse
     of `clone_map`, any other block its own id, and within a block the i-th
-    instruction that is not a shadow operation is the source block's i-th.
-    A transition block holds a push and a branch, and no store."""
+    instruction that is not a shadow operation is the source block's i-th,
+    with a branch's targets mapped back to input blocks.  Each inlined call
+    is the callee's body minus its ret, whose stores keep the callee's own
+    facts, the ones the safety fold judged the caller by.  A transition
+    block holds a push and a branch into the clone of its edge's target."""
     name = fn.name
+    source = originals.get(name)
     if source is None:
         raise CheckMappingError(f"{name}: no input function to map checks from")
     origin = {cid: bid for bid, cid in (rf.clone_map or {}).items()}
     transitions = rf.transition_blocks
+    splices: dict[int, dict[int, str]] = {}
+    for bid, idx, callee in rf.inlined_calls:
+        splices.setdefault(bid, {})[idx] = callee
     hmap, cmap = {}, {}
     for bid, block in fn.blocks.items():
         if bid in transitions:
             if any(i.opcode not in SHADOW_OPCODES and i.opcode != "br" for i in block.instrs):
                 raise CheckMappingError(f"{name}.b{bid}: transition block holds more than a push and a branch")
+            dst = transitions[bid][1]
+            if [origin.get(i.args[0]) for i in block.instrs if i.opcode == "br"] != [dst]:
+                raise CheckMappingError(f"{name}.b{bid}: transition block does not branch to the clone of b{dst}")
             continue
         src = origin.get(bid, bid)
         src_block = source.blocks.get(src)
         if src_block is None:
             raise CheckMappingError(f"{name}.b{bid}: no input block b{src}")
-        src_instrs = src_block.instrs
+        at = _spliced(originals, name, src_block, splices[bid]) if bid in splices else None
+        src_instrs = [originals[f].blocks[b].instrs[k] for f, b, k in at[:-1]] if at else src_block.instrs
         n = len(src_instrs)
         i = 0
         for idx, ins in enumerate(block.instrs):
             op = ins.opcode
             if op in SHADOW_OPCODES:
                 continue
-            if i == n or src_instrs[i].opcode != op:
-                was = src_instrs[i].opcode if i < n else "the block's end"
-                raise CheckMappingError(f"{name}.b{bid}[{idx}]: {op} where input b{src}[{i}] has {was}")
+            was = src_instrs[i] if i < n else None
+            if ins is not was:
+                if was is None or was.opcode != op:
+                    was = "the block's end" if was is None else was.opcode
+                    raise CheckMappingError(
+                        f"{name}.b{bid}[{idx}]: {op} where input {_input_position(name, src, at, i)} has {was}"
+                    )
+                args = ins.args
+                if op == "br" or op == "brc":
+                    args = tuple(transitions[t][1] if t in transitions else origin.get(t, t) for t in args)
+                if args != was.args:
+                    raise CheckMappingError(
+                        f"{name}.b{bid}[{idx}]: {ins.text} where input {_input_position(name, src, at, i)} has {was.text}"
+                    )
             if op in STORE_OPCODES:
-                hmap[(bid, idx)] = heights[(src, i)]
-                cmap[(bid, idx)] = classes[(src, i)]
+                f, b, k = at[i] if at else (name, src, i)
+                hmap[(bid, idx)] = analysis.heights[f][(b, k)]
+                cmap[(bid, idx)] = analysis.classes[f][(b, k)]
             i += 1
         if i != n:
-            raise CheckMappingError(f"{name}.b{bid}: ends where input b{src}[{i}] has {src_instrs[i].opcode}")
+            was = src_instrs[i].opcode
+            raise CheckMappingError(f"{name}.b{bid}: ends where input {_input_position(name, src, at, i)} has {was}")
     return hmap, cmap
+
+
+def _spliced(originals: Mapping[str, Function], name: str, block: Block, calls: Mapping[int, str]) -> list:
+    """The (function, block, index) of each instruction of `name`'s input
+    `block` with the call at each index `calls` names spliced as
+    `_inline_block` splices it, then of the block's end."""
+    at = []
+    for k, ins in enumerate(block.instrs):
+        if ins.opcode == "call" and ins.args[0] == calls.get(k):
+            body = next(iter(originals[ins.args[0]].blocks.values()))
+            at += [(ins.args[0], body.bid, j) for j in range(len(body.instrs) - 1)]
+        else:
+            at.append((name, block.bid, k))
+    return at + [(name, block.bid, len(block.instrs))]
+
+
+def _input_position(name: str, src: int, at: list | None, i: int) -> str:
+    """Input position `i` of block `src` of `name`, as a message names it."""
+    f, b, k = at[i] if at else (name, src, i)
+    return f"b{b}[{k}]" if f == name else f"{f}.b{b}[{k}]"
 
 
 class _Fn:

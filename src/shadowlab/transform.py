@@ -617,13 +617,19 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
 
 
 def strip_instrumentation(ip: InstrumentedProgram) -> Program:
-    """Remove shadow instructions and merge cloned regions back onto the
-    original block ids.  Inlined call sites are left as spliced."""
+    """Remove shadow instructions, merge cloned regions back onto the
+    original block ids, and put back each inlined call: in ascending index
+    order, so each index is exact once the earlier splices are collapsed.
+    A spliced body is the callee's output entry block without its shadow
+    instructions and its ret."""
     functions: dict[str, Function] = {}
     for name, fn in ip.program.functions.items():
         rf = ip.functions[name]
         transition = rf.transition_blocks
         original = {cid: bid for bid, cid in (rf.clone_map or {}).items()}
+        calls: dict[int, list[tuple[int, str]]] = {}
+        for bid, idx, callee in sorted(rf.inlined_calls):
+            calls.setdefault(bid, []).append((idx, callee))
 
         def remap(target: int) -> int:
             if target in transition:
@@ -644,6 +650,10 @@ def strip_instrumentation(ip: InstrumentedProgram) -> Program:
                 if ins.opcode in ("br", "brc"):
                     ins = Instr(ins.opcode, tuple(remap(t) for t in ins.args))
                 instrs.append(ins)
+            for idx, callee in calls.get(bid, ()):
+                body = ip.program.functions[callee]
+                n = sum(i.opcode not in SHADOW_OPCODES for i in body.blocks[body.entry_block].instrs) - 1
+                instrs[idx:idx + n] = [Instr("call", (callee,))]
             merged[orig_id] = Block(orig_id, tuple(instrs))
         ordered = {bid: merged[bid] for bid in sorted(merged)}
         entry = fn.entry_block

@@ -338,9 +338,9 @@ def _pinned_analysis_programs():
 
     corpus = generate_corpus(GenConfig(seed=41, count=20, attack_density=0.5))
     yield from corpus
-    # instrumented programs, as build_checks analyses an inlined rewrite and
-    # the fresh-analysis oracles every target: shadow and register-frame
-    # operations, clones and transition blocks
+    # instrumented programs, as the fresh-analysis oracles analyse every
+    # target: shadow and register-frame operations, clones and transition
+    # blocks
     for name, p in corpus[:6]:
         _, plan = plan_program(p)
         for mode in ("MO", "LIGHT"):

@@ -313,6 +313,10 @@ def test_cli_run_rejects_unreadable_sidecar(capsys, tmp_path):
         '{"mode": "PO", "functions": {"a": {"mode": "full", "shadow_ops": [{"kind": "push"}]}}}',
         '{"mode": "PO", "functions": {"a": {"mode": "full", "shadow_ops": [], "op_costs": {"0:0": [9]}}}}',
         '{"mode": "PO", "functions": {"a": {"mode": "full", "shadow_ops": [], "op_costs": {"x": [9, 6]}}}}',
+        '{"mode": "PO", "functions": {"a": {"mode": "lowered", "shadow_ops": [], "clone_map": {"0": [1]}}}}',
+        '{"mode": "PO", "functions": {"a": {"mode": "lowered", "shadow_ops": [], "clone_map": {"0": {"a": 1}}}}}',
+        '{"mode": "PO", "functions": {"a": {"mode": "lowered", "shadow_ops": [], "transition_blocks": {"2000": [1]}}}}',
+        '{"mode": "PO", "functions": {"a": {"mode": "lowered", "shadow_ops": [], "transition_blocks": {"2000": {"a": 1}}}}}',
     ],
 )
 def test_cli_run_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
@@ -488,6 +492,32 @@ def test_verify_names_the_benign_mode_runs_with_activation_problems(monkeypatch)
     checks = report["checks"]
     assert not checks["exactly_one_check_and_balance"] and not checks["no_other_violations"]
     assert checks["height_soundness"] and checks["liveness_soundness"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{program}"],
+        ["instrument", "{program}", "--mode", "LIGHT", "-o", "{out}"],
+        ["run", "{program}"],
+        ["stats", "{dir}"],
+    ],
+    ids=["analyze", "instrument", "run", "stats"],
+)
+def test_cli_non_utf8_input_is_one_error_line(tmp_path, argv):
+    # the bytes of a UTF-16 byte-order mark: one error line and exit 1, as for
+    # an unreadable file, with no traceback
+    programs = tmp_path / "programs"
+    programs.mkdir()
+    bad = programs / "bad.mir"
+    bad.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out.mir"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(program=bad, out=out, dir=programs) for arg in argv])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message     # printed to stderr, exit status 1
+    assert message.startswith(f"error: cannot read {bad} as text: "), message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -473,25 +473,20 @@ def test_campaign_keeps_first_counterexamples_only():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
-def test_checks_share_input_facts_and_reanalyse_inlined_rewrites(seed, adversarial):
-    # a function the mode left alone keeps the input's fact objects, and a
-    # rewrite that inlined a call gets what fresh analysis gives it; mapped
-    # rewrites are compared with fresh analysis in test_transform
+def test_checks_share_input_facts(seed, adversarial):
+    # a function the mode left alone keeps the input's fact objects; mapped
+    # rewrites, inlined ones included, are compared with fresh analysis in
+    # test_transform
     p = generate_program(seed, GenConfig(max_functions=7), adversarial=adversarial)
     analysis, plan = plan_program(p)
     for mode in MODES:
         ip = apply_plan(p, plan, mode)
         checks = build_checks(ip, p, analysis)
         assert checks.liveness == {} and list(checks.heights) == list(checks.classes) == list(ip.program.functions)
-        fresh = None
         for name, fn in ip.program.functions.items():
             if fn is p.functions[name]:
                 assert checks.heights[name] is analysis.heights[name], (mode, name)
                 assert checks.classes[name] is analysis.classes[name], (mode, name)
-            elif ip.functions[name].inlined_calls:
-                fresh = fresh or analyze_program(ip.program)
-                assert checks.heights[name] == fresh.heights[name], (mode, name)
-                assert checks.classes[name] == fresh.classes[name], (mode, name)
 
 
 def _retouched(ip, name, bid, idx, ins):
@@ -506,17 +501,17 @@ def _retouched(ip, name, bid, idx, ins):
 
 def test_mapped_checks_catch_a_moved_store(call_tree):
     # b stores at height -8 (store.sp 8 after spadd -16).  An apply_plan that
-    # moved the store to -16 breaks the input's analysis, which mapped checks
-    # carry over: each of b's two calls reports it.  Re-analysis describes
-    # the moved store, and reports nothing.
+    # moved the store to -16 is not its input, so no checks map onto it.
+    # Re-analysis describes the moved store, and reports nothing.
     analysis, plan = plan_program(call_tree)
     ip = apply_plan(call_tree, plan, "FULL")
     idx = next(i for i, ins in enumerate(ip.program.functions["b"].blocks[0].instrs) if ins.opcode == "store.sp")
     moved = _retouched(ip, "b", 0, idx, Instr("store.sp", (0,)))
     inp = ExecInput((True, False))
-    for target, violations in ((ip, []), (moved, [("b", 0, idx, -8, -16)] * 2)):
-        trace, outcome = execute(compile(target, build_checks(target, call_tree, analysis)), inp, 1000)
-        assert outcome.kind == COMPLETED and trace.height_violations == violations
+    trace, outcome = execute(compile(ip, build_checks(ip, call_tree, analysis)), inp, 1000)
+    assert outcome.kind == COMPLETED and trace.height_violations == []
+    with pytest.raises(CheckMappingError, match=rf"^b\.b0\[{idx}\]: store\.sp 0 where input b0\[1\] has store\.sp 8$"):
+        build_checks(moved, call_tree, analysis)
     trace, _ = execute(compile(moved, analyze_program(moved.program)), inp, 1000)
     assert trace.height_violations == []
 
@@ -533,6 +528,46 @@ def test_unmappable_rewrite_raises(call_tree):
     dropped = _retouched(ip, "b", 0, 1, Instr("spop"))
     with pytest.raises(CheckMappingError, match=r"^b\.b0\[2\]: store\.sp where input b0\[0\] has spadd$"):
         build_checks(dropped, call_tree, analysis)
+
+
+def test_retouched_operand_in_a_clone_block_raises():
+    # memo's clone b1004 holds its unsafe store.  A changed operand keeps
+    # every opcode, and the mapping compares whole instructions
+    p = parse_program(MEMO_CALLER)
+    analysis, plan = plan_program(p)
+    ip = apply_plan(p, plan, "LIGHT")
+    clone = ip.program.functions["memo"].blocks[1004].instrs
+    assert [i.text for i in clone] == ["movi r9, 512", "store.reg r9", "brc b1002, b1007"]
+    with pytest.raises(CheckMappingError, match=r"^memo\.b1004\[1\]: store\.reg r8 where input b4\[1\] has store\.reg r9$"):
+        build_checks(_retouched(ip, "memo", 1004, 1, Instr("store.reg", (8,))), p, analysis)
+    # a branch target is compared once mapped back to its input block
+    with pytest.raises(CheckMappingError, match=r"^memo\.b1004\[2\]: brc b1002, b1004 where input b4\[2\] has brc b2, b7$"):
+        build_checks(_retouched(ip, "memo", 1004, 2, Instr("brc", (1002, 1004))), p, analysis)
+    # the transition block of the edge b3 -> b4 enters b4's clone, not b4
+    assert ip.functions["memo"].transition_blocks == {2000: (3, 4)}
+    with pytest.raises(CheckMappingError, match=r"^memo\.b2000: transition block does not branch to the clone of b4$"):
+        build_checks(_retouched(ip, "memo", 2000, 1, Instr("br", (4,))), p, analysis)
+
+
+@pytest.mark.parametrize("mode", ["MO", "LIGHT"])
+def test_tampered_inlined_body_raises(mode):
+    # the store main inlines from tiny is checked against tiny's own facts,
+    # not analysed again on the tampered output
+    p = parse_program(
+        "#entry main\nfn main {\nb0:\n  spadd -16\n  call tiny\n  spadd 16\n  halt\n}\n"
+        "fn tiny {\nb0:\n  movi r3, 256\n  store.reg r3\n  ret\n}"
+    )
+    analysis, plan = plan_program(p)
+    ip = apply_plan(p, plan, mode)
+    assert ip.functions["main"].inlined_calls == ((0, 1, "tiny"),)
+    main = ip.program.functions["main"].blocks[0].instrs
+    idx = next(i for i, ins in enumerate(main) if ins.opcode == "store.reg")
+    tampered = _retouched(ip, "main", 0, idx, Instr("store.sp", (8,)))
+    with pytest.raises(CheckMappingError, match=rf"^main\.b0\[{idx}\]: store\.sp where input tiny\.b0\[1\] has store\.reg$"):
+        build_checks(tampered, p, analysis)
+    checks = build_checks(ip, p, analysis)
+    assert checks.heights["main"][(0, idx)] is analysis.heights["tiny"][(0, 1)]
+    assert checks.classes["main"][(0, idx)] == analysis.classes["tiny"][(0, 1)] == UNSAFE
 
 
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through
