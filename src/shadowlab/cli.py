@@ -222,7 +222,7 @@ def _load_plan(sidecar: Path, program: Program) -> InstrumentedProgram:
                 raise ValueError(f"clone_map {rf.clone_map} maps a block to a non-integer")
     except OSError as exc:
         _usage_error(f"cannot read plan sidecar {sidecar}: {exc.strerror or exc}")
-    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError, RecursionError) as exc:
         _usage_error(f"malformed plan sidecar {sidecar}: {type(exc).__name__}: {exc}")
     return target
 

@@ -31,7 +31,9 @@ its input keeps the input's facts, and in any other rewrite a store keeps
 the height and write class of the input instruction at its position,
 shadow operations aside, an inlined call's body the callee's, so the VM
 validates every rewrite against the program it was made from, not against
-itself.  An uninstrumented input is compiled with its own analysis, dead
+itself.  The inverse of the rewrite is `transform`'s: each rewrite's
+`block_sources` and splice layout.  A rewrite that modes share is mapped
+once.  An uninstrumented input is compiled with its own analysis, dead
 register masks included.
 
 The step loop also checks each activation of a planned function as it runs
@@ -72,7 +74,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .mir import NUM_REGS, Block, Function, Program, RETURN_REG, SHADOW_OPCODES, STORE_OPCODES
+from .mir import NUM_REGS, Function, Program, RETURN_REG, SHADOW_OPCODES, STORE_OPCODES
 from .analysis import AnalysisChecks, InstrFacts, UNSAFE, instr_masks
 from .transform import (
     COST_POP,
@@ -82,6 +84,7 @@ from .transform import (
     FN_LOWERED,
     InstrumentedProgram,
     ResolvedFunction,
+    _spliced,
 )
 
 MEM_BYTES = 1 << 16
@@ -220,15 +223,22 @@ def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChe
     other function, inlined calls or not, are mapped from its input's
     (`_mapped_facts`): they cover its stores only, which is all `compile`
     reads, and an output instruction that is not the input's at its
-    position raises CheckMappingError.  No function carries dead register
-    masks."""
+    position raises CheckMappingError.  A rewrite keeps its mapped facts in
+    its ResolvedFunction, so modes that share it map it once; they serve
+    only the same output function, `source` and `analysis`, and any other
+    object of those three is mapped afresh.  No function carries dead
+    register masks."""
     originals = source.functions
     heights, classes = {}, {}
     for name, fn in ip.program.functions.items():
         if fn is originals.get(name):
             heights[name], classes[name] = analysis.heights[name], analysis.classes[name]
-        else:
-            heights[name], classes[name] = _mapped_facts(originals, fn, ip.functions[name], analysis)
+            continue
+        rf = ip.functions[name]
+        mapped = rf.mapped
+        if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
+            mapped = rf.mapped = (fn, source, analysis, *_mapped_facts(originals, fn, rf, analysis))
+        heights[name], classes[name] = mapped[3:]
     return AnalysisChecks(heights, {}, classes)
 
 
@@ -239,36 +249,33 @@ def _mapped_facts(
     describes of its input in `originals`, taken from `analysis`.
 
     Instrumentation inserts shadow operations without changing what the
-    other instructions do: a clone is its original block under the inverse
-    of `clone_map`, any other block its own id, and within a block the i-th
-    instruction that is not a shadow operation is the source block's i-th,
-    with a branch's targets mapped back to input blocks.  Each inlined call
-    is the callee's body minus its ret, whose stores keep the callee's own
-    facts, the ones the safety fold judged the caller by.  A transition
-    block holds a push and a branch into the clone of its edge's target."""
+    other instructions do.  `rf.block_sources` gives each output block whose
+    id is not its input's its input block, and `transform._spliced` lays out
+    each block's inlined calls, each the callee's body minus its ret, whose
+    stores keep the callee's own facts, the ones the safety fold judged the
+    caller by.  Within a block the i-th instruction that is not a shadow
+    operation is the laid-out source block's i-th, with a branch's targets
+    mapped back to input blocks.  A transition block holds a push and a
+    branch into the clone of its edge's target."""
     name = fn.name
     source = originals.get(name)
     if source is None:
         raise CheckMappingError(f"{name}: no input function to map checks from")
-    origin = {cid: bid for bid, cid in (rf.clone_map or {}).items()}
-    transitions = rf.transition_blocks
-    splices: dict[int, dict[int, str]] = {}
-    for bid, idx, callee in rf.inlined_calls:
-        splices.setdefault(bid, {})[idx] = callee
+    sources, transitions = rf.block_sources, rf.transition_blocks
     hmap, cmap = {}, {}
     for bid, block in fn.blocks.items():
+        src = sources.get(bid, bid)
         if bid in transitions:
             if any(i.opcode not in SHADOW_OPCODES and i.opcode != "br" for i in block.instrs):
                 raise CheckMappingError(f"{name}.b{bid}: transition block holds more than a push and a branch")
-            dst = transitions[bid][1]
-            if [origin.get(i.args[0]) for i in block.instrs if i.opcode == "br"] != [dst]:
-                raise CheckMappingError(f"{name}.b{bid}: transition block does not branch to the clone of b{dst}")
+            if [i.args[0] for i in block.instrs if i.opcode == "br"] != [rf.clone_map[src]]:
+                raise CheckMappingError(f"{name}.b{bid}: transition block does not branch to the clone of b{src}")
             continue
-        src = origin.get(bid, bid)
         src_block = source.blocks.get(src)
         if src_block is None:
             raise CheckMappingError(f"{name}.b{bid}: no input block b{src}")
-        at = _spliced(originals, name, src_block, splices[bid]) if bid in splices else None
+        calls = {k: c for b, k, c in rf.inlined_calls if b == bid}
+        at = _spliced(originals, name, src_block, calls) if calls else None
         src_instrs = [originals[f].blocks[b].instrs[k] for f, b, k in at[:-1]] if at else src_block.instrs
         n = len(src_instrs)
         i = 0
@@ -285,7 +292,7 @@ def _mapped_facts(
                     )
                 args = ins.args
                 if op == "br" or op == "brc":
-                    args = tuple(transitions[t][1] if t in transitions else origin.get(t, t) for t in args)
+                    args = tuple(sources.get(t, t) for t in args)
                 if args != was.args:
                     raise CheckMappingError(
                         f"{name}.b{bid}[{idx}]: {ins.text} where input {_input_position(name, src, at, i)} has {was.text}"
@@ -299,20 +306,6 @@ def _mapped_facts(
             was = src_instrs[i].opcode
             raise CheckMappingError(f"{name}.b{bid}: ends where input {_input_position(name, src, at, i)} has {was}")
     return hmap, cmap
-
-
-def _spliced(originals: Mapping[str, Function], name: str, block: Block, calls: Mapping[int, str]) -> list:
-    """The (function, block, index) of each instruction of `name`'s input
-    `block` with the call at each index `calls` names spliced as
-    `_inline_block` splices it, then of the block's end."""
-    at = []
-    for k, ins in enumerate(block.instrs):
-        if ins.opcode == "call" and ins.args[0] == calls.get(k):
-            body = next(iter(originals[ins.args[0]].blocks.values()))
-            at += [(ins.args[0], body.bid, j) for j in range(len(body.instrs) - 1)]
-        else:
-            at.append((name, block.bid, k))
-    return at + [(name, block.bid, len(block.instrs))]
 
 
 def _input_position(name: str, src: int, at: list | None, i: int) -> str:
@@ -386,7 +379,7 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
     for name, fn in program.functions.items():
         rf = resolved.get(name)
         costs = rf.op_costs if rf else {}
-        tainted = rf.tainted_blocks if rf else ()
+        tainted = rf.block_sources if rf else ()
         hmap = heights.get(name, {})
         lmap = liveness.get(name)
         cmap = classes.get(name, {})

@@ -360,14 +360,20 @@ class ResolvedFunction:
     clone_map: dict[int, int] | None = None
     transition_blocks: Mapping[int, tuple[int, int]] = field(default_factory=dict)
     inlined_calls: tuple[tuple[int, int, str], ...] = ()
-    chase_shifts: Mapping[str, tuple] = field(default_factory=dict)
     op_costs: Mapping[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    # the checks `build_checks` mapped onto this rewrite, with what they came
+    # from: (output function, input program, analysis, heights, classes)
+    mapped: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
-    def tainted_blocks(self) -> frozenset[int]:
-        """Clone and transition block ids: a walk that enters one is tainted
-        and must execute exactly one check."""
-        return frozenset((*(self.clone_map or {}).values(), *self.transition_blocks))
+    def block_sources(self) -> dict[int, int]:
+        """The input block of each output block whose id is not its input's:
+        a clone's original, a transition block's edge target.  Its keys are
+        the tainted blocks: a walk that enters one must execute exactly one
+        check."""
+        sources = {cid: bid for bid, cid in (self.clone_map or {}).items()}
+        sources.update((tid, dst) for tid, (_, dst) in self.transition_blocks.items())
+        return sources
 
     def to_json(self) -> dict:
         return {
@@ -391,7 +397,6 @@ class ResolvedFunction:
                 str(tid): list(edge) for tid, edge in self.transition_blocks.items()
             },
             "inlined_calls": [list(c) for c in self.inlined_calls],
-            "chase_shifts": {k: list(v) for k, v in self.chase_shifts.items()},
             "op_costs": {f"{b}:{i}": list(c) for (b, i), c in self.op_costs.items()},
         }
 
@@ -418,7 +423,6 @@ class ResolvedFunction:
                 int(k): tuple(v) for k, v in data.get("transition_blocks", {}).items()
             },
             inlined_calls=tuple(tuple(c) for c in data.get("inlined_calls", ())),
-            chase_shifts={k: tuple(v) for k, v in data.get("chase_shifts", {}).items()},
             op_costs={
                 (int(k.split(":")[0]), int(k.split(":")[1])): tuple(v)
                 for k, v in data.get("op_costs", {}).items()
@@ -440,7 +444,7 @@ class InstrumentedProgram:
 
 
 # the one read-only empty mapping every ResolvedFunction without transition
-# blocks, chase shifts or op costs holds (dataclass refuses it as a default)
+# blocks or op costs holds (dataclass refuses it as a default)
 _EMPTY: Mapping = types.MappingProxyType({})
 
 # the pop spliced before every ret or halt of FULL functions and of clones:
@@ -469,6 +473,20 @@ def _inline_block(
     return tuple(out), hits
 
 
+def _spliced(functions: Mapping[str, Function], name: str, block: Block, calls: Mapping[int, str]) -> list:
+    """The (function, block, index) of each instruction of `name`'s input
+    `block` with the call at each index `calls` names spliced as
+    `_inline_block` splices it, then of the block's end."""
+    at = []
+    for k, ins in enumerate(block.instrs):
+        if ins.opcode == "call" and ins.args[0] == calls.get(k):
+            body = next(iter(functions[ins.args[0]].blocks.values()))
+            at += [(ins.args[0], body.bid, j) for j in range(len(body.instrs) - 1)]
+        else:
+            at.append((name, block.bid, k))
+    return at + [(name, block.bid, len(block.instrs))]
+
+
 def _rewrite(
     program: Program,
     fn: Function,
@@ -483,7 +501,6 @@ def _rewrite(
     ops: list[ShadowOp] = []
     op_costs: dict[tuple[int, int], tuple[int, int]] = {}
     inlined: list[tuple[int, int, str]] = []
-    chase_shifts: dict[str, tuple] = {}
     clone_map: dict[int, int] | None = None
     transition_blocks: dict[int, tuple[int, int]] = {}
 
@@ -546,8 +563,6 @@ def _rewrite(
             site = ("instr", entry, k) if k else ("entry", entry)
             cost = COST_PUSH_CHASED if chased else COST_PUSH
             push = (k, ShadowOp("push", site, delta, None, cost, chased), spush(delta))
-            if k:
-                chase_shifts[f"b{entry}:0"] = (entry, k, -delta)
             pop = _SPOP_EXIT
         for bid in fn.blocks:
             emit(bid, bid, None, push if bid == entry else None, pop)
@@ -558,7 +573,6 @@ def _rewrite(
         clone_map,
         transition_blocks or _EMPTY,
         tuple(inlined),
-        chase_shifts or _EMPTY,
         op_costs or _EMPTY,
     )
     kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
@@ -617,49 +631,35 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
 
 
 def strip_instrumentation(ip: InstrumentedProgram) -> Program:
-    """Remove shadow instructions, merge cloned regions back onto the
-    original block ids, and put back each inlined call: in ascending index
-    order, so each index is exact once the earlier splices are collapsed.
-    A spliced body is the callee's output entry block without its shadow
-    instructions and its ret."""
+    """Remove shadow instructions, merge each clone and transition block
+    back onto its input block (`block_sources`), and put back each inlined
+    call: in ascending index order, so each index is exact once the earlier
+    splices are collapsed.  A spliced body is the callee's output entry
+    block without its shadow instructions and its ret.  Blocks keep the input's
+    order: a lowered function's `clone_map` lists every input block in it,
+    and `apply_plan` emits every other function's blocks in it."""
     functions: dict[str, Function] = {}
     for name, fn in ip.program.functions.items():
         rf = ip.functions[name]
-        transition = rf.transition_blocks
-        original = {cid: bid for bid, cid in (rf.clone_map or {}).items()}
-        calls: dict[int, list[tuple[int, str]]] = {}
-        for bid, idx, callee in sorted(rf.inlined_calls):
-            calls.setdefault(bid, []).append((idx, callee))
-
-        def remap(target: int) -> int:
-            if target in transition:
-                return transition[target][1]
-            return original.get(target, target)
-
+        sources = rf.block_sources
         merged: dict[int, Block] = {}
         for bid, block in fn.blocks.items():
-            if bid in transition:
-                continue
-            orig_id = original.get(bid, bid)
-            if orig_id in merged:
+            orig_id = sources.get(bid, bid)
+            if bid in rf.transition_blocks or orig_id in merged:
                 continue
             instrs = []
             for ins in block.instrs:
                 if ins.opcode in SHADOW_OPCODES:
                     continue
                 if ins.opcode in ("br", "brc"):
-                    ins = Instr(ins.opcode, tuple(remap(t) for t in ins.args))
+                    ins = Instr(ins.opcode, tuple(sources.get(t, t) for t in ins.args))
                 instrs.append(ins)
-            for idx, callee in calls.get(bid, ()):
+            for idx, callee in sorted((k, c) for b, k, c in rf.inlined_calls if b == bid):
                 body = ip.program.functions[callee]
                 n = sum(i.opcode not in SHADOW_OPCODES for i in body.blocks[body.entry_block].instrs) - 1
                 instrs[idx:idx + n] = [Instr("call", (callee,))]
             merged[orig_id] = Block(orig_id, tuple(instrs))
-        ordered = {bid: merged[bid] for bid in sorted(merged)}
-        entry = fn.entry_block
-        if entry in ordered:  # keep the entry block first
-            ordered = {entry: ordered[entry], **{b: v for b, v in ordered.items() if b != entry}}
-        functions[name] = Function(name, ordered)
+        functions[name] = Function(name, {bid: merged[bid] for bid in rf.clone_map or merged if bid in merged})
     return Program(
         functions,
         entry=ip.program.entry,

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowlab.cli import main
 from shadowlab.gen import GenConfig, generate_corpus, generate_inputs
@@ -317,12 +320,68 @@ def test_cli_run_rejects_unreadable_sidecar(capsys, tmp_path):
         '{"mode": "PO", "functions": {"a": {"mode": "lowered", "shadow_ops": [], "clone_map": {"0": {"a": 1}}}}}',
         '{"mode": "PO", "functions": {"a": {"mode": "lowered", "shadow_ops": [], "transition_blocks": {"2000": [1]}}}}',
         '{"mode": "PO", "functions": {"a": {"mode": "lowered", "shadow_ops": [], "transition_blocks": {"2000": {"a": 1}}}}}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-past-the-recursion-limit"),
     ],
 )
 def test_cli_run_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)
     (tmp_path / "a.mir.plan.json").write_text(sidecar)
     _assert_usage_error(capsys, ["run", path], "malformed plan sidecar")
+
+
+def _json_paths(value, path=()):
+    """The path of every key and list item in `value`, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _json_paths(item, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64) | st.sampled_from(["", "x", "0", "lowered", "push"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["0", "4", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def memo_po_sidecar(tmp_path_factory):
+    """A real `instrument --mode PO` output of MEMO_CFG, and its sidecar's JSON."""
+    root = tmp_path_factory.mktemp("sidecar")
+    src, out = write_fixture(root, "memo.mir", MEMO_CFG), root / "memo.PO.mir"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["instrument", src, "--mode", "PO", "-o", str(out)]) == 0
+    return out, json.loads((root / "memo.PO.mir.plan.json").read_text())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cli_run_survives_mutated_sidecars(memo_po_sidecar, data):
+    # each mutation drops a key or list item, or replaces a value: `run`
+    # either runs or gives one `error:` line, never a traceback
+    out, plan = memo_po_sidecar
+    plan = json.loads(json.dumps(plan))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_json_paths(plan))
+        if not paths:
+            break
+        *parent, key = data.draw(st.sampled_from(paths))
+        node = plan
+        for k in parent:
+            node = node[k]
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+    (out.parent / f"{out.name}.plan.json").write_text(json.dumps(plan))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(["run", str(out), "--input", "1,1,0"])
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    assert code == 0 and err == "" or code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
 
 
 @pytest.mark.parametrize(
@@ -729,8 +788,11 @@ def test_cli_stats_reports_plan_error(capsys, tmp_path):
 
 # sha256 of `analyze --json` for every program of a fixed gen corpus, then
 # `stats --json` over it, then every mode's `instrument` output and plan
-# sidecar, recorded before `analyze` and `stats` planned each program once.
-PINNED_CLI_DIGEST = "ba07f5091565f8f577eabb78f3a8e7b185c541162ad9c9e1ae02a1848fc4fefe"
+# sidecar, recorded before `analyze` and `stats` planned each program once,
+# and re-recorded once when the sidecar lost `chase_shifts`: the value is
+# the earlier digest's computation with that key dropped from every
+# function's JSON.
+PINNED_CLI_DIGEST = "f561b063d168f430a148fd07ab50651039d6d2a7a834a778113781a09acc2847"
 
 
 def test_cli_outputs_pin(capsys, tmp_path):

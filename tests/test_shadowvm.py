@@ -300,7 +300,7 @@ def reference_activations(case, trace, outcome) -> list[str]:
             r = acts[e[1]] = _Activation(e[2])
         if kind == "enter":
             rf = plans.get(e[2])
-            if rf is not None and e[3] in rf.tainted_blocks:      # e[3]: bid
+            if rf is not None and e[3] in rf.block_sources:      # e[3]: bid
                 r.clone = True
         elif kind == "store":
             r.unsafe.append(pos)
@@ -568,6 +568,51 @@ def test_tampered_inlined_body_raises(mode):
     checks = build_checks(ip, p, analysis)
     assert checks.heights["main"][(0, idx)] is analysis.heights["tiny"][(0, 1)]
     assert checks.classes["main"][(0, idx)] == analysis.classes["tiny"][(0, 1)] == UNSAFE
+
+
+def test_each_rewrite_is_mapped_once_and_never_served_stale_facts(monkeypatch, call_tree):
+    from shadowlab import cli, shadowvm
+
+    # every function object a verify pass maps, and every rewritten one its
+    # targets hold, kept alive so no id is reused
+    walked, rewritten, visits = [], {}, [0]
+    mapped_facts, checks_of = shadowvm._mapped_facts, cli.build_checks
+
+    def walk(originals, fn, rf, analysis):
+        walked.append(fn)
+        return mapped_facts(originals, fn, rf, analysis)
+
+    def checks(ip, source, analysis):
+        fns = [fn for name, fn in ip.program.functions.items() if fn is not source.functions[name]]
+        visits[0] += len(fns)
+        rewritten.update((id(fn), fn) for fn in fns)
+        return checks_of(ip, source, analysis)
+
+    monkeypatch.setattr(shadowvm, "_mapped_facts", walk)
+    monkeypatch.setattr(cli, "build_checks", checks)
+    report, _ = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
+    # modes share rewrites, and each is walked once
+    assert report["checks"]["height_soundness"] and len(walked) == len(rewritten) < visits[0]
+    assert len({id(fn) for fn in walked}) == len(walked)
+
+    # a rewrite's facts serve only its own output function ...
+    analysis, plan = plan_program(call_tree)
+    ip = apply_plan(call_tree, plan, "FULL")
+    honest = build_checks(ip, call_tree, analysis)
+    idx = next(i for i, ins in enumerate(ip.program.functions["b"].blocks[0].instrs) if ins.opcode == "store.sp")
+    with pytest.raises(CheckMappingError, match=rf"^b\.b0\[{idx}\]: store\.sp 0 where input b0\[1\] has store\.sp 8$"):
+        build_checks(_retouched(ip, "b", 0, idx, Instr("store.sp", (0,))), call_tree, analysis)
+    assert build_checks(ip, call_tree, analysis).heights["b"] is honest.heights["b"]
+    assert honest.heights["b"][(0, idx)] is analysis.heights["b"][(0, 1)]
+    # ... and only the input program they came from
+    moved = _retouched(InstrumentedProgram(call_tree, "BASE", {}), "b", 0, 1, Instr("store.sp", (0,))).program
+    with pytest.raises(CheckMappingError, match=rf"^b\.b0\[{idx}\]: store\.sp 8 where input b0\[1\] has store\.sp 0$"):
+        build_checks(ip, moved, analysis)
+    # ... and only the analysis they came from
+    fresh = analyze_program(call_tree)
+    again = build_checks(ip, call_tree, fresh)
+    assert again.heights["b"][(0, idx)] is fresh.heights["b"][(0, 1)]
+    assert again.classes["b"] == honest.classes["b"] and again.classes["b"] is not honest.classes["b"]
 
 
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through

@@ -357,8 +357,6 @@ def test_chase_shifts_past_saves(fixture_chase):
     assert push.site == ("instr", 0, 2)
     assert push.chased and push.cost == COST_PUSH_CHASED == (5, 4)
     assert push.entry_height == -16
-    # recorded shift carries the +16 return-address offset adjustment
-    assert ip.functions["chasefn"].chase_shifts == {"b0:0": (0, 2, 16)}
     trace, outcome = execute(ip, ExecInput(), 1000)
     assert outcome.kind == "completed"
 
@@ -529,9 +527,14 @@ def test_plan_roundtrips_through_json():
     assert records == 930     # 155 functions, six modes
 
 
+# a valid program whose blocks b0, b2, b1 do not ascend
+NON_ASCENDING = "fn main {\nb0:\n  movi r1, 1\n  brc b2, b1\nb2:\n  movi r2, 2\n  br b1\nb1:\n  halt\n}"
+
+
 def test_strip_recovers_original(memo_cfg, fixture_inline):
-    # MO and LIGHT inline fixture_inline's call to id: strip puts it back
-    for p in (memo_cfg, fixture_inline):
+    # MO and LIGHT inline fixture_inline's call to id: strip puts it back.
+    # Strip keeps the input's block order, not ascending ids
+    for p in (memo_cfg, fixture_inline, parse_program(NON_ASCENDING)):
         _, plan = planned(p)
         for mode in MODES:
             assert strip_instrumentation(apply_plan(p, plan, mode)) == p, mode
@@ -543,6 +546,33 @@ def test_strip_keeps_high_block_ids_of_unlowered_functions():
     _, plan = planned(p)
     for mode in MODES:
         assert strip_instrumentation(apply_plan(p, plan, mode)) == p, mode
+
+
+def renumbered(p: Program, rng: random.Random) -> Program:
+    """`p` with every function's blocks given distinct random ids below
+    1000, in the same order, so the entry stays first."""
+    functions = {}
+    for name, fn in p.functions.items():
+        ids = dict(zip(fn.blocks, rng.sample(range(1000), len(fn.blocks))))
+        blocks = {}
+        for bid, block in fn.blocks.items():
+            term = block.instrs[-1]
+            if term.opcode in ("br", "brc"):
+                term = Instr(term.opcode, tuple(ids[t] for t in term.args))
+            blocks[ids[bid]] = Block(ids[bid], block.instrs[:-1] + (term,))
+        functions[name] = Function(name, blocks)
+    return Program(functions, p.entry, p.adversarial)
+
+
+def test_strip_recovers_renumbered_programs():
+    # block ids that neither ascend nor start at 0, in every mode, lowered
+    # and inlined functions included
+    for seed in range(120):
+        p = renumbered(generate_program(seed, GenConfig(), seed % 3 == 0), random.Random(seed))
+        assert validate_program(p) == []
+        _, plan = planned(p)
+        for mode in MODES:
+            assert strip_instrumentation(apply_plan(p, plan, mode)) == p, (seed, mode)
 
 
 @settings(max_examples=25, deadline=None)
@@ -573,8 +603,10 @@ def test_strip_is_behavior_preserving(seed):
 # shared the blocks and functions a mode leaves unchanged, and re-recorded
 # once when strip came to put inlined calls back: the value is the earlier
 # digest's computation with each input's own text in place of its stripped
-# one.  A change here means the instrumented output changed.
-PINNED_TRANSFORM_DIGEST = "e5f2ceb6250527d59a9168d394f8c6622de2152699a96de6ac965ed22fb9e42b"
+# one.  Re-recorded once more when the plan JSON lost `chase_shifts`: the
+# value is the earlier digest's computation with that key dropped from every
+# function's JSON.  A change here means the instrumented output changed.
+PINNED_TRANSFORM_DIGEST = "1c73d57dd5355ab6045c1435a8b0a869fa830dabed5026a3d38101d04fbec961"
 
 
 def test_transform_outputs_pin():
@@ -781,8 +813,6 @@ def reference_apply_plan(program, plan, mode):
                         COST_PUSH_CHASED if chased else COST_PUSH,
                         chased,
                     )
-                    if k:
-                        rf.chase_shifts[f"b{entry_bid}:0"] = (entry_bid, k, -delta)
                     pop_kind, pop_cost, pop_reg = "pop", COST_POP, None
                 ops.append(push)
                 eb = blocks[entry_bid]
