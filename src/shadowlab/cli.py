@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -22,12 +23,14 @@ from .transform import (
     FN_REGFRAME,
     MODE_FLAGS,
     MODES,
+    CheckMappingError,
     InstrumentationPlan,
     InstrumentedProgram,
     PlanError,
     ProgramAnalysis,
     ResolvedFunction,
     apply_plan,
+    build_checks,
     plan_program,
     resolve_mode,
 )
@@ -36,10 +39,8 @@ from .shadowvm import (
     FAULT,
     CampaignCase,
     CampaignReport,
-    CheckMappingError,
     CompiledProgram,
     ExecInput,
-    build_checks,
     compile,
     execute,
     observables,
@@ -48,6 +49,8 @@ from .shadowvm import (
 from .gen import GenConfig, generate_corpus, generate_inputs
 
 SOUND_MODES = tuple(MODE_FLAGS)
+# the sidecar key naming the program it describes: the sha256 of its text
+STAMP = "program_sha256"
 # the overhead ladder: sound modes from the most shadow operations to the fewest
 LADDER = ("FULL", "SFE", "PO", "LIGHT")
 
@@ -164,9 +167,10 @@ def cmd_instrument(args) -> int:
         for d in diags:
             print(d.render(args.file), file=sys.stderr)
         return 1
-    out = Path(args.out)
-    _atomic_write(out, print_program(ip.program))
-    _atomic_write(out.with_suffix(out.suffix + ".plan.json"), json.dumps(ip.to_json(), sort_keys=True))
+    out, text = Path(args.out), print_program(ip.program)
+    _atomic_write(out, text)
+    sidecar = {**ip.to_json(), STAMP: hashlib.sha256(text.encode()).hexdigest()}
+    _atomic_write(out.with_suffix(out.suffix + ".plan.json"), json.dumps(sidecar, sort_keys=True))
     print(f"wrote {out} ({args.mode})")
     return 0
 
@@ -203,7 +207,9 @@ def _parse_input(args) -> ExecInput:
 
 
 def _load_plan(sidecar: Path, program: Program) -> InstrumentedProgram:
-    """The instrumented program described by `program`'s .plan.json sidecar."""
+    """The instrumented program described by `program`'s .plan.json sidecar.
+    A well-formed sidecar must also carry the stamp `instrument` wrote, the
+    sha256 of `program`'s printed text."""
     try:
         data = json.loads(sidecar.read_text())
         target = InstrumentedProgram(
@@ -211,19 +217,15 @@ def _load_plan(sidecar: Path, program: Program) -> InstrumentedProgram:
             data["mode"],
             {n: ResolvedFunction.from_json(d) for n, d in data["functions"].items()},
         )
-        for rf in target.functions.values():
-            for cost in rf.op_costs.values():
-                if len(cost) != 2 or not all(type(v) is int for v in cost):
-                    raise ValueError(f"operation cost {list(cost)} is not two integers")
-            for edge in rf.transition_blocks.values():
-                if len(edge) != 2 or not all(type(v) is int for v in edge):
-                    raise ValueError(f"transition edge {list(edge)} is not two integers")
-            if not all(type(v) is int for v in (rf.clone_map or {}).values()):
-                raise ValueError(f"clone_map {rf.clone_map} maps a block to a non-integer")
     except OSError as exc:
         _usage_error(f"cannot read plan sidecar {sidecar}: {exc.strerror or exc}")
     except (ValueError, KeyError, TypeError, AttributeError, IndexError, RecursionError) as exc:
         _usage_error(f"malformed plan sidecar {sidecar}: {type(exc).__name__}: {exc}")
+    stamp = data.get(STAMP)
+    if not stamp:
+        _usage_error(f"plan sidecar {sidecar} carries no {STAMP}: instrument the program again")
+    if stamp != hashlib.sha256(print_program(program).encode()).hexdigest():
+        _usage_error(f"plan sidecar {sidecar} was written for another program")
     return target
 
 
@@ -267,7 +269,10 @@ def cmd_run(args) -> int:
 
 def _seed(args) -> int:
     env = os.environ.get("SHADOWLAB_SEED")
-    return int(env) if env else args.seed
+    try:
+        return int(env) if env else args.seed
+    except ValueError:
+        _usage_error(f"SHADOWLAB_SEED {env!r}: expected an integer")
 
 
 def cmd_gen(args) -> int:

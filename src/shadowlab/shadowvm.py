@@ -25,16 +25,9 @@ the run ends.  Given a Program or InstrumentedProgram it compiles it first,
 without checks.  Callers that run one target on many inputs compile it
 once, and a campaign case carries its compiled target.
 
-The checks of an instrumented target come from its input's analysis
-(`build_checks(ip, input, analysis)`): a function the target shares with
-its input keeps the input's facts, and in any other rewrite a store keeps
-the height and write class of the input instruction at its position,
-shadow operations aside, an inlined call's body the callee's, so the VM
-validates every rewrite against the program it was made from, not against
-itself.  The inverse of the rewrite is `transform`'s: each rewrite's
-`block_sources` and splice layout.  A rewrite that modes share is mapped
-once.  An uninstrumented input is compiled with its own analysis, dead
-register masks included.
+An instrumented target is compiled with the checks `transform.build_checks`
+maps onto it from its input's analysis; an uninstrumented input with its
+own analysis, dead register masks included.
 
 The step loop also checks each activation of a planned function as it runs
 (`check_activations` reports the result): counts of shadow pushes and pops,
@@ -72,10 +65,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-from .mir import NUM_REGS, Function, Program, RETURN_REG, SHADOW_OPCODES, STORE_OPCODES
-from .analysis import AnalysisChecks, InstrFacts, UNSAFE, instr_masks
+from .mir import NUM_REGS, Program, RETURN_REG
+from .analysis import AnalysisChecks, UNSAFE, instr_masks
 from .transform import (
     COST_POP,
     COST_PUSH,
@@ -84,7 +77,7 @@ from .transform import (
     FN_LOWERED,
     InstrumentedProgram,
     ResolvedFunction,
-    _spliced,
+    build_checks,   # bound here too: the benchmark traces it as shadowvm.build_checks
 )
 
 MEM_BYTES = 1 << 16
@@ -208,110 +201,6 @@ class _VmFault(Exception):
 def observables(trace: Trace, outcome: Outcome) -> tuple:
     """What a benign run exposes: outcome kind, r0 at halt, global stores."""
     return outcome.kind, outcome.r0, tuple(trace.globals_log)
-
-
-class CheckMappingError(Exception):
-    """An instrumented function whose instructions, shadow operations aside,
-    are not its input's in order: checks cannot be mapped onto it."""
-
-
-def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChecks) -> AnalysisChecks:
-    """The heights and write classes of `ip`, the instrumented `source`,
-    for the VM to validate live, from `analysis`, the analysis of `source`.
-
-    A function `ip` shares with `source` keeps its facts.  Those of every
-    other function, inlined calls or not, are mapped from its input's
-    (`_mapped_facts`): they cover its stores only, which is all `compile`
-    reads, and an output instruction that is not the input's at its
-    position raises CheckMappingError.  A rewrite keeps its mapped facts in
-    its ResolvedFunction, so modes that share it map it once; they serve
-    only the same output function, `source` and `analysis`, and any other
-    object of those three is mapped afresh.  No function carries dead
-    register masks."""
-    originals = source.functions
-    heights, classes = {}, {}
-    for name, fn in ip.program.functions.items():
-        if fn is originals.get(name):
-            heights[name], classes[name] = analysis.heights[name], analysis.classes[name]
-            continue
-        rf = ip.functions[name]
-        mapped = rf.mapped
-        if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
-            mapped = rf.mapped = (fn, source, analysis, *_mapped_facts(originals, fn, rf, analysis))
-        heights[name], classes[name] = mapped[3:]
-    return AnalysisChecks(heights, {}, classes)
-
-
-def _mapped_facts(
-    originals: Mapping[str, Function], fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks
-) -> tuple[dict[tuple[int, int], InstrFacts], dict[tuple[int, int], str]]:
-    """The heights and classes at the stores of `fn`, the rewrite `rf`
-    describes of its input in `originals`, taken from `analysis`.
-
-    Instrumentation inserts shadow operations without changing what the
-    other instructions do.  `rf.block_sources` gives each output block whose
-    id is not its input's its input block, and `transform._spliced` lays out
-    each block's inlined calls, each the callee's body minus its ret, whose
-    stores keep the callee's own facts, the ones the safety fold judged the
-    caller by.  Within a block the i-th instruction that is not a shadow
-    operation is the laid-out source block's i-th, with a branch's targets
-    mapped back to input blocks.  A transition block holds a push and a
-    branch into the clone of its edge's target."""
-    name = fn.name
-    source = originals.get(name)
-    if source is None:
-        raise CheckMappingError(f"{name}: no input function to map checks from")
-    sources, transitions = rf.block_sources, rf.transition_blocks
-    hmap, cmap = {}, {}
-    for bid, block in fn.blocks.items():
-        src = sources.get(bid, bid)
-        if bid in transitions:
-            if any(i.opcode not in SHADOW_OPCODES and i.opcode != "br" for i in block.instrs):
-                raise CheckMappingError(f"{name}.b{bid}: transition block holds more than a push and a branch")
-            if [i.args[0] for i in block.instrs if i.opcode == "br"] != [rf.clone_map[src]]:
-                raise CheckMappingError(f"{name}.b{bid}: transition block does not branch to the clone of b{src}")
-            continue
-        src_block = source.blocks.get(src)
-        if src_block is None:
-            raise CheckMappingError(f"{name}.b{bid}: no input block b{src}")
-        calls = {k: c for b, k, c in rf.inlined_calls if b == bid}
-        at = _spliced(originals, name, src_block, calls) if calls else None
-        src_instrs = [originals[f].blocks[b].instrs[k] for f, b, k in at[:-1]] if at else src_block.instrs
-        n = len(src_instrs)
-        i = 0
-        for idx, ins in enumerate(block.instrs):
-            op = ins.opcode
-            if op in SHADOW_OPCODES:
-                continue
-            was = src_instrs[i] if i < n else None
-            if ins is not was:
-                if was is None or was.opcode != op:
-                    was = "the block's end" if was is None else was.opcode
-                    raise CheckMappingError(
-                        f"{name}.b{bid}[{idx}]: {op} where input {_input_position(name, src, at, i)} has {was}"
-                    )
-                args = ins.args
-                if op == "br" or op == "brc":
-                    args = tuple(sources.get(t, t) for t in args)
-                if args != was.args:
-                    raise CheckMappingError(
-                        f"{name}.b{bid}[{idx}]: {ins.text} where input {_input_position(name, src, at, i)} has {was.text}"
-                    )
-            if op in STORE_OPCODES:
-                f, b, k = at[i] if at else (name, src, i)
-                hmap[(bid, idx)] = analysis.heights[f][(b, k)]
-                cmap[(bid, idx)] = analysis.classes[f][(b, k)]
-            i += 1
-        if i != n:
-            was = src_instrs[i].opcode
-            raise CheckMappingError(f"{name}.b{bid}: ends where input {_input_position(name, src, at, i)} has {was}")
-    return hmap, cmap
-
-
-def _input_position(name: str, src: int, at: list | None, i: int) -> str:
-    """Input position `i` of block `src` of `name`, as a message names it."""
-    f, b, k = at[i] if at else (name, src, i)
-    return f"b{b}[{k}]" if f == name else f"{f}.b{b}[{k}]"
 
 
 class _Fn:

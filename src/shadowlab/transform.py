@@ -19,6 +19,17 @@ mode is two policy flags and one mechanism flag (`MODE_FLAGS`):
   MO         FULL plus mechanism optimizations
   LIGHT      PO plus mechanism optimizations
   ELIDE-ALL  no instrumentation (intentionally unsound control)
+
+The rewrite's inverse lives next to it.  `ResolvedFunction.block_sources`
+gives each output block whose id is not its input's its input block, and
+`_spliced` is the one splice layout, which `_rewrite` inlines by.  The
+check mapping reads both: `build_checks(ip, input, analysis)` keeps the
+input's facts for a function the target shares with its input, and in any
+other rewrite a store keeps the height and write class of the input
+instruction at its position, shadow operations aside, an inlined call's
+body the callee's, so the VM validates every rewrite against the program it
+was made from, not against itself.  A rewrite that modes share is mapped
+once.  `strip_instrumentation` reads the map to undo the rewrite.
 """
 
 from __future__ import annotations
@@ -376,33 +387,26 @@ class ResolvedFunction:
         return sources
 
     def to_json(self) -> dict:
+        """This function's plan for `json.dumps`, which writes each tuple as
+        a list: a shadow operation is an object of its fields."""
         return {
             "mode": self.mode,
-            "shadow_ops": [
-                {
-                    "kind": op.kind,
-                    "site": list(op.site),
-                    "entry_height": op.entry_height,
-                    "reg": op.reg,
-                    "cost": list(op.cost),
-                    "chased": op.chased,
-                    "transition": op.transition,
-                }
-                for op in self.shadow_ops
-            ],
+            "shadow_ops": [op._asdict() for op in self.shadow_ops],
             "clone_map": (
                 {str(k): v for k, v in self.clone_map.items()} if self.clone_map else None
             ),
-            "transition_blocks": {
-                str(tid): list(edge) for tid, edge in self.transition_blocks.items()
-            },
-            "inlined_calls": [list(c) for c in self.inlined_calls],
-            "op_costs": {f"{b}:{i}": list(c) for (b, i), c in self.op_costs.items()},
+            "transition_blocks": {str(tid): edge for tid, edge in self.transition_blocks.items()},
+            "inlined_calls": self.inlined_calls,
+            "op_costs": {f"{b}:{i}": c for (b, i), c in self.op_costs.items()},
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ResolvedFunction":
-        return cls(
+        """The inverse of `to_json`.  Data it cannot read raises: an
+        operation cost or a transition edge that is not two integers, or a
+        clone id that is not an integer, raises ValueError here rather than
+        in the VM."""
+        rf = cls(
             data["mode"],
             shadow_ops=tuple(
                 ShadowOp(
@@ -428,6 +432,13 @@ class ResolvedFunction:
                 for k, v in data.get("op_costs", {}).items()
             },
         )
+        for what, pairs in (("operation cost", rf.op_costs), ("transition edge", rf.transition_blocks)):
+            for pair in pairs.values():
+                if len(pair) != 2 or not all(type(v) is int for v in pair):
+                    raise ValueError(f"{what} {list(pair)} is not two integers")
+        if not all(type(v) is int for v in (rf.clone_map or {}).values()):
+            raise ValueError(f"clone_map {rf.clone_map} maps a block to a non-integer")
+        return rf
 
 
 @dataclass
@@ -452,31 +463,12 @@ _EMPTY: Mapping = types.MappingProxyType({})
 _SPOP_EXIT = ("pop", None, COST_POP, Instr("spop"))
 
 
-def _inline_block(
-    instrs: tuple[Instr, ...],
-    program: Program,
-    callees: frozenset[str],
-) -> tuple[tuple[Instr, ...], list[tuple[int, str]]]:
-    """Splice each call to one of `callees` with the callee's body minus its
-    trailing ret; also the (index, callee) of each splice.  A block that calls
-    none of them comes back as the same tuple."""
-    hits = [
-        (idx, ins.args[0])
-        for idx, ins in enumerate(instrs)
-        if ins.opcode == "call" and ins.args[0] in callees
-    ] if callees else []
-    if not hits:
-        return instrs, hits
-    out = list(instrs)
-    for idx, callee in reversed(hits):
-        out[idx:idx + 1] = next(iter(program.functions[callee].blocks.values())).instrs[:-1]
-    return tuple(out), hits
-
-
 def _spliced(functions: Mapping[str, Function], name: str, block: Block, calls: Mapping[int, str]) -> list:
-    """The (function, block, index) of each instruction of `name`'s input
-    `block` with the call at each index `calls` names spliced as
-    `_inline_block` splices it, then of the block's end."""
+    """The splice layout: the (function, block, index) of each instruction
+    of `name`'s input `block` with the call at each index `calls` names
+    replaced by the callee's body minus its trailing ret, then of the
+    block's end.  `_rewrite` builds an inlining block from it, and the check
+    mapping reads it back."""
     at = []
     for k, ins in enumerate(block.instrs):
         if ins.opcode == "call" and ins.args[0] == calls.get(k):
@@ -488,7 +480,7 @@ def _spliced(functions: Mapping[str, Function], name: str, block: Block, calls: 
 
 
 def _rewrite(
-    program: Program,
+    functions: Mapping[str, Function],
     fn: Function,
     fp: FunctionPlan,
     fn_mode: str,
@@ -510,8 +502,14 @@ def _rewrite(
         instruction) spliced in, and the `pop` (kind, register, cost,
         instruction) spliced before a ret or halt."""
         block = fn.blocks[bid]
-        body, hits = _inline_block(block.instrs, program, callees)
-        inlined.extend((out_id, idx, callee) for idx, callee in hits)
+        body = block.instrs
+        calls = {
+            k: i.args[0] for k, i in enumerate(body) if i.opcode == "call" and i.args[0] in callees
+        } if callees else None
+        if calls:
+            inlined.extend((out_id, k, callee) for k, callee in calls.items())
+            at = _spliced(functions, fn.name, block, calls)
+            body = tuple(functions[f].blocks[b].instrs[k] for f, b, k in at[:-1])
         term = body[-1]
         if targets and term.opcode in ("br", "brc"):
             args = tuple(targets.get(t, t) for t in term.args)
@@ -621,13 +619,118 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
         if built is None or built[0] is not fn or (
             built[1] and any(functions.get(c) is not f for c, f in built[1])
         ):
-            out, rf = _rewrite(program, fn, fp, fn_mode, mechanisms, callees, spush)
+            out, rf = _rewrite(functions, fn, fp, fn_mode, mechanisms, callees, spush)
             spliced = tuple((c, functions[c]) for c in dict.fromkeys(c for _, _, c in rf.inlined_calls))
             built = plan.rewrites[key] = (fn, spliced, out, rf)
         _, _, new_functions[name], resolved[name] = built
 
     new_program = Program(new_functions, entry=program.entry, adversarial=program.adversarial)
     return InstrumentedProgram(new_program, mode, resolved)
+
+
+class CheckMappingError(Exception):
+    """An instrumented function whose instructions, shadow operations aside,
+    are not its input's in order: checks cannot be mapped onto it."""
+
+
+def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChecks) -> AnalysisChecks:
+    """The heights and write classes of `ip`, the instrumented `source`,
+    for the VM to validate live, from `analysis`, the analysis of `source`.
+
+    A function `ip` shares with `source` keeps its facts.  Those of every
+    other function, inlined calls or not, are mapped from its input's
+    (`_mapped_facts`): they cover its stores only, which is all `compile`
+    reads, and an output instruction that is not the input's at its
+    position raises CheckMappingError.  A rewrite keeps its mapped facts in
+    its ResolvedFunction, so modes that share it map it once; they serve
+    only the same output function, `source` and `analysis`, and any other
+    object of those three is mapped afresh.  No function carries dead
+    register masks."""
+    originals = source.functions
+    heights, classes = {}, {}
+    for name, fn in ip.program.functions.items():
+        if fn is originals.get(name):
+            heights[name], classes[name] = analysis.heights[name], analysis.classes[name]
+            continue
+        rf = ip.functions[name]
+        mapped = rf.mapped
+        if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
+            mapped = rf.mapped = (fn, source, analysis, *_mapped_facts(originals, fn, rf, analysis))
+        heights[name], classes[name] = mapped[3:]
+    return AnalysisChecks(heights, {}, classes)
+
+
+def _mapped_facts(
+    originals: Mapping[str, Function], fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks
+) -> tuple[dict[tuple[int, int], InstrFacts], dict[tuple[int, int], str]]:
+    """The heights and classes at the stores of `fn`, the rewrite `rf`
+    describes of its input in `originals`, taken from `analysis`.
+
+    Instrumentation inserts shadow operations without changing what the
+    other instructions do.  `rf.block_sources` gives each output block whose
+    id is not its input's its input block, and `_spliced` lays out each
+    block's inlined calls, as `_rewrite` spliced them: each the callee's
+    body minus its ret, whose stores keep the callee's own facts, the ones
+    the safety fold judged the caller by.  Within a block the i-th instruction that is not a shadow
+    operation is the laid-out source block's i-th, with a branch's targets
+    mapped back to input blocks.  A transition block holds a push and a
+    branch into the clone of its edge's target."""
+    name = fn.name
+    source = originals.get(name)
+    if source is None:
+        raise CheckMappingError(f"{name}: no input function to map checks from")
+    sources, transitions = rf.block_sources, rf.transition_blocks
+    hmap, cmap = {}, {}
+    for bid, block in fn.blocks.items():
+        src = sources.get(bid, bid)
+        if bid in transitions:
+            if any(i.opcode not in SHADOW_OPCODES and i.opcode != "br" for i in block.instrs):
+                raise CheckMappingError(f"{name}.b{bid}: transition block holds more than a push and a branch")
+            if [i.args[0] for i in block.instrs if i.opcode == "br"] != [rf.clone_map[src]]:
+                raise CheckMappingError(f"{name}.b{bid}: transition block does not branch to the clone of b{src}")
+            continue
+        src_block = source.blocks.get(src)
+        if src_block is None:
+            raise CheckMappingError(f"{name}.b{bid}: no input block b{src}")
+        calls = {k: c for b, k, c in rf.inlined_calls if b == bid}
+        at = _spliced(originals, name, src_block, calls) if calls else None
+        src_instrs = [originals[f].blocks[b].instrs[k] for f, b, k in at[:-1]] if at else src_block.instrs
+        n = len(src_instrs)
+        i = 0
+        for idx, ins in enumerate(block.instrs):
+            op = ins.opcode
+            if op in SHADOW_OPCODES:
+                continue
+            was = src_instrs[i] if i < n else None
+            if ins is not was:
+                if was is None or was.opcode != op:
+                    was = "the block's end" if was is None else was.opcode
+                    raise CheckMappingError(
+                        f"{name}.b{bid}[{idx}]: {op} where input {_input_position(name, src, at, i)} has {was}"
+                    )
+                args = ins.args
+                if op == "br" or op == "brc":
+                    args = tuple(sources.get(t, t) for t in args)
+                if args != was.args:
+                    raise CheckMappingError(
+                        f"{name}.b{bid}[{idx}]: {ins.text} where input {_input_position(name, src, at, i)} has {was.text}"
+                    )
+            if op in STORE_OPCODES:
+                f, b, k = at[i] if at else (name, src, i)
+                hmap[(bid, idx)] = analysis.heights[f][(b, k)]
+                cmap[(bid, idx)] = analysis.classes[f][(b, k)]
+            i += 1
+        if i != n:
+            was = src_instrs[i].opcode
+            raise CheckMappingError(f"{name}.b{bid}: ends where input {_input_position(name, src, at, i)} has {was}")
+    return hmap, cmap
+
+
+def _input_position(name: str, src: int, at: list | None, i: int) -> str:
+    """Input position `i` of block `src` of `name`, as a message names it."""
+    f, b, k = at[i] if at else (name, src, i)
+    return f"b{b}[{k}]" if f == name else f"{f}.b{b}[{k}]"
+
 
 
 def strip_instrumentation(ip: InstrumentedProgram) -> Program:

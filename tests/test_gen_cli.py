@@ -257,6 +257,14 @@ def test_cli_gen_seed_env_override(capsys, tmp_path, monkeypatch):
     assert (a / "prog_0000.mir").read_text() == (b / "prog_0000.mir").read_text()
 
 
+@pytest.mark.parametrize("command", [["gen", "--count", "2"], ["verify", "--count", "2", "--benign", "2"]])
+def test_cli_rejects_a_non_integer_seed_env(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("SHADOWLAB_SEED", "abc")
+    out = tmp_path / "out"
+    _assert_usage_error(capsys, command + ["--out", str(out)], "SHADOWLAB_SEED 'abc'")
+    assert not out.exists()
+
+
 def test_cli_verify_small(capsys):
     rc = main(["verify", "--seed", "4", "--count", "6", "--benign", "5", "--inputs", "3", "--json"])
     out = capsys.readouterr().out
@@ -327,6 +335,25 @@ def test_cli_run_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
     path = write_fixture(tmp_path, "a.mir", CALL_TREE)
     (tmp_path / "a.mir.plan.json").write_text(sidecar)
     _assert_usage_error(capsys, ["run", path], "malformed plan sidecar")
+
+
+def test_cli_run_refuses_a_foreign_or_unstamped_sidecar(capsys, tmp_path):
+    # a LIGHT sidecar of prog_0001 beside a PO prog_0000 describes another
+    # program; a sidecar without the stamp describes no program in particular
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--seed", "3", "--count", "2", "--out", str(corpus)]) == 0
+    for stem, mode in (("prog_0000", "PO"), ("prog_0001", "LIGHT")):
+        assert main(["instrument", str(corpus / f"{stem}.mir"), "--mode", mode, "-o", str(tmp_path / f"{stem}.mir")]) == 0
+    own, foreign = tmp_path / "prog_0000.mir.plan.json", tmp_path / "prog_0001.mir.plan.json"
+    path = str(tmp_path / "prog_0000.mir")
+    assert main(["run", path]) == 0
+    stamped = json.loads(own.read_text())
+    assert stamped["program_sha256"] == hashlib.sha256((tmp_path / "prog_0000.mir").read_bytes()).hexdigest()
+    own.write_text(foreign.read_text())
+    _assert_usage_error(capsys, ["run", path], f"plan sidecar {own} was written for another program")
+    del stamped["program_sha256"]
+    own.write_text(json.dumps(stamped))
+    _assert_usage_error(capsys, ["run", path], f"plan sidecar {own} carries no program_sha256")
 
 
 def _json_paths(value, path=()):
@@ -789,10 +816,12 @@ def test_cli_stats_reports_plan_error(capsys, tmp_path):
 # sha256 of `analyze --json` for every program of a fixed gen corpus, then
 # `stats --json` over it, then every mode's `instrument` output and plan
 # sidecar, recorded before `analyze` and `stats` planned each program once,
-# and re-recorded once when the sidecar lost `chase_shifts`: the value is
-# the earlier digest's computation with that key dropped from every
-# function's JSON.
-PINNED_CLI_DIGEST = "f561b063d168f430a148fd07ab50651039d6d2a7a834a778113781a09acc2847"
+# re-recorded once when the sidecar lost `chase_shifts`: the value is the
+# earlier digest's computation with that key dropped from every function's
+# JSON, and re-recorded once when the sidecar gained its `program_sha256`
+# stamp: the value is the earlier digest's computation with that key, the
+# sha256 of the instrumented file, added to every sidecar.
+PINNED_CLI_DIGEST = "f9ab7f0597b8dd8d2423c8ede32770caeea839b8ae234b17618bb2a0622a8e6c"
 
 
 def test_cli_outputs_pin(capsys, tmp_path):

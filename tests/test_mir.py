@@ -3,9 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from shadowlab.mir import (
     OPERAND_SHAPES,
+    Block,
     Diagnostic,
+    Function,
     Instr,
     MirError,
+    Program,
     parse_program,
     print_program,
     validate_program,
@@ -262,6 +265,31 @@ def test_validate_shadow_gating():
     p = parse_program("fn f {\nb0:\n  spush 0\n  spop\n  ret\n}")
     assert validate_program(p) != []
     assert validate_program(p, allow_shadow=True) == []
+
+
+_HALT = Instr("halt")
+
+
+@pytest.mark.parametrize(
+    "functions, entry, reason",
+    [
+        ({"main": [(_HALT,)]}, "nope", "entry function 'nope' does not exist"),
+        ({"main": [(_HALT,)], "f": []}, "main", "function has no blocks"),
+        ({"main": [()]}, "main", "main.b0: empty block"),
+        ({"main": [(Instr("movi", (16, 1)), _HALT)]}, "main", "main.b0: register index out of range"),
+        ({"main": [(Instr("br", (7,)),)]}, "main", "main.b0: branch to unknown block b7"),
+        ({"main": [(Instr("call", ("nope",)), _HALT)]}, "main", "main.b0: call to unknown function 'nope'"),
+        ({"main": [(Instr("unwind", (0,)), _HALT)]}, "main", "main.b0: unwind count must be >= 1"),
+    ],
+    ids=["no-entry", "no-blocks", "empty-block", "register-range", "unknown-block", "unknown-callee", "unwind-0"],
+)
+def test_validate_rules_for_built_programs(functions, entry, reason):
+    # programs built in Python, as `apply_plan` builds its outputs: the parser
+    # refuses most of these before validation, and the rules are what catch a
+    # broken rewrite in `verify` and `instrument`
+    blocks = lambda bodies: {bid: Block(bid, instrs) for bid, instrs in enumerate(bodies)}
+    p = Program({name: Function(name, blocks(bodies)) for name, bodies in functions.items()}, entry)
+    assert [d.reason for d in validate_program(p)] == [reason]
 
 
 def test_diagnostic_rendering():

@@ -11,7 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from shadowlab.analysis import UNSAFE
 from shadowlab.mir import NUM_REGS, RETURN_REG, Block, Function, Instr, Program, parse_program, print_program
-from shadowlab.transform import FN_LOWERED, MODES, InstrumentedProgram, analyze_program, apply_plan, plan_program
+from shadowlab.transform import (
+    FN_LOWERED,
+    MODES,
+    CheckMappingError,
+    InstrumentedProgram,
+    analyze_program,
+    apply_plan,
+    plan_program,
+)
 from shadowlab.shadowvm import (
     _AFTER_POP,
     _BEFORE_PUSH,
@@ -50,7 +58,6 @@ from shadowlab.shadowvm import (
     UNKNOWN,
     CampaignCase,
     CampaignReport,
-    CheckMappingError,
     CompiledProgram,
     ExecInput,
     Outcome,
@@ -530,6 +537,34 @@ def test_unmappable_rewrite_raises(call_tree):
         build_checks(dropped, call_tree, analysis)
 
 
+def test_mapping_failures_name_what_is_missing(call_tree):
+    # the mapping's other refusals: an input without the function or block,
+    # a transition block with more than its push and branch, a block cut short
+    analysis, plan = plan_program(call_tree)
+    ip = apply_plan(call_tree, plan, "FULL")
+    without_b = Program({n: fn for n, fn in call_tree.functions.items() if n != "b"}, call_tree.entry)
+    with pytest.raises(CheckMappingError, match=r"^b: no input function to map checks from$"):
+        build_checks(ip, without_b, analysis)
+
+    def with_b(blocks):
+        functions = {**ip.program.functions, "b": Function("b", blocks)}
+        return InstrumentedProgram(Program(functions, ip.program.entry, ip.program.adversarial), ip.mode, ip.functions)
+
+    b0 = ip.program.functions["b"].blocks[0]
+    with pytest.raises(CheckMappingError, match=r"^b\.b9: no input block b9$"):
+        build_checks(with_b({0: b0, 9: Block(9, (Instr("ret"),))}), call_tree, analysis)
+    assert [i.opcode for i in b0.instrs[-2:]] == ["spop", "ret"]
+    with pytest.raises(CheckMappingError, match=r"^b\.b0: ends where input b0\[4\] has ret$"):
+        build_checks(with_b({0: Block(0, b0.instrs[:-1])}), call_tree, analysis)
+
+    p = parse_program(MEMO_CALLER)
+    analysis, plan = plan_program(p)
+    ip = apply_plan(p, plan, "PO")
+    assert [i.opcode for i in ip.program.functions["memo"].blocks[2000].instrs] == ["spush", "br"]
+    with pytest.raises(CheckMappingError, match=r"^memo\.b2000: transition block holds more than a push and a branch$"):
+        build_checks(_retouched(ip, "memo", 2000, 0, Instr("movi", (1, 1))), p, analysis)
+
+
 def test_retouched_operand_in_a_clone_block_raises():
     # memo's clone b1004 holds its unsafe store.  A changed operand keeps
     # every opcode, and the mapping compares whole instructions
@@ -571,12 +606,12 @@ def test_tampered_inlined_body_raises(mode):
 
 
 def test_each_rewrite_is_mapped_once_and_never_served_stale_facts(monkeypatch, call_tree):
-    from shadowlab import cli, shadowvm
+    from shadowlab import cli, transform
 
     # every function object a verify pass maps, and every rewritten one its
     # targets hold, kept alive so no id is reused
     walked, rewritten, visits = [], {}, [0]
-    mapped_facts, checks_of = shadowvm._mapped_facts, cli.build_checks
+    mapped_facts, checks_of = transform._mapped_facts, cli.build_checks
 
     def walk(originals, fn, rf, analysis):
         walked.append(fn)
@@ -588,7 +623,7 @@ def test_each_rewrite_is_mapped_once_and_never_served_stale_facts(monkeypatch, c
         rewritten.update((id(fn), fn) for fn in fns)
         return checks_of(ip, source, analysis)
 
-    monkeypatch.setattr(shadowvm, "_mapped_facts", walk)
+    monkeypatch.setattr(transform, "_mapped_facts", walk)
     monkeypatch.setattr(cli, "build_checks", checks)
     report, _ = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
     # modes share rewrites, and each is walked once

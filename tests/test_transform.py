@@ -27,7 +27,6 @@ from shadowlab.transform import (
     PlanError,
     ResolvedFunction,
     ShadowOp,
-    _inline_block,
     analyze_program,
     apply_plan,
     count_safe_paths,
@@ -779,10 +778,15 @@ def reference_apply_plan(program, plan, mode):
         ops: list[ShadowOp] = []
 
         def inlined(instrs, bid):
-            body, hits = _inline_block(instrs, program, callees)
-            if hits:
-                rf.inlined_calls += tuple((bid, idx, callee) for idx, callee in hits)
-            return body
+            # each call to an inlined callee becomes the callee's body minus its ret
+            hits = [(idx, ins.args[0]) for idx, ins in enumerate(instrs) if ins.opcode == "call" and ins.args[0] in callees]
+            if not hits:
+                return instrs
+            rf.inlined_calls += tuple((bid, idx, callee) for idx, callee in hits)
+            out = list(instrs)
+            for idx, callee in reversed(hits):
+                out[idx:idx + 1] = next(iter(program.functions[callee].blocks.values())).instrs[:-1]
+            return tuple(out)
 
         blocks: dict[int, Block] = {}
 
