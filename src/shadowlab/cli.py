@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
-from .mir import NUM_REGS, Diagnostic, MirError, Program, parse_program, print_program, validate_program
+from .mir import NUM_REGS, SHADOW_OPCODES, Diagnostic, MirError, Program, parse_program, print_program, validate_program
 from .analysis import GLOBAL, SAFE_STACK, UNSAFE
 from .transform import (
     FN_ELIDED,
@@ -237,6 +237,9 @@ def cmd_run(args) -> int:
     sidecar = Path(args.file + ".plan.json")
     if sidecar.exists():
         target = _load_plan(sidecar, program)
+    elif any(i.opcode in SHADOW_OPCODES for f in program.functions.values() for b in f.blocks.values() for i in b.instrs):
+        # run at default costs, its shadow counts would not be its plan's
+        _usage_error(f"{args.file} holds shadow instructions but no plan sidecar {sidecar}")
     trace, outcome = execute(target, inp, budget, record=args.json or args.trace)
     if args.json:
         print(

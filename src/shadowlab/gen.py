@@ -25,6 +25,8 @@ from .shadowvm import ExecInput
 
 ARENA_SLOTS = tuple(range(64, 4096, 8))
 GLOBAL_POOL = ("g0", "g1", "g2", "g3")
+# the share of unsafe functions shaped to keep a safe path
+SAFE_PATH_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class GenConfig:
     max_functions: int = 10
     attack_density: float = 0.0
     safe_fraction: float = 0.35
-    safe_path_fraction: float = 0.5
     loop_prob: float = 0.3
     max_level: int = 6
     budget: int = 20000
@@ -293,7 +294,7 @@ def generate_program(seed: int, cfg: GenConfig, adversarial: bool) -> Program:
         callees = rng.sample(menu, min(len(menu), rng.randint(0, 2))) if menu else []
         if safe:
             shape = rng.choice(["straight", "chain", "diamond", "loop", "inlinee"])
-        elif rng.random() < cfg.safe_path_fraction:
+        elif rng.random() < SAFE_PATH_FRACTION:
             shape = "safepath"
         else:
             shape = rng.choice(["straight", "chain", "diamond", "loop", "inlinee"])

@@ -10,8 +10,10 @@ register; direct calls to single-block leaf callees are inlined away; entry
 pushes chase forward within their block to a point with two dead registers,
 eliding the scratch save/restore.
 
-Plans record every candidate; `apply_plan` resolves them per mode.  A sound
-mode is two policy flags and one mechanism flag (`MODE_FLAGS`):
+Plans record every candidate; `apply_plan` resolves them per mode.  A plan
+holds one program's safety verdicts, so it records that program, and
+`apply_plan` refuses it for any other.  A sound mode is two policy flags and
+one mechanism flag (`MODE_FLAGS`):
 
   FULL       entry/exit instrumentation on every function
   SFE        FULL minus safe functions
@@ -37,7 +39,7 @@ from __future__ import annotations
 import operator
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .mir import (
     Block,
@@ -123,21 +125,23 @@ class LoweredCfg:
 class FunctionPlan:
     ra_safe: bool
     safe_paths: int
-    leaf: bool
     lowered: LoweredCfg | None = None
-    free_reg: int | None = None
+    free_reg: int | None = None                  # leaf functions only
     entry_chase: tuple[int, int] | None = None   # (landing index, net sp delta over skipped prefix)
     edge_dead: dict[tuple[int, int], bool] = field(default_factory=dict)
 
 
 @dataclass
 class InstrumentationPlan:
+    """The plan of one program, which `apply_plan` accepts with that
+    program only: the verdicts it holds are that program's."""
+
+    program: Program = field(repr=False, compare=False)
     per_function: dict[str, FunctionPlan]
     inline_callees: frozenset[str]
     inline_sites: tuple[tuple[str, int, int, str], ...]    # (caller, bid, idx, callee)
     # what `apply_plan` has built from this plan: (name, function mode,
-    # mechanisms flag) -> (input function, (callee, function) spliced into it,
-    # output function, ResolvedFunction)
+    # mechanisms flag) -> (output function, ResolvedFunction)
     rewrites: dict[tuple[str, str, bool], tuple] = field(default_factory=dict, repr=False, compare=False)
     # one `spush` instruction per height, over every output of this plan
     spushes: dict[int, Instr] = field(default_factory=dict, repr=False, compare=False)
@@ -335,10 +339,10 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
     for name, fn in program.functions.items():
         ra_safe = safety.ra_safe_fn(name)
         paths = count_safe_paths(fn, safety)
-        plan = FunctionPlan(ra_safe, paths, fn.is_leaf)
+        plan = FunctionPlan(ra_safe, paths)
         if not ra_safe and paths >= 1:
             plan.lowered = lower_instrumentation(fn, safety, heights[name])
-        if plan.leaf:
+        if fn.is_leaf:
             plan.free_reg = find_free_register(fn)
         entry = fn.blocks[fn.entry_block]
         plan.entry_chase = _chase_point(entry, liveness[name], classes[name])
@@ -346,7 +350,7 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
             for src, dst in plan.lowered.transition_edges:
                 plan.edge_dead[(src, dst)] = liveness[name][(dst, 0)].bit_count() >= 2
         per_function[name] = plan
-    return InstrumentationPlan(per_function, inline_callees, inline_sites)
+    return InstrumentationPlan(program, per_function, inline_callees, inline_sites)
 
 
 def resolve_mode(plan: FunctionPlan, mode: str) -> str:
@@ -359,7 +363,7 @@ def resolve_mode(plan: FunctionPlan, mode: str) -> str:
         return FN_ELIDED
     if lower_paths and plan.lowered is not None:
         return FN_LOWERED
-    if mechanisms and plan.leaf and plan.free_reg is not None:
+    if mechanisms and plan.free_reg is not None:
         return FN_REGFRAME
     return FN_FULL
 
@@ -479,16 +483,16 @@ def _spliced(functions: Mapping[str, Function], name: str, block: Block, calls: 
     return at + [(name, block.bid, len(block.instrs))]
 
 
-def _rewrite(
-    functions: Mapping[str, Function],
-    fn: Function,
-    fp: FunctionPlan,
-    fn_mode: str,
-    mechanisms: bool,
-    callees: frozenset[str],
-    spush: Callable[[int], Instr],
-) -> tuple[Function, ResolvedFunction]:
-    """`fn` instrumented as `fn_mode`, with its ResolvedFunction."""
+def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: bool) -> tuple[Function, ResolvedFunction]:
+    """Function `name` of the plan's program instrumented as `fn_mode`, with
+    its ResolvedFunction.  Its `spush` of each height is the plan's one."""
+    functions, spushes = plan.program.functions, plan.spushes
+    fn, fp = functions[name], plan.per_function[name]
+    callees = plan.inline_callees if mechanisms else None
+
+    def spush(height: int) -> Instr:
+        return spushes.get(height) or spushes.setdefault(height, Instr("spush", (height,)))
+
     blocks: dict[int, Block] = {}
     ops: list[ShadowOp] = []
     op_costs: dict[tuple[int, int], tuple[int, int]] = {}
@@ -578,7 +582,8 @@ def _rewrite(
 
 
 def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> InstrumentedProgram:
-    """Splice shadow pseudo-instructions and cloned blocks per the plan.
+    """Splice shadow pseudo-instructions and cloned blocks per the plan of
+    `program`; a plan made for any other program raises PlanError.
 
     Only what the mode changes is built.  A block it does not rewrite, and a
     function none of whose blocks it rewrites (every elided one, and all of
@@ -588,41 +593,21 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
     Each rewrite is built once per plan.  A function resolves to the same
     rewrite under every mode that gives it the same function mode and
     mechanisms flag: FULL, SFE and PO share an unsafe, unlowered function's,
-    and MO and LIGHT theirs.  The plan keeps each rewrite it has built with
-    the input function, and the callees spliced into it, that it was built
-    from; a later call takes it only if those are the same objects in its
-    program, and builds it again otherwise.  Over every output of one plan,
-    every `spush` of one height is one instruction object.
+    and MO and LIGHT theirs.
     """
     if mode not in MODES:
         raise PlanError(f"unknown mode '{mode}'")
+    if program is not plan.program:
+        raise PlanError("plan was made for another program")
     mechanisms = mode in MODE_FLAGS and MODE_FLAGS[mode].mechanisms
-    callees = plan.inline_callees if mechanisms else frozenset()
-    spushes = plan.spushes
-
-    def spush(height: int) -> Instr:
-        ins = spushes.get(height)
-        if ins is None:
-            ins = spushes[height] = Instr("spush", (height,))
-        return ins
-
-    functions = program.functions
     new_functions: dict[str, Function] = {}
     resolved: dict[str, ResolvedFunction] = {}
-    for name, fn in functions.items():
-        fp = plan.per_function.get(name)
-        if fp is None:
-            raise PlanError(f"stale plan: no entry for function '{name}'")
-        fn_mode = resolve_mode(fp, mode)
-        key = (name, fn_mode, mechanisms)
+    for name, fp in plan.per_function.items():
+        key = (name, resolve_mode(fp, mode), mechanisms)
         built = plan.rewrites.get(key)
-        if built is None or built[0] is not fn or (
-            built[1] and any(functions.get(c) is not f for c, f in built[1])
-        ):
-            out, rf = _rewrite(functions, fn, fp, fn_mode, mechanisms, callees, spush)
-            spliced = tuple((c, functions[c]) for c in dict.fromkeys(c for _, _, c in rf.inlined_calls))
-            built = plan.rewrites[key] = (fn, spliced, out, rf)
-        _, _, new_functions[name], resolved[name] = built
+        if built is None:
+            built = plan.rewrites[key] = _rewrite(plan, *key)
+        new_functions[name], resolved[name] = built
 
     new_program = Program(new_functions, entry=program.entry, adversarial=program.adversarial)
     return InstrumentedProgram(new_program, mode, resolved)

@@ -356,6 +356,14 @@ def test_cli_run_refuses_a_foreign_or_unstamped_sidecar(capsys, tmp_path):
     _assert_usage_error(capsys, ["run", path], f"plan sidecar {own} carries no program_sha256")
 
 
+def test_cli_run_refuses_shadow_instructions_without_a_sidecar(capsys, tmp_path):
+    src, out = write_fixture(tmp_path, "memo.mir", MEMO_CFG), tmp_path / "memo.PO.mir"
+    assert main(["instrument", src, "--mode", "PO", "-o", str(out)]) == 0
+    sidecar = tmp_path / "memo.PO.mir.plan.json"
+    sidecar.unlink()
+    _assert_usage_error(capsys, ["run", str(out)], f"{out} holds shadow instructions but no plan sidecar {sidecar}")
+
+
 def _json_paths(value, path=()):
     """The path of every key and list item in `value`, outermost first."""
     items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()

@@ -475,7 +475,7 @@ def reference_resolve_mode(plan, mode):
             return FN_ELIDED
         return FN_LOWERED if plan.lowered is not None else FN_FULL
     if mode == "MO":
-        if plan.leaf and plan.free_reg is not None:
+        if plan.free_reg is not None:
             return FN_REGFRAME
         return FN_FULL
     if mode == "LIGHT":
@@ -483,16 +483,15 @@ def reference_resolve_mode(plan, mode):
             return FN_ELIDED
         if plan.lowered is not None:
             return FN_LOWERED
-        if plan.leaf and plan.free_reg is not None:
+        if plan.free_reg is not None:
             return FN_REGFRAME
         return FN_FULL
     raise PlanError(f"unknown mode '{mode}'")
 
 def test_mode_table_matches_if_chain():
-    for ra_safe, lowered, leaf, free_reg in itertools.product(
-        (False, True), (None, object()), (False, True), (None, 3)
-    ):
-        fp = FunctionPlan(ra_safe, 1, leaf, lowered=lowered, free_reg=free_reg)
+    # a function that is not a leaf has no free register
+    for ra_safe, lowered, free_reg in itertools.product((False, True), (None, object()), (None, 3)):
+        fp = FunctionPlan(ra_safe, 1, lowered=lowered, free_reg=free_reg)
         for mode in MODES:
             assert resolve_mode(fp, mode) == reference_resolve_mode(fp, mode), (fp, mode)
     with pytest.raises(PlanError, match="unknown mode 'HALF'"):
@@ -657,27 +656,33 @@ def test_modes_share_rewrites(call_tree, fixture_regframe, fixture_chase):
             assert outputs["FULL"].program.functions[name] is not p.functions[name]
 
 
-def test_plan_applied_to_another_program_builds_its_own(fixture_inline):
+def test_plan_refuses_another_program(fixture_inline):
     # the same text parsed twice: equal programs, no object in common
     twin = parse_program(FIXTURE_INLINE)
-    _, plan = planned(fixture_inline)
-    first = {mode: apply_plan(fixture_inline, plan, mode) for mode in MODES}
-    for mode in MODES:
-        again = apply_plan(twin, plan, mode)
-        for name, fn in again.program.functions.items():
-            assert fn is not first[mode].program.functions[name] or fn is twin.functions[name], (mode, name)
-            assert again.functions[name] is not first[mode].functions[name], (mode, name)
-        assert print_program(again.program) == print_program(first[mode].program)
-        back = apply_plan(fixture_inline, plan, mode)
-        assert all(fn is not again.program.functions[n] for n, fn in back.program.functions.items())
-    # main is the same object, but the callee spliced into it is not
+    # main is the same object, but its callee is not
     other_id = parse_program("fn id {\nb0:\n  movr r0, r2\n  ret\n}").functions["id"]
     shares_main = Program({"main": fixture_inline.functions["main"], "id": other_id}, entry="main")
+    # the safe callee gains an unsafe store, which SFE must not elide
+    edited = parse_program(FIXTURE_INLINE.replace("  movr r0, r1\n", "  movr r0, r1\n  store.reg r1\n"))
+    _, plan = planned(fixture_inline)
+    first = {mode: apply_plan(fixture_inline, plan, mode) for mode in MODES}
+    assert plan.per_function["id"].ra_safe
+    for other in (twin, shares_main, edited):
+        for mode in MODES:
+            with pytest.raises(PlanError, match="^plan was made for another program$"):
+                apply_plan(other, plan, mode)
+    _, twin_plan = planned(twin)
+    for mode in MODES:
+        assert print_program(apply_plan(twin, twin_plan, mode).program) == print_program(first[mode].program)
+    _, shares_plan = planned(shares_main)
     for mode in ("MO", "LIGHT"):
-        apply_plan(fixture_inline, plan, mode)
-        main = apply_plan(shares_main, plan, mode).program.functions["main"]
+        main = apply_plan(shares_main, shares_plan, mode).program.functions["main"]
         body = [i.text for i in main.blocks[0].instrs]
         assert "movr r0, r2" in body and "movr r0, r1" not in body, (mode, body)
+    _, edited_plan = planned(edited)
+    assert not edited_plan.per_function["id"].ra_safe
+    assert apply_plan(edited, edited_plan, "SFE").functions["id"].mode == FN_FULL
+    assert first["SFE"].functions["id"].mode == FN_ELIDED
 
 
 def test_mode_order_does_not_change_outputs():
