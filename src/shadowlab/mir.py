@@ -6,6 +6,8 @@ The word size is 8 bytes and every memory operation moves exactly one word.
 Data convention: stores write the current value of r0; `corrupt` writes its
 immediate operand; r0 is the return register.
 
+The parser refuses only what one line shows, and a file with no function;
+`validate_program` alone checks that branch targets, callees and the entry exist.
 Programs are immutable after parse/validate and safe to share across threads;
 every operation in this module is a pure function of its inputs.
 """
@@ -221,9 +223,9 @@ class _Parser:
             self.feed(raw.strip(), no)
         if self.fn_name is not None:
             raise self.error(f"unterminated function '{self.fn_name}'", self.fn_line)
-        program = Program(self.functions, entry=self.entry or "", adversarial=self.adversarial)
-        self.resolve(program)
-        return program
+        if not self.functions:
+            raise MirError("no functions in program")
+        return Program(self.functions, entry=self.entry or "", adversarial=self.adversarial)
 
     def feed(self, line: str, no: int) -> None:
         if not line:
@@ -344,26 +346,9 @@ class _Parser:
         self.functions[self.fn_name] = Function(self.fn_name, self.blocks, self.fn_line)
         self.fn_name = None
 
-    def resolve(self, program: Program) -> None:
-        if not program.functions:
-            raise MirError("no functions in program")
-        if self.entry is not None and self.entry not in program.functions:
-            raise MirError(f"unknown entry function '{self.entry}'")
-        for fn in program.functions.values():
-            for bid, block in fn.blocks.items():
-                for idx, ins in enumerate(block.instrs):
-                    line = block.instr_lines[idx] if idx < len(block.instr_lines) else 0
-                    if ins.opcode in ("br", "brc"):
-                        for target in ins.args:
-                            if target not in fn.blocks:
-                                raise self.error(f"unknown block b{target}", line, f"b{target}")
-                    elif ins.opcode == "call":
-                        if ins.args[0] not in program.functions:
-                            raise self.error(f"unknown function '{ins.args[0]}'", line, ins.args[0])
-
 
 def parse_program(text: str) -> Program:
-    """Parse MIR text; raises MirError with line/column on malformed input."""
+    """Parse MIR text, raising MirError with line/column on a malformed line; `validate_program` checks references."""
     return _Parser(text).run()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.cli import main
-from shadowlab.gen import GenConfig, generate_corpus, generate_inputs
+from shadowlab.gen import GenConfig, generate_corpus, generate_inputs, generate_program
 from shadowlab.mir import parse_program, print_program, validate_program
 
 from conftest import CALL_TREE, DEEP_CHAIN, MEMO_CFG, unwind_fixture
@@ -124,16 +124,55 @@ def test_cli_analyze_rejects_invalid(capsys, tmp_path):
         main(["analyze", path])
 
 
+def _exit(capsys, argv):
+    """The exit status and stderr of `argv`, as the interpreter gives them for
+    a `SystemExit`: a message goes to stderr with status 1."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    code, err = exc.value.code, capsys.readouterr().err
+    return (1, err + f"{code}\n") if isinstance(code, str) else (code, err)
+
+
 @pytest.mark.parametrize(
     "text, msg",
-    [("", "no functions in program"), ("#entry g\nfn f {\nb0:\n  ret\n}\n", "unknown entry function 'g'")],
+    [("", "no functions in program"), ("#entry g\nfn f {\nb0:\n  ret\n}\n", "entry function 'g' does not exist")],
 )
-def test_cli_error_without_a_line_names_the_file_only(tmp_path, text, msg):
-    # a parse error no line can be blamed for prints "path: msg", not "path:0: msg"
+def test_cli_error_without_a_line_names_the_file_only(capsys, tmp_path, text, msg):
+    # an error no line can be blamed for prints "path: msg", not "path:0: msg"
     path = write_fixture(tmp_path, "p.mir", text)
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", path])
-    assert exc.value.code == f"{path}: {msg}"
+    assert _exit(capsys, ["analyze", path]) == (1, f"{path}: {msg}\n")
+
+
+# each dangling reference parses, and validation refuses it in every command
+# that reads a file, at its line
+@pytest.mark.parametrize(
+    "text, diagnostics",
+    [
+        ("fn main {\nb0:\n  movi r1, 0\n  br b9\n}\n", ["{path}:4: main.b0: branch to unknown block b9"]),
+        ("fn main {\nb0:\n  call ghost\n  ret\n}\n", ["{path}:3: main.b0: call to unknown function 'ghost'"]),
+        ("#entry g\nfn main {\nb0:\n  ret\n}\n", ["{path}: entry function 'g' does not exist"]),
+        (
+            "fn main {\nb0:\n  call ghost\n  br b9\n}\n",
+            ["{path}:3: main.b0: call to unknown function 'ghost'", "{path}:4: main.b0: branch to unknown block b9"],
+        ),
+    ],
+    ids=["block", "callee", "entry", "both"],
+)
+@pytest.mark.parametrize("command", ["analyze", "instrument", "run", "stats"])
+def test_cli_refuses_dangling_references(capsys, tmp_path, command, text, diagnostics):
+    programs = tmp_path / "programs"
+    programs.mkdir()
+    path = write_fixture(programs, "dang.mir", text)
+    out = tmp_path / "out.mir"
+    argv = {
+        "analyze": ["analyze", path],
+        "instrument": ["instrument", path, "--mode", "LIGHT", "-o", str(out)],
+        "run": ["run", path],
+        "stats": ["stats", str(programs)],
+    }[command]
+    assert _exit(capsys, argv) == (1, "".join(d.format(path=path) + "\n" for d in diagnostics))
+    assert not out.exists()
 
 
 def test_cli_instrument_modes(capsys, tmp_path):
@@ -417,6 +456,41 @@ def test_cli_run_survives_mutated_sidecars(memo_po_sidecar, data):
             code = exc.code
     err = stderr.getvalue()
     assert code == 0 and err == "" or code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+
+
+_TOKEN = re.compile(r"[^\s,{}:]+")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cli_survives_mutated_programs(tmp_path_factory, data):
+    # each mutation drops a line, duplicates one, or puts another token of the
+    # text in place of one: each command exits 0, 1 or 2, never with a traceback
+    seed = data.draw(st.integers(0, 10**6))
+    lines = print_program(generate_program(seed, GenConfig(), adversarial=seed % 3 == 0)).splitlines()
+    tokens = sorted({t for line in lines for t in _TOKEN.findall(line)})
+    for _ in range(data.draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "replace"]))
+        spans = [m.span() for m in _TOKEN.finditer(lines[i])]
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif spans:
+            a, b = data.draw(st.sampled_from(spans))
+            lines[i] = lines[i][:a] + data.draw(st.sampled_from(tokens)) + lines[i][b:]
+    root = tmp_path_factory.mktemp("mutated")
+    path = write_fixture(root, "m.mir", "\n".join(lines) + "\n")
+    for argv in (["analyze", path], ["instrument", path, "--mode", "LIGHT", "-o", str(root / "o.mir")], ["run", path]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = 1 if isinstance(exc.code, str) else exc.code
+        assert code in (0, 1, 2), (argv[0], code)
 
 
 @pytest.mark.parametrize(

@@ -698,6 +698,21 @@ def test_mode_order_does_not_change_outputs():
         assert all(t == texts[0] for t in texts), name
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_print_then_parse_plans_the_same(seed, adversarial):
+    # printed and parsed again, a program has the same verdicts, and the same
+    # instrumented text and plan JSON in every mode
+    p = generate_program(seed, GenConfig(), adversarial)
+    q = parse_program(print_program(p))
+    (p_analysis, p_plan), (q_analysis, q_plan) = planned(p), planned(q)
+    assert q_analysis.safety.to_json() == p_analysis.safety.to_json()
+    for mode in MODES:
+        ip, iq = apply_plan(p, p_plan, mode), apply_plan(q, q_plan, mode)
+        assert print_program(iq.program) == print_program(ip.program), mode
+        assert iq.to_json() == ip.to_json(), mode
+
+
 def mapped_and_analysed(p):
     """Per store of every function a mode rewrote, inlined calls or not:
     (mode, function, position, its height and class mapped from the input's
