@@ -381,7 +381,11 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
 
 def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     """Generate corpora, instrument under every mode, execute, and check the
-    whole invariant suite.  Returns (report, all-invariants-hold)."""
+    whole invariant suite.  Returns (report, all-invariants-hold).
+
+    Each adversarial program is prepared when the detection campaign reaches
+    it: only its detection targets, the control targets and the first three
+    detection cases, kept for the determinism check, are alive at once."""
     # the benign runs' counts, and every message the report shows, in order
     benign = CampaignReport()
 
@@ -443,27 +447,33 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         benign.violation(f"aggregate overhead ratios not strictly decreasing: {ratios}")
 
     # ---- adversarial corpus: detection under sound modes, control mode ----
-    cases = []
     control_cases = []
-    for name, program in adversarial:
-        prepared = _prepare(name, program, cfg, LADDER + ("ELIDE-ALL",), benign)
-        if prepared is None:
-            continue
-        runs = {
-            mode: [CampaignCase(name, mode, target, inp, True, cfg.budget) for inp in prepared.inputs]
-            for mode, target in prepared.targets.items()
-        }
-        for mode in LADDER:
-            cases += runs.get(mode, [])
-        control_cases += runs.get("ELIDE-ALL", [])
-    detection = run_campaign(cases)
+    spot_cases = []   # the first three detection cases, for the determinism check
+
+    def detection_cases():
+        for name, program in adversarial:
+            prepared = _prepare(name, program, cfg, LADDER + ("ELIDE-ALL",), benign)
+            if prepared is None:
+                continue
+            runs = {
+                mode: [CampaignCase(name, mode, target, inp, True, cfg.budget) for inp in prepared.inputs]
+                for mode, target in prepared.targets.items()
+            }
+            control_cases.extend(runs.get("ELIDE-ALL", []))
+            for mode in LADDER:
+                for case in runs.get(mode, []):
+                    if len(spot_cases) < 3:
+                        spot_cases.append(case)
+                    yield case
+
+    detection = run_campaign(detection_cases())
     control = run_campaign(control_cases)
     benign.violation(*detection.violations, *control.violations)
 
     # ---- determinism spot check: a target against a fresh plan and compile ----
     programs = dict(adversarial)
     determinism_ok = True
-    for case in cases[:3]:
+    for case in spot_cases:
         again = _prepare(case.name, programs[case.name], cfg, (case.mode,), CampaignReport())
         t1, o1 = execute(case.target, case.inp, cfg.budget, record=True)
         t2, o2 = execute(again.targets[case.mode], case.inp, cfg.budget, record=True)

@@ -372,6 +372,7 @@ def validate_program(
     program: Program, allow_shadow: bool = False, checked: Mapping[int, Function] | None = None
 ) -> list[Diagnostic]:
     """Structural validation; returns an empty list iff all invariants hold.
+    Every broken rule is reported, a missing entry function first.
 
     `checked` holds functions that already passed, in programs with the same
     function names and `adversarial` flag, keyed by `id()`: a function of
@@ -387,7 +388,6 @@ def validate_program(
 
     if program.entry not in program.functions:
         diag(f"entry function '{program.entry}' does not exist")
-        return diags
 
     for fn in program.functions.values():
         if id(fn) in checked:

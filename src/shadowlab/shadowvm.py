@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .mir import NUM_REGS, Program, RETURN_REG
 from .analysis import AnalysisChecks, UNSAFE, instr_masks
@@ -686,11 +686,13 @@ def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> lis
     return _activation_messages(f"{case.name}/{case.mode}", trace, outcome)
 
 
-def run_campaign(cases: list[CampaignCase]) -> CampaignReport:
+def run_campaign(cases: Iterable[CampaignCase]) -> CampaignReport:
     """Execute all cases, each on its own target, count detections, check
-    invariants.  Every undetected run and every violation is counted; only
-    the first MAX_COUNTEREXAMPLES undetected runs are kept, as (case,
-    unrecorded trace) counterexamples, and the first MAX_VIOLATIONS messages.
+    invariants.  `cases` is consumed once, in order, so it may be a generator
+    that builds each case as the campaign reaches it.  Every undetected run
+    and every violation is counted; only the first MAX_COUNTEREXAMPLES
+    undetected runs are kept, as (case, unrecorded trace) counterexamples,
+    and the first MAX_VIOLATIONS messages.
     """
     report = CampaignReport()
     for case in cases:

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,8 +158,16 @@ def test_cli_error_without_a_line_names_the_file_only(capsys, tmp_path, text, ms
             "fn main {\nb0:\n  call ghost\n  br b9\n}\n",
             ["{path}:3: main.b0: call to unknown function 'ghost'", "{path}:4: main.b0: branch to unknown block b9"],
         ),
+        (
+            "#entry g\nfn main {\nb0:\n  call ghost\n  br b9\n}\n",
+            [
+                "{path}: entry function 'g' does not exist",
+                "{path}:4: main.b0: call to unknown function 'ghost'",
+                "{path}:5: main.b0: branch to unknown block b9",
+            ],
+        ),
     ],
-    ids=["block", "callee", "entry", "both"],
+    ids=["block", "callee", "entry", "both", "entry-and-both"],
 )
 @pytest.mark.parametrize("command", ["analyze", "instrument", "run", "stats"])
 def test_cli_refuses_dangling_references(capsys, tmp_path, command, text, diagnostics):
@@ -529,6 +539,39 @@ def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
         events = c["trace"]["events"]
         assert events[0][0] == "enter" and any(e[0] == "corrupt" for e in events)
         assert events[-1][0] == "ret" and events[-1][3] is False     # ("ret", act, fn, ok, shadow_top)
+
+
+def test_verify_prepares_each_adversarial_program_as_the_campaign_reaches_it(monkeypatch):
+    # when a program's FULL target is compiled, the detection targets of the
+    # programs already run are freed: the live count does not grow with the
+    # corpus.  A compiled recursive program is a reference cycle, so count
+    # after a collection.  The report is the one a prebuilt list gives
+    import shadowlab.cli as cli
+    from shadowlab.transform import InstrumentedProgram
+
+    cfg = cli.VerifyConfig(seed=3, benign_count=3, adversarial_count=10, inputs_per_program=6)
+    real_compile, real_campaign = cli.compile, cli.run_campaign
+    targets, alive = [], []
+
+    def compile_tracked(target, checks=None):
+        detection = isinstance(target, InstrumentedProgram) and target.program.adversarial and target.mode in cli.LADDER
+        if detection and target.mode == "FULL":
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in targets))
+        compiled = real_compile(target, checks)
+        if detection:
+            targets.append(weakref.ref(compiled))
+        return compiled
+
+    monkeypatch.setattr(cli, "compile", compile_tracked)
+    streamed, ok = cli.verify_run(cfg)
+    # one FULL compile per program, then three for the determinism check
+    assert ok and len(alive) == cfg.adversarial_count + 3 and len(targets) > 4 * (cfg.adversarial_count - 1)
+    assert max(alive) <= 8, alive
+
+    monkeypatch.setattr(cli, "compile", real_compile)
+    monkeypatch.setattr(cli, "run_campaign", lambda cases: real_campaign(list(cases)))
+    assert cli.verify_run(cfg) == (streamed, ok)
 
 
 def _skewed(checks, program, skew):

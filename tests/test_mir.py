@@ -318,3 +318,13 @@ def test_entry_must_exist():
     p = parse_program("#entry nope\nfn main { b0: halt }")
     assert p.entry == "nope"
     assert validate_program(p) == [Diagnostic("entry function 'nope' does not exist")]
+
+
+def test_missing_entry_does_not_hide_other_broken_rules():
+    # the missing entry is reported first, then every other broken rule
+    p = parse_program("#entry g\nfn main {\nb0:\n  call ghost\n  br b9\n}\n")
+    assert validate_program(p) == [
+        Diagnostic("entry function 'g' does not exist"),
+        Diagnostic("main.b0: call to unknown function 'ghost'", 4),
+        Diagnostic("main.b0: branch to unknown block b9", 5),
+    ]

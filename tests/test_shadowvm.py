@@ -449,6 +449,22 @@ def test_campaign_runs_compiled_and_uncompiled_targets_alike():
     assert _campaign_view(report) == _campaign_view(run_campaign(compiled))
 
 
+def test_campaign_consumes_any_iterable_once_in_order():
+    # an iterator of cases gives the report the list gives: benign and
+    # adversarial programs, sound modes and the ELIDE-ALL control
+    cases = []
+    for name, p in generate_corpus(GenConfig(seed=41, count=6, attack_density=0.5)):
+        _, plan = plan_program(p)
+        inputs = generate_inputs(len(name), 3)
+        for mode in ("FULL", "LIGHT", "ELIDE-ALL"):
+            target = compile(apply_plan(p, plan, mode))
+            cases += [CampaignCase(name, mode, target, inp, p.adversarial) for inp in inputs]
+    assert {c.adversarial for c in cases} == {False, True}
+    report = run_campaign(cases)
+    assert report.cases == len(cases) and report.fired and report.undetected and report.counterexamples
+    assert _campaign_view(run_campaign(iter(cases))) == _campaign_view(report)
+
+
 def test_campaign_keeps_first_violations_and_counts_all():
     # past MAX_VIOLATIONS messages a campaign only counts, activation problems too
     p = parse_program(MEMO_CALLER)
