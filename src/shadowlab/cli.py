@@ -11,6 +11,7 @@ import tempfile
 import zlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -37,6 +38,7 @@ from .transform import (
 from .shadowvm import (
     COMPLETED,
     FAULT,
+    MAX_VIOLATIONS,
     CampaignCase,
     CampaignReport,
     CompiledProgram,
@@ -379,32 +381,17 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
     return _Prepared(analysis, plan, targets, inputs)
 
 
-def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
-    """Generate corpora, instrument under every mode, execute, and check the
-    whole invariant suite.  Returns (report, all-invariants-hold).
-
-    Each adversarial program is prepared when the detection campaign reaches
-    it: only its detection targets, the control targets and the first three
-    detection cases, kept for the determinism check, are alive at once."""
-    # the benign runs' counts, and every message the report shows, in order
-    benign = CampaignReport()
-
-    benign_corpus = generate_corpus(
-        GenConfig(seed=cfg.seed, count=cfg.benign_count, attack_density=0.0, budget=cfg.budget)
-    )
-    adversarial = generate_corpus(
-        GenConfig(seed=cfg.seed + 1, count=cfg.adversarial_count, attack_density=1.0, budget=cfg.budget)
-    )
-
-    # ---- benign corpus: transparency, per-trace monotonicity, aggregates ----
-    mode_totals = {m: {"shadow_instr": 0, "total_instr": 0} for m in SOUND_MODES}
-    transparency_pairs = 0
-    transparency_bad = 0
-    mono_bad = 0
-    coverage = {FN_ELIDED: 0, FN_FULL: 0, FN_LOWERED: 0, FN_REGFRAME: 0}
-
-    for name, program in benign_corpus:
-        prepared = _prepare(name, program, cfg, SOUND_MODES, benign)
+def _benign_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, dict, tuple[bool, bool, bool, bool]]:
+    """Run each benign program's base and every sound mode's target on its
+    inputs.  Returns the phase's report; its report fields `transparency_pairs`,
+    `overhead_ratios` and `plan_coverage`; and the four checks they decide:
+    transparency, monotonicity, the aggregate ladder and plan mode coverage."""
+    report = CampaignReport()
+    shadow, total = Counter(), Counter()   # instructions per mode over every run
+    pairs = transparency_bad = mono_bad = 0
+    coverage = dict.fromkeys((FN_ELIDED, FN_FULL, FN_LOWERED, FN_REGFRAME), 0)
+    for name, program in corpus:
+        prepared = _prepare(name, program, cfg, SOUND_MODES, report)
         if prepared is None:
             continue
         if "LIGHT" in prepared.targets:
@@ -414,88 +401,103 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         for i, inp in enumerate(prepared.inputs):
             run = f"{name}[{i}]"
             base_trace, base_outcome = execute(base, inp, cfg.budget)
-            benign.check(run, "BASE", base_trace, base_outcome)
+            report.check(run, "BASE", base_trace, base_outcome)
             if base_outcome.kind != COMPLETED:
-                benign.violation(f"{run}: benign base run ended {base_outcome.kind}")
+                report.violation(f"{run}: benign base run ended {base_outcome.kind}")
                 continue
             base_obs = observables(base_trace, base_outcome)
             ops = {}
-            for mode in SOUND_MODES:
-                target = prepared.targets.get(mode)
-                if target is None:
-                    continue
+            for mode, target in prepared.targets.items():
                 trace, outcome = execute(target, inp, cfg.budget)
-                benign.check(run, mode, trace, outcome)
-                transparency_pairs += 1
+                report.check(run, mode, trace, outcome)
+                pairs += 1
                 if observables(trace, outcome) != base_obs:
                     transparency_bad += 1
-                    benign.violation(f"{run}/{mode}: observables diverge from base")
+                    report.violation(f"{run}/{mode}: observables diverge from base")
                 ops[mode] = trace.shadow_ops
-                totals = mode_totals[mode]
-                totals["shadow_instr"] += trace.shadow_instr
-                totals["total_instr"] += trace.total_instr
-            if all(m in ops for m in LADDER):
-                if not all(ops[a] >= ops[b] for a, b in zip(LADDER, LADDER[1:])):
-                    mono_bad += 1
-                    benign.violation(f"{run}: shadow-op counts not monotone {ops}")
-
-    ratios = {}
-    for mode, totals in mode_totals.items():
-        ratios[mode] = totals["shadow_instr"] / totals["total_instr"] if totals["total_instr"] else 0.0
+                shadow[mode] += trace.shadow_instr
+                total[mode] += trace.total_instr
+            if all(m in ops for m in LADDER) and not all(ops[a] >= ops[b] for a, b in zip(LADDER, LADDER[1:])):
+                mono_bad += 1
+                report.violation(f"{run}: shadow-op counts not monotone {ops}")
+    ratios = {m: shadow[m] / total[m] if total[m] else 0.0 for m in SOUND_MODES}
     ratio_ok = all(ratios[a] > ratios[b] for a, b in zip(LADDER, LADDER[1:]))
     if not ratio_ok:
-        benign.violation(f"aggregate overhead ratios not strictly decreasing: {ratios}")
+        report.violation(f"aggregate overhead ratios not strictly decreasing: {ratios}")
+    fields = {"transparency_pairs": pairs, "overhead_ratios": ratios, "plan_coverage": coverage}
+    return report, fields, (transparency_bad == 0 and pairs > 0, mono_bad == 0, ratio_ok, all(coverage.values()))
 
-    # ---- adversarial corpus: detection under sound modes, control mode ----
-    control_cases = []
-    spot_cases = []   # the first three detection cases, for the determinism check
 
-    def detection_cases():
-        for name, program in adversarial:
-            prepared = _prepare(name, program, cfg, LADDER + ("ELIDE-ALL",), benign)
-            if prepared is None:
-                continue
-            runs = {
-                mode: [CampaignCase(name, mode, target, inp, True, cfg.budget) for inp in prepared.inputs]
-                for mode, target in prepared.targets.items()
-            }
-            control_cases.extend(runs.get("ELIDE-ALL", []))
-            for mode in LADDER:
-                for case in runs.get(mode, []):
-                    if len(spot_cases) < 3:
-                        spot_cases.append(case)
-                    yield case
+def _program_cases(name: str, program: Program, cfg: VerifyConfig, report: CampaignReport, control: list):
+    """Prepare one adversarial program, yield its detection cases mode by mode
+    down the ladder, and append its ELIDE-ALL cases to `control`.  Its targets
+    are freed once its last case is consumed."""
+    prepared = _prepare(name, program, cfg, LADDER + ("ELIDE-ALL",), report)
+    if prepared is None:
+        return
+    for mode, target in prepared.targets.items():   # in the order of the modes prepared
+        cases = [CampaignCase(name, mode, target, inp, True, cfg.budget) for inp in prepared.inputs]
+        if mode == "ELIDE-ALL":
+            control.extend(cases)
+        if mode in LADDER:
+            yield from cases
 
-    detection = run_campaign(detection_cases())
-    control = run_campaign(control_cases)
-    benign.violation(*detection.violations, *control.violations)
 
-    # ---- determinism spot check: a target against a fresh plan and compile ----
-    programs = dict(adversarial)
-    determinism_ok = True
-    for case in spot_cases:
+def _adversarial_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, CampaignReport, CampaignReport, list]:
+    """Run the detection campaign over the sound modes, preparing each program
+    as the campaign reaches it, then the control campaign over ELIDE-ALL.
+    Returns the preparation report, the detection and control reports, and
+    the first three detection cases, kept for the determinism check."""
+    preparation, control_cases = CampaignReport(), []
+    cases = chain.from_iterable(_program_cases(*p, cfg, preparation, control_cases) for p in corpus)
+    spot = list(islice(cases, 3))
+    detection = run_campaign(chain(spot, cases))
+    return preparation, detection, run_campaign(control_cases), spot
+
+
+def _determinism_phase(cfg: VerifyConfig, corpus, spot: list) -> tuple[bool, CampaignReport]:
+    """Run each spot case on its target and on one freshly planned and compiled,
+    both recorded.  Returns whether every pair agreed, and the phase's report."""
+    programs, report = dict(corpus), CampaignReport()
+    for case in spot:
         again = _prepare(case.name, programs[case.name], cfg, (case.mode,), CampaignReport())
         t1, o1 = execute(case.target, case.inp, cfg.budget, record=True)
         t2, o2 = execute(again.targets[case.mode], case.inp, cfg.budget, record=True)
         if t1.log != t2.log or t1.activation_problems != t2.activation_problems or o1 != o2:
-            determinism_ok = False
-            benign.violation(f"{case.name}/{case.mode}: nondeterministic trace")
+            report.violation(f"{case.name}/{case.mode}: nondeterministic trace")
+    return not report.violation_count, report
 
-    reports = (benign, detection, control)
+
+def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
+    """Generate corpora, instrument under every mode, execute, and check the
+    whole invariant suite.  Returns (report, all-invariants-hold).
+
+    Each adversarial program is prepared when the detection campaign reaches
+    it: only its detection targets, the control targets and the first three
+    detection cases, kept for the determinism check, are alive at once."""
+    benign_corpus = generate_corpus(
+        GenConfig(seed=cfg.seed, count=cfg.benign_count, attack_density=0.0, budget=cfg.budget)
+    )
+    adversarial = generate_corpus(
+        GenConfig(seed=cfg.seed + 1, count=cfg.adversarial_count, attack_density=1.0, budget=cfg.budget)
+    )
+    benign, fields, (transparent, monotone, ladder_ok, covered) = _benign_phase(cfg, benign_corpus)
+    preparation, detection, control, spot = _adversarial_phase(cfg, adversarial)
+    deterministic, determinism = _determinism_phase(cfg, adversarial, spot)
+    reports = (benign, preparation, detection, control, determinism)   # in phase order
     checks = {
         "validation_soundness": detection.undetected == 0 and detection.fired > 0,
         "detection_rate": detection.fired > 0 and detection.detected == detection.fired,
         "control_detects_missing_instrumentation": control.undetected > 0,
-        "transparency": transparency_bad == 0 and transparency_pairs > 0,
-        "shadow_op_monotonicity": mono_bad == 0,
-        "aggregate_overhead_ladder": ratio_ok,
+        "transparency": transparent,
+        "shadow_op_monotonicity": monotone,
+        "aggregate_overhead_ladder": ladder_ok,
         "height_soundness": not any(r.height_violations for r in reports),
         "liveness_soundness": not any(r.liveness_violations for r in reports),
         "exactly_one_check_and_balance": not any(r.activation_count for r in reports),
-        "plan_mode_coverage": all(coverage[m] > 0 for m in coverage),
-        "determinism": determinism_ok,
-        # a campaign keeps its first message whenever it counts one
-        "no_other_violations": not benign.violation_count,
+        "plan_mode_coverage": covered,
+        "determinism": deterministic,
+        "no_other_violations": not any(r.violation_count for r in reports),
     }
     out = {
         "seed": cfg.seed,
@@ -504,11 +506,9 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         "detected": detection.detected,
         "undetected": detection.undetected,
         "control_undetected": control.undetected,
-        "transparency_pairs": transparency_pairs,
-        "overhead_ratios": ratios,
-        "plan_coverage": coverage,
+        **fields,
         "checks": checks,
-        "violations": benign.violations,
+        "violations": [v for r in reports for v in r.violations][:MAX_VIOLATIONS],
         # the campaign ran unrecorded: run each reported miss again for its trace
         "counterexamples": [
             {

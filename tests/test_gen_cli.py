@@ -324,6 +324,31 @@ def test_cli_verify_small(capsys):
     assert all(report["checks"].values())
 
 
+def test_cli_verify_prints_the_checks_in_order(capsys):
+    # the text form names each check in the order the report builds them
+    import shadowlab.cli as cli
+
+    order = (
+        "validation_soundness",
+        "detection_rate",
+        "control_detects_missing_instrumentation",
+        "transparency",
+        "shadow_op_monotonicity",
+        "aggregate_overhead_ladder",
+        "height_soundness",
+        "liveness_soundness",
+        "exactly_one_check_and_balance",
+        "plan_mode_coverage",
+        "determinism",
+        "no_other_violations",
+    )
+    assert main(["verify", "--seed", "4", "--count", "6", "--benign", "5", "--inputs", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("PASS: ")] == [f"PASS: {check}" for check in order]
+    report, _ = cli.verify_run(cli.VerifyConfig(seed=4, benign_count=5, adversarial_count=6, inputs_per_program=3))
+    assert tuple(report["checks"]) == order
+
+
 def test_cli_all_global_writes_program(capsys, tmp_path):
     text = "fn main {\nb0:\n  store.global g\n  store.global h\n  halt\n}\n"
     path = write_fixture(tmp_path, "g.mir", text)
@@ -543,9 +568,11 @@ def test_verify_counterexamples_carry_recorded_traces(monkeypatch):
 
 def test_verify_prepares_each_adversarial_program_as_the_campaign_reaches_it(monkeypatch):
     # when a program's FULL target is compiled, the detection targets of the
-    # programs already run are freed: the live count does not grow with the
-    # corpus.  A compiled recursive program is a reference cycle, so count
-    # after a collection.  The report is the one a prebuilt list gives
+    # programs already run are freed but two: the FULL target the
+    # determinism check keeps, and the target of the last case run, which the
+    # campaign's loop still holds.  A compiled recursive program is a
+    # reference cycle, so count after a collection.  The report is the one a
+    # prebuilt list gives
     import shadowlab.cli as cli
     from shadowlab.transform import InstrumentedProgram
 
@@ -567,7 +594,7 @@ def test_verify_prepares_each_adversarial_program_as_the_campaign_reaches_it(mon
     streamed, ok = cli.verify_run(cfg)
     # one FULL compile per program, then three for the determinism check
     assert ok and len(alive) == cfg.adversarial_count + 3 and len(targets) > 4 * (cfg.adversarial_count - 1)
-    assert max(alive) <= 8, alive
+    assert max(alive) <= 2, alive
 
     monkeypatch.setattr(cli, "compile", real_compile)
     monkeypatch.setattr(cli, "run_campaign", lambda cases: real_campaign(list(cases)))
@@ -863,6 +890,108 @@ def test_verify_keeps_first_violations(monkeypatch):
     detection, _ = reports
     assert detection.violation_count == 624 and detection.activation_count == 0
     assert all(len(r.violations) <= MAX_VIOLATIONS for r in reports)
+
+
+# one pattern per phase of verify, in the order the report shows them
+PHASE_MESSAGES = (
+    ("benign", r"prog_\d{4}\[\d\]/BASE: height violation \(.*|aggregate overhead ratios not strictly decreasing: .*"),
+    ("preparation", r"prog_\d{4}/FULL: \S+\.b\d+\[\d+\]: halt where input b\d+\[\d+\] has ret"),
+    ("detection", r"prog_\d{4}/(SFE|PO|LIGHT): liveness violation \(.*"),
+    ("control", r"prog_\d{4}/ELIDE-ALL: height violation \(.*"),
+    ("determinism", r"prog_\d{4}/(SFE|PO|LIGHT): nondeterministic trace"),
+)
+
+
+def _skew_every_phase(monkeypatch):
+    """Make each phase of verify report messages of its own: wrong heights
+    for the benign bases and the ELIDE-ALL targets, adversarial FULL rewrites
+    that end in halt where the input has ret, dead registers for the other
+    detection targets, and a second recorded run of each determinism pair
+    that ends with another r0."""
+    import shadowlab.cli as cli
+    from shadowlab.mir import Block, Function, Instr, Program
+    from shadowlab.transform import InstrumentedProgram
+
+    real_compile, real_apply, real_checks, real_execute = cli.compile, cli.apply_plan, cli.build_checks, cli.execute
+    recorded = []
+
+    def compile_skewed(target, checks=None):
+        if isinstance(target, Program):
+            checks = _skewed(checks, target, "height")
+        elif target.mode == "ELIDE-ALL":
+            checks = _skewed(checks, target.program, "height")
+        return real_compile(target, checks)
+
+    def tampered(program, plan, mode):
+        ip = real_apply(program, plan, mode)
+        if mode != "FULL" or not program.adversarial:
+            return ip
+        functions = {
+            name: fn if fn is program.functions[name] else Function(name, {
+                bid: Block(bid, b.instrs[:-1] + (Instr("halt"),)) if b.instrs[-1].opcode == "ret" else b
+                for bid, b in fn.blocks.items()
+            })
+            for name, fn in ip.program.functions.items()
+        }
+        return InstrumentedProgram(Program(functions, ip.program.entry, ip.program.adversarial), mode, ip.functions)
+
+    def checks_skewed(ip, source, analysis):
+        checks = real_checks(ip, source, analysis)
+        return _skewed(checks, ip.program, "liveness") if source.adversarial and ip.mode in cli.LADDER else checks
+
+    def execute_skewed(target, inp, budget, record=False):
+        trace, outcome = real_execute(target, inp, budget, record)
+        if record:
+            recorded.append(target)
+            if len(recorded) % 2 == 0:
+                outcome = outcome._replace(r0=(outcome.r0 or 0) + 1)
+        return trace, outcome
+
+    for name, fn in [("compile", compile_skewed), ("apply_plan", tampered), ("build_checks", checks_skewed),
+                     ("execute", execute_skewed)]:
+        monkeypatch.setattr(cli, name, fn)
+
+
+def _phases(violations):
+    """The phase of each message, by the one pattern it matches."""
+    found = []
+    for v in violations:
+        matched = [phase for phase, pattern in PHASE_MESSAGES if re.fullmatch(pattern, v)]
+        assert len(matched) == 1, v
+        found.append(matched[0])
+    return found
+
+
+def test_verify_reports_every_phase_in_phase_order(monkeypatch):
+    # each phase counts messages of its own: the report shows them grouped,
+    # benign, then adversarial preparation, detection, control, determinism
+    import shadowlab.cli as cli
+    from shadowlab.shadowvm import MAX_VIOLATIONS
+
+    _skew_every_phase(monkeypatch)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=1, inputs_per_program=1))
+    phases = _phases(report["violations"])
+    assert not ok and len(phases) < MAX_VIOLATIONS
+    order = [phase for phase, _ in PHASE_MESSAGES]
+    assert list(dict.fromkeys(phases)) == order and phases == sorted(phases, key=order.index)
+    checks = report["checks"]
+    assert not checks["height_soundness"] and not checks["liveness_soundness"] and not checks["determinism"]
+    assert not checks["no_other_violations"]
+
+
+def test_verify_cuts_the_messages_of_every_phase_at_one_cap(monkeypatch):
+    # the benign phase alone counts more messages than the report shows: every
+    # kept one is benign, and the later phases' skews, though cut from the
+    # messages, still fail their checks
+    import shadowlab.cli as cli
+    from shadowlab.shadowvm import MAX_VIOLATIONS
+
+    _skew_every_phase(monkeypatch)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=8, adversarial_count=1, inputs_per_program=6))
+    assert not ok and len(report["violations"]) == MAX_VIOLATIONS
+    assert set(_phases(report["violations"])) == {"benign"}
+    checks = report["checks"]
+    assert not checks["liveness_soundness"] and not checks["determinism"] and not checks["no_other_violations"]
 
 
 @pytest.mark.parametrize(
