@@ -460,7 +460,10 @@ def _determinism_phase(cfg: VerifyConfig, corpus, spot: list) -> tuple[bool, Cam
     both recorded.  Returns whether every pair agreed, and the phase's report."""
     programs, report = dict(corpus), CampaignReport()
     for case in spot:
-        again = _prepare(case.name, programs[case.name], cfg, (case.mode,), CampaignReport())
+        again = _prepare(case.name, programs[case.name], cfg, (case.mode,), report)
+        if again is None or case.mode not in again.targets:
+            report.violation(f"{case.name}/{case.mode}: nondeterministic preparation: no target the second time")
+            continue
         t1, o1 = execute(case.target, case.inp, cfg.budget, record=True)
         t2, o2 = execute(again.targets[case.mode], case.inp, cfg.budget, record=True)
         if t1.log != t2.log or t1.activation_problems != t2.activation_problems or o1 != o2:

@@ -12,18 +12,20 @@ executed shadow operation from the instrumentation plan's cost table rather
 than by expanding shadow operations into micro-instructions.
 
 Running is split in two.  `compile(target, checks)` decodes a program once:
-per block a tuple of instruction tuples with small-int opcodes, each call
-site's callee and cookie resolved, each shadow operation's cost looked up,
-and the analysis results to validate (expected store height, write class,
-and the dead, used and defined registers as bitmasks) placed in
-per-instruction slots; it is the one way checks reach the VM.  `execute`
-runs a compiled program on one input with no per-run set-up beyond a copy
-of the input's registers (`ExecInput` masks and pads them once, when it is
-built), fresh memory, and the empty lists the trace will hold: it keeps
-every field of the trace in its own locals and builds the `Trace` once, when
-the run ends.  Given a Program or InstrumentedProgram it compiles it first,
-without checks.  Callers that run one target on many inputs compile it
-once, and a campaign case carries its compiled target.
+each block as segments of instruction tuples with small-int opcodes, cut
+after each control transfer, a call site's callee, cookie and next segment
+resolved, each shadow operation's cost looked up, and the analysis results
+to validate (expected store height, write class, and the dead, used and
+defined registers as bitmasks) placed in per-instruction slots; it is the
+one way checks reach the VM.  `execute` runs a compiled program on one
+input a segment at a time, charging each one's length against the budget
+on entry, with no per-run set-up beyond a copy of the input's registers
+(`ExecInput` masks and pads them once, when it is built), fresh memory, and
+the empty lists the trace will hold: it keeps every field of the trace in
+its own locals and builds the `Trace` once, when the run ends.  Given a
+Program or InstrumentedProgram it compiles it first, without checks.
+Callers that run one target on many inputs compile it once, and a campaign
+case carries its compiled target.
 
 An instrumented target is compiled with the checks `transform.build_checks`
 maps onto it from its input's analysis; an uninstrumented input with its
@@ -185,8 +187,8 @@ _AFTER_POP = 2              # a shadow pop had already run
 #   cookie     the return address its caller stored there
 #   poison     mask of registers dead here, from the `live` slots
 # A call saves the caller's as one tuple on `callers`, these fields in this
-# order and then where it resumes, (fname, code, bid, block, idx).  The
-# first _CHECKED fields are `_check_activation`'s arguments.
+# order and then where it resumes, (fname, code, bid, seg), seg the call's
+# c.  The first _CHECKED fields are `_check_activation`'s arguments.
 _CHECKED = 8
 _RA_SLOT = 8
 _ACTIVATION = 11            # the fields an unwind restores; it resumes in the code that unwound
@@ -204,7 +206,7 @@ def observables(trace: Trace, outcome: Outcome) -> tuple:
 
 
 class _Fn:
-    """One function's decoded code, block id -> tuple of decoded instructions,
+    """One function's decoded code, block id -> the block's first segment,
     and what its plan tells the activation checks."""
 
     __slots__ = ("name", "entry", "blocks", "entry_code", "planned", "lowered")
@@ -228,7 +230,8 @@ class CompiledProgram:
 
 # Decoded opcodes, grouped so the step loop dispatches on ranges: ops below
 # RET fall through to the next instruction, RET..UNWIND transfer control,
-# SPUSH and up are shadow operations.
+# SPUSH and up are shadow operations.  The loop writes these numbers and MASK
+# as literals, each named in a comment, so dispatch loads no module global.
 (MOVI, SPADD, MOVR, BINOP, LEA_SP, STORE_REG, STORE_SP, STORE_GLOBAL, LOAD_SP, LOAD_REG, SPMOV,
  CORRUPT, RET, BR, BRC, CALL, ICALL, HALT, UNWIND, SPUSH, SPOP, RFPUSH, RFPOP, UNKNOWN) = range(24)
 _OPCODES = {
@@ -243,19 +246,20 @@ _OPCODES = {
 def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None = None) -> CompiledProgram:
     """Decode `target` once for any number of runs.
 
-    Each instruction becomes a tuple (opcode, a, b, c, live):
-      call      a = callee, b = call-site cookie   (icall: a = address register)
+    Each block becomes segments cut after each control transfer, the first in
+    `blocks[bid]`, and each instruction a tuple (opcode, a, b, c, live, idx):
+      call      a = callee (icall: address register), b = cookie, c = next segment
       stores    a = operand, b = write class, c = expected height or None
       shadow    a = operand, (b, c) = cost charged per execution
       movi      b = immediate masked to a word;  corrupt: b = value masked
       br, brc   c = the targets that are clone or transition blocks, as a
                 frozenset, or None when there are none
-    `live` is (dead before, uses, defs) as register bitmasks when the
-    liveness check has anything to do at that instruction, else None.  Write
-    classes, expected heights and dead masks come from `checks`, which apply
-    to the program they were built for; a position they lack reads as no
-    dead registers and no expected height, and a function without dead
-    register masks gets no liveness check.
+    `idx` is its index in the block.  `live` is (dead before, uses, defs) as
+    register bitmasks when the liveness check has anything to do at that
+    instruction, else None.  Write classes, expected heights and dead masks
+    come from `checks`, which apply to the program they were built for; a
+    position they lack reads as no dead registers and no expected height,
+    and a function without dead register masks gets no liveness check.
     """
     if isinstance(target, InstrumentedProgram):
         program, resolved = target.program, target.functions
@@ -274,7 +278,7 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
         cmap = classes.get(name, {})
         out = fns[name]
         for bid, block in fn.blocks.items():
-            code = []
+            parts = [[]]    # the block's instructions, cut after each control transfer
             for idx, ins in enumerate(block.instrs):
                 opname, args = ins.opcode, ins.args
                 op = _OPCODES.get(opname, UNKNOWN)
@@ -304,8 +308,15 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                     uses, defs = instr_masks(ins)
                     if dead or uses or defs:
                         live = (dead, uses, defs)
-                code.append((op, a, b, c, live))
-            out.blocks[bid] = tuple(code)
+                parts[-1].append((op, a, b, c, live, idx))
+                if RET <= op < UNWIND:
+                    parts.append([])
+            seg = ()
+            for part in reversed(parts):    # a call's c is the segment its return resumes
+                if part and CALL <= part[-1][0] <= ICALL:
+                    part[-1] = (*part[-1][:3], seg, *part[-1][4:])
+                seg = tuple(part)
+            out.blocks[bid] = seg
         out.entry_code = out.blocks[out.entry]
     return CompiledProgram(fns[program.entry], tuple(fns.values()))
 
@@ -356,215 +367,215 @@ def execute(
     height_violations: list = []
     liveness_violations: list = []
     problems: list = []
-    fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
+    fname, code, bid, seg = fn.name, fn.blocks, fn.entry, fn.entry_code
     if record:
         ev(("enter", 0, fname, bid))
-    steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
+    shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
+    budget = left = max(budget, 0)     # steps not yet charged
     checking = True   # off after an unwind: activation/function pairing no longer matches the analyses
 
     outcome: Outcome | None = None
     try:
-        while True:
-            if steps >= budget:
-                outcome = Outcome(BUDGET)
-                break
-            steps += 1
-            op, a, b, c, live = block[idx]
+        while outcome is None:
+            # a segment is charged whole on entry; the one the budget runs out in is cut to what is left
+            if len(seg) > left:
+                seg = seg[:left]
+            left -= len(seg)
+            for op, a, b, c, live, idx in seg:
+                if live is not None and checking:
+                    dead, uses, defs = live
+                    poison |= dead
+                    bad = uses & poison
+                    if bad:
+                        regs_read = tuple(r for r in range(NUM_REGS) if bad >> r & 1)
+                        liveness_violations.append((fname, bid, idx, regs_read))
+                    poison &= ~defs
 
-            if live is not None and checking:
-                dead, uses, defs = live
-                poison |= dead
-                bad = uses & poison
-                if bad:
-                    regs_read = tuple(r for r in range(NUM_REGS) if bad >> r & 1)
-                    liveness_violations.append((fname, bid, idx, regs_read))
-                poison &= ~defs
-
-            if op < RET:
-                if op == MOVI:
-                    regs[a] = b
-                elif op == MOVR:
-                    regs[a] = regs[b]
-                elif op == BINOP:
-                    regs[a] = (regs[a] + regs[b]) & MASK
-                elif op == SPADD:
-                    sp += a
-                elif op == STORE_SP or op == STORE_REG:
-                    addr = sp + a if op == STORE_SP else regs[a]
-                    if addr & bad_bits:
-                        raise _bad_address(addr)
-                    mem[addr >> 3] = regs[RETURN_REG]
-                    mem_accesses += 1
-                    height = addr - ra_slot
-                    if c is not None and checking and height != c:
-                        height_violations.append((fname, bid, idx, c, height))
-                    if b == UNSAFE and fn.lowered:
-                        if unsafe is None:
-                            unsafe = []
-                        unsafe.append((pushes == 0) * _BEFORE_PUSH | (pops > 0) * _AFTER_POP)
-                    if record:
-                        ev(("store", act, fname, bid, idx, b, addr, height))
-                elif op == STORE_GLOBAL:
-                    globals_log.append((a, regs[RETURN_REG]))
-                    mem_accesses += 1
-                    if record:
-                        ev(("store", act, fname, bid, idx, "global", -1, None))
-                elif op == LEA_SP:
-                    regs[a] = (sp + b) & MASK
-                elif op == LOAD_SP or op == LOAD_REG:
-                    addr = sp + b if op == LOAD_SP else regs[b]
-                    if addr & bad_bits:
-                        raise _bad_address(addr)
-                    regs[a] = mem.get(addr >> 3, 0)
-                    mem_accesses += 1
-                elif op == CORRUPT:
-                    depth = min(a, len(callers))
-                    if depth:
-                        saved = callers[-depth]
-                        victim, slot = saved[0], saved[_RA_SLOT]
-                    else:
-                        victim, slot = act, ra_slot
-                    mem[slot >> 3] = b
-                    mem_accesses += 1
-                    corruptions += 1
-                    if record:
-                        ev(("corrupt", act, depth, victim))
-                else:  # SPMOV
-                    sp = regs[a]
-                idx += 1
-            elif op < SPUSH:
-                if op == RET:
-                    value = mem.get(ra_slot >> 3, 0)
-                    mem_accesses += 1
-                    sp = ra_slot + 8
-                    ok = value == cookie
-                    top = len(shadow)
-                    # only a lowered function's walk or an unbalanced depth can fail a check
-                    if fn.planned and (fn.lowered or call_top != top):
-                        _check_activation(act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, top, COMPLETED, problems)
-                    if record:
-                        ev(("ret", act, fname, ok, top))
-                    if not ok:
-                        outcome = Outcome(UNDETECTED, evidence=(fname, cookie, value))
-                        fn = None
-                        break
-                    if not callers:
-                        # positional: every run ends here or at halt, and keyword binding costs more
+                if op < 12:     # below RET: on to the next instruction
+                    if op == 0:     # MOVI
+                        regs[a] = b
+                    elif op == 2:   # MOVR
+                        regs[a] = regs[b]
+                    elif op == 3:   # BINOP
+                        regs[a] = (regs[a] + regs[b]) & 0xFFFF_FFFF_FFFF_FFFF     # MASK
+                    elif op == 1:   # SPADD
+                        sp += a
+                    elif op == 6 or op == 5:    # STORE_SP, STORE_REG
+                        addr = sp + a if op == 6 else regs[a]
+                        if addr & bad_bits:
+                            raise _bad_address(addr)
+                        mem[addr >> 3] = regs[RETURN_REG]
+                        mem_accesses += 1
+                        height = addr - ra_slot
+                        if c is not None and checking and height != c:
+                            height_violations.append((fname, bid, idx, c, height))
+                        if b == UNSAFE and fn.lowered:
+                            if unsafe is None:
+                                unsafe = []
+                            unsafe.append((pushes == 0) * _BEFORE_PUSH | (pops > 0) * _AFTER_POP)
+                        if record:
+                            ev(("store", act, fname, bid, idx, b, addr, height))
+                    elif op == 7:   # STORE_GLOBAL
+                        globals_log.append((a, regs[RETURN_REG]))
+                        mem_accesses += 1
+                        if record:
+                            ev(("store", act, fname, bid, idx, "global", -1, None))
+                    elif op == 4:   # LEA_SP
+                        regs[a] = (sp + b) & 0xFFFF_FFFF_FFFF_FFFF      # MASK
+                    elif op == 8 or op == 9:    # LOAD_SP, LOAD_REG
+                        addr = sp + b if op == 8 else regs[b]
+                        if addr & bad_bits:
+                            raise _bad_address(addr)
+                        regs[a] = mem.get(addr >> 3, 0)
+                        mem_accesses += 1
+                    elif op == 11:  # CORRUPT
+                        depth = min(a, len(callers))
+                        if depth:
+                            saved = callers[-depth]
+                            victim, slot = saved[0], saved[_RA_SLOT]
+                        else:
+                            victim, slot = act, ra_slot
+                        mem[slot >> 3] = b
+                        mem_accesses += 1
+                        corruptions += 1
+                        if record:
+                            ev(("corrupt", act, depth, victim))
+                    else:  # SPMOV
+                        sp = regs[a]
+                elif op < 19:   # below SPUSH: control transfers
+                    if op == 12:    # RET
+                        value = mem.get(ra_slot >> 3, 0)
+                        mem_accesses += 1
+                        sp = ra_slot + 8
+                        ok = value == cookie
+                        top = len(shadow)
+                        # only a lowered function's walk or an unbalanced depth can fail a check
+                        if fn.planned and (fn.lowered or call_top != top):
+                            _check_activation(act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, top, COMPLETED, problems)
+                        if record:
+                            ev(("ret", act, fname, ok, top))
+                        if ok and callers:
+                            (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie, poison,
+                             fname, code, bid, seg) = callers.pop()
+                        else:   # the run ends; COMPLETED positionally, as keyword binding costs more
+                            outcome = (Outcome(COMPLETED, None, None, regs[RETURN_REG]) if ok
+                                       else Outcome(UNDETECTED, evidence=(fname, cookie, value)))
+                            fn = None
+                    elif op == 13:  # BR
+                        bid, seg = a, code[a]
+                        if c:
+                            tainted = True
+                        if record:
+                            ev(("enter", act, fname, bid))
+                    elif op == 14:  # BRC
+                        bid = (a if decisions[di] else b) if di < n_decisions else b
+                        di += 1
+                        seg = code[bid]
+                        if c and bid in c:
+                            tainted = True
+                        if record:
+                            ev(("enter", act, fname, bid))
+                    elif op == 15 or op == 16:  # CALL, ICALL
+                        if op == 15:
+                            callee = a
+                        else:
+                            address = regs[a]
+                            if not 0 <= address < len(by_index):
+                                raise _VmFault(f"indirect call to invalid address {address}")
+                            callee = by_index[address]
+                        sp -= 8
+                        if sp < STACK_FLOOR:
+                            raise _VmFault("stack overflow")
+                        if sp & bad_bits:
+                            raise _bad_address(sp)
+                        mem[sp >> 3] = b
+                        mem_accesses += 1
+                        callers.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
+                                        poison, fname, code, bid, c))
+                        act = next_act
+                        next_act += 1
+                        fn, call_top, ra_slot, cookie = callee, len(shadow), sp, b
+                        tainted = pop_first = False
+                        pushes = pops = poison = 0
+                        unsafe = None
+                        fname, code, bid, seg = callee.name, callee.blocks, callee.entry, callee.entry_code
+                        if record:
+                            ev(("call", act, fname, len(shadow)))
+                            ev(("enter", act, fname, bid))
+                    elif op == 17:  # HALT
+                        if record:
+                            ev(("halt", regs[RETURN_REG]))
                         outcome = Outcome(COMPLETED, None, None, regs[RETURN_REG])
-                        fn = None
-                        break
-                    (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie, poison,
-                     fname, code, bid, block, idx) = callers.pop()
-                elif op == BR:
-                    bid, block, idx = a, code[a], 0
-                    if c:
-                        tainted = True
-                    if record:
-                        ev(("enter", act, fname, bid))
-                elif op == BRC:
-                    bid = (a if decisions[di] else b) if di < n_decisions else b
-                    di += 1
-                    block, idx = code[bid], 0
-                    if c and bid in c:
-                        tainted = True
-                    if record:
-                        ev(("enter", act, fname, bid))
-                elif op == CALL or op == ICALL:
-                    if op == CALL:
-                        callee = a
-                    else:
-                        address = regs[a]
-                        if not 0 <= address < len(by_index):
-                            raise _VmFault(f"indirect call to invalid address {address}")
-                        callee = by_index[address]
-                    sp -= 8
-                    if sp < STACK_FLOOR:
-                        raise _VmFault("stack overflow")
-                    if sp & bad_bits:
-                        raise _bad_address(sp)
-                    mem[sp >> 3] = b
-                    mem_accesses += 1
-                    callers.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
-                                    poison, fname, code, bid, block, idx + 1))
-                    act = next_act
-                    next_act += 1
-                    fn, call_top, ra_slot, cookie = callee, len(shadow), sp, b
-                    tainted = pop_first = False
-                    pushes = pops = poison = 0
-                    unsafe = None
-                    fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
-                    if record:
-                        ev(("call", act, fname, len(shadow)))
-                        ev(("enter", act, fname, bid))
-                elif op == HALT:
-                    if record:
-                        ev(("halt", regs[RETURN_REG]))
-                    outcome = Outcome(COMPLETED, None, None, regs[RETURN_REG])
-                    break
-                else:  # UNWIND: drop `a` activations, then run on in this code as the one below them
-                    depth = len(callers) - a
-                    if depth < 0:
-                        raise _VmFault(f"unwind {a} with {len(callers) + 1} frames")
-                    unwound += callers[depth + 1:]
-                    unwound.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe))
-                    checking = False
-                    if record:
-                        ev(("unwind", act, a))
-                    (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
-                     poison) = callers[depth][:_ACTIVATION]
-                    del callers[depth:]
-                    sp = ra_slot
-                    idx += 1
-            elif op == UNKNOWN:
-                raise _VmFault(f"unhandled opcode {a}")
-            else:
-                shadow_instr += b
-                shadow_mem += c
-                shadow_ops += 1
-                if op == SPUSH:
-                    ra_addr = sp - a
-                    if ra_addr & bad_bits:
-                        raise _bad_address(ra_addr)
-                    if len(shadow) >= SHADOW_CAPACITY:
-                        raise _VmFault("shadow region overflow")
-                    shadow.append(mem.get(ra_addr >> 3, 0))
-                    pushes += 1
-                    if record:
-                        ev(("push", act, fname, bid, idx, False))
-                elif op == RFPUSH:
-                    scratch = regs[a]
-                    regs[a] = mem.get(ra_slot >> 3, 0)
-                    pushes += 1
-                    if record:
-                        ev(("push", act, fname, bid, idx, True))
-                else:  # SPOP, or RFPOP
-                    ra = mem.get(ra_slot >> 3, 0)
-                    rf = op == RFPOP
-                    if rf and regs[a] == ra:
-                        matched = 0
-                    else:
-                        # unwind the shadow until the on-stack address matches
-                        matched = -1
-                        k = 0
-                        while shadow:
-                            if shadow.pop() == ra:
-                                matched = k
+                    else:  # UNWIND: drop `a` activations, then run on in this code as the one below them
+                        depth = len(callers) - a
+                        if depth < 0:
+                            raise _VmFault(f"unwind {a} with {len(callers) + 1} frames")
+                        unwound += callers[depth + 1:]
+                        unwound.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe))
+                        checking = False
+                        if record:
+                            ev(("unwind", act, a))
+                        (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
+                         poison) = callers[depth][:_ACTIVATION]
+                        del callers[depth:]
+                        sp = ra_slot
+                        continue
+                    break   # a segment ends at each transfer
+                elif op == 23:  # UNKNOWN
+                    raise _VmFault(f"unhandled opcode {a}")
+                else:
+                    shadow_instr += b
+                    shadow_mem += c
+                    shadow_ops += 1
+                    if op == 19:    # SPUSH
+                        ra_addr = sp - a
+                        if ra_addr & bad_bits:
+                            raise _bad_address(ra_addr)
+                        if len(shadow) >= SHADOW_CAPACITY:
+                            raise _VmFault("shadow region overflow")
+                        shadow.append(mem.get(ra_addr >> 3, 0))
+                        pushes += 1
+                        if record:
+                            ev(("push", act, fname, bid, idx, False))
+                    elif op == 21:  # RFPUSH
+                        scratch = regs[a]
+                        regs[a] = mem.get(ra_slot >> 3, 0)
+                        pushes += 1
+                        if record:
+                            ev(("push", act, fname, bid, idx, True))
+                    else:  # SPOP, or RFPOP
+                        ra = mem.get(ra_slot >> 3, 0)
+                        rf = op == 22   # RFPOP
+                        if rf and regs[a] == ra:
+                            matched = 0
+                        else:
+                            # unwind the shadow until the on-stack address matches
+                            matched = -1
+                            k = 0
+                            while shadow:
+                                if shadow.pop() == ra:
+                                    matched = k
+                                    break
+                                k += 1
+                            if matched < 0:
+                                if record:
+                                    ev(("abort", act, fname, bid, idx))
+                                outcome = Outcome(ABORTED, site=(fname, bid, idx))
+                                left += seg[-1][5] - idx    # give back the steps after it
                                 break
-                            k += 1
-                        if matched < 0:
-                            if record:
-                                ev(("abort", act, fname, bid, idx))
-                            outcome = Outcome(ABORTED, site=(fname, bid, idx))
-                            break
-                    if rf:
-                        regs[a] = scratch
-                    if not pops and not pushes:
-                        pop_first = True
-                    pops += 1
-                    if record:
-                        ev(("pop", act, fname, bid, idx, matched, rf))
-                idx += 1
+                        if rf:
+                            regs[a] = scratch
+                        if not pops and not pushes:
+                            pop_first = True
+                        pops += 1
+                        if record:
+                            ev(("pop", act, fname, bid, idx, matched, rf))
+            else:   # ran off the segment: the budget cut it, or its block has no terminator
+                if left:
+                    raise _VmFault(f"{fname}.b{bid}: block does not end with a control transfer")
+                outcome = Outcome(BUDGET)
     except _VmFault as fault:
+        left += seg[-1][5] - idx if seg else 0     # give back the steps after the faulting one
         if record:
             ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
@@ -582,7 +593,7 @@ def execute(
         problems.sort(key=itemgetter(0))
 
     return Trace(
-        log, steps - shadow_ops, shadow_instr, shadow_mem, shadow_ops, mem_accesses, len(shadow),
+        log, budget - left - shadow_ops, shadow_instr, shadow_mem, shadow_ops, mem_accesses, len(shadow),
         globals_log, height_violations, liveness_violations, problems, corruptions,
     ), outcome
 

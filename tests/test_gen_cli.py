@@ -811,6 +811,46 @@ def test_verify_reports_an_unmappable_rewrite(monkeypatch):
     assert report["checks"]["no_other_violations"] is False
 
 
+@pytest.mark.parametrize("tampered", ["apply_plan", "validate_program"])
+def test_verify_reports_a_spot_case_prepared_again_without_its_target(monkeypatch, tampered):
+    # from the determinism phase on, FULL rewrites end in halt where the input
+    # has ret, so their checks cannot be mapped, or every input program fails
+    # validation: the second preparation of a spot case then gives no target
+    # for its mode, and verify reports that as nondeterminism, not a traceback
+    import shadowlab.cli as cli
+    from shadowlab.mir import Block, Diagnostic, Function, Instr, Program
+    from shadowlab.transform import InstrumentedProgram
+
+    real_apply, real_validate, real_phase = cli.apply_plan, cli.validate_program, cli._determinism_phase
+
+    def apply_plan(program, plan, mode):
+        ip = real_apply(program, plan, mode)
+        if mode != "FULL":
+            return ip
+        functions = {
+            name: fn if fn is program.functions[name] else Function(name, {
+                bid: Block(bid, b.instrs[:-1] + (Instr("halt"),)) if b.instrs[-1].opcode == "ret" else b
+                for bid, b in fn.blocks.items()
+            })
+            for name, fn in ip.program.functions.items()
+        }
+        return InstrumentedProgram(Program(functions, ip.program.entry, ip.program.adversarial), mode, ip.functions)
+
+    def validate_program(program, allow_shadow=False, checked=None):
+        return real_validate(program, allow_shadow, checked) if allow_shadow else [Diagnostic("tampered")]
+
+    def phase(*args):
+        monkeypatch.setattr(cli, tampered, {"apply_plan": apply_plan, "validate_program": validate_program}[tampered])
+        return real_phase(*args)
+
+    monkeypatch.setattr(cli, "_determinism_phase", phase)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=2, inputs_per_program=2))
+    unprepared = [v for v in report["violations"] if v.endswith(": nondeterministic preparation: no target the second time")]
+    assert not ok and report["checks"]["determinism"] is False
+    assert len(unprepared) == (2 if tampered == "apply_plan" else 3), report["violations"]
+    assert report["violations"][-len(unprepared) * 2:][1::2] == unprepared   # each after the message saying why
+
+
 def test_verify_compiles_each_target_once(monkeypatch):
     # the base and five modes per benign program, four detection modes and the
     # control per adversarial one, and one fresh compile per determinism pair

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.analysis import UNSAFE
-from shadowlab.mir import NUM_REGS, RETURN_REG, Block, Function, Instr, Program, parse_program, print_program
+from shadowlab.mir import (
+    NUM_REGS, RETURN_REG, Block, Function, Instr, Program, parse_program, print_program, validate_program,
+)
 from shadowlab.transform import (
     FN_LOWERED,
     MODES,
@@ -1023,7 +1025,7 @@ class _Frame:
     act: int
     ra_slot: int
     cookie: int
-    ret_to: tuple | None    # (fn name, decoded blocks, bid, decoded block, idx) to resume at
+    ret_to: tuple | None    # (fn name, joined blocks, bid, joined block, idx) to resume at
     fn: _Fn                 # the called function, whose plan the activation checks read
     call_top: int | None    # shadow depth at the call; None for the entry activation
     tainted: bool = False   # entered a clone or transition block (never an entry block): a tainted walk
@@ -1040,10 +1042,12 @@ def reference_execute(
     budget: int = 10000,
     record: bool = False,
 ) -> tuple[Trace, Outcome]:
-    """`execute` as it was with one _Frame object per activation."""
+    """`execute` as it was with one _Frame object per activation, charging
+    the budget one instruction at a time, on each block's segments joined."""
     if not isinstance(target, CompiledProgram):
         target = compile(target)
     by_index = target.functions
+    joined = _joined_blocks(target)
 
     mem: dict[int, int] = {}    # word index -> value; unwritten words read 0
     regs = [v & MASK for v in inp.regs] + [0] * (16 - len(inp.regs))
@@ -1066,7 +1070,8 @@ def reference_execute(
     trace = Trace(log=[])
     ev = trace.log.append
     problems = trace.activation_problems
-    fname, code, bid, block, idx = fn.name, fn.blocks, fn.entry, fn.entry_code, 0
+    fname, code, bid, idx = fn.name, joined[fn.name], fn.entry, 0
+    block = code[bid]
     if record:
         ev(("enter", 0, fname, bid))
     steps = shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
@@ -1079,7 +1084,7 @@ def reference_execute(
                 outcome = Outcome(BUDGET)
                 break
             steps += 1
-            op, a, b, c, live = block[idx]
+            op, a, b, c, live, _ = block[idx]
 
             if live is not None and checking:
                 dead, uses, defs = live
@@ -1192,7 +1197,8 @@ def reference_execute(
                     next_act += 1
                     frame = _Frame(act, sp, b, (fname, code, bid, block, idx + 1), callee, len(shadow))
                     frames.append(frame)
-                    fname, code, bid, block, idx = callee.name, callee.blocks, callee.entry, callee.entry_code, 0
+                    fname, code, bid, idx = callee.name, joined[callee.name], callee.entry, 0
+                    block = code[bid]
                     if record:
                         ev(("call", act, fname, len(shadow)))
                         ev(("enter", act, fname, bid))
@@ -1284,6 +1290,20 @@ def reference_execute(
     return trace, outcome
 
 
+def _joined_blocks(target: CompiledProgram) -> dict[str, dict[int, tuple]]:
+    """Per function name, each decoded block as one tuple: its first segment,
+    then each segment a call at the end of the last one resumes in."""
+    joined = {}
+    for fn in target.functions:
+        blocks = joined[fn.name] = {}
+        for bid, seg in fn.blocks.items():
+            block = list(seg)
+            while block and block[-1][0] in (CALL, ICALL):
+                block += block[-1][3]
+            blocks[bid] = tuple(block)
+    return joined
+
+
 def _reference_check_activation(frame: _Frame, ret_top: int | None, end: str, out: list) -> None:
     """Append (act, fn, message) for each check the activation in `frame`
     failed: a lowered function's tainted walk runs one covering push and pop
@@ -1329,10 +1349,11 @@ def _run_view(run):
 
 
 def _budgets(steps: int) -> list[int]:
-    """Budgets below a run's full length: every one up to 32, then the powers
-    of two up to 1,024.  Every longer run of the pinned corpus is the `call
-    main` recursion, whose later steps repeat its first ones."""
-    return sorted({*range(1, min(steps, 33)), *(1 << k for k in range(6, min(steps - 1, 1024).bit_length()))})
+    """Budgets below a run's full length: -1 and 0, which run nothing, every
+    one up to 32, then the powers of two up to 1,024.  Every longer run of
+    the pinned corpus is the `call main` recursion, whose later steps repeat
+    its first ones."""
+    return sorted({-1, 0, *range(1, min(steps, 33)), *(1 << k for k in range(6, min(steps - 1, 1024).bit_length()))})
 
 
 def check_against_reference(compiled, inp, budget, label, sweep=True):
@@ -1463,6 +1484,78 @@ b0:
 # where main is instrumented, the stack where it is not
 OVERFLOW = "fn main {\nb0:\n  spadd -16\n  movi r1, 512\n  store.reg r1\n  call main\n  spadd 16\n  ret\n}\n"
 
+# a store.reg to a misaligned address faults in the segment after a call,
+# with three instructions of it still to run
+FAULT_AFTER_CALL = """\
+fn main {
+b0:
+  spadd -16
+  call leaf
+  movi r1, 3
+  store.reg r1
+  movi r0, 1
+  spadd 16
+  ret
+}
+
+fn leaf {
+b0:
+  movi r0, 7
+  ret
+}
+"""
+
+# main's own return address is overwritten between its hand-written push and
+# pop, so the pop aborts with three instructions of its segment still to run
+ABORT_MID_SEGMENT = """\
+#entry main
+#adversarial true
+
+fn main {
+b0:
+  spadd -16
+  call leaf
+  spush -16
+  corrupt 0, 99
+  spop
+  movi r0, 5
+  spadd 16
+  ret
+}
+
+fn leaf {
+b0:
+  movi r0, 7
+  ret
+}
+"""
+
+# each call's continuation runs several instructions, so the budget sweep
+# cuts the run inside both continuations and inside the callee
+CONTINUATIONS = """\
+fn main {
+b0:
+  spadd -16
+  call leaf
+  movi r1, 1
+  movi r2, 2
+  binop r1, r2
+  store.global out
+  call leaf
+  movr r0, r1
+  store.global out
+  spadd 16
+  ret
+}
+
+fn leaf {
+b0:
+  movi r0, 7
+  store.global out
+  ret
+}
+"""
+
 _NEW_PATHS = [
     # a lowered function that calls another between its push and its pop
     ("br-walk", BR_TAINTED_WALK, [(True, False), (False,), (True, True)]),
@@ -1470,6 +1563,9 @@ _NEW_PATHS = [
     ("corrupt", CORRUPT_DEPTHS, [(True, True), (False, True), (False, False, True), (False, False, False)]),
     *((f"unwind{k}", unwind_then_calls(k), [(True,), (False,)]) for k in (1, 2, 3, 4)),
     ("overflow", OVERFLOW, [()]),
+    ("fault-after-call", FAULT_AFTER_CALL, [()]),
+    ("abort-mid-segment", ABORT_MID_SEGMENT, [()]),
+    ("continuations", CONTINUATIONS, [()]),
 ]
 
 
@@ -1487,6 +1583,25 @@ def test_step_loop_matches_reference_on_new_paths(name, text, decisions):
                 check_against_reference(compiled, inp, 100_000, label)
                 recorded = execute(compiled, inp, 100_000, True)
                 assert _run_view(recorded) == _run_view(reference_execute(compiled, inp, 100_000, True)), label
+
+
+def test_block_without_terminator_faults():
+    # only the library API runs such a block: validate_program rejects it.
+    # main's block ends in a call, so the fault comes once leaf returns into
+    # the empty segment after it; a budget that runs out first is BUDGET
+    p = parse_program("fn main {\nb0:\n  movi r0, 1\n  call leaf\n}\n\nfn leaf {\nb0:\n  movi r0, 2\n  ret\n}\n")
+    reason = "main.b0: block does not end with a control transfer"
+    assert [d.reason for d in validate_program(p)] == [reason]
+    for budget in (5, 100):
+        trace, outcome = execute(p, ExecInput(), budget, record=True)
+        assert outcome == Outcome(FAULT, evidence=(reason,)) and trace.instr_count == 4
+        assert trace.log[-2:] == [("ret", 1, "leaf", True, 0), ("fault", reason)]
+    for budget in (-1, 0, 4):
+        trace, outcome = execute(p, ExecInput(), budget)
+        assert outcome == Outcome(BUDGET) and trace.instr_count == max(budget, 0)
+    one = parse_program("fn main {\nb0:\n  movi r0, 1\n}\n")
+    trace, outcome = execute(one, ExecInput(), 100)
+    assert outcome.evidence == (reason,) and trace.instr_count == 1
 
 
 def test_step_loop_matches_reference_on_a_miscounted_walk():
