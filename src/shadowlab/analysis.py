@@ -24,9 +24,11 @@ reaches, with unreachable blocks appended, and a block whose live-in set
 changes re-queues its predecessors.  Dead sets stay bitmasks: planning
 counts their bits and the VM checks against them.
 
-Both analyses return plain dicts keyed by (block id, instruction index):
-`stack_heights` maps each instruction to its InstrFacts, `dead_registers`
-to the mask of registers dead just before it.  `AnalysisChecks` holds them
+Both analyses keep their results per block.  `stack_heights` returns each
+reached block's entry state and the destination height of each store;
+replaying `_step` from a block's entry state gives the state at any of its
+instructions.  `dead_registers` returns per block a tuple of the masks of
+registers dead just before each instruction.  `AnalysisChecks` holds them
 per function, with the write classes, as the one record of a program's
 analysis: planning extends it with the safety verdicts
 (`transform.ProgramAnalysis`), and the VM validates against it.
@@ -38,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .mir import NUM_REGS, RETURN_REG, WORD_SIZE, Function, Instr, sccs
+from .mir import NUM_REGS, RETURN_REG, STORE_OPCODES, WORD_SIZE, Function, Instr, sccs
 
 
 class _Extreme:
@@ -78,19 +80,16 @@ def is_safe_height(h) -> bool:
     return isinstance(h, int) and h <= -WORD_SIZE
 
 
-class InstrFacts(NamedTuple):
-    """Dataflow state holding at an instruction, plus its write destination.
+class Heights(NamedTuple):
+    """A function's stack heights.  `entries` maps each block the fixpoint
+    reached to the state `(sp, regs)` before its first instruction, `regs`
+    the height of every register, Bottom for one not derived from the stack
+    pointer.  `stores` maps the (block id, instruction index) of each store
+    in a reached block to the height of the word it writes; store.global
+    carries Bottom and is classified separately."""
 
-    `sp` and `regs` describe the state immediately before the instruction
-    executes; `regs` holds the height of every register, Bottom for one not
-    derived from the stack pointer.  `dest` is the height of the word it
-    writes (Bottom for instructions without a memory-write destination;
-    store.global carries Bottom and is classified separately).
-    """
-
-    sp: Height
-    regs: tuple
-    dest: Height
+    entries: dict[int, tuple]
+    stores: dict[tuple[int, int], Height]
 
 
 ALL_BOTTOM = (BOTTOM,) * NUM_REGS
@@ -137,15 +136,15 @@ def _step(sp, regs: tuple, ins: Instr):
     return sp, regs, dest
 
 
-def stack_heights(fn: Function) -> dict[tuple[int, int], InstrFacts]:
+def stack_heights(fn: Function) -> Heights:
     """Forward dataflow fixpoint over the CFG, FIFO worklist from the entry.
 
     Entry state: stack pointer at height 0, all registers Bottom.  A block is
     re-queued when the join of a predecessor's exit state into its entry
-    state changes it.
+    state changes it.  A store's height is recorded at each visit of its
+    block, so the last, made from the fixpoint's entry state, is kept.
     """
-    new = tuple.__new__     # builds a record without the named tuple's Python-level __new__
-    facts: dict[tuple[int, int], InstrFacts] = {}
+    stores: dict[tuple[int, int], Height] = {}
     in_states: dict[int, tuple] = {fn.entry_block: (0, ALL_BOTTOM)}
     work = deque([fn.entry_block])
     queued = {fn.entry_block}
@@ -155,9 +154,9 @@ def stack_heights(fn: Function) -> dict[tuple[int, int], InstrFacts]:
         sp, regs = in_states[bid]
         block = fn.blocks[bid]
         for idx, ins in enumerate(block.instrs):
-            sp_after, regs_after, dest = _step(sp, regs, ins)
-            facts[(bid, idx)] = new(InstrFacts, (sp, regs, dest))
-            sp, regs = sp_after, regs_after
+            sp, regs, dest = _step(sp, regs, ins)
+            if ins.opcode in STORE_OPCODES:
+                stores[(bid, idx)] = dest
         for succ in block.successors:
             cur = in_states.get(succ)
             if cur is not None:
@@ -172,14 +171,13 @@ def stack_heights(fn: Function) -> dict[tuple[int, int], InstrFacts]:
             if succ not in queued:
                 work.append(succ)
                 queued.add(succ)
-    return facts
+    return Heights(in_states, stores)
 
 
-def classify_writes(
-    fn: Function, heights: dict[tuple[int, int], InstrFacts]
-) -> dict[tuple[int, int], str]:
+def classify_writes(fn: Function, heights: Heights) -> dict[tuple[int, int], str]:
     """Total classification of every store: its (block id, instruction index)
     maps to SAFE_STACK, GLOBAL or UNSAFE."""
+    stores = heights.stores
     classes: dict[tuple[int, int], str] = {}
     for bid, block in fn.blocks.items():
         for idx, ins in enumerate(block.instrs):
@@ -187,7 +185,7 @@ def classify_writes(
                 continue
             if ins.opcode == "store.global":
                 classes[(bid, idx)] = GLOBAL
-            elif is_safe_height(heights[(bid, idx)].dest):
+            elif is_safe_height(stores[(bid, idx)]):
                 classes[(bid, idx)] = SAFE_STACK
             else:
                 classes[(bid, idx)] = UNSAFE
@@ -221,14 +219,15 @@ def instr_masks(ins: Instr) -> tuple[int, int]:
     return 0, 0
 
 
-def dead_registers(fn: Function) -> dict[tuple[int, int], int]:
+def dead_registers(fn: Function) -> dict[int, tuple[int, ...]]:
     """Backward may-liveness; dead = registers never read before overwritten.
 
-    The dead mask at (block, index) describes the point just before that
-    instruction executes.  The worklist starts with the blocks reachable
-    from the entry, component by component in `mir.sccs` order, so a block
-    outside a loop is first visited after its successors, with unreachable
-    blocks last; a block whose live-in set grows re-queues its predecessors.
+    Each block maps to a tuple of dead masks, the idx-th describing the
+    point just before its idx-th instruction executes.  The worklist starts
+    with the blocks reachable from the entry, component by component in
+    `mir.sccs` order, so a block outside a loop is first visited after its
+    successors, with unreachable blocks last; a block whose live-in set
+    grows re-queues its predecessors.
     """
     succs: dict[int, tuple[int, ...]] = {}
     preds: dict[int, list[int]] = {bid: [] for bid in fn.blocks}
@@ -269,22 +268,24 @@ def dead_registers(fn: Function) -> dict[tuple[int, int], int]:
                     work.append(pred)
                     queued.add(pred)
 
-    dead: dict[tuple[int, int], int] = {}
+    dead: dict[int, tuple[int, ...]] = {}
     for bid, pairs in masks.items():
         live = live_out[bid]
-        for idx in range(len(pairs) - 1, -1, -1):
-            uses, defines = pairs[idx]
+        block_dead = []
+        for uses, defines in reversed(pairs):
             live = live & ~defines | uses
-            dead[(bid, idx)] = ALL_MASK & ~live
+            block_dead.append(ALL_MASK & ~live)
+        dead[bid] = tuple(reversed(block_dead))
     return dead
 
 
 @dataclass
 class AnalysisChecks:
     """A program's analysis results, per function name: the facts planning
-    reads and the VM validates while executing.  A function without dead
-    register masks is absent from `liveness`."""
+    reads and the VM validates while executing, a dead mask read as
+    `liveness[name][bid][idx]`.  A function without dead register masks is
+    absent from `liveness`."""
 
-    heights: Mapping[str, Mapping[tuple[int, int], InstrFacts]]
-    liveness: Mapping[str, Mapping[tuple[int, int], int]]    # dead-register masks
+    heights: Mapping[str, Heights]
+    liveness: Mapping[str, Mapping[int, tuple[int, ...]]]    # dead-register masks per block
     classes: Mapping[str, Mapping[tuple[int, int], str]]

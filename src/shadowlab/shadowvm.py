@@ -254,9 +254,11 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
       movi      b = immediate masked to a word;  corrupt: b = value masked
       br, brc   c = the targets that are clone or transition blocks, as a
                 frozenset, or None when there are none
+      UNKNOWN   a = the reason it faults with: an unhandled opcode, or a call
+                or branch to a function or block that does not exist
     `idx` is its index in the block.  `live` is (dead before, uses, defs) as
     register bitmasks when the liveness check has anything to do at that
-    instruction, else None.  Write classes, expected heights and dead masks
+    instruction, else None.  Write classes, store heights and dead masks
     come from `checks`, which apply to the program they were built for; a
     position they lack reads as no dead registers and no expected height,
     and a function without dead register masks gets no liveness check.
@@ -273,12 +275,14 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
         rf = resolved.get(name)
         costs = rf.op_costs if rf else {}
         tainted = rf.block_sources if rf else ()
-        hmap = heights.get(name, {})
+        hmap = heights[name].stores if name in heights else {}
         lmap = liveness.get(name)
         cmap = classes.get(name, {})
         out = fns[name]
-        for bid, block in fn.blocks.items():
+        blocks = fn.blocks
+        for bid, block in blocks.items():
             parts = [[]]    # the block's instructions, cut after each control transfer
+            dead_at = lmap.get(bid, ()) if lmap else ()
             for idx, ins in enumerate(block.instrs):
                 opname, args = ins.opcode, ins.args
                 op = _OPCODES.get(opname, UNKNOWN)
@@ -286,25 +290,29 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                 b = args[1] if len(args) > 1 else None
                 c = None
                 if op == UNKNOWN:
-                    a = opname
+                    a = f"unhandled opcode {opname}"
                 elif op == MOVI or op == CORRUPT:
                     b &= MASK
                 elif op == CALL or op == ICALL:
                     cookie += 1
-                    if op == CALL:
+                    if op == CALL and a in fns:
                         a = fns[a]
+                    elif op == CALL:
+                        op, a = UNKNOWN, f"{name}.b{bid}: call to unknown function '{a}'"
                     b = cookie
                 elif op == BR or op == BRC:
                     c = frozenset(t for t in args if t in tainted) or None
+                    if a not in blocks or op == BRC and b not in blocks:
+                        op, a = UNKNOWN, f"{name}.b{bid}: branch to unknown block b{a if a not in blocks else b}"
                 elif op == STORE_SP or op == STORE_REG:
                     b = cmap.get((bid, idx))
-                    fact = hmap.get((bid, idx))
-                    c = fact.dest if fact is not None and isinstance(fact.dest, int) else None
+                    c = hmap.get((bid, idx))
+                    c = c if isinstance(c, int) else None
                 elif op >= SPUSH:
                     b, c = costs.get((bid, idx)) or DEFAULT_COSTS[opname]
                 live = None
                 if lmap:
-                    dead = lmap.get((bid, idx), 0)
+                    dead = dead_at[idx] if idx < len(dead_at) else 0
                     uses, defs = instr_masks(ins)
                     if dead or uses or defs:
                         live = (dead, uses, defs)
@@ -521,8 +529,8 @@ def execute(
                         sp = ra_slot
                         continue
                     break   # a segment ends at each transfer
-                elif op == 23:  # UNKNOWN
-                    raise _VmFault(f"unhandled opcode {a}")
+                elif op == 23:  # UNKNOWN: an unhandled opcode or a broken reference, `a` the reason
+                    raise _VmFault(a)
                 else:
                     shadow_instr += b
                     shadow_mem += c

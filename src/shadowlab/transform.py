@@ -53,7 +53,7 @@ from .mir import (
 )
 from .analysis import (
     AnalysisChecks,
-    InstrFacts,
+    Heights,
     UNSAFE,
     classify_writes,
     dead_registers,
@@ -196,9 +196,7 @@ def count_safe_paths(fn: Function, safety: SafetyResult) -> int:
     return counts[-1]
 
 
-def lower_instrumentation(
-    fn: Function, safety: SafetyResult, heights: Mapping[tuple[int, int], InstrFacts]
-) -> LoweredCfg | None:
+def lower_instrumentation(fn: Function, safety: SafetyResult, heights: Heights) -> LoweredCfg | None:
     """Clone the CFG and collect the transition edges entering unsafe blocks.
 
     Depth-first over intra-procedural edges in ascending block-id order with
@@ -242,7 +240,7 @@ def lower_instrumentation(
 
     push_heights: dict[tuple[int, int], int] = {}
     for src, dst in transitions:
-        h = heights[(dst, 0)].sp
+        h = heights.entries[dst][0]
         if not isinstance(h, int):
             return None
         push_heights[(src, dst)] = h
@@ -298,14 +296,14 @@ def inline_eligible(fn: Function) -> bool:
 
 def _chase_point(
     block: Block,
-    dead: Mapping[tuple[int, int], int],
+    dead: Mapping[int, tuple[int, ...]],
     classes: Mapping[tuple[int, int], str],
 ) -> tuple[int, int] | None:
     """Earliest in-block point with two dead registers reachable without
     crossing an unsafe store, a call, or a statically unknown sp change."""
     delta = 0
     for idx in range(len(block.instrs)):
-        if dead[(block.bid, idx)].bit_count() >= 2:
+        if dead[block.bid][idx].bit_count() >= 2:
             return idx, delta
         ins = block.instrs[idx]
         op = ins.opcode
@@ -348,7 +346,7 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
         plan.entry_chase = _chase_point(entry, liveness[name], classes[name])
         if plan.lowered is not None:
             for src, dst in plan.lowered.transition_edges:
-                plan.edge_dead[(src, dst)] = liveness[name][(dst, 0)].bit_count() >= 2
+                plan.edge_dead[(src, dst)] = liveness[name][dst][0].bit_count() >= 2
         per_function[name] = plan
     return InstrumentationPlan(program, per_function, inline_callees, inline_sites)
 
@@ -624,13 +622,13 @@ def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChe
 
     A function `ip` shares with `source` keeps its facts.  Those of every
     other function, inlined calls or not, are mapped from its input's
-    (`_mapped_facts`): they cover its stores only, which is all `compile`
-    reads, and an output instruction that is not the input's at its
-    position raises CheckMappingError.  A rewrite keeps its mapped facts in
-    its ResolvedFunction, so modes that share it map it once; they serve
-    only the same output function, `source` and `analysis`, and any other
-    object of those three is mapped afresh.  No function carries dead
-    register masks."""
+    (`_mapped_facts`): store heights and classes only, with no block entry
+    states, which is all `compile` reads, and an output instruction that is
+    not the input's at its position raises CheckMappingError.  A rewrite
+    keeps its mapped facts in its ResolvedFunction, so modes that share it
+    map it once; they serve only the same output function, `source` and
+    `analysis`, and any other object of those three is mapped afresh.  No
+    function carries dead register masks."""
     originals = source.functions
     heights, classes = {}, {}
     for name, fn in ip.program.functions.items():
@@ -647,7 +645,7 @@ def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChe
 
 def _mapped_facts(
     originals: Mapping[str, Function], fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks
-) -> tuple[dict[tuple[int, int], InstrFacts], dict[tuple[int, int], str]]:
+) -> tuple[Heights, dict[tuple[int, int], str]]:
     """The heights and classes at the stores of `fn`, the rewrite `rf`
     describes of its input in `originals`, taken from `analysis`.
 
@@ -702,13 +700,13 @@ def _mapped_facts(
                     )
             if op in STORE_OPCODES:
                 f, b, k = at[i] if at else (name, src, i)
-                hmap[(bid, idx)] = analysis.heights[f][(b, k)]
+                hmap[(bid, idx)] = analysis.heights[f].stores[(b, k)]
                 cmap[(bid, idx)] = analysis.classes[f][(b, k)]
             i += 1
         if i != n:
             was = src_instrs[i].opcode
             raise CheckMappingError(f"{name}.b{bid}: ends where input {_input_position(name, src, at, i)} has {was}")
-    return hmap, cmap
+    return Heights({}, hmap), cmap
 
 
 def _input_position(name: str, src: int, at: list | None, i: int) -> str:

@@ -1,10 +1,13 @@
 import hashlib
 import json
+from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.mir import NUM_REGS, Block, Function, Instr, parse_program
 from shadowlab.analysis import (
+    ALL_BOTTOM,
+    ALL_MASK,
     BOTTOM,
     TOP,
     GLOBAL,
@@ -18,6 +21,7 @@ from shadowlab.analysis import (
     stack_heights,
     _step,
 )
+from shadowlab.mir import sccs
 from shadowlab.gen import GenConfig, generate_program
 
 
@@ -43,12 +47,12 @@ def test_join_is_flat_lattice():
 
 def test_store_after_frame_setup():
     _, h = heights_of("fn t {\nb0:\n  spadd -16\n  store.sp 8\n  ret\n}")
-    assert h[(0, 1)].dest == -8
+    assert h.stores[(0, 1)] == -8
 
 
 def test_store_hits_return_slot():
     _, h = heights_of("fn t {\nb0:\n  spadd -16\n  store.sp 16\n  ret\n}")
-    assert h[(0, 1)].dest == 0
+    assert h.stores[(0, 1)] == 0
 
 
 def test_loop_growth_goes_top():
@@ -56,35 +60,35 @@ def test_loop_growth_goes_top():
     _, h = heights_of(
         "fn l {\nb0:\n  br b1\nb1:\n  spadd -8\n  brc b1, b2\nb2:\n  store.sp 0\n  ret\n}"
     )
-    assert h[(2, 0)].dest is TOP
+    assert h.stores[(2, 0)] is TOP
 
 
 def test_store_through_lea_register():
     _, h = heights_of("fn t {\nb0:\n  spadd -16\n  lea.sp r3, 4\n  store.reg r3\n  ret\n}")
-    assert h[(0, 2)].dest == -12
+    assert h.stores[(0, 2)] == -12
 
 
 def test_store_through_constant_register_is_top():
     _, h = heights_of("fn t {\nb0:\n  movi r3, 256\n  store.reg r3\n  ret\n}")
-    assert h[(0, 1)].dest is TOP
+    assert h.stores[(0, 1)] is TOP
 
 
 def test_arithmetic_taints_stack_pointer_copy():
     _, h = heights_of(
         "fn t {\nb0:\n  lea.sp r3, -16\n  movi r4, 0\n  binop r3, r4\n  store.reg r3\n  ret\n}"
     )
-    assert h[(0, 3)].dest is TOP
+    assert h.stores[(0, 3)] is TOP
 
 
 def test_spmov_concrete_and_tainted():
     _, h = heights_of(
         "fn t {\nb0:\n  lea.sp r3, -16\n  spmov r3\n  store.sp 0\n  ret\n}"
     )
-    assert h[(0, 2)].dest == -16
+    assert h.stores[(0, 2)] == -16
     _, h2 = heights_of(
         "fn t {\nb0:\n  movi r3, 100\n  spmov r3\n  store.sp 0\n  ret\n}"
     )
-    assert h2[(0, 2)].dest is TOP
+    assert h2.stores[(0, 2)] is TOP
 
 
 def test_call_clobbers_register_heights_but_not_sp():
@@ -93,8 +97,8 @@ def test_call_clobbers_register_heights_but_not_sp():
         "fn u { b0: ret }",
         "t",
     )
-    assert h[(0, 3)].dest is TOP   # register heights do not survive a call
-    assert h[(0, 4)].dest == -8    # the stack pointer does
+    assert h.stores[(0, 3)] is TOP   # register heights do not survive a call
+    assert h.stores[(0, 4)] == -8    # the stack pointer does
 
 
 def test_branch_join_of_unequal_heights():
@@ -102,7 +106,7 @@ def test_branch_join_of_unequal_heights():
         "fn t {\nb0:\n  brc b1, b2\nb1:\n  spadd -8\n  br b3\nb2:\n  spadd -16\n  br b3\n"
         "b3:\n  store.sp 0\n  ret\n}"
     )
-    assert h[(3, 0)].dest is TOP
+    assert h.stores[(3, 0)] is TOP
 
 
 def test_classify_boundary_cases():
@@ -145,19 +149,20 @@ def test_height_fixpoint_is_stable(seed):
     p = generate_program(seed, GenConfig(), adversarial=False)
     for fn in p.functions.values():
         h = stack_heights(fn)
-        for bid, block in fn.blocks.items():
-            facts = h[(bid, 0)]
-            sp, regs = facts.sp, facts.regs
+        replayed = {}
+        for bid, (sp, regs) in h.entries.items():
+            block = fn.blocks[bid]
             for idx, ins in enumerate(block.instrs):
-                recorded = h[(bid, idx)]
-                assert recorded.sp == sp and recorded.regs == regs
                 sp, regs, dest = _step(sp, regs, ins)
-                assert dest == recorded.dest
+                if ins.is_store:
+                    replayed[(bid, idx)] = dest
             for succ in block.successors:
-                entry = h[(succ, 0)]
-                assert join_height(entry.sp, sp) == entry.sp
+                entry_sp, entry_regs = h.entries[succ]
+                assert join_height(entry_sp, sp) == entry_sp
                 for r in range(NUM_REGS):
-                    assert join_height(entry.regs[r], regs[r]) == entry.regs[r]
+                    assert join_height(entry_regs[r], regs[r]) == entry_regs[r]
+        # every store of a reached block has the height its block's entry state gives it
+        assert replayed == h.stores
 
 
 def test_is_safe_height_boundary():
@@ -172,36 +177,36 @@ def test_is_safe_height_boundary():
 def test_dead_after_write_before_read():
     p = parse_program("fn x {\nb0:\n  movi r1, 5\n  store.global g\n  ret\n}")
     lm = dead_registers(p.functions["x"])
-    assert 1 in regs(lm[(0, 2)])   # at ret
-    assert 1 in regs(lm[(0, 0)])   # written before any read
+    assert 1 in regs(lm[0][2])   # at ret
+    assert 1 in regs(lm[0][0])   # written before any read
 
 
 def test_all_but_return_register_dead_at_ret():
     p = parse_program("fn y { b0: ret }")
     lm = dead_registers(p.functions["y"])
-    assert len(regs(lm[(0, 0)])) == 15
-    assert 0 not in regs(lm[(0, 0)])
+    assert len(regs(lm[0][0])) == 15
+    assert 0 not in regs(lm[0][0])
 
 
 def test_saved_then_overwritten_registers(fixture_chase):
     # no dead registers at entry, exactly two once the saves are past
     lm = dead_registers(fixture_chase.functions["chasefn"])
-    assert len(regs(lm[(0, 0)])) == 0
-    assert len(regs(lm[(0, 1)])) == 0
-    assert regs(lm[(0, 2)]) == frozenset({1, 2})
+    assert len(regs(lm[0][0])) == 0
+    assert len(regs(lm[0][1])) == 0
+    assert regs(lm[0][2]) == frozenset({1, 2})
 
 
 def test_calls_keep_registers_live():
     p = parse_program("fn t {\nb0:\n  movi r5, 1\n  call u\n  ret\n}\nfn u { b0: ret }")
     lm = dead_registers(p.functions["t"])
     # r5 is written at 0, but everything else stays live into the call
-    assert regs(lm[(0, 0)]) == frozenset({5})
+    assert regs(lm[0][0]) == frozenset({5})
 
 
 def test_stores_read_the_value_register():
     p = parse_program("fn t {\nb0:\n  store.sp -8\n  ret\n}")
     lm = dead_registers(p.functions["t"])
-    assert 0 not in regs(lm[(0, 0)])
+    assert 0 not in regs(lm[0][0])
 
 
 def _reference_dead(fn) -> dict:
@@ -266,7 +271,7 @@ def _random_cfgs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_random_cfgs())
 def test_liveness_matches_round_robin_reference(fn):
-    assert {at: regs(m) for at, m in dead_registers(fn).items()} == _reference_dead(fn)
+    assert {(bid, idx): regs(m) for bid, masks in dead_registers(fn).items() for idx, m in enumerate(masks)} == _reference_dead(fn)
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,7 +279,7 @@ def test_liveness_matches_round_robin_reference(fn):
 def test_liveness_matches_reference_on_generated_programs(seed):
     p = generate_program(seed, GenConfig(), adversarial=seed % 2 == 0)
     for fn in p.functions.values():
-        assert {at: regs(m) for at, m in dead_registers(fn).items()} == _reference_dead(fn)
+        assert {(bid, idx): regs(m) for bid, masks in dead_registers(fn).items() for idx, m in enumerate(masks)} == _reference_dead(fn)
 
 
 # ---- equivalence pin: every analysis result over a fixed corpus ----
@@ -361,15 +366,21 @@ def _analysis_record(program) -> list:
     analysis = analyze_program(program)
     record = []
     for name, fn in program.functions.items():
-        hmap, lmap = analysis.heights[name], analysis.liveness[name]
+        entries, lmap = analysis.heights[name].entries, analysis.liveness[name]
         instrs = []
-        for bid, idx in ((b, i) for b, block in fn.blocks.items() for i in range(len(block.instrs))):
-            facts = hmap.get((bid, idx))
-            heights = None
-            if facts is not None:
-                reg_heights = [_height_json(facts.regs[r]) for r in range(16)]
-                heights = [_height_json(facts.sp), _height_json(facts.dest), reg_heights]
-            instrs.append([bid, idx, heights, sorted(regs(lmap[(bid, idx)]))])
+        for bid, block in fn.blocks.items():
+            # the state before each instruction of a reached block, replayed
+            # from the block's entry state; an unreached block has none
+            state = entries.get(bid)
+            for idx, ins in enumerate(block.instrs):
+                heights = None
+                if state is not None:
+                    sp, reg_state = state
+                    sp_after, regs_after, dest = _step(sp, reg_state, ins)
+                    reg_heights = [_height_json(reg_state[r]) for r in range(16)]
+                    heights = [_height_json(sp), _height_json(dest), reg_heights]
+                    state = sp_after, regs_after
+                instrs.append([bid, idx, heights, sorted(regs(lmap[bid][idx]))])
         classes = sorted([b, i, c] for (b, i), c in analysis.classes[name].items())
         record.append([name, instrs, classes])
     return [record, analysis.safety.to_json()]
@@ -380,3 +391,112 @@ def test_analysis_equivalence_pin():
     for name, program in _pinned_analysis_programs():
         digest.update(json.dumps([name, _analysis_record(program)], sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_ANALYSIS_DIGEST
+
+
+# ---- differential test: the per-block facts against per-instruction ones ----
+
+def _per_instruction_heights(fn) -> dict:
+    """The height fixpoint as it was when it kept one record per
+    instruction: (block id, index) -> (sp, regs, dest), the state before
+    the instruction and the height it writes, as of its block's last visit."""
+    facts = {}
+    in_states = {fn.entry_block: (0, ALL_BOTTOM)}
+    work, queued = deque([fn.entry_block]), {fn.entry_block}
+    while work:
+        bid = work.popleft()
+        queued.discard(bid)
+        sp, regs = in_states[bid]
+        for idx, ins in enumerate(fn.blocks[bid].instrs):
+            sp_after, regs_after, dest = _step(sp, regs, ins)
+            facts[(bid, idx)] = (sp, regs, dest)
+            sp, regs = sp_after, regs_after
+        for succ in fn.blocks[bid].successors:
+            cur = in_states.get(succ)
+            if cur is not None:
+                new = (join_height(cur[0], sp), tuple(map(join_height, cur[1], regs)))
+                if new == cur:
+                    continue
+                in_states[succ] = new
+            else:
+                in_states[succ] = (sp, regs)
+            if succ not in queued:
+                work.append(succ)
+                queued.add(succ)
+    return facts
+
+
+def _per_instruction_dead(fn) -> dict:
+    """The liveness worklist as it was when it kept one dict entry per
+    instruction: (block id, index) -> the mask of registers dead before it."""
+    succs = {bid: block.successors for bid, block in fn.blocks.items()}
+    preds = {bid: [] for bid in fn.blocks}
+    block_use, block_def = {}, {}
+    for bid, block in fn.blocks.items():
+        for succ in succs[bid]:
+            preds[succ].append(bid)
+        use = defs = 0
+        for uses, defines in map(instr_masks, block.instrs):
+            use |= uses & ~defs
+            defs |= defines
+        block_use[bid], block_def[bid] = use, defs
+    order = [bid for comp in sccs([fn.entry_block], succs) for bid in comp]
+    reached = set(order)
+    order += [bid for bid in fn.blocks if bid not in reached]
+    live_in = dict.fromkeys(fn.blocks, 0)
+    live_out = dict.fromkeys(fn.blocks, 0)
+    work, queued = deque(order), set(order)
+    while work:
+        bid = work.popleft()
+        queued.discard(bid)
+        out = 0
+        for succ in succs[bid]:
+            out |= live_in[succ]
+        live_out[bid] = out
+        new_in = block_use[bid] | out & ~block_def[bid]
+        if new_in != live_in[bid]:
+            live_in[bid] = new_in
+            for pred in preds[bid]:
+                if pred not in queued:
+                    work.append(pred)
+                    queued.add(pred)
+    dead = {}
+    for bid, block in fn.blocks.items():
+        live = live_out[bid]
+        for idx in range(len(block.instrs) - 1, -1, -1):
+            uses, defs = instr_masks(block.instrs[idx])
+            live = live & ~defs | uses
+            dead[(bid, idx)] = ALL_MASK & ~live
+    return dead
+
+
+def _assert_block_facts_match(fn):
+    """Replaying `_step` from each block entry gives the per-instruction
+    heights, the stores' heights among them, and the dead tuples flatten to
+    the per-instruction masks, position for position."""
+    h, oracle = stack_heights(fn), _per_instruction_heights(fn)
+    replayed = {}
+    for bid, (sp, regs_at) in h.entries.items():
+        for idx, ins in enumerate(fn.blocks[bid].instrs):
+            sp_after, regs_after, dest = _step(sp, regs_at, ins)
+            replayed[(bid, idx)] = (sp, regs_at, dest)
+            sp, regs_at = sp_after, regs_after
+    assert replayed == oracle, fn.name
+    assert h.stores == {at: f[2] for at, f in oracle.items() if fn.blocks[at[0]].instrs[at[1]].is_store}, fn.name
+    dead = dead_registers(fn)
+    assert list(dead) == list(fn.blocks) and all(len(dead[b]) == len(fn.blocks[b].instrs) for b in fn.blocks)
+    flat = {(bid, idx): m for bid, masks in dead.items() for idx, m in enumerate(masks)}
+    assert flat == _per_instruction_dead(fn), fn.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_block_facts_match_per_instruction_facts(seed, adversarial):
+    p = generate_program(seed, GenConfig(), adversarial=adversarial)
+    for fn in p.functions.values():
+        _assert_block_facts_match(fn)
+
+
+def test_block_facts_match_per_instruction_facts_on_chains():
+    for text in (_diamond_chain(300), _loop_chain(450)):
+        for fn in parse_program(text).functions.values():
+            _assert_block_facts_match(fn)

@@ -604,18 +604,18 @@ def test_verify_prepares_each_adversarial_program_as_the_campaign_reaches_it(mon
 def _skewed(checks, program, skew):
     """`checks` for `program` with wrong facts: heights off by 8, or every
     register dead."""
-    from shadowlab.analysis import AnalysisChecks
+    from shadowlab.analysis import AnalysisChecks, Heights
     from shadowlab.mir import NUM_REGS
 
     if skew == "height":
         heights = {
-            name: {at: f._replace(dest=f.dest - 8) if isinstance(f.dest, int) else f for at, f in facts.items()}
-            for name, facts in checks.heights.items()
+            name: Heights(h.entries, {at: d - 8 if isinstance(d, int) else d for at, d in h.stores.items()})
+            for name, h in checks.heights.items()
         }
         return AnalysisChecks(heights, checks.liveness, checks.classes)
     every = (1 << NUM_REGS) - 1
     liveness = {
-        name: {(bid, idx): every for bid, block in fn.blocks.items() for idx in range(len(block.instrs))}
+        name: {bid: (every,) * len(block.instrs) for bid, block in fn.blocks.items()}
         for name, fn in program.functions.items()
     }
     return AnalysisChecks(checks.heights, liveness, checks.classes)

@@ -39,7 +39,7 @@ def flow_block(block, heights, d, fn_values):
     v = d
     for idx, ins in enumerate(block.instrs):
         if ins.is_store:
-            safe = ins.opcode == "store.global" or is_safe_height(heights[(block.bid, idx)].dest)
+            safe = ins.opcode == "store.global" or is_safe_height(heights.stores[(block.bid, idx)])
             v = rs_join(v, RS_TRUE if safe else RS_FALSE)
         if ins.opcode == "call":
             v = rs_join(v, fn_values.get(ins.args[0], RS_FALSE))
@@ -119,7 +119,7 @@ def test_flow_block_no_stores_no_calls():
 def test_flow_block_single_safe_store():
     text = "fn t {\nb0:\n  spadd -16\n  store.sp 0\n  ret\n}"
     h = stack_heights(parse_program(text).functions["t"])
-    assert h[(0, 1)].dest == -16  # is_safe holds
+    assert h.stores[(0, 1)] == -16  # is_safe holds
     assert block_value(text) == RS_TRUE
 
 

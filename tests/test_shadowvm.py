@@ -619,7 +619,8 @@ def test_tampered_inlined_body_raises(mode):
     with pytest.raises(CheckMappingError, match=rf"^main\.b0\[{idx}\]: store\.sp where input tiny\.b0\[1\] has store\.reg$"):
         build_checks(tampered, p, analysis)
     checks = build_checks(ip, p, analysis)
-    assert checks.heights["main"][(0, idx)] is analysis.heights["tiny"][(0, 1)]
+    assert checks.heights["main"].stores[(0, idx)] == analysis.heights["tiny"].stores[(0, 1)]
+    assert checks.heights["main"] is not analysis.heights["tiny"]
     assert checks.classes["main"][(0, idx)] == analysis.classes["tiny"][(0, 1)] == UNSAFE
 
 
@@ -656,7 +657,8 @@ def test_each_rewrite_is_mapped_once_and_never_served_stale_facts(monkeypatch, c
     with pytest.raises(CheckMappingError, match=rf"^b\.b0\[{idx}\]: store\.sp 0 where input b0\[1\] has store\.sp 8$"):
         build_checks(_retouched(ip, "b", 0, idx, Instr("store.sp", (0,))), call_tree, analysis)
     assert build_checks(ip, call_tree, analysis).heights["b"] is honest.heights["b"]
-    assert honest.heights["b"][(0, idx)] is analysis.heights["b"][(0, 1)]
+    assert honest.heights["b"].stores[(0, idx)] == analysis.heights["b"].stores[(0, 1)]
+    assert honest.heights["b"] is not analysis.heights["b"]
     # ... and only the input program they came from
     moved = _retouched(InstrumentedProgram(call_tree, "BASE", {}), "b", 0, 1, Instr("store.sp", (0,))).program
     with pytest.raises(CheckMappingError, match=rf"^b\.b0\[{idx}\]: store\.sp 8 where input b0\[1\] has store\.sp 0$"):
@@ -664,7 +666,8 @@ def test_each_rewrite_is_mapped_once_and_never_served_stale_facts(monkeypatch, c
     # ... and only the analysis they came from
     fresh = analyze_program(call_tree)
     again = build_checks(ip, call_tree, fresh)
-    assert again.heights["b"][(0, idx)] is fresh.heights["b"][(0, 1)]
+    assert again.heights["b"].stores[(0, idx)] == fresh.heights["b"].stores[(0, 1)]
+    assert again.heights["b"] is not honest.heights["b"]
     assert again.classes["b"] == honest.classes["b"] and again.classes["b"] is not honest.classes["b"]
 
 
@@ -1220,7 +1223,7 @@ def reference_execute(
                     act = frame.act
                     idx += 1
             elif op == UNKNOWN:
-                raise _VmFault(f"unhandled opcode {a}")
+                raise _VmFault(a)
             else:
                 shadow_instr += b
                 shadow_mem += c
@@ -1602,6 +1605,32 @@ def test_block_without_terminator_faults():
     one = parse_program("fn main {\nb0:\n  movi r0, 1\n}\n")
     trace, outcome = execute(one, ExecInput(), 100)
     assert outcome.evidence == (reason,) and trace.instr_count == 1
+
+
+@pytest.mark.parametrize("body, reason, steps", [
+    ("  br b7\n", "main.b0: branch to unknown block b7", 1),
+    ("  movi r0, 1\n  call ghost\n  halt\n", "main.b0: call to unknown function 'ghost'", 2),
+    ("  brc b9, b1\nb1:\n  halt\n", "main.b0: branch to unknown block b9", 1),
+])
+def test_broken_reference_faults_where_it_is_reached(body, reason, steps):
+    # only the library API runs such a program: validate_program rejects it.
+    # compile decodes the broken reference as a fault op, whichever arm a
+    # brc would take, and a block the run never enters does not fault
+    p = parse_program(f"fn main {{\nb0:\n{body}}}\n")
+    assert validate_program(p)
+    for decisions in ((), (True,), (False,)):
+        trace, outcome = execute(p, ExecInput(decisions), 100, record=True)
+        assert outcome == Outcome(FAULT, evidence=(reason,)) and trace.instr_count == steps
+        assert trace.log[-1] == ("fault", reason)
+        check_against_reference(compile(p), ExecInput(decisions), 100, reason)
+    unreached = parse_program(f"fn main {{\nb0:\n  movi r0, 3\n  halt\nb5:\n{body}}}\n")
+    assert execute(unreached, ExecInput(), 100)[1] == Outcome(COMPLETED, None, None, 3)
+
+
+def test_unhandled_opcode_faults_with_its_name():
+    p = Program({"main": Function("main", {0: Block(0, (Instr("nop"), Instr("halt")))})}, entry="main")
+    trace, outcome = execute(p, ExecInput(), 100)
+    assert outcome == Outcome(FAULT, evidence=("unhandled opcode nop",)) and trace.instr_count == 1
 
 
 def test_step_loop_matches_reference_on_a_miscounted_walk():

@@ -725,12 +725,12 @@ def mapped_and_analysed(p):
             if fn is p.functions[name]:
                 continue
             stores = [(b, i) for b, block in fn.blocks.items() for i, ins in enumerate(block.instrs) if ins.is_store]
-            assert sorted(mapped.heights[name]) == sorted(mapped.classes[name]) == sorted(stores)
+            assert sorted(mapped.heights[name].stores) == sorted(mapped.classes[name]) == sorted(stores)
             for at in stores:
                 yield (
                     mode, name, at,
-                    (mapped.heights[name][at].dest, mapped.classes[name][at]),
-                    (fresh.heights[name][at].dest, fresh.classes[name][at]),
+                    (mapped.heights[name].stores[at], mapped.classes[name][at]),
+                    (fresh.heights[name].stores[at], fresh.classes[name][at]),
                 )
 
 
