@@ -27,11 +27,11 @@ counts their bits and the VM checks against them.
 Both analyses keep their results per block.  `stack_heights` returns each
 reached block's entry state and the destination height of each store;
 replaying `_step` from a block's entry state gives the state at any of its
-instructions.  `dead_registers` returns per block a tuple of the masks of
-registers dead just before each instruction.  `AnalysisChecks` holds them
-per function, with the write classes, as the one record of a program's
-analysis: planning extends it with the safety verdicts
-(`transform.ProgramAnalysis`), and the VM validates against it.
+instructions, and a store's `write_class` is derived from its height.
+`dead_registers` returns per block a tuple of the masks of registers dead
+just before each instruction.  `AnalysisChecks` holds both per function as
+the one record of a program's analysis: planning extends it with the safety
+verdicts (`transform.ProgramAnalysis`), and the VM validates against it.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class Heights(NamedTuple):
     reached to the state `(sp, regs)` before its first instruction, `regs`
     the height of every register, Bottom for one not derived from the stack
     pointer.  `stores` maps the (block id, instruction index) of each store
-    in a reached block to the height of the word it writes; store.global
-    carries Bottom and is classified separately."""
+    in a reached block to the height of the word it writes; store.global,
+    and only it, carries Bottom."""
 
     entries: dict[int, tuple]
     stores: dict[tuple[int, int], Height]
@@ -174,22 +174,24 @@ def stack_heights(fn: Function) -> Heights:
     return Heights(in_states, stores)
 
 
+def write_class(height) -> str:
+    """A store's write class from its height: GLOBAL for Bottom (store.global),
+    SAFE_STACK strictly below the return-address slot, UNSAFE for anything
+    else, None included: a store in a block the fixpoint never reached."""
+    if height is BOTTOM:
+        return GLOBAL
+    return SAFE_STACK if is_safe_height(height) else UNSAFE
+
+
 def classify_writes(fn: Function, heights: Heights) -> dict[tuple[int, int], str]:
     """Total classification of every store: its (block id, instruction index)
-    maps to SAFE_STACK, GLOBAL or UNSAFE."""
-    stores = heights.stores
-    classes: dict[tuple[int, int], str] = {}
-    for bid, block in fn.blocks.items():
-        for idx, ins in enumerate(block.instrs):
-            if not ins.is_store:
-                continue
-            if ins.opcode == "store.global":
-                classes[(bid, idx)] = GLOBAL
-            elif is_safe_height(stores[(bid, idx)]):
-                classes[(bid, idx)] = SAFE_STACK
-            else:
-                classes[(bid, idx)] = UNSAFE
-    return classes
+    maps to its `write_class`."""
+    return {
+        (bid, idx): write_class(heights.stores.get((bid, idx)))
+        for bid, block in fn.blocks.items()
+        for idx, ins in enumerate(block.instrs)
+        if ins.is_store
+    }
 
 
 ALL_MASK = (1 << NUM_REGS) - 1
@@ -288,4 +290,3 @@ class AnalysisChecks:
 
     heights: Mapping[str, Heights]
     liveness: Mapping[str, Mapping[int, tuple[int, ...]]]    # dead-register masks per block
-    classes: Mapping[str, Mapping[tuple[int, int], str]]

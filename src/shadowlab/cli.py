@@ -13,10 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import NoReturn
+from typing import Mapping, NoReturn
 
 from .mir import NUM_REGS, SHADOW_OPCODES, Diagnostic, MirError, Program, parse_program, print_program, validate_program
-from .analysis import GLOBAL, SAFE_STACK, UNSAFE
+from .analysis import GLOBAL, SAFE_STACK, UNSAFE, Heights, classify_writes
 from .transform import (
     FN_ELIDED,
     FN_FULL,
@@ -117,9 +117,9 @@ def _instr_stats(plan: InstrumentationPlan) -> dict:
     }
 
 
-def _write_stats(analysis: ProgramAnalysis) -> dict:
+def _write_stats(program: Program, heights: Mapping[str, Heights]) -> dict:
     """Shares of the program's stores per write class."""
-    counts = Counter(cls for classes in analysis.classes.values() for cls in classes.values())
+    counts = Counter(c for name, fn in program.functions.items() for c in classify_writes(fn, heights[name]).values())
     total = sum(counts.values())
     pct = lambda n: 100.0 * n / total if total else 0.0
     return {
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
     out = {
         "safety": analysis.safety.to_json(),
         "instrumentation": _instr_stats(plan),
-        "writes": _write_stats(analysis),
+        "writes": _write_stats(program, analysis.heights),
         "safe_paths": {name: fp.safe_paths for name, fp in plan.per_function.items()},
     }
     if args.json:
@@ -311,7 +311,7 @@ def cmd_stats(args) -> int:
             {
                 "name": path.stem,
                 "instrumentation": _instr_stats(plan),
-                "writes": _write_stats(analysis),
+                "writes": _write_stats(program, analysis.heights),
             }
         )
     if not rows:
@@ -371,7 +371,7 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
             continue
         passed.update((id(fn), fn) for fn in ip.program.functions.values())
         try:
-            # heights and classes map from the input's analysis by position
+            # store heights map from the input's analysis by position
             mapped = build_checks(ip, program, analysis)
         except CheckMappingError as exc:
             report.violation(f"{name}/{mode}: {exc}")

@@ -2,8 +2,8 @@
 
 The value lattice is flat over {True, False}: Bottom below both, Top above.
 A block's value joins the safety of each of its stores with the values of
-its direct call targets.  A store's safety is read from the write classes of
-`analysis.classify_writes`: True unless its class is UNSAFE (a write that may
+its direct call targets.  A store's safety is read from its height through
+`analysis.write_class`: True unless its class is UNSAFE (a write that may
 reach a return-address slot).  A block containing an indirect call, or a
 direct call to a function outside the program, joins False, since those
 targets cannot be trusted.  A function's value joins its blocks' values.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .mir import Program, sccs
-from .analysis import UNSAFE
+from .analysis import Heights, UNSAFE, write_class
 
 RS_BOTTOM = 0
 RS_TRUE = 1
@@ -64,40 +64,37 @@ class SafetyResult:
         }
 
 
-def calculate_ra_safety(
-    program: Program, classes: Mapping[str, Mapping[tuple[int, int], str]]
-) -> SafetyResult:
+def calculate_ra_safety(program: Program, heights: Mapping[str, Heights]) -> SafetyResult:
     """One fold over the call graph's components, callees first.
 
     One scan per block records its own value (the join of its stores'
-    safety, False for an indirect call and False for a direct call outside
-    the program) and its direct callees in the program, the call graph's
-    edges.  Every value is a join, so the least fixpoint gives all members of
-    a component one value: the join of their blocks' own values and of the
-    values of the callees outside the component, which Tarjan's order has
-    already folded.  A block's value is its own value joined with its
-    callees' values.
+    safety from `heights`, False for an indirect call and False for a
+    direct call outside the program) and its direct callees in the program,
+    once each in first-call order: the call graph's edges.  Every value is a
+    join, so the least fixpoint gives all members of a component one value:
+    the join of their blocks' own values and of the values of the callees
+    outside the component, which Tarjan's order has already folded.  A
+    block's value is its own value joined with its callees' values.
     """
     own: dict[tuple[str, int], int] = {}
-    callees: dict[tuple[str, int], list[str]] = {}
-    succs: dict[str, list[str]] = {}    # callees in the program, first call first
+    callees: dict[tuple[str, int], dict[str, None]] = {}
+    succs: dict[str, dict[str, None]] = {}    # callees in the program, first call first
     for name, fn in program.functions.items():
-        fn_classes = classes[name]
-        fn_succs = succs[name] = []
+        stores = heights[name].stores
+        fn_succs = succs[name] = {}
         for bid, block in fn.blocks.items():
             v = RS_BOTTOM
-            called: list[str] = []
+            called: dict[str, None] = {}
             for idx, ins in enumerate(block.instrs):
                 if ins.is_store:
-                    v = rs_join(v, RS_FALSE if fn_classes[(bid, idx)] == UNSAFE else RS_TRUE)
+                    v = rs_join(v, RS_FALSE if write_class(stores.get((bid, idx))) == UNSAFE else RS_TRUE)
                 elif ins.opcode == "call" and ins.args[0] in program.functions:
-                    if ins.args[0] not in called:
-                        called.append(ins.args[0])
+                    called[ins.args[0]] = None
                 elif ins.opcode in ("call", "icall"):
                     v = rs_join(v, RS_FALSE)
             own[(name, bid)] = v
             callees[(name, bid)] = called
-            fn_succs += [c for c in called if c not in fn_succs]
+            fn_succs.update(called)
 
     fn_values = dict.fromkeys(program.functions, RS_BOTTOM)
 

@@ -70,7 +70,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .mir import NUM_REGS, Program, RETURN_REG
-from .analysis import AnalysisChecks, UNSAFE, instr_masks
+from .analysis import AnalysisChecks, UNSAFE, instr_masks, write_class
 from .transform import (
     COST_POP,
     COST_PUSH,
@@ -258,16 +258,16 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                 or branch to a function or block that does not exist
     `idx` is its index in the block.  `live` is (dead before, uses, defs) as
     register bitmasks when the liveness check has anything to do at that
-    instruction, else None.  Write classes, store heights and dead masks
-    come from `checks`, which apply to the program they were built for; a
-    position they lack reads as no dead registers and no expected height,
-    and a function without dead register masks gets no liveness check.
+    instruction, else None.  Store heights, which give the write classes,
+    and dead masks come from `checks`, which apply to the program they were
+    built for; a position they lack reads as no dead registers, height or
+    class, and a function without dead masks gets no liveness check.
     """
     if isinstance(target, InstrumentedProgram):
         program, resolved = target.program, target.functions
     else:
         program, resolved = target, {}
-    heights, liveness, classes = (checks.heights, checks.liveness, checks.classes) if checks else ({}, {}, {})
+    heights, liveness = (checks.heights, checks.liveness) if checks else ({}, {})
 
     fns = {name: _Fn(name, fn.entry_block, resolved.get(name)) for name, fn in program.functions.items()}
     cookie = COOKIE_BASE
@@ -277,7 +277,6 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
         tainted = rf.block_sources if rf else ()
         hmap = heights[name].stores if name in heights else {}
         lmap = liveness.get(name)
-        cmap = classes.get(name, {})
         out = fns[name]
         blocks = fn.blocks
         for bid, block in blocks.items():
@@ -305,8 +304,8 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                     if a not in blocks or op == BRC and b not in blocks:
                         op, a = UNKNOWN, f"{name}.b{bid}: branch to unknown block b{a if a not in blocks else b}"
                 elif op == STORE_SP or op == STORE_REG:
-                    b = cmap.get((bid, idx))
                     c = hmap.get((bid, idx))
+                    b = None if c is None else write_class(c)
                     c = c if isinstance(c, int) else None
                 elif op >= SPUSH:
                     b, c = costs.get((bid, idx)) or DEFAULT_COSTS[opname]

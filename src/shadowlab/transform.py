@@ -27,11 +27,11 @@ gives each output block whose id is not its input's its input block, and
 `_spliced` is the one splice layout, which `_rewrite` inlines by.  The
 check mapping reads both: `build_checks(ip, input, analysis)` keeps the
 input's facts for a function the target shares with its input, and in any
-other rewrite a store keeps the height and write class of the input
-instruction at its position, shadow operations aside, an inlined call's
-body the callee's, so the VM validates every rewrite against the program it
-was made from, not against itself.  A rewrite that modes share is mapped
-once.  `strip_instrumentation` reads the map to undo the rewrite.
+other rewrite a store keeps the height of the input instruction at its
+position, shadow operations aside, an inlined call's body the callee's, so
+the VM validates every rewrite against the program it was made from, not
+against itself.  A rewrite that modes share is mapped once.
+`strip_instrumentation` reads the map to undo the rewrite.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from .analysis import (
     AnalysisChecks,
     Heights,
     UNSAFE,
-    classify_writes,
     dead_registers,
     instr_masks,
     stack_heights,
+    write_class,
 )
 from .safety import SafetyResult, calculate_ra_safety
 
@@ -156,12 +156,10 @@ class ProgramAnalysis(AnalysisChecks):
 
 
 def analyze_program(program: Program) -> ProgramAnalysis:
-    """Run every per-function analysis plus the safety fixpoint."""
+    """Run both per-function analyses plus the safety fixpoint."""
     heights = {name: stack_heights(fn) for name, fn in program.functions.items()}
     liveness = {name: dead_registers(fn) for name, fn in program.functions.items()}
-    classes = {name: classify_writes(fn, heights[name]) for name, fn in program.functions.items()}
-    safety = calculate_ra_safety(program, classes)
-    return ProgramAnalysis(heights, liveness, classes, safety)
+    return ProgramAnalysis(heights, liveness, calculate_ra_safety(program, heights))
 
 
 def plan_program(program: Program) -> tuple[ProgramAnalysis, InstrumentationPlan]:
@@ -294,11 +292,7 @@ def inline_eligible(fn: Function) -> bool:
     return all(i.opcode not in _INLINE_FORBIDDEN for i in block.instrs[:-1])
 
 
-def _chase_point(
-    block: Block,
-    dead: Mapping[int, tuple[int, ...]],
-    classes: Mapping[tuple[int, int], str],
-) -> tuple[int, int] | None:
+def _chase_point(block: Block, dead: Mapping[int, tuple[int, ...]], stores: Mapping) -> tuple[int, int] | None:
     """Earliest in-block point with two dead registers reachable without
     crossing an unsafe store, a call, or a statically unknown sp change."""
     delta = 0
@@ -309,7 +303,7 @@ def _chase_point(
         op = ins.opcode
         if op in ("call", "icall", "spmov", "unwind") or op in TERMINATORS:
             return None
-        if op in STORE_OPCODES and classes.get((block.bid, idx)) == UNSAFE:
+        if op in STORE_OPCODES and write_class(stores.get((block.bid, idx))) == UNSAFE:
             return None
         if op == "spadd":
             delta += ins.args[0]
@@ -319,9 +313,7 @@ def _chase_point(
 def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> InstrumentationPlan:
     """Build the full per-function plan: policy candidates plus register-frame
     selection, inline sites, and dead-register chase points."""
-    safety, heights, liveness, classes = (
-        analysis.safety, analysis.heights, analysis.liveness, analysis.classes
-    )
+    safety, heights, liveness = analysis.safety, analysis.heights, analysis.liveness
     per_function: dict[str, FunctionPlan] = {}
     inline_callees = frozenset(
         name for name, fn in program.functions.items() if inline_eligible(fn)
@@ -343,7 +335,7 @@ def plan_mechanism(program: Program, analysis: ProgramAnalysis) -> Instrumentati
         if fn.is_leaf:
             plan.free_reg = find_free_register(fn)
         entry = fn.blocks[fn.entry_block]
-        plan.entry_chase = _chase_point(entry, liveness[name], classes[name])
+        plan.entry_chase = _chase_point(entry, liveness[name], heights[name].stores)
         if plan.lowered is not None:
             for src, dst in plan.lowered.transition_edges:
                 plan.edge_dead[(src, dst)] = liveness[name][dst][0].bit_count() >= 2
@@ -375,7 +367,7 @@ class ResolvedFunction:
     inlined_calls: tuple[tuple[int, int, str], ...] = ()
     op_costs: Mapping[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
     # the checks `build_checks` mapped onto this rewrite, with what they came
-    # from: (output function, input program, analysis, heights, classes)
+    # from: (output function, input program, analysis, heights)
     mapped: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -387,6 +379,14 @@ class ResolvedFunction:
         sources = {cid: bid for bid, cid in (self.clone_map or {}).items()}
         sources.update((tid, dst) for tid, (_, dst) in self.transition_blocks.items())
         return sources
+
+    @property
+    def inlined_by_block(self) -> dict[int, dict[int, str]]:
+        """`inlined_calls` grouped by output block: block id -> {input index: callee}."""
+        inlined: dict[int, dict[int, str]] = {}
+        for bid, k, callee in self.inlined_calls:
+            inlined.setdefault(bid, {})[k] = callee
+        return inlined
 
     def to_json(self) -> dict:
         """This function's plan for `json.dumps`, which writes each tuple as
@@ -617,37 +617,38 @@ class CheckMappingError(Exception):
 
 
 def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChecks) -> AnalysisChecks:
-    """The heights and write classes of `ip`, the instrumented `source`,
-    for the VM to validate live, from `analysis`, the analysis of `source`.
+    """The store heights of `ip`, the instrumented `source`, for the VM to
+    validate live, from `analysis`, the analysis of `source`.
 
-    A function `ip` shares with `source` keeps its facts.  Those of every
+    A function `ip` shares with `source` keeps its heights.  Those of every
     other function, inlined calls or not, are mapped from its input's
-    (`_mapped_facts`): store heights and classes only, with no block entry
-    states, which is all `compile` reads, and an output instruction that is
+    (`_mapped_facts`): store heights only, with no block entry states,
+    which is all `compile` reads, and an output instruction that is
     not the input's at its position raises CheckMappingError.  A rewrite
     keeps its mapped facts in its ResolvedFunction, so modes that share it
     map it once; they serve only the same output function, `source` and
     `analysis`, and any other object of those three is mapped afresh.  No
     function carries dead register masks."""
     originals = source.functions
-    heights, classes = {}, {}
+    heights = {}
     for name, fn in ip.program.functions.items():
         if fn is originals.get(name):
-            heights[name], classes[name] = analysis.heights[name], analysis.classes[name]
+            heights[name] = analysis.heights[name]
             continue
         rf = ip.functions[name]
         mapped = rf.mapped
         if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
-            mapped = rf.mapped = (fn, source, analysis, *_mapped_facts(originals, fn, rf, analysis))
-        heights[name], classes[name] = mapped[3:]
-    return AnalysisChecks(heights, {}, classes)
+            mapped = rf.mapped = (fn, source, analysis, _mapped_facts(originals, fn, rf, analysis))
+        heights[name] = mapped[3]
+    return AnalysisChecks(heights, {})
 
 
 def _mapped_facts(
     originals: Mapping[str, Function], fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks
-) -> tuple[Heights, dict[tuple[int, int], str]]:
-    """The heights and classes at the stores of `fn`, the rewrite `rf`
-    describes of its input in `originals`, taken from `analysis`.
+) -> Heights:
+    """The heights at the stores of `fn`, the rewrite `rf` describes of its
+    input in `originals`, taken from `analysis`, none where the input's
+    store has none (its block was never reached).
 
     Instrumentation inserts shadow operations without changing what the
     other instructions do.  `rf.block_sources` gives each output block whose
@@ -663,7 +664,7 @@ def _mapped_facts(
     if source is None:
         raise CheckMappingError(f"{name}: no input function to map checks from")
     sources, transitions = rf.block_sources, rf.transition_blocks
-    hmap, cmap = {}, {}
+    hmap, inlined = {}, rf.inlined_by_block
     for bid, block in fn.blocks.items():
         src = sources.get(bid, bid)
         if bid in transitions:
@@ -675,8 +676,7 @@ def _mapped_facts(
         src_block = source.blocks.get(src)
         if src_block is None:
             raise CheckMappingError(f"{name}.b{bid}: no input block b{src}")
-        calls = {k: c for b, k, c in rf.inlined_calls if b == bid}
-        at = _spliced(originals, name, src_block, calls) if calls else None
+        at = _spliced(originals, name, src_block, inlined[bid]) if bid in inlined else None
         src_instrs = [originals[f].blocks[b].instrs[k] for f, b, k in at[:-1]] if at else src_block.instrs
         n = len(src_instrs)
         i = 0
@@ -700,13 +700,14 @@ def _mapped_facts(
                     )
             if op in STORE_OPCODES:
                 f, b, k = at[i] if at else (name, src, i)
-                hmap[(bid, idx)] = analysis.heights[f].stores[(b, k)]
-                cmap[(bid, idx)] = analysis.classes[f][(b, k)]
+                stores = analysis.heights[f].stores
+                if (b, k) in stores:
+                    hmap[(bid, idx)] = stores[(b, k)]
             i += 1
         if i != n:
             was = src_instrs[i].opcode
             raise CheckMappingError(f"{name}.b{bid}: ends where input {_input_position(name, src, at, i)} has {was}")
-    return Heights({}, hmap), cmap
+    return Heights({}, hmap)
 
 
 def _input_position(name: str, src: int, at: list | None, i: int) -> str:
@@ -728,6 +729,7 @@ def strip_instrumentation(ip: InstrumentedProgram) -> Program:
     for name, fn in ip.program.functions.items():
         rf = ip.functions[name]
         sources = rf.block_sources
+        inlined = rf.inlined_by_block
         merged: dict[int, Block] = {}
         for bid, block in fn.blocks.items():
             orig_id = sources.get(bid, bid)
@@ -740,7 +742,7 @@ def strip_instrumentation(ip: InstrumentedProgram) -> Program:
                 if ins.opcode in ("br", "brc"):
                     ins = Instr(ins.opcode, tuple(sources.get(t, t) for t in ins.args))
                 instrs.append(ins)
-            for idx, callee in sorted((k, c) for b, k, c in rf.inlined_calls if b == bid):
+            for idx, callee in sorted(inlined.get(bid, {}).items()):
                 body = ip.program.functions[callee]
                 n = sum(i.opcode not in SHADOW_OPCODES for i in body.blocks[body.entry_block].instrs) - 1
                 instrs[idx:idx + n] = [Instr("call", (callee,))]

@@ -16,7 +16,7 @@ from shadowlab.gen import GenConfig, generate_program
 from shadowlab.cli import VerifyConfig, verify_run
 
 from conftest import unwind_fixture
-from test_safety import all_classes, chaotic_oracle
+from test_safety import chaotic_oracle
 
 CAMPAIGN_CFG = VerifyConfig(
     seed=20260810,
@@ -54,7 +54,7 @@ def campaign():
 def test_call_tree_verdicts(call_tree):
     t0 = time.time()
     heights = {n: stack_heights(f) for n, f in call_tree.functions.items()}
-    safety = calculate_ra_safety(call_tree, all_classes(call_tree))
+    safety = calculate_ra_safety(call_tree, heights)
     verdicts = {n: safety.ra_safe_fn(n) for n in call_tree.functions}
     expected = {"a": False, "b": True, "c": False, "d": True, "e": True, "f": False}
     from shadowlab.analysis import UNSAFE, classify_writes
@@ -108,7 +108,7 @@ def test_oracle_equivalence():
         assert len(program.functions) <= 12
         assert all(len(fn.blocks) <= 8 for fn in program.functions.values())
         heights = {n: stack_heights(f) for n, f in program.functions.items()}
-        result = calculate_ra_safety(program, all_classes(program))
+        result = calculate_ra_safety(program, heights)
         bv, fv = chaotic_oracle(program, heights)
         if result.block_values != bv or result.fn_values != fv:
             mismatches += 1

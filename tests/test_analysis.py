@@ -19,6 +19,7 @@ from shadowlab.analysis import (
     is_safe_height,
     join_height,
     stack_heights,
+    write_class,
     _step,
 )
 from shadowlab.mir import sccs
@@ -172,6 +173,19 @@ def test_is_safe_height_boundary():
     assert not is_safe_height(-7)
     assert not is_safe_height(TOP)
     assert not is_safe_height(BOTTOM)
+
+
+def test_write_class_of_each_height():
+    # None is the height of a store in a block the fixpoint never reached
+    assert [write_class(h) for h in (-8, -64, -7, 0, 8, TOP, BOTTOM, None)] == [
+        SAFE_STACK, SAFE_STACK, UNSAFE, UNSAFE, UNSAFE, UNSAFE, GLOBAL, UNSAFE,
+    ]
+
+
+def test_classify_store_in_unreached_block_as_unsafe():
+    fn, h = heights_of("fn t {\nb0:\n  ret\nb1:\n  store.sp -8\n  store.global g\n  br b0\n}")
+    assert h.stores == {}
+    assert classify_writes(fn, h) == {(1, 0): UNSAFE, (1, 1): UNSAFE}
 
 
 def test_dead_after_write_before_read():
@@ -381,7 +395,7 @@ def _analysis_record(program) -> list:
                     heights = [_height_json(sp), _height_json(dest), reg_heights]
                     state = sp_after, regs_after
                 instrs.append([bid, idx, heights, sorted(regs(lmap[bid][idx]))])
-        classes = sorted([b, i, c] for (b, i), c in analysis.classes[name].items())
+        classes = sorted([b, i, c] for (b, i), c in classify_writes(fn, analysis.heights[name]).items())
         record.append([name, instrs, classes])
     return [record, analysis.safety.to_json()]
 

@@ -612,13 +612,13 @@ def _skewed(checks, program, skew):
             name: Heights(h.entries, {at: d - 8 if isinstance(d, int) else d for at, d in h.stores.items()})
             for name, h in checks.heights.items()
         }
-        return AnalysisChecks(heights, checks.liveness, checks.classes)
+        return AnalysisChecks(heights, checks.liveness)
     every = (1 << NUM_REGS) - 1
     liveness = {
         name: {bid: (every,) * len(block.instrs) for bid, block in fn.blocks.items()}
         for name, fn in program.functions.items()
     }
-    return AnalysisChecks(checks.heights, liveness, checks.classes)
+    return AnalysisChecks(checks.heights, liveness)
 
 
 def _skew_checks(monkeypatch, skew):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shadowlab.mir import Block, Function, Instr, Program, parse_program, sccs
-from shadowlab.analysis import SAFE_STACK, UNSAFE, classify_writes, is_safe_height, stack_heights
+from shadowlab.analysis import SAFE_STACK, TOP, UNSAFE, classify_writes, is_safe_height, stack_heights, write_class
 from shadowlab.safety import (
     RS_BOTTOM,
     RS_FALSE,
@@ -17,7 +17,7 @@ from shadowlab.safety import (
 from shadowlab.gen import GenConfig, generate_program
 from shadowlab.transform import analyze_program
 
-from conftest import CALL_TREE, FIXTURE_DIAMOND, FIXTURE_INLINE, MEMO_CFG
+from conftest import assert_linear, CALL_TREE, FIXTURE_DIAMOND, FIXTURE_INLINE, MEMO_CFG
 
 
 def all_heights(program):
@@ -25,7 +25,7 @@ def all_heights(program):
 
 
 def all_classes(program):
-    """The write classes `calculate_ra_safety` reads, as `analyze_program` builds them."""
+    """Every store's write class, as `classify_writes` derives it from the heights."""
     return {
         name: classify_writes(fn, stack_heights(fn)) for name, fn in program.functions.items()
     }
@@ -109,7 +109,7 @@ def test_join_table():
 
 def block_value(text, fn="t", bid=0):
     p = parse_program(text)
-    return calculate_ra_safety(p, all_classes(p)).block_values[(fn, bid)]
+    return calculate_ra_safety(p, all_heights(p)).block_values[(fn, bid)]
 
 
 def test_flow_block_no_stores_no_calls():
@@ -158,7 +158,7 @@ def test_condense_single_function():
 
 
 def test_call_tree_verdicts(call_tree):
-    s = calculate_ra_safety(call_tree, all_classes(call_tree))
+    s = calculate_ra_safety(call_tree, all_heights(call_tree))
     assert {n: s.ra_safe_fn(n) for n in call_tree.functions} == {
         "a": False,
         "b": True,
@@ -170,15 +170,14 @@ def test_call_tree_verdicts(call_tree):
 
 
 def test_call_tree_c_unsafe_only_by_propagation(call_tree):
-    classes = all_classes(call_tree)
-    assert UNSAFE not in classes["c"].values()
-    s = calculate_ra_safety(call_tree, classes)
+    assert UNSAFE not in all_classes(call_tree)["c"].values()
+    s = calculate_ra_safety(call_tree, all_heights(call_tree))
     assert not s.ra_safe_fn("c")
 
 
 def test_global_only_function_is_safe():
     p = parse_program("fn t {\nb0:\n  store.global g\n  ret\n}")
-    s = calculate_ra_safety(p, all_classes(p))
+    s = calculate_ra_safety(p, all_heights(p))
     assert s.ra_safe_fn("t")
 
 
@@ -186,7 +185,7 @@ def test_self_recursion_with_safe_store_is_safe():
     p = parse_program(
         "fn r {\nb0:\n  spadd -16\n  brc b1, b2\nb1:\n  call r\n  br b2\nb2:\n  store.sp 0\n  ret\n}"
     )
-    s = calculate_ra_safety(p, all_classes(p))
+    s = calculate_ra_safety(p, all_heights(p))
     assert s.ra_safe_fn("r")
     assert (chaotic_oracle(p, all_heights(p))[1]) == s.fn_values
 
@@ -201,13 +200,13 @@ def test_call_outside_the_program_is_unsafe():
 
 def test_icall_makes_function_and_block_unsafe():
     p = parse_program("fn t {\nb0:\n  movi r2, 0\n  icall r2\n  ret\n}")
-    s = calculate_ra_safety(p, all_classes(p))
+    s = calculate_ra_safety(p, all_heights(p))
     assert not s.ra_safe_fn("t")
     assert not s.ra_safe_block("t", 0)
 
 
 def test_external_json_dump_shape(call_tree):
-    s = calculate_ra_safety(call_tree, all_classes(call_tree))
+    s = calculate_ra_safety(call_tree, all_heights(call_tree))
     dump = s.to_json()
     assert dump["functions"]["b"] == "safe"
     assert dump["functions"]["c"] == "unsafe"
@@ -219,7 +218,7 @@ def test_external_json_dump_shape(call_tree):
 def test_oracle_equivalence(seed):
     cfg = GenConfig(max_functions=12)
     p = generate_program(seed, cfg, adversarial=seed % 3 == 0)
-    s = calculate_ra_safety(p, all_classes(p))
+    s = calculate_ra_safety(p, all_heights(p))
     bv, fv = chaotic_oracle(p, all_heights(p))
     assert s.block_values == bv
     assert s.fn_values == fv
@@ -230,7 +229,7 @@ def test_oracle_equivalence(seed):
 def test_call_chain_contamination(seed):
     # unsafety propagates to every function that reaches it through calls
     p = generate_program(seed, GenConfig(), adversarial=False)
-    s = calculate_ra_safety(p, all_classes(p))
+    s = calculate_ra_safety(p, all_heights(p))
     succs = call_edges(p)
     for start in p.functions:
         reach, work = set(), [start]
@@ -247,14 +246,14 @@ def test_call_chain_contamination(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_monotone_degradation(seed):
-    # flipping one provably-safe store to unsafe never makes a verdict safer
+    # degrading one provably-safe store to Top never makes a verdict safer
     p = generate_program(seed, GenConfig(), adversarial=False)
-    classes = all_classes(p)
-    before = calculate_ra_safety(p, classes)
+    heights = all_heights(p)
+    before = calculate_ra_safety(p, heights)
     flip = None
     for name in p.functions:
-        for site, cls in sorted(classes[name].items()):
-            if cls == SAFE_STACK:
+        for site, h in sorted(heights[name].stores.items()):
+            if write_class(h) == SAFE_STACK:
                 flip = (name, site)
                 break
         if flip:
@@ -262,8 +261,8 @@ def test_monotone_degradation(seed):
     if flip is None:
         return
     name, site = flip
-    classes[name][site] = UNSAFE
-    after = calculate_ra_safety(p, classes)
+    heights[name].stores[site] = TOP
+    after = calculate_ra_safety(p, heights)
     for fn_name in p.functions:
         if not before.ra_safe_fn(fn_name):
             assert not after.ra_safe_fn(fn_name)
@@ -275,7 +274,7 @@ def test_result_is_a_fixpoint(seed):
     # re-applying either flow function to the result reproduces it exactly
     p = generate_program(seed, GenConfig(), adversarial=False)
     heights = all_heights(p)
-    s = calculate_ra_safety(p, all_classes(p))
+    s = calculate_ra_safety(p, all_heights(p))
     for name, fn in p.functions.items():
         for bid, block in fn.blocks.items():
             assert flow_block(block, heights[name], s.block_values[(name, bid)], s.fn_values) == s.block_values[(name, bid)]
@@ -283,6 +282,26 @@ def test_result_is_a_fixpoint(seed):
             flow_function(fn, heights[name], s.fn_values[name], s.block_values, s.fn_values)
             == s.fn_values[name]
         )
+
+
+def test_fold_is_linear_in_distinct_callees():
+    # n one-block leaves, each called once by one block that calls them all
+    # and once by a block of its own in a chain: the fold dedupes each
+    # block's callees and each function's call-graph successors in order
+    def prepare(n):
+        names = [f"l{i}" for i in range(n)]
+        ret = Block(0, (Instr("ret"),))
+        chain = {i: Block(i, (Instr("call", (c,)), Instr("br", (i + 1,)))) for i, c in enumerate(names)}
+        functions = {
+            "one": Function("one", {0: Block(0, tuple(Instr("call", (c,)) for c in names) + (Instr("ret"),))}),
+            "chain": Function("chain", {**chain, n: Block(n, (Instr("ret"),))}),
+        }
+        functions.update((c, Function(c, {0: ret})) for c in names)
+        p = Program(functions, entry="one")
+        heights = all_heights(p)
+        return {"calculate_ra_safety": lambda: calculate_ra_safety(p, heights)}
+
+    assert_linear(prepare)
 
 
 def reference_ra_safety(program, classes):
@@ -344,9 +363,8 @@ def reference_ra_safety(program, classes):
 
 def assert_matches_reference(program):
     """Four-valued equality with the worklist, dict order included."""
-    classes = all_classes(program)
-    s = calculate_ra_safety(program, classes)
-    bv, fv = reference_ra_safety(program, classes)
+    s = calculate_ra_safety(program, all_heights(program))
+    bv, fv = reference_ra_safety(program, all_classes(program))
     assert list(s.block_values.items()) == list(bv.items())
     assert list(s.fn_values.items()) == list(fv.items())
     return s

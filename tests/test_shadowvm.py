@@ -9,7 +9,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowlab.analysis import UNSAFE
+from shadowlab.analysis import UNSAFE, write_class
 from shadowlab.mir import (
     NUM_REGS, RETURN_REG, Block, Function, Instr, Program, parse_program, print_program, validate_program,
 )
@@ -507,11 +507,10 @@ def test_checks_share_input_facts(seed, adversarial):
     for mode in MODES:
         ip = apply_plan(p, plan, mode)
         checks = build_checks(ip, p, analysis)
-        assert checks.liveness == {} and list(checks.heights) == list(checks.classes) == list(ip.program.functions)
+        assert checks.liveness == {} and list(checks.heights) == list(ip.program.functions)
         for name, fn in ip.program.functions.items():
             if fn is p.functions[name]:
                 assert checks.heights[name] is analysis.heights[name], (mode, name)
-                assert checks.classes[name] is analysis.classes[name], (mode, name)
 
 
 def _retouched(ip, name, bid, idx, ins):
@@ -621,7 +620,7 @@ def test_tampered_inlined_body_raises(mode):
     checks = build_checks(ip, p, analysis)
     assert checks.heights["main"].stores[(0, idx)] == analysis.heights["tiny"].stores[(0, 1)]
     assert checks.heights["main"] is not analysis.heights["tiny"]
-    assert checks.classes["main"][(0, idx)] == analysis.classes["tiny"][(0, 1)] == UNSAFE
+    assert write_class(checks.heights["main"].stores[(0, idx)]) == UNSAFE
 
 
 def test_each_rewrite_is_mapped_once_and_never_served_stale_facts(monkeypatch, call_tree):
@@ -668,7 +667,6 @@ def test_each_rewrite_is_mapped_once_and_never_served_stale_facts(monkeypatch, c
     again = build_checks(ip, call_tree, fresh)
     assert again.heights["b"].stores[(0, idx)] == fresh.heights["b"].stores[(0, 1)]
     assert again.heights["b"] is not honest.heights["b"]
-    assert again.classes["b"] == honest.classes["b"] and again.classes["b"] is not honest.classes["b"]
 
 
 # main calls MEMO_CFG's memo, which PO lowers: its tainted walk goes through
@@ -1631,6 +1629,30 @@ def test_unhandled_opcode_faults_with_its_name():
     p = Program({"main": Function("main", {0: Block(0, (Instr("nop"), Instr("halt")))})}, entry="main")
     trace, outcome = execute(p, ExecInput(), 100)
     assert outcome == Outcome(FAULT, evidence=("unhandled opcode nop",)) and trace.instr_count == 1
+
+
+def test_store_the_height_fixpoint_never_reaches_is_unsafe_and_runs_in_every_mode():
+    # only the library API reaches b1, which validate_program rejects: its
+    # store has no height, so it is unsafe, and it maps and decodes with no
+    # expected height and no write class (path lowering drops the block)
+    p = parse_program("fn main {\nb0:\n  halt\nb1:\n  store.sp -8\n  br b0\n}\n")
+    assert validate_program(p)
+    analysis, plan = plan_program(p)
+    assert analysis.heights["main"].stores == {}
+    assert analysis.safety.to_json()["blocks"] == {"main.b0": "safe", "main.b1": "unsafe"}
+    decoded = 0
+    for mode in MODES:
+        ip = apply_plan(p, plan, mode)
+        checks = build_checks(ip, p, analysis)
+        assert checks.heights["main"].stores == {}, mode
+        target = compile(ip, checks)
+        main, = target.functions
+        stores = [ins for seg in main.blocks.values() for ins in seg if ins[0] == STORE_SP]
+        assert all(ins[2] is None and ins[3] is None for ins in stores), mode
+        decoded += len(stores)
+        assert execute(target, ExecInput())[1].kind == COMPLETED, mode
+    assert decoded == 4    # FULL, SFE, MO, ELIDE-ALL
+    assert execute(compile(p, analysis), ExecInput())[1].kind == COMPLETED
 
 
 def test_step_loop_matches_reference_on_a_miscounted_walk():

@@ -37,11 +37,11 @@ from shadowlab.transform import (
     resolve_mode,
     strip_instrumentation,
 )
-from shadowlab.analysis import join_height
+from shadowlab.analysis import join_height, write_class
 from shadowlab.shadowvm import ExecInput, build_checks, execute, observables
 from shadowlab.gen import GenConfig, generate_corpus, generate_program
 
-from conftest import CALL_TREE, DEEP_CHAIN, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
+from conftest import assert_linear, CALL_TREE, DEEP_CHAIN, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
 
 
 def planned(program):
@@ -546,6 +546,28 @@ def test_strip_keeps_high_block_ids_of_unlowered_functions():
         assert strip_instrumentation(apply_plan(p, plan, mode)) == p, mode
 
 
+def test_rewrite_inverse_is_linear_in_inlined_calls():
+    # a chain of blocks, each calling a one-block leaf that LIGHT inlines:
+    # strip and the check mapping each group the inlined calls by block once
+    def prepare(n):
+        call, leaf = Instr("call", ("leaf",)), Function("leaf", {0: Block(0, (Instr("movi", (1, 1)), Instr("ret")))})
+        blocks = {i: Block(i, (call, Instr("br", (i + 1,)))) for i in range(n)}
+        blocks[n] = Block(n, (Instr("halt"),))
+        p = Program({"main": Function("main", blocks), "leaf": leaf}, entry="main")
+        analysis, plan = planned(p)
+        ip = apply_plan(p, plan, "LIGHT")
+        assert len(ip.functions["main"].inlined_calls) == n
+
+        def checks():
+            for rf in ip.functions.values():
+                rf.mapped = None    # so each run maps afresh
+            build_checks(ip, p, analysis)
+
+        return {"strip_instrumentation": lambda: strip_instrumentation(ip), "build_checks": checks}
+
+    assert_linear(prepare)
+
+
 def renumbered(p: Program, rng: random.Random) -> Program:
     """`p` with every function's blocks given distinct random ids below
     1000, in the same order, so the entry stays first."""
@@ -715,8 +737,8 @@ def test_print_then_parse_plans_the_same(seed, adversarial):
 
 def mapped_and_analysed(p):
     """Per store of every function a mode rewrote, inlined calls or not:
-    (mode, function, position, its height and class mapped from the input's
-    analysis, the same re-analysed on the output)."""
+    (mode, function, position, its height mapped from the input's analysis
+    and that height's write class, the same re-analysed on the output)."""
     analysis, plan = planned(p)
     for mode in MODES:
         ip = apply_plan(p, plan, mode)
@@ -725,13 +747,10 @@ def mapped_and_analysed(p):
             if fn is p.functions[name]:
                 continue
             stores = [(b, i) for b, block in fn.blocks.items() for i, ins in enumerate(block.instrs) if ins.is_store]
-            assert sorted(mapped.heights[name].stores) == sorted(mapped.classes[name]) == sorted(stores)
+            assert sorted(mapped.heights[name].stores) == sorted(stores)
             for at in stores:
-                yield (
-                    mode, name, at,
-                    (mapped.heights[name].stores[at], mapped.classes[name][at]),
-                    (fresh.heights[name].stores[at], fresh.classes[name][at]),
-                )
+                here, there = mapped.heights[name].stores[at], fresh.heights[name].stores[at]
+                yield mode, name, at, (here, write_class(here)), (there, write_class(there))
 
 
 def test_mapped_checks_equal_reanalysis_on_pinned_corpus():
