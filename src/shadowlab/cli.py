@@ -58,15 +58,19 @@ LADDER = ("FULL", "SFE", "PO", "LIGHT")
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write `text` to `path` through a temporary file beside it.  A path
-    that cannot be written exits 1 with one error line, as `_load` does for
-    an unreadable input."""
+    """Write `text` to `path` through a temporary file beside it, which gets
+    the mode `open` would give a new file, 0o666 less the umask, not
+    `mkstemp`'s 0o600.  A path that cannot be written exits 1 with one error
+    line, as `_load` does for an unreadable input."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -15,7 +15,7 @@ every operation in this module is a pure function of its inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -128,6 +128,20 @@ class Function:
     name: str
     blocks: dict[int, Block]
     src_line: int = 0
+    _text: str | None = field(default=None, init=False, repr=False)
+
+    @property
+    def text(self) -> str:
+        """The canonical text, as `print_program` prints it: rendered on
+        first use and kept with the object, like `Instr.text`."""
+        if self._text is None:
+            lines = [f"fn {self.name} {{"]
+            for bid, block in self.blocks.items():
+                lines.append(f"b{bid}:")
+                lines += ["  " + ins.text for ins in block.instrs]
+            lines.append("}")
+            self._text = "\n".join(lines)
+        return self._text
 
     @property
     def entry_block(self) -> int:
@@ -353,18 +367,17 @@ def parse_program(text: str) -> Program:
 
 
 def print_program(program: Program) -> str:
-    """Canonical text form; parse(print(p)) is structurally identical to p."""
+    """Canonical text form; parse(print(p)) is structurally identical to p.
+
+    Each function is rendered once, on its first print, and its text is
+    kept with it (`Function.text`), so programs that share a function, as
+    the modes `apply_plan` builds from one plan do, print it from there."""
     out = [f"#entry {program.entry}"]
     if program.adversarial:
         out.append("#adversarial true")
     for fn in program.functions.values():
         out.append("")
-        out.append(f"fn {fn.name} {{")
-        for bid, block in fn.blocks.items():
-            out.append(f"b{bid}:")
-            for ins in block.instrs:
-                out.append("  " + ins.text)
-        out.append("}")
+        out.append(fn.text)
     return "\n".join(out) + "\n"
 
 

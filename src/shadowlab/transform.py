@@ -30,7 +30,12 @@ input's facts for a function the target shares with its input, and in any
 other rewrite a store keeps the height of the input instruction at its
 position, shadow operations aside, an inlined call's body the callee's, so
 the VM validates every rewrite against the program it was made from, not
-against itself.  A rewrite that modes share is mapped once.
+against itself.  An output function that modes share is mapped once.
+
+Beyond the register frame, which is a function mode of its own, the
+mechanisms change instructions only where they inline a call or move an
+entry push.  Elsewhere MO and LIGHT give a function the very output function
+that FULL and PO give it, with costs of their own.
 `strip_instrumentation` reads the map to undo the rewrite.
 """
 
@@ -117,7 +122,7 @@ class LoweredCfg:
     clone_map: dict[int, int]                              # original id -> clone id
     transition_edges: tuple[tuple[int, int], ...]          # (src, original dst) in DFS order
     push_heights: dict[tuple[int, int], int]               # transition edge -> height at dst entry
-    reachable_originals: tuple[int, ...]                   # original blocks kept, in fn.blocks order
+    kept_originals: tuple[int, ...]                        # original blocks kept, in fn.blocks order
     cloned: tuple[int, ...]                                # original ids whose clones are kept, same order
 
 
@@ -141,7 +146,9 @@ class InstrumentationPlan:
     inline_callees: frozenset[str]
     inline_sites: tuple[tuple[str, int, int, str], ...]    # (caller, bid, idx, callee)
     # what `apply_plan` has built from this plan: (name, function mode,
-    # mechanisms flag) -> (output function, ResolvedFunction)
+    # mechanisms flag) -> (output function, ResolvedFunction); the two flags
+    # of one function mode hold one output function where the mechanisms
+    # change no instruction, and one entry where they change no cost either
     rewrites: dict[tuple[str, str, bool], tuple] = field(default_factory=dict, repr=False, compare=False)
     # one `spush` instruction per height, over every output of this plan
     spushes: dict[int, Instr] = field(default_factory=dict, repr=False, compare=False)
@@ -204,8 +211,10 @@ def lower_instrumentation(fn: Function, safety: SafetyResult, heights: Heights) 
     lowered function keeps: every edge out of one leads to another or is a
     transition.  Clones branch only to clones, so the clones it keeps are
     those of the blocks reachable in the original CFG from a transition
-    target.  Returns None when lowering cannot apply: the entry block itself
-    is unsafe, or a push site has no concrete stack height.
+    target.  A block the entry never reaches is in neither set, and keeps
+    its original too, so the rewrite still holds every input block.
+    Returns None when lowering cannot apply: the entry block itself is
+    unsafe, or a push site has no concrete stack height.
     """
     assert not safety.ra_safe_fn(fn.name), "lowering a safe function is a caller bug"
     if not safety.ra_safe_block(fn.name, fn.entry_block):
@@ -255,7 +264,7 @@ def lower_instrumentation(fn: Function, safety: SafetyResult, heights: Heights) 
         {bid: bid + CLONE_OFFSET for bid in fn.blocks},
         tuple(transitions),
         push_heights,
-        tuple(bid for bid in fn.blocks if bid in originals),
+        tuple(bid for bid in fn.blocks if bid in originals or bid not in cloned),
         tuple(bid for bid in fn.blocks if bid in cloned),
     )
 
@@ -366,9 +375,13 @@ class ResolvedFunction:
     transition_blocks: Mapping[int, tuple[int, int]] = field(default_factory=dict)
     inlined_calls: tuple[tuple[int, int, str], ...] = ()
     op_costs: Mapping[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
-    # the checks `build_checks` mapped onto this rewrite, with what they came
-    # from: (output function, input program, analysis, heights)
+    # the checks `build_checks` mapped onto this rewrite's output function,
+    # with what they came from: (output function, input program, analysis,
+    # heights)
     mapped: tuple | None = field(default=None, repr=False, compare=False)
+    # the ResolvedFunction, built first, whose output function this one
+    # shares: that one keeps their mapped checks
+    shares: ResolvedFunction | None = field(default=None, repr=False, compare=False)
 
     @property
     def block_sources(self) -> dict[int, int]:
@@ -486,7 +499,21 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
     its ResolvedFunction.  Its `spush` of each height is the plan's one."""
     functions, spushes = plan.program.functions, plan.spushes
     fn, fp = functions[name], plan.per_function[name]
-    callees = plan.inline_callees if mechanisms else None
+    callees = plan.inline_callees if mechanisms else ()
+    # the calls this rewrite inlines, per block: block id -> {index: callee}
+    inline = {
+        bid: calls
+        for bid, block in fn.blocks.items()
+        if (calls := {k: i.args[0] for k, i in enumerate(block.instrs) if i.opcode == "call" and i.args[0] in callees})
+    } if callees else {}
+    # The instructions depend on the function mode, on whether a call is
+    # inlined and on where a FULL function's entry push is, and on nothing
+    # else: where the mechanisms neither inline a call nor move the entry
+    # push, the rewrite under the other mechanisms flag, once built, has
+    # this one's body.
+    other = plan.rewrites.get((name, fn_mode, not mechanisms))
+    moved = fn_mode == FN_FULL and fp.entry_chase is not None and fp.entry_chase[0] > 0
+    shared = None if other is None or moved or inline or other[1].inlined_calls else other
 
     def spush(height: int) -> Instr:
         return spushes.get(height) or spushes.setdefault(height, Instr("spush", (height,)))
@@ -499,34 +526,39 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
     transition_blocks: dict[int, tuple[int, int]] = {}
 
     def emit(bid, out_id, targets, push, pop):
-        """Block `bid` as block `out_id`: calls to `callees` inlined, its
+        """Block `bid` as block `out_id`: its calls in `inline` inlined, its
         branch targets mapped through `targets`, the `push` (index, op,
         instruction) spliced in, and the `pop` (kind, register, cost,
-        instruction) spliced before a ret or halt."""
+        instruction) spliced before a ret or halt.  Its shadow operations are
+        recorded in any case, its block only while no body is `shared`."""
         block = fn.blocks[bid]
         body = block.instrs
-        calls = {
-            k: i.args[0] for k, i in enumerate(body) if i.opcode == "call" and i.args[0] in callees
-        } if callees else None
+        calls = inline.get(bid)
         if calls:
             inlined.extend((out_id, k, callee) for k, callee in calls.items())
-            at = _spliced(functions, fn.name, block, calls)
+            at = _spliced(functions, name, block, calls)
             body = tuple(functions[f].blocks[b].instrs[k] for f, b, k in at[:-1])
         term = body[-1]
+        if push is not None:
+            ops.append(push[1])
+            op_costs[(out_id, push[0])] = push[1].cost
+        exits = pop is not None and term.opcode in ("ret", "halt")
+        if exits:
+            kind, reg, cost, _ = pop
+            ops.append(ShadowOp(kind, ("exit", out_id), 0, reg, cost))
+            # the pop's index: after any push, before the terminator
+            op_costs[(out_id, len(body) - 1 + (push is not None))] = cost
+        if shared is not None:
+            return
         if targets and term.opcode in ("br", "brc"):
             args = tuple(targets.get(t, t) for t in term.args)
             if args != term.args:
                 body = body[:-1] + (Instr(term.opcode, args),)
         if push is not None:
-            k, op, ins = push
-            ops.append(op)
-            op_costs[(out_id, k)] = op.cost
+            k, _, ins = push
             body = body[:k] + (ins,) + body[k:]
-        if pop is not None and term.opcode in ("ret", "halt"):
-            kind, reg, cost, ins = pop
-            ops.append(ShadowOp(kind, ("exit", out_id), 0, reg, cost))
-            op_costs[(out_id, len(body) - 1)] = cost
-            body = body[:-1] + (ins, term)
+        if exits:
+            body = body[:-1] + (pop[3], term)
         blocks[out_id] = block if body is block.instrs and out_id == bid else Block(out_id, body)
 
     if fn_mode == FN_LOWERED:
@@ -537,7 +569,7 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
         by_src: dict[int, dict[int, int]] = {}
         for (src, dst), tid in tids.items():
             by_src.setdefault(src, {})[dst] = tid
-        for bid in low.reachable_originals:
+        for bid in low.kept_originals:
             emit(bid, bid, by_src.get(bid), None, None)
         for edge, tid in tids.items():
             height = low.push_heights[edge]
@@ -546,7 +578,8 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
             cost = (base[0] + COST_TRANSITION_EDGE[0], base[1] + COST_TRANSITION_EDGE[1])
             ops.append(ShadowOp("push", ("edge",) + edge, height, None, cost, drc, True))
             op_costs[(tid, 0)] = cost
-            blocks[tid] = Block(tid, (spush(height), Instr("br", (low.clone_map[edge[1]],))))
+            if shared is None:
+                blocks[tid] = Block(tid, (spush(height), Instr("br", (low.clone_map[edge[1]],))))
         for bid in low.cloned:
             emit(bid, low.clone_map[bid], low.clone_map, None, _SPOP_EXIT)
     else:
@@ -575,8 +608,13 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
         tuple(inlined),
         op_costs or _EMPTY,
     )
+    if shared is not None:
+        if rf == shared[1]:     # the mechanisms change no cost either
+            return shared
+        rf.shares = shared[1]
+        return shared[0], rf
     kept = len(blocks) == len(fn.blocks) and all(map(operator.is_, blocks.values(), fn.blocks.values()))
-    return (fn if kept else Function(fn.name, blocks)), rf
+    return (fn if kept else Function(name, blocks)), rf
 
 
 def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> InstrumentedProgram:
@@ -591,7 +629,10 @@ def apply_plan(program: Program, plan: InstrumentationPlan, mode: str) -> Instru
     Each rewrite is built once per plan.  A function resolves to the same
     rewrite under every mode that gives it the same function mode and
     mechanisms flag: FULL, SFE and PO share an unsafe, unlowered function's,
-    and MO and LIGHT theirs.
+    and MO and LIGHT theirs.  Across the flag, only the instructions are
+    shared: where the mechanisms neither inline a call nor move a FULL
+    function's entry push, MO's output function is FULL's and LIGHT's is
+    PO's, and only the costs in their ResolvedFunctions may differ.
     """
     if mode not in MODES:
         raise PlanError(f"unknown mode '{mode}'")
@@ -624,11 +665,12 @@ def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChe
     other function, inlined calls or not, are mapped from its input's
     (`_mapped_facts`): store heights only, with no block entry states,
     which is all `compile` reads, and an output instruction that is
-    not the input's at its position raises CheckMappingError.  A rewrite
-    keeps its mapped facts in its ResolvedFunction, so modes that share it
-    map it once; they serve only the same output function, `source` and
-    `analysis`, and any other object of those three is mapped afresh.  No
-    function carries dead register masks."""
+    not the input's at its position raises CheckMappingError.  The mapped
+    facts are kept per output function, in the ResolvedFunction that first
+    gave it (any other names that one in `shares`), so a function that
+    modes share is mapped once; they serve only the same output function,
+    `source` and `analysis`, and any other object of those three is mapped
+    afresh.  No function carries dead register masks."""
     originals = source.functions
     heights = {}
     for name, fn in ip.program.functions.items():
@@ -636,9 +678,10 @@ def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChe
             heights[name] = analysis.heights[name]
             continue
         rf = ip.functions[name]
-        mapped = rf.mapped
+        keeper = rf.shares or rf
+        mapped = keeper.mapped
         if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
-            mapped = rf.mapped = (fn, source, analysis, _mapped_facts(originals, fn, rf, analysis))
+            mapped = keeper.mapped = (fn, source, analysis, _mapped_facts(originals, fn, rf, analysis))
         heights[name] = mapped[3]
     return AnalysisChecks(heights, {})
 

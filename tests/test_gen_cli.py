@@ -3,7 +3,9 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
+import stat
 import weakref
 
 import pytest
@@ -779,6 +781,28 @@ def test_cli_unwritable_output_is_one_error_line(capsys, tmp_path, argv):
     assert isinstance(message, str) and "\n" not in message     # printed to stderr, exit status 1
     assert re.fullmatch(rf"error: cannot write {re.escape(str(blocker))}/\S+: (Not a directory|File exists)", message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mir", "blocker"]
+
+
+@pytest.mark.parametrize("umask", [0o002, 0o022, 0o077], ids=oct)
+def test_cli_written_files_get_the_mode_the_umask_gives(capsys, tmp_path, umask):
+    # every file gen, instrument and verify --out write goes through a
+    # temporary file, yet gets the mode a plain open gives a new file: 0o666
+    # less the umask, not the temporary file's 0o600
+    program = write_fixture(tmp_path, "a.mir", CALL_TREE)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["gen", "--count", "1", "--out", str(out / "corpus")]) == 0
+        assert main(["instrument", str(program), "--mode", "LIGHT", "-o", str(out / "a.light.mir")]) == 0
+        main(["verify", "--count", "1", "--benign", "1", "--inputs", "1", "--out", str(out / "report.json")])
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    modes = {str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode) for p in out.rglob("*") if p.is_file()}
+    assert sorted(modes) == [
+        "a.light.mir", "a.light.mir.plan.json", "corpus/manifest.json", "corpus/prog_0000.mir", "report.json"
+    ]
+    assert set(modes.values()) == {0o666 & ~umask}, modes
 
 
 def test_verify_reports_an_unmappable_rewrite(monkeypatch):

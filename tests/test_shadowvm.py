@@ -1634,7 +1634,8 @@ def test_unhandled_opcode_faults_with_its_name():
 def test_store_the_height_fixpoint_never_reaches_is_unsafe_and_runs_in_every_mode():
     # only the library API reaches b1, which validate_program rejects: its
     # store has no height, so it is unsafe, and it maps and decodes with no
-    # expected height and no write class (path lowering drops the block)
+    # expected height and no write class, in every mode: path lowering keeps
+    # a block the entry never reaches
     p = parse_program("fn main {\nb0:\n  halt\nb1:\n  store.sp -8\n  br b0\n}\n")
     assert validate_program(p)
     analysis, plan = plan_program(p)
@@ -1651,7 +1652,7 @@ def test_store_the_height_fixpoint_never_reaches_is_unsafe_and_runs_in_every_mod
         assert all(ins[2] is None and ins[3] is None for ins in stores), mode
         decoded += len(stores)
         assert execute(target, ExecInput())[1].kind == COMPLETED, mode
-    assert decoded == 4    # FULL, SFE, MO, ELIDE-ALL
+    assert decoded == len(MODES)
     assert execute(compile(p, analysis), ExecInput())[1].kind == COMPLETED
 
 

@@ -206,7 +206,7 @@ def test_lowering_memo_cfg_structure(memo_cfg):
     low = lower_instrumentation(fn, analysis.safety, analysis.heights["memo"])
     assert low.transition_edges == ((3, 4),)
     assert low.push_heights == {(3, 4): -16}
-    assert low.reachable_originals == (1, 2, 3, 5, 6)
+    assert low.kept_originals == (1, 2, 3, 5, 6)
     assert low.cloned == (2, 3, 4, 5, 6, 7)
 
 
@@ -254,7 +254,7 @@ def test_lowering_matches_two_walk_reference(source):
     for name in lowered:
         fn, low, rf = program.functions[name], plan.per_function[name].lowered, ip.functions[name]
         originals, cloned, exits = reference_reachability(fn, low.transition_edges)
-        assert low.reachable_originals == originals
+        assert low.kept_originals == originals
         assert low.cloned == cloned
         pops = tuple(op.site for op in rf.shadow_ops if op.kind == "pop")
         assert pops == tuple(("exit", low.clone_map[bid]) for bid in exits)
@@ -546,6 +546,30 @@ def test_strip_keeps_high_block_ids_of_unlowered_functions():
         assert strip_instrumentation(apply_plan(p, plan, mode)) == p, mode
 
 
+@pytest.mark.parametrize(
+    "text, unreached",
+    [
+        ("fn main {\nb0:\n  halt\nb1:\n  store.sp -8\n  br b0\n}", 1),
+        # b3 branches to b2, which lowering keeps only as a clone
+        (
+            "fn main {\nb0:\n  brc b1, b2\nb1:\n  ret\nb2:\n  movi r1, 64\n  store.reg r1\n  ret\n"
+            "b3:\n  store.sp -8\n  br b2\n}",
+            3,
+        ),
+    ],
+    ids=["halt", "transition"],
+)
+def test_lowering_keeps_blocks_the_entry_never_reaches(text, unreached):
+    # validate_program rejects an unreachable block, but the library API
+    # takes one: the lowered rewrite keeps it, so every mode strips back
+    p = parse_program(text)
+    _, plan = planned(p)
+    low = plan.per_function["main"].lowered
+    assert unreached in low.kept_originals and unreached not in low.cloned
+    for mode in MODES:
+        assert strip_instrumentation(apply_plan(p, plan, mode)) == p, mode
+
+
 def test_rewrite_inverse_is_linear_in_inlined_calls():
     # a chain of blocks, each calling a one-block leaf that LIGHT inlines:
     # strip and the check mapping each group the inlined calls by block once
@@ -676,6 +700,68 @@ def test_modes_share_rewrites(call_tree, fixture_regframe, fixture_chase):
                 rfs = [outputs[m].functions[name] for m in group]
                 assert all(fn is fns[0] for fn in fns) and all(rf is rfs[0] for rf in rfs), (name, group)
             assert outputs["FULL"].program.functions[name] is not p.functions[name]
+
+
+def _without_costs(rf: ResolvedFunction) -> dict:
+    """`rf`'s plan JSON with every cost and `chased` flag dropped."""
+    out = rf.to_json()
+    out["shadow_ops"] = [{k: v for k, v in op.items() if k not in ("cost", "chased")} for op in out["shadow_ops"]]
+    out["op_costs"] = sorted(out["op_costs"])
+    return out
+
+
+def test_mechanisms_share_the_plain_body_exactly_when_they_change_no_instruction(
+    call_tree, fixture_chase, fixture_inline
+):
+    # MO's output function is FULL's, and LIGHT's is PO's, exactly when the
+    # two give it the same function mode and the same instructions, as two
+    # rewrites built from plans of their own show; and a shared pair's
+    # ResolvedFunctions differ only in costs and chased
+    programs = [p for _, p in generate_corpus(GenConfig(seed=37, count=24, attack_density=0.5))]
+    seen = {"shared": 0, "shared, other costs": 0, "same mode, other instructions": 0}
+    for p in programs + [call_tree, fixture_chase, fixture_inline]:
+        _, plan = planned(p)
+        outputs = {mode: apply_plan(p, plan, mode) for mode in MODES}
+        for mode, plain in (("MO", "FULL"), ("LIGHT", "PO")):
+            alone = {m: apply_plan(p, planned(p)[1], m) for m in (mode, plain)}
+            for name in p.functions:
+                rf, plain_rf = outputs[mode].functions[name], outputs[plain].functions[name]
+                same = rf.mode == plain_rf.mode and (
+                    alone[mode].program.functions[name] == alone[plain].program.functions[name]
+                )
+                shared = outputs[mode].program.functions[name] is outputs[plain].program.functions[name]
+                assert shared == same, (mode, name, rf.mode, plain_rf.mode)
+                if shared:
+                    assert _without_costs(rf) == _without_costs(plain_rf), (mode, name)
+                    seen["shared"] += 1
+                    seen["shared, other costs"] += rf.to_json() != plain_rf.to_json()
+                else:
+                    seen["same mode, other instructions"] += rf.mode == plain_rf.mode
+    assert all(seen.values()), seen
+
+
+def _fresh_render(program: Program) -> str:
+    """`program`'s canonical text, rendered from its instructions alone."""
+    out = [f"#entry {program.entry}"] + ["#adversarial true"] * program.adversarial
+    for fn in program.functions.values():
+        out += ["", f"fn {fn.name} {{"]
+        for bid, block in fn.blocks.items():
+            out += [f"b{bid}:"] + ["  " + ins.render() for ins in block.instrs]
+        out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def test_every_printed_mode_equals_a_fresh_render():
+    # print_program keeps each function's text with it, and the modes share
+    # most functions: printing them in either order gives what rendering
+    # every instruction again gives
+    for name, p in pinned_corpus():
+        for order in (MODES, MODES[::-1]):
+            _, plan = planned(p)
+            outputs = {mode: apply_plan(p, plan, mode) for mode in order}
+            for mode, ip in outputs.items():
+                assert print_program(ip.program) == _fresh_render(ip.program), (name, mode)
+            assert print_program(p) == _fresh_render(p), name
 
 
 def test_plan_refuses_another_program(fixture_inline):
@@ -898,7 +984,7 @@ def reference_apply_plan(program, plan, mode):
                         return Instr("brc", (na, nb))
                 return ins
 
-            for bid in low.reachable_originals:
+            for bid in low.kept_originals:
                 block = fn.blocks[bid]
                 body = inlined(block.instrs, bid)
                 term = remap_original(body[-1], bid)
