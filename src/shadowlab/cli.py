@@ -32,6 +32,7 @@ from .transform import (
     ResolvedFunction,
     apply_plan,
     build_checks,
+    check_rewrites,
     plan_program,
     resolve_mode,
 )
@@ -375,11 +376,14 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
             continue
         passed.update((id(fn), fn) for fn in ip.program.functions.values())
         try:
-            # store heights map from the input's analysis by position
+            # store heights map from the input's analysis by position; the rewrites are checked on them
             mapped = build_checks(ip, program, analysis)
+            findings = check_rewrites(ip, program, analysis)
         except CheckMappingError as exc:
             report.violation(f"{name}/{mode}: {exc}")
             continue
+        report.activation_count += len(findings)
+        report.violation(*(f"activation: {name}/{mode} fn {fn}: {m}" for fn, m in findings))
         targets[mode] = compile(ip, mapped)
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program)
     return _Prepared(analysis, plan, targets, inputs)

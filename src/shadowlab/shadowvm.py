@@ -11,39 +11,21 @@ zeroed guard at the bottom is reached, which aborts.  Costs are charged per
 executed shadow operation from the instrumentation plan's cost table rather
 than by expanding shadow operations into micro-instructions.
 
-Running is split in two.  `compile(target, checks)` decodes a program once:
-each block as segments of instruction tuples with small-int opcodes, cut
-after each control transfer, a call site's callee, cookie and next segment
-resolved, each shadow operation's cost looked up, and the analysis results
-to validate (expected store height, write class, and the dead, used and
-defined registers as bitmasks) placed in per-instruction slots; it is the
-one way checks reach the VM.  `execute` runs a compiled program on one
-input a segment at a time, charging each one's length against the budget
-on entry, with no per-run set-up beyond a copy of the input's registers
-(`ExecInput` masks and pads them once, when it is built), fresh memory, and
-the empty lists the trace will hold: it keeps every field of the trace in
-its own locals and builds the `Trace` once, when the run ends.  Given a
-Program or InstrumentedProgram it compiles it first, without checks.
-Callers that run one target on many inputs compile it once, and a campaign
-case carries its compiled target.
+Running is split in two.  `compile(target, checks)` decodes a program once,
+the one way checks reach the VM (see its docstring).  `execute` runs a
+compiled program on one input a segment at a time, charging each one's
+length against the budget on entry; it keeps the trace's fields and the
+running activation in its own locals, a call saving the caller's as one
+tuple, and builds the `Trace` once, when the run ends.  An instrumented
+target is compiled with the checks `transform.build_checks` maps onto it
+from its input's analysis; an uninstrumented input with its own analysis.
 
-An instrumented target is compiled with the checks `transform.build_checks`
-maps onto it from its input's analysis; an uninstrumented input with its
-own analysis, dead register masks included.
-
-The step loop also checks each activation of a planned function as it runs
-(`check_activations` reports the result): counts of shadow pushes and pops,
-whether its walk entered a clone or transition block, where its unsafe
-stores fell, and the shadow depth at its call and return.  The running
-activation keeps these, its return-address slot and cookie in the loop's
-own locals; a call saves the caller's as one tuple, which the return
-restores.  An activation's problems are found when it returns, or, for one
-still on the stack or unwound, once the run's outcome is known.
-`CampaignReport.check` counts and names a run's height and liveness
-violations and activation findings, the same for a campaign's runs and
-`verify`'s benign ones; a run whose trace holds no activation problem, and
-that did not complete with the shadow unbalanced, has no activation message
-to build.
+Whether an activation's walk runs one covering push and pop depends on its
+function's paths only, which `transform.check_rewrites` checks statically.
+The step loop checks what is interprocedural: a planned function returns
+with the shadow as deep as its call found it.  `CampaignReport.check`
+counts and names a run's height and liveness violations and activation
+findings; `check_activations` adds the target's static findings.
 
 Under `execute(..., record=True)` the trace also keeps a log of plain
 tuples, one `(kind, *fields)` per event, which `to_lines` and `to_json` read
@@ -70,16 +52,15 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .mir import NUM_REGS, Program, RETURN_REG
-from .analysis import AnalysisChecks, UNSAFE, instr_masks, write_class
+from .analysis import AnalysisChecks, instr_masks, write_class
 from .transform import (
     COST_POP,
     COST_PUSH,
     COST_RF_POP,
     COST_RF_PUSH,
-    FN_LOWERED,
     InstrumentedProgram,
-    ResolvedFunction,
     build_checks,   # bound here too: the benchmark traces it as shadowvm.build_checks
+    check_rewrites,
 )
 
 MEM_BYTES = 1 << 16
@@ -148,7 +129,7 @@ class Trace:
     globals_log: list = field(default_factory=list)
     height_violations: list = field(default_factory=list)
     liveness_violations: list = field(default_factory=list)
-    activation_problems: list = field(default_factory=list)   # (act, fn, message), ordered by act
+    activation_problems: list = field(default_factory=list)   # (act, fn, depth message), ordered by act
     corruptions: int = 0    # corrupt instructions executed
 
     @property
@@ -170,28 +151,17 @@ class Trace:
         }
 
 
-# Where an unsafe store fell in its activation, as bits of the items of its
-# `unsafe` list.
-_BEFORE_PUSH = 1            # no shadow push had run yet
-_AFTER_POP = 2              # a shadow pop had already run
-
 # The running activation lives in `execute`'s locals:
 #   act        its number, in call order; the entry activation is 0
-#   fn         the called _Fn, whose plan the activation checks read
-#   call_top   shadow depth at the call; None for the entry activation
-#   tainted    entered a clone or transition block (never an entry block): a tainted walk
-#   pushes, pops
-#   pop_first  the first pop ran before any push
-#   unsafe     per unsafe store of a lowered function, its _BEFORE_PUSH | _AFTER_POP bits, or None
+#   call_top   shadow depth at the call, which a return must find again;
+#              None for the entry activation and a function no plan placed
 #   ra_slot    address of its return-address word
 #   cookie     the return address its caller stored there
 #   poison     mask of registers dead here, from the `live` slots
 # A call saves the caller's as one tuple on `callers`, these fields in this
-# order and then where it resumes, (fname, code, bid, seg), seg the call's
-# c.  The first _CHECKED fields are `_check_activation`'s arguments.
-_CHECKED = 8
-_RA_SLOT = 8
-_ACTIVATION = 11            # the fields an unwind restores; it resumes in the code that unwound
+# order and then where it resumes, (fname, code, bid, seg), seg the call's c.
+_RA_SLOT = 2
+_ACTIVATION = 5             # the fields an unwind restores; it resumes in the code that unwound
 
 
 class _VmFault(Exception):
@@ -207,17 +177,14 @@ def observables(trace: Trace, outcome: Outcome) -> tuple:
 
 class _Fn:
     """One function's decoded code, block id -> the block's first segment,
-    and what its plan tells the activation checks."""
+    and whether a plan placed it, so its returns check the shadow depth."""
 
-    __slots__ = ("name", "entry", "blocks", "entry_code", "planned", "lowered")
+    __slots__ = ("name", "entry", "blocks", "entry_code", "planned")
 
-    def __init__(self, name: str, entry: int, rf: ResolvedFunction | None):
-        self.name = name
-        self.entry = entry
+    def __init__(self, name: str, entry: int, planned: bool):
+        self.name, self.entry, self.planned = name, entry, planned
         self.blocks: dict[int, tuple] = {}
         self.entry_code: tuple = ()
-        self.planned = rf is not None
-        self.lowered = rf is not None and rf.mode == FN_LOWERED
 
 
 @dataclass(frozen=True)
@@ -252,8 +219,6 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
       stores    a = operand, b = write class, c = expected height or None
       shadow    a = operand, (b, c) = cost charged per execution
       movi      b = immediate masked to a word;  corrupt: b = value masked
-      br, brc   c = the targets that are clone or transition blocks, as a
-                frozenset, or None when there are none
       UNKNOWN   a = the reason it faults with: an unhandled opcode, or a call
                 or branch to a function or block that does not exist
     `idx` is its index in the block.  `live` is (dead before, uses, defs) as
@@ -269,12 +234,11 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
         program, resolved = target, {}
     heights, liveness = (checks.heights, checks.liveness) if checks else ({}, {})
 
-    fns = {name: _Fn(name, fn.entry_block, resolved.get(name)) for name, fn in program.functions.items()}
+    fns = {name: _Fn(name, fn.entry_block, name in resolved) for name, fn in program.functions.items()}
     cookie = COOKIE_BASE
     for name, fn in program.functions.items():
         rf = resolved.get(name)
         costs = rf.op_costs if rf else {}
-        tainted = rf.block_sources if rf else ()
         hmap = heights[name].stores if name in heights else {}
         lmap = liveness.get(name)
         out = fns[name]
@@ -300,7 +264,6 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                         op, a = UNKNOWN, f"{name}.b{bid}: call to unknown function '{a}'"
                     b = cookie
                 elif op == BR or op == BRC:
-                    c = frozenset(t for t in args if t in tainted) or None
                     if a not in blocks or op == BRC and b not in blocks:
                         op, a = UNKNOWN, f"{name}.b{bid}: branch to unknown block b{a if a not in blocks else b}"
                 elif op == STORE_SP or op == STORE_REG:
@@ -358,11 +321,8 @@ def execute(
     sp = MEM_BYTES - 8
     mem[sp >> 3] = EXIT_COOKIE
     # the running activation (layout above), then the callers' saved ones
-    fn = target.entry
-    act, call_top, tainted, pushes, pops, pop_first, unsafe = 0, None, False, 0, 0, False, None
-    ra_slot, cookie, poison = sp, EXIT_COOKIE, 0
+    act, call_top, ra_slot, cookie, poison = 0, None, sp, EXIT_COOKIE, 0
     callers: list[tuple] = []
-    unwound: list[tuple] = []
     next_act = 1
 
     shadow: list[int] = []
@@ -374,7 +334,8 @@ def execute(
     height_violations: list = []
     liveness_violations: list = []
     problems: list = []
-    fname, code, bid, seg = fn.name, fn.blocks, fn.entry, fn.entry_code
+    entry = target.entry
+    fname, code, bid, seg = entry.name, entry.blocks, entry.entry, entry.entry_code
     if record:
         ev(("enter", 0, fname, bid))
     shadow_ops = shadow_instr = shadow_mem = mem_accesses = corruptions = 0
@@ -416,10 +377,6 @@ def execute(
                         height = addr - ra_slot
                         if c is not None and checking and height != c:
                             height_violations.append((fname, bid, idx, c, height))
-                        if b == UNSAFE and fn.lowered:
-                            if unsafe is None:
-                                unsafe = []
-                            unsafe.append((pushes == 0) * _BEFORE_PUSH | (pops > 0) * _AFTER_POP)
                         if record:
                             ev(("store", act, fname, bid, idx, b, addr, height))
                     elif op == 7:   # STORE_GLOBAL
@@ -456,30 +413,23 @@ def execute(
                         sp = ra_slot + 8
                         ok = value == cookie
                         top = len(shadow)
-                        # only a lowered function's walk or an unbalanced depth can fail a check
-                        if fn.planned and (fn.lowered or call_top != top):
-                            _check_activation(act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, top, COMPLETED, problems)
+                        if call_top is not None and call_top != top:
+                            problems.append((act, fname, f"shadow depth {top} at return, {call_top} at call"))
                         if record:
                             ev(("ret", act, fname, ok, top))
                         if ok and callers:
-                            (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie, poison,
-                             fname, code, bid, seg) = callers.pop()
+                            act, call_top, ra_slot, cookie, poison, fname, code, bid, seg = callers.pop()
                         else:   # the run ends; COMPLETED positionally, as keyword binding costs more
                             outcome = (Outcome(COMPLETED, None, None, regs[RETURN_REG]) if ok
                                        else Outcome(UNDETECTED, evidence=(fname, cookie, value)))
-                            fn = None
                     elif op == 13:  # BR
                         bid, seg = a, code[a]
-                        if c:
-                            tainted = True
                         if record:
                             ev(("enter", act, fname, bid))
                     elif op == 14:  # BRC
                         bid = (a if decisions[di] else b) if di < n_decisions else b
                         di += 1
                         seg = code[bid]
-                        if c and bid in c:
-                            tainted = True
                         if record:
                             ev(("enter", act, fname, bid))
                     elif op == 15 or op == 16:  # CALL, ICALL
@@ -497,14 +447,11 @@ def execute(
                             raise _bad_address(sp)
                         mem[sp >> 3] = b
                         mem_accesses += 1
-                        callers.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
-                                        poison, fname, code, bid, c))
+                        callers.append((act, call_top, ra_slot, cookie, poison, fname, code, bid, c))
                         act = next_act
                         next_act += 1
-                        fn, call_top, ra_slot, cookie = callee, len(shadow), sp, b
-                        tainted = pop_first = False
-                        pushes = pops = poison = 0
-                        unsafe = None
+                        call_top = len(shadow) if callee.planned else None
+                        ra_slot, cookie, poison = sp, b, 0
                         fname, code, bid, seg = callee.name, callee.blocks, callee.entry, callee.entry_code
                         if record:
                             ev(("call", act, fname, len(shadow)))
@@ -517,13 +464,10 @@ def execute(
                         depth = len(callers) - a
                         if depth < 0:
                             raise _VmFault(f"unwind {a} with {len(callers) + 1} frames")
-                        unwound += callers[depth + 1:]
-                        unwound.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe))
                         checking = False
                         if record:
                             ev(("unwind", act, a))
-                        (act, fn, call_top, tainted, pushes, pops, pop_first, unsafe, ra_slot, cookie,
-                         poison) = callers[depth][:_ACTIVATION]
+                        act, call_top, ra_slot, cookie, poison = callers[depth][:_ACTIVATION]
                         del callers[depth:]
                         sp = ra_slot
                         continue
@@ -541,13 +485,11 @@ def execute(
                         if len(shadow) >= SHADOW_CAPACITY:
                             raise _VmFault("shadow region overflow")
                         shadow.append(mem.get(ra_addr >> 3, 0))
-                        pushes += 1
                         if record:
                             ev(("push", act, fname, bid, idx, False))
                     elif op == 21:  # RFPUSH
                         scratch = regs[a]
                         regs[a] = mem.get(ra_slot >> 3, 0)
-                        pushes += 1
                         if record:
                             ev(("push", act, fname, bid, idx, True))
                     else:  # SPOP, or RFPOP
@@ -572,9 +514,6 @@ def execute(
                                 break
                         if rf:
                             regs[a] = scratch
-                        if not pops and not pushes:
-                            pop_first = True
-                        pops += 1
                         if record:
                             ev(("pop", act, fname, bid, idx, matched, rf))
             else:   # ran off the segment: the budget cut it, or its block has no terminator
@@ -587,16 +526,7 @@ def execute(
             ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
 
-    # activations that never returned, now that the outcome is known: the
-    # unwound ones, the callers and, unless a return ended the run (fn is
-    # then None), the running one; with no return depth, only a lowered
-    # function's walk can fail a check
-    if fn is not None:
-        callers.append((act, fn, call_top, tainted, pushes, pops, pop_first, unsafe))
-    for saved in (*unwound, *callers):
-        if saved[1].lowered:
-            _check_activation(*saved[:_CHECKED], None, outcome.kind, problems)
-    if len(problems) > 1:
+    if len(problems) > 1:     # found at returns, callees first
         problems.sort(key=itemgetter(0))
 
     return Trace(
@@ -641,67 +571,31 @@ class CampaignReport:
         if trace.liveness_violations:
             self.liveness_violations += len(trace.liveness_violations)
             self.violation(*(f"{name}/{mode}: liveness violation {v}" for v in trace.liveness_violations))
-        if trace.activation_problems or _unbalanced_completion(trace, outcome):
+        if trace.activation_problems or outcome.kind == COMPLETED and trace.final_shadow_top:
             problems = _activation_messages(f"{name}/{mode}", trace, outcome)
             self.activation_count += len(problems)
             self.violation(*problems)
-
-
-def _check_activation(
-    act: int, fn: _Fn, call_top: int | None, tainted: bool, pushes: int, pops: int, pop_first: bool,
-    unsafe: list | None, ret_top: int | None, end: str, out: list,
-) -> None:
-    """Append (act, fn name, message) for each check the activation failed,
-    given its fields as `execute` keeps them: a lowered function's tainted
-    walk runs one covering push and pop around its unsafe stores, its safe
-    walk runs none, and a returning activation leaves the shadow as deep as
-    its call found it.  `ret_top` is the depth at the return, None if it
-    never returned.  `end` is COMPLETED for a walk that ran to its end, so
-    its pop is due; otherwise the run's outcome.  A walk the budget cut short
-    may not have reached its push yet, so only a second push fails it."""
-    where = (act, fn.name)
-    if fn.lowered:
-        if tainted:
-            if end == BUDGET:
-                miscounted = pushes > 1
-            else:
-                miscounted = pushes != 1 or (end == COMPLETED and pops != 1)
-            if miscounted:
-                out.append((*where, f"tainted walk executed {pushes} pushes, {pops} pops"))
-            elif pop_first:
-                out.append((*where, "pop before push"))
-            for bits in unsafe or ():
-                if bits & _BEFORE_PUSH and pushes:
-                    out.append((*where, "unsafe store before the covering push"))
-                if bits & _AFTER_POP:
-                    out.append((*where, "unsafe store after the covering pop"))
-        else:
-            if pushes or pops:
-                out.append((*where, "safe walk executed shadow operations"))
-            if unsafe:
-                out.append((*where, "unsafe store on a walk that never left safe blocks"))
-    if ret_top is not None and call_top is not None and ret_top != call_top:
-        out.append((*where, f"shadow depth {ret_top} at return, {call_top} at call"))
-
-
-def _unbalanced_completion(trace: Trace, outcome: Outcome) -> bool:
-    return outcome.kind == COMPLETED and trace.final_shadow_top != 0
 
 
 def _activation_messages(where: str, trace: Trace, outcome: Outcome) -> list[str]:
     problems = [
         f"activation: {where} act {act} fn {fn}: {message}" for act, fn, message in trace.activation_problems
     ]
-    if _unbalanced_completion(trace, outcome):
+    if outcome.kind == COMPLETED and trace.final_shadow_top:
         problems.append(f"activation: {where}: shadow not balanced at completion")
     return problems
 
 
 def check_activations(case: CampaignCase, trace: Trace, outcome: Outcome) -> list[str]:
-    """Per-activation structural checks: one covering check per tainted walk,
-    clean safe walks, ordered push/pop pairs, and shadow-depth balance, as
-    `execute` found them, then the shadow's balance at completion."""
-    return _activation_messages(f"{case.name}/{case.mode}", trace, outcome)
+    """The run's activation findings, the shadow depths at its returns and its
+    balance at completion; then, for an instrumented target (not a compiled
+    one, which keeps no rewrites), its rewrites' `transform.check_rewrites`
+    findings, which raises CheckMappingError for a rewrite it cannot map."""
+    where = f"{case.name}/{case.mode}"
+    problems = _activation_messages(where, trace, outcome)
+    if isinstance(case.target, InstrumentedProgram):
+        problems += [f"activation: {where} fn {fn}: {m}" for fn, m in check_rewrites(case.target)]
+    return problems
 
 
 def run_campaign(cases: Iterable[CampaignCase]) -> CampaignReport:

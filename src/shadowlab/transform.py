@@ -22,21 +22,17 @@ one mechanism flag (`MODE_FLAGS`):
   LIGHT      PO plus mechanism optimizations
   ELIDE-ALL  no instrumentation (intentionally unsound control)
 
-The rewrite's inverse lives next to it.  `ResolvedFunction.block_sources`
-gives each output block whose id is not its input's its input block, and
-`_spliced` is the one splice layout, which `_rewrite` inlines by.  The
-check mapping reads both: `build_checks(ip, input, analysis)` keeps the
-input's facts for a function the target shares with its input, and in any
-other rewrite a store keeps the height of the input instruction at its
-position, shadow operations aside, an inlined call's body the callee's, so
-the VM validates every rewrite against the program it was made from, not
-against itself.  An output function that modes share is mapped once.
-
-Beyond the register frame, which is a function mode of its own, the
-mechanisms change instructions only where they inline a call or move an
-entry push.  Elsewhere MO and LIGHT give a function the very output function
-that FULL and PO give it, with costs of their own.
-`strip_instrumentation` reads the map to undo the rewrite.
+The rewrite's inverse lives next to it: `ResolvedFunction.block_sources`
+maps each output block whose id is not its input's to its input block, and
+`_spliced` is the one splice layout.  `build_checks(ip, input, analysis)`
+reads both to give each output store the height of the input instruction
+at its position, so the VM validates every rewrite against the program it
+was made from, and `check_rewrites` checks each rewrite's claims and every
+walk through its output function statically; `strip_instrumentation`
+undoes the rewrite.  Beyond the register frame, the mechanisms change
+instructions only where they inline a call or move an entry push;
+elsewhere MO and LIGHT give a function FULL's or PO's output function,
+with costs of their own.  A function that modes share is checked once.
 """
 
 from __future__ import annotations
@@ -124,6 +120,8 @@ class LoweredCfg:
     push_heights: dict[tuple[int, int], int]               # transition edge -> height at dst entry
     kept_originals: tuple[int, ...]                        # original blocks kept, in fn.blocks order
     cloned: tuple[int, ...]                                # original ids whose clones are kept, same order
+    # kept block the entry never reaches -> {target kept only as a clone: clone}
+    strays: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -212,7 +210,8 @@ def lower_instrumentation(fn: Function, safety: SafetyResult, heights: Heights) 
     transition.  Clones branch only to clones, so the clones it keeps are
     those of the blocks reachable in the original CFG from a transition
     target.  A block the entry never reaches is in neither set, and keeps
-    its original too, so the rewrite still holds every input block.
+    its original too, so the rewrite still holds every input block; where it
+    branches to a block kept only as a clone, it branches to that clone.
     Returns None when lowering cannot apply: the entry block itself is
     unsafe, or a push site has no concrete stack height.
     """
@@ -260,12 +259,15 @@ def lower_instrumentation(fn: Function, safety: SafetyResult, heights: Heights) 
             cloned.add(bid)
             work.extend(fn.blocks[bid].successors)
 
+    strays = {b: {t: t + CLONE_OFFSET for t in fn.blocks[b].successors if t in cloned and t not in originals}
+              for b in fn.blocks if b not in originals and b not in cloned}
     return LoweredCfg(
         {bid: bid + CLONE_OFFSET for bid in fn.blocks},
         tuple(transitions),
         push_heights,
         tuple(bid for bid in fn.blocks if bid in originals or bid not in cloned),
         tuple(bid for bid in fn.blocks if bid in cloned),
+        strays,
     )
 
 
@@ -382,6 +384,8 @@ class ResolvedFunction:
     # the ResolvedFunction, built first, whose output function this one
     # shares: that one keeps their mapped checks
     shares: ResolvedFunction | None = field(default=None, repr=False, compare=False)
+    # (output function, input program, analysis, what `check_rewrites` found)
+    checked: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def block_sources(self) -> dict[int, int]:
@@ -566,7 +570,7 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
         clone_map = dict(low.clone_map)
         tids = {edge: TRANSITION_BASE + i for i, edge in enumerate(low.transition_edges)}
         transition_blocks = {tid: edge for edge, tid in tids.items()}
-        by_src: dict[int, dict[int, int]] = {}
+        by_src: dict[int, dict[int, int]] = dict(low.strays)     # no stray block is a transition's source
         for (src, dst), tid in tids.items():
             by_src.setdefault(src, {})[dst] = tid
         for bid in low.kept_originals:
@@ -659,31 +663,26 @@ class CheckMappingError(Exception):
 
 def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChecks) -> AnalysisChecks:
     """The store heights of `ip`, the instrumented `source`, for the VM to
-    validate live, from `analysis`, the analysis of `source`.
-
-    A function `ip` shares with `source` keeps its heights.  Those of every
-    other function, inlined calls or not, are mapped from its input's
-    (`_mapped_facts`): store heights only, with no block entry states,
-    which is all `compile` reads, and an output instruction that is
-    not the input's at its position raises CheckMappingError.  The mapped
-    facts are kept per output function, in the ResolvedFunction that first
-    gave it (any other names that one in `shares`), so a function that
-    modes share is mapped once; they serve only the same output function,
-    `source` and `analysis`, and any other object of those three is mapped
-    afresh.  No function carries dead register masks."""
-    originals = source.functions
-    heights = {}
-    for name, fn in ip.program.functions.items():
-        if fn is originals.get(name):
-            heights[name] = analysis.heights[name]
-            continue
-        rf = ip.functions[name]
-        keeper = rf.shares or rf
-        mapped = keeper.mapped
-        if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
-            mapped = keeper.mapped = (fn, source, analysis, _mapped_facts(originals, fn, rf, analysis))
-        heights[name] = mapped[3]
+    validate live, from `analysis` of `source` (`_mapped_heights`); store
+    heights only, with no block entry states or dead register masks, which
+    is all `compile` reads.  An output instruction that is not the input's
+    at its position raises CheckMappingError."""
+    rfs = ip.functions
+    heights = {name: _mapped_heights(source, fn, rfs.get(name), analysis) for name, fn in ip.program.functions.items()}
     return AnalysisChecks(heights, {})
+
+
+def _mapped_heights(source: Program, fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks) -> Heights:
+    """The store heights of `fn`: the input's own for the input's function,
+    else mapped by `_mapped_facts` once per `fn`, `source` and `analysis`,
+    kept in the ResolvedFunction that first gave `fn` (see `shares`)."""
+    if fn is source.functions.get(fn.name):
+        return analysis.heights[fn.name]
+    keeper = rf.shares or rf
+    mapped = keeper.mapped
+    if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
+        mapped = keeper.mapped = (fn, source, analysis, _mapped_facts(source.functions, fn, rf, analysis))
+    return mapped[3]
 
 
 def _mapped_facts(
@@ -693,15 +692,13 @@ def _mapped_facts(
     input in `originals`, taken from `analysis`, none where the input's
     store has none (its block was never reached).
 
-    Instrumentation inserts shadow operations without changing what the
-    other instructions do.  `rf.block_sources` gives each output block whose
-    id is not its input's its input block, and `_spliced` lays out each
-    block's inlined calls, as `_rewrite` spliced them: each the callee's
-    body minus its ret, whose stores keep the callee's own facts, the ones
-    the safety fold judged the caller by.  Within a block the i-th instruction that is not a shadow
-    operation is the laid-out source block's i-th, with a branch's targets
-    mapped back to input blocks.  A transition block holds a push and a
-    branch into the clone of its edge's target."""
+    Within an output block, its input block by `rf.block_sources`, with its
+    inlined calls laid out by `_spliced` (the callee's body minus its ret,
+    whose stores keep the callee's own facts, the ones the safety fold
+    judged the caller by), the i-th instruction that is not a shadow
+    operation is the laid-out input block's i-th, a branch's targets mapped
+    back to input blocks.  A transition block holds a push and a branch
+    into the clone of its edge's target."""
     name = fn.name
     source = originals.get(name)
     if source is None:
@@ -758,6 +755,109 @@ def _input_position(name: str, src: int, at: list | None, i: int) -> str:
     f, b, k = at[i] if at else (name, src, i)
     return f"b{b}[{k}]" if f == name else f"{f}.b{b}[{k}]"
 
+
+_KIND_COST = {"pop": COST_POP, "rfpush": COST_RF_PUSH, "rfpop": COST_RF_POP}   # a push's cost depends on its flags
+_STORED_BEFORE_PUSH, _STORED_AFTER_POP, _STORED = 1, 2, 4     # where a walk's unsafe stores fell, as bits of its state
+
+
+def rewrite_claims(fn: Function, rf: ResolvedFunction, dead: Mapping[int, tuple[int, ...]]) -> list[str]:
+    """What `rf` claims of `fn`, its output function, that does not hold:
+    shadow instructions sit exactly at `op_costs`'s positions and are, in
+    order, the instructions of `shadow_ops`' kinds; each is charged its
+    operation's cost, which its kind and `chased` and `transition` flags
+    give; a chased push sits where `dead`, the input's dead registers, holds
+    two (an edge's push where its target starts)."""
+    at = {(bid, idx): ins.opcode for bid, block in fn.blocks.items()
+          for idx, ins in enumerate(block.instrs) if ins.opcode in SHADOW_OPCODES}
+    kinds = [{"push": "spush", "pop": "spop"}.get(op.kind, op.kind) for op in rf.shadow_ops]
+    found = []
+    if at.keys() != rf.op_costs.keys():
+        found.append(f"shadow instructions and op_costs differ at {sorted(at.keys() ^ rf.op_costs.keys())}")
+    if list(at.values()) != kinds:
+        return found + [f"shadow instructions {list(at.values())} where shadow_ops has {kinds}"]
+    for op, (bid, idx) in zip(rf.shadow_ops, at):
+        where, charged = f"b{bid}[{idx}]: {op.kind}", rf.op_costs.get((bid, idx))
+        cost = _KIND_COST.get(op.kind) or (COST_PUSH_CHASED if op.chased else COST_PUSH)
+        if op.transition:
+            cost = (cost[0] + COST_TRANSITION_EDGE[0], cost[1] + COST_TRANSITION_EDGE[1])
+        if charged != op.cost or op.cost != cost:
+            found.append(f"{where} costs {op.cost}, op_costs charges {charged}, its kind and flags give {cost}")
+        b, k = (op.site[2], 0) if op.transition else (bid, idx)
+        if op.chased and (k >= len(dead.get(b, ())) or dead[b][k].bit_count() < 2):
+            found.append(f"{where} is chased where the input has fewer than two dead registers")
+    return found
+
+
+def activation_walks(fn: Function, rf: ResolvedFunction, stores: Mapping) -> list[str]:
+    """What fails on the walks from the entry of `fn`, output function of
+    the instrumenting rewrite `rf`, to a `ret` or `halt`, each finding once,
+    sorted (`brc` follows the input, so each is some input's walk).  A walk
+    is tainted from the entry of a FULL or register-frame function, or once
+    it enters a lowered one's `block_sources`.  A tainted walk runs one push,
+    then one pop, with no store unsafe by its height in `stores` before the
+    push or after the pop; any other walk runs neither.  Each state (block,
+    pushes and pops capped at 2, tainted, pop first, unsafe-store bits) is
+    explored once; a walk that never ends is not checked."""
+    found = []
+    start = (fn.entry_block, 0, 0, rf.mode != FN_LOWERED, False, 0)
+    seen, work, tainting = {start}, [start], rf.block_sources
+    while work:
+        bid, pushes, pops, tainted, pop_first, bits = work.pop()
+        instrs = fn.blocks[bid].instrs
+        for idx, ins in enumerate(instrs):
+            op = ins.opcode
+            if op == "spush" or op == "rfpush":
+                pushes = min(pushes + 1, 2)
+            elif op == "spop" or op == "rfpop":
+                pop_first, pops = pop_first or not pushes, min(pops + 1, 2)
+            elif (op == "store.sp" or op == "store.reg") and write_class(stores.get((bid, idx))) == UNSAFE:
+                bits |= _STORED | (not pushes) * _STORED_BEFORE_PUSH | (pops > 0) * _STORED_AFTER_POP
+        if instrs[-1].opcode not in ("br", "brc"):
+            counted = pushes == pops == 1
+            found += [message for failed, message in (
+                (tainted and not counted, f"tainted walk executed {pushes} pushes, {pops} pops"),
+                (tainted and counted and pop_first, "pop before push"),
+                (tainted and pushes and bits & _STORED_BEFORE_PUSH, "unsafe store before the covering push"),
+                (tainted and bits & _STORED_AFTER_POP, "unsafe store after the covering pop"),
+                (not tainted and (pushes or pops), "safe walk executed shadow operations"),
+                (not tainted and bits, "unsafe store on a walk that never left safe blocks"),
+            ) if failed]
+            continue
+        new = {(t, pushes, pops, tainted or t in tainting, pop_first, bits) for t in instrs[-1].args} - seen
+        seen |= new
+        work += new
+    return sorted(set(found))
+
+
+def check_rewrites(ip: InstrumentedProgram, source: Program | None = None, analysis=None) -> list[tuple[str, str]]:
+    """(function name, finding) of `rewrite_claims` and `activation_walks`
+    for each rewrite of `ip` but an elided one, the input's own function,
+    against `source`, the program `ip` instruments, and its ProgramAnalysis
+    `analysis` (store heights as `build_checks` maps them); and a chased
+    push in a mode without mechanisms.  Each rewrite keeps its findings
+    (`checked`) for the same output function and given `source` and
+    `analysis`; without `source`, the rest are checked against `ip`
+    stripped and analysed afresh.  CheckMappingError propagates."""
+    plain = not (ip.mode in MODE_FLAGS and MODE_FLAGS[ip.mode].mechanisms)
+    given, found = source is not None, []
+    for name, fn in ip.program.functions.items():
+        rf = ip.functions.get(name)
+        if rf is None or rf.mode == FN_ELIDED:
+            continue
+        checked = rf.checked
+        if checked is None or checked[0] is not fn or (
+            given and (checked[1] is not source or checked[2] is not analysis)
+        ):
+            if source is None:
+                source = strip_instrumentation(ip)
+                analysis = analyze_program(source)
+            stores = _mapped_heights(source, fn, rf, analysis).stores
+            findings = (*rewrite_claims(fn, rf, analysis.liveness[name]), *activation_walks(fn, rf, stores))
+            checked = rf.checked = (fn, source, analysis, findings)
+        found += [(name, m) for m in checked[3]]
+        if plain and any(op.chased for op in rf.shadow_ops):
+            found.append((name, f"chased push under {ip.mode}, a mode without mechanisms"))
+    return found
 
 
 def strip_instrumentation(ip: InstrumentedProgram) -> Program:

@@ -706,28 +706,41 @@ def test_verify_names_the_benign_base_runs_with_violations(monkeypatch, skew):
 
 
 def test_verify_names_the_benign_mode_runs_with_activation_problems(monkeypatch):
-    # each benign PO target is swapped for memo's PO rewrite with an extra
-    # push in its tainted walk: every activation problem is named by the run
-    # that found it, program, input and mode
+    # each benign PO target is checked and compiled as memo's PO rewrite with
+    # an extra push in its tainted walk: the static findings are named by the
+    # program and mode, the runs' by the run that found them, program, input
+    # and mode
     import shadowlab.cli as cli
     from shadowlab.transform import InstrumentedProgram
 
     from test_shadowvm import MEMO_EDITS, _edited_memo_po
 
-    edits, _, expected = MEMO_EDITS[0]
-    _, memo = _edited_memo_po(edits)
-    real = cli.compile
+    edits, _, walks, runs = MEMO_EDITS[0]
+    target, memo = _edited_memo_po(edits)
+    real_compile, real_check = cli.compile, cli.check_rewrites
 
-    def compile_swapped(target, checks=None):
-        if isinstance(target, InstrumentedProgram) and target.mode == "PO" and not target.program.adversarial:
-            return memo
-        return real(target, checks)
+    def swapped(ip):
+        return isinstance(ip, InstrumentedProgram) and ip.mode == "PO" and not ip.program.adversarial
+
+    def compile_swapped(ip, checks=None):
+        return memo if swapped(ip) else real_compile(ip, checks)
+
+    def check_swapped(ip, source, analysis):
+        return real_check(target) if swapped(ip) else real_check(ip, source, analysis)
 
     monkeypatch.setattr(cli, "compile", compile_swapped)
+    monkeypatch.setattr(cli, "check_rewrites", check_swapped)
     report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
     found = [v for v in report["violations"] if v.startswith("activation: ")]
-    assert found[:2] == [f"activation: prog_0000[0]/PO act 1 fn memo: {m}" for m in expected]
-    assert all(re.match(r"activation: prog_\d{4}\[\d\]/PO act \d+ fn memo: ", v) for v in found)
+    static = [
+        "shadow instructions and op_costs differ at [(2000, 1)]",
+        "shadow instructions ['spush', 'spush', 'spop', 'spop'] where shadow_ops has ['spush', 'spop', 'spop']",
+        *walks,
+    ]
+    assert found[:4] == [f"activation: prog_0000/PO fn memo: {m}" for m in static] + [
+        f"activation: prog_0000[0]/PO act 1 fn memo: {m}" for m in runs
+    ]
+    assert all(re.match(r"activation: prog_\d{4}(\[\d\]/PO act \d+|/PO) fn memo: ", v) for v in found)
     assert not ok
     checks = report["checks"]
     assert not checks["exactly_one_check_and_balance"] and not checks["no_other_violations"]

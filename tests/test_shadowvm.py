@@ -18,13 +18,13 @@ from shadowlab.transform import (
     MODES,
     CheckMappingError,
     InstrumentedProgram,
+    activation_walks,
     analyze_program,
     apply_plan,
+    check_rewrites,
     plan_program,
 )
 from shadowlab.shadowvm import (
-    _AFTER_POP,
-    _BEFORE_PUSH,
     ABORTED,
     BINOP,
     BR,
@@ -273,88 +273,32 @@ def test_shadow_balance_and_height_checks(seed):
         assert not trace.height_violations
 
 
-# ---- activation checks: the log walk they replaced is the reference ----
+# ---- a run's activation findings: the log walk is the reference ----
 
-class _Activation:
-    """What one activation did, for reference_activations."""
-
-    __slots__ = ("fn", "push", "pop", "clone", "unsafe", "call_top", "ret_top")
-
-    def __init__(self, fn: str):
-        self.fn = fn
-        self.push: list[int] = []
-        self.pop: list[int] = []
-        self.clone = False          # entered a clone or transition block: a tainted walk
-        self.unsafe: list[int] = []
-        self.call_top: int | None = None
-        self.ret_top: int | None = None
-
-
-_ACTIVATION_KINDS = frozenset(("call", "enter", "push", "pop", "store", "ret"))
+def _planned(target) -> set[str]:
+    """The functions of `target` that a plan placed."""
+    if isinstance(target, CompiledProgram):
+        return {fn.name for fn in target.functions if fn.planned}
+    return set(target.functions) if isinstance(target, InstrumentedProgram) else set()
 
 
 def reference_activations(case, trace, outcome) -> list[str]:
-    """check_activations as a walk over a recorded trace's event log."""
-    problems: list[str] = []
-    acts: dict[int, _Activation] = {}
-    plans = case.target.functions
-
-    # every activation event is (kind, act, fn, ...); the log is read by position
-    for pos, e in enumerate(trace.log):
-        kind = e[0]
-        if kind not in _ACTIVATION_KINDS or (kind == "store" and e[5] != UNSAFE):   # e[5]: wclass
-            continue
-        r = acts.get(e[1])
-        if r is None:
-            r = acts[e[1]] = _Activation(e[2])
-        if kind == "enter":
-            rf = plans.get(e[2])
-            if rf is not None and e[3] in rf.block_sources:      # e[3]: bid
-                r.clone = True
-        elif kind == "store":
-            r.unsafe.append(pos)
-        elif kind == "push":
-            r.push.append(pos)
-        elif kind == "pop":
-            r.pop.append(pos)
-        elif kind == "call":
-            r.call_top = e[-1]      # shadow_top, last in call and ret
-        else:
-            r.ret_top = e[-1]
-
-    for act, r in acts.items():
-        fn = r.fn
-        if fn not in plans:
-            continue
-        where = f"{case.name}/{case.mode} act {act} fn {fn}"
-        if plans[fn].mode == FN_LOWERED:
-            if r.clone:
-                if r.ret_top is None and outcome.kind == BUDGET:
-                    # cut short, perhaps before its push: only a second push is wrong
-                    miscounted = len(r.push) > 1
-                else:
-                    completed = r.ret_top is not None or outcome.kind == COMPLETED
-                    miscounted = len(r.push) != 1 or (completed and len(r.pop) != 1)
-                if miscounted:
-                    problems.append(
-                        f"activation: {where}: tainted walk executed {len(r.push)} pushes, {len(r.pop)} pops"
-                    )
-                elif r.pop and (not r.push or r.pop[0] < r.push[0]):
-                    problems.append(f"activation: {where}: pop before push")
-                for pos in r.unsafe:
-                    if r.push and pos < r.push[0]:
-                        problems.append(f"activation: {where}: unsafe store before the covering push")
-                    if r.pop and pos > r.pop[0]:
-                        problems.append(f"activation: {where}: unsafe store after the covering pop")
-            else:
-                if r.push or r.pop:
-                    problems.append(f"activation: {where}: safe walk executed shadow operations")
-                if r.unsafe:
-                    problems.append(f"activation: {where}: unsafe store on a walk that never left safe blocks")
-        if r.call_top is not None and r.ret_top is not None and r.call_top != r.ret_top:
-            problems.append(f"activation: {where}: shadow depth {r.ret_top} at return, {r.call_top} at call")
+    """The run's findings `check_activations` reports, as a walk over a
+    recorded trace's event log: a planned function's activation returns
+    with the shadow as deep as its call found it, and a completed run leaves
+    the shadow empty."""
+    where = f"{case.name}/{case.mode}"
+    planned, calls, problems = _planned(case.target), {}, []
+    # every call and ret event is (kind, act, fn, ..., shadow_top); the log is read by position
+    for e in trace.log:
+        if e[0] == "call":
+            calls[e[1]] = e[-1]
+        elif e[0] == "ret" and e[1] in calls and e[2] in planned and e[-1] != calls[e[1]]:
+            message = f"shadow depth {e[-1]} at return, {calls[e[1]]} at call"
+            problems.append((e[1], f"activation: {where} act {e[1]} fn {e[2]}: {message}"))
+    problems = [m for _, m in sorted(problems, key=itemgetter(0))]
     if outcome.kind == COMPLETED and trace.final_shadow_top != 0:
-        problems.append(f"activation: {case.name}/{case.mode}: shadow not balanced at completion")
+        problems.append(f"activation: {where}: shadow not balanced at completion")
     return problems
 
 
@@ -366,22 +310,22 @@ def checked_run(case, compiled, budget):
 
 
 def check_recording(case, plain_run, recorded_run, reference):
-    """Assert that recording changed nothing but the log and that the online
-    activation checks equal `reference`, the log walk's problems.  Returns
-    the unrecorded run's problems."""
+    """Assert that recording changed nothing but the log, and that
+    `check_activations` gives `reference`, the log walk's findings, first.
+    Returns its messages."""
     (plain, outcome), (recorded, recorded_outcome) = plain_run, recorded_run
     assert plain.log == []
     assert recorded_outcome == outcome
     assert dataclasses.replace(recorded, log=[]) == plain
     problems = check_activations(case, plain, outcome)
-    assert problems == reference, case.name
+    assert problems[:len(reference)] == reference, case.name
     return problems
 
 
 def test_online_checks_and_recording_over_pinned_corpus(pinned_runs):
     runs, _ = pinned_runs
     for case, plain_run, recorded_run, reference in runs:
-        check_recording(case, plain_run, recorded_run, reference)
+        assert check_recording(case, plain_run, recorded_run, reference) == reference
 
 
 @settings(max_examples=100, deadline=None)
@@ -697,32 +641,41 @@ def _edited_memo_po(edits):
     return target, compile(target, analyze_program(program))
 
 
+def _memo_walks(target):
+    """What the static walk finds of memo's output function in `target`, its
+    unsafe stores as the target's own analysis classes them."""
+    stores = analyze_program(target.program).heights["memo"].stores
+    return activation_walks(target.program.functions["memo"], target.functions["memo"], stores)
+
+
 _PUSH, _POP = "b2000:\n  spush -16\n", "b1007:\n  spop\n"
 _STORE = "b1004:\n  movi r9, 512\n  store.reg r9\n"
 _SAFE_EXIT = "  store.sp 0\n  ret\nb2000:"
-# hand edits of memo's walks under PO, each with its input and the problems
-# memo's activation shows
+# hand edits of memo's walks under PO, each with an input, what the static
+# walk finds of memo's output function, sorted, and what the run finds of
+# memo's activation.  The walk takes every path: b1004 -> b1002 -> b1003 -> b1004
+# loops in the tainted region, and the clone b1006 pops too.
 MEMO_EDITS = [
     # an extra push: two pushes, and one more shadow entry at the return
     ([(_PUSH, _PUSH + "  spush -16\n")], _MEMO_TAINTED,
-     ["tainted walk executed 2 pushes, 1 pops", "shadow depth 2 at return, 1 at call"]),
-    # no push: the pop finds no match and aborts
-    ([(_PUSH, "b2000:\n")], _MEMO_TAINTED, ["tainted walk executed 0 pushes, 0 pops"]),
+     ["tainted walk executed 2 pushes, 1 pops"], ["shadow depth 2 at return, 1 at call"]),
+    # no push: the run's pop finds no match and aborts
+    ([(_PUSH, "b2000:\n")], _MEMO_TAINTED, ["tainted walk executed 0 pushes, 1 pops"], []),
     ([(_POP, "b1007:\n")], _MEMO_TAINTED,
-     ["tainted walk executed 1 pushes, 0 pops", "shadow depth 2 at return, 1 at call"]),
+     ["tainted walk executed 1 pushes, 0 pops"], ["shadow depth 2 at return, 1 at call"]),
     # the pop, a register-frame one fed the on-stack address, comes first
     ([(_PUSH, "b2000:\n  load.sp r9, 16\n  rfpop r9\n  rfpush r9\n"), (_POP, "b1007:\n")], _MEMO_TAINTED,
-     ["pop before push", "unsafe store after the covering pop"]),
+     ["pop before push", "tainted walk executed 1 pushes, 2 pops", "unsafe store after the covering pop"], []),
     ([(_PUSH, "b2000:\n"), (_STORE, _STORE + "  spush -16\n")], _MEMO_TAINTED,
-     ["unsafe store before the covering push"]),
+     ["tainted walk executed 2 pushes, 1 pops", "unsafe store before the covering push"], []),
     ([(_POP, "b1007:\n"), (_STORE, "b1004:\n  movi r9, 512\n  spop\n  store.reg r9\n")], _MEMO_TAINTED,
-     ["unsafe store after the covering pop"]),
+     ["tainted walk executed 1 pushes, 2 pops", "unsafe store after the covering pop"], []),
     # a register-frame pop leaves the walk's shadow push in place
-    ([(_POP, "b1007:\n  load.sp r9, 16\n  rfpop r9\n")], _MEMO_TAINTED, ["shadow depth 2 at return, 1 at call"]),
+    ([(_POP, "b1007:\n  load.sp r9, 16\n  rfpop r9\n")], _MEMO_TAINTED, [], ["shadow depth 2 at return, 1 at call"]),
     ([(_SAFE_EXIT, "  store.sp 0\n  spush -16\n  spop\n  ret\nb2000:")], _MEMO_SAFE,
-     ["safe walk executed shadow operations"]),
+     ["safe walk executed shadow operations"], []),
     ([(_SAFE_EXIT, "  movi r9, 512\n  store.reg r9\n  ret\nb2000:")], _MEMO_SAFE,
-     ["unsafe store on a walk that never left safe blocks"]),
+     ["unsafe store on a walk that never left safe blocks"], []),
 ]
 # main's pop dropped: every activation passes, but the completed run leaves
 # the shadow unbalanced
@@ -734,18 +687,34 @@ def test_activation_problems_are_reported():
 
     def problems(edits, inp=_MEMO_TAINTED, budget=1000):
         target, compiled = _edited_memo_po(edits)
-        return checked_run(CampaignCase("memo", "PO", target, inp, False), compiled, budget)
+        return _memo_walks(target), checked_run(CampaignCase("memo", "PO", compiled, inp, False), compiled, budget)
 
-    assert problems([]) == [] and problems([], _MEMO_SAFE) == []
+    assert problems([]) == ([], []) and problems([], _MEMO_SAFE) == ([], [])
     # cut off after the push in b2000, which its `brc` entered, before b2000's `br`
-    assert problems([], budget=10) == []
-    for edits, inp, expected in MEMO_EDITS:
-        assert problems(edits, inp) == [f"activation: {where}: {m}" for m in expected], edits
-    assert problems(MEMO_UNBALANCED) == ["activation: memo/PO: shadow not balanced at completion"]
+    assert problems([], budget=10) == ([], [])
+    for edits, inp, walks, runs in MEMO_EDITS:
+        assert problems(edits, inp) == (walks, [f"activation: {where}: {m}" for m in runs]), edits
+    assert problems(MEMO_UNBALANCED) == ([], ["activation: memo/PO: shadow not balanced at completion"])
+    # check_activations adds the static findings of an instrumented target:
+    # the claims', of the push no shadow operation places, then the walk's
+    target, compiled = _edited_memo_po(MEMO_EDITS[0][0])
+    case = CampaignCase("memo", "PO", target, _MEMO_TAINTED, False)
+    assert checked_run(case, compiled, 1000) == [
+        f"activation: {where}: shadow depth 2 at return, 1 at call",
+        "activation: memo/PO fn memo: shadow instructions and op_costs differ at [(2000, 1)]",
+        "activation: memo/PO fn memo: shadow instructions ['spush', 'spush', 'spop', 'spop'] where shadow_ops has"
+        " ['spush', 'spop', 'spop']",
+        "activation: memo/PO fn memo: tainted walk executed 2 pushes, 1 pops",
+    ]
+    # ... and raises where they cannot be mapped
+    target, compiled = _edited_memo_po(MEMO_EDITS[3][0])
+    with pytest.raises(CheckMappingError, match=r"^memo\.b2000: transition block holds more than a push and a branch$"):
+        checked_run(dataclasses.replace(case, target=target), compiled, 1000)
 
 
 def reference_run_campaign(cases: list[CampaignCase]) -> CampaignReport:
-    """`run_campaign` as it was when it called check_activations on every run."""
+    """`run_campaign` with every run's activation findings from the log walk
+    of its recorded run."""
     report = CampaignReport()
     for case in cases:
         trace, outcome = execute(case.target, case.inp, case.budget)
@@ -769,7 +738,7 @@ def reference_run_campaign(cases: list[CampaignCase]) -> CampaignReport:
             report.violation(f"{case.name}/{case.mode}: height violation {v}")
         for v in trace.liveness_violations:
             report.violation(f"{case.name}/{case.mode}: liveness violation {v}")
-        problems = check_activations(case, trace, outcome)
+        problems = reference_activations(case, *execute(case.target, case.inp, case.budget, record=True))
         report.activation_count += len(problems)
         report.violation(*problems)
     return report
@@ -785,7 +754,7 @@ def test_campaign_checks_activations_only_where_they_report():
     # runs: skipping check_activations on a run it has nothing to say about
     # changes nothing in the report
     cases = []
-    for edits, inp, _ in MEMO_EDITS:
+    for edits, inp, _, _ in MEMO_EDITS:
         target, compiled = _edited_memo_po(edits)
         cases += [CampaignCase("memo", "PO", compiled, inp, False), CampaignCase("memo", "PO", target, inp, False)]
     _, compiled = _edited_memo_po(MEMO_UNBALANCED)
@@ -811,25 +780,28 @@ def test_campaign_checks_activations_only_where_they_report():
     assert _campaign_view(run_campaign(cases)) == _campaign_view(expected)
 
 
-def test_budget_cut_walk_is_checked_only_for_a_second_push():
+def test_second_push_is_found_by_the_walk_whatever_cuts_the_run():
     p = parse_program(MEMO_CALLER)
     _, plan = plan_program(p)
     ip = apply_plan(p, plan, "PO")
     tainted = ExecInput((True, True, False))
-    # step 9 enters memo's transition block b2000, step 10 is its push
-    case = CampaignCase("memo", "PO", ip, tainted, False)
+    # step 9 enters memo's transition block b2000, step 10 is its push: a run
+    # cut there finds nothing, and neither does the walk
     compiled = compile(ip, analyze_program(ip.program))
+    case = CampaignCase("memo", "PO", compiled, tainted, False)
     for budget in (9, 10):
         assert execute(compiled, tainted, budget)[1].kind == BUDGET
         assert checked_run(case, compiled, budget) == [], budget
+    assert _memo_walks(ip) == []
+    # a second push: no run cut before memo returns finds it, the walk does
     text = print_program(ip.program)
     assert text.count("b2000:\n  spush -16\n") == 1
     doubled = parse_program(text.replace("b2000:\n  spush -16\n", "b2000:\n  spush -16\n  spush -16\n"))
     target = InstrumentedProgram(doubled, ip.mode, ip.functions)
-    case = CampaignCase("memo", "PO", target, tainted, False)
     compiled = compile(target, analyze_program(doubled))
-    assert checked_run(case, compiled, 10) == []
-    assert checked_run(case, compiled, 11) == ["activation: memo/PO act 1 fn memo: tainted walk executed 2 pushes, 0 pops"]
+    case = CampaignCase("memo", "PO", compiled, tainted, False)
+    assert checked_run(case, compiled, 10) == checked_run(case, compiled, 11) == []
+    assert _memo_walks(target) == ["tainted walk executed 2 pushes, 1 pops"]
 
 
 # f's tainted walk starts at an unconditional `br` into its transition block;
@@ -878,18 +850,27 @@ b2:
 
 def test_activation_checks_follow_br_entry_and_unwind():
     p = parse_program(BR_TAINTED_WALK)
-    _, plan = plan_program(p)
+    analysis, plan = plan_program(p)
     for mode in ("PO", "LIGHT"):
         ip = apply_plan(p, plan, mode)
         assert ip.functions["f"].mode == FN_LOWERED
+        assert check_rewrites(ip, p, analysis) == []
         compiled = compile(ip, analyze_program(ip.program))
+        # the walk into the transition block through f's `br` is tainted
+        text = print_program(ip.program)
+        assert text.count("b2000:\n  spush -16\n") == 1
+        unpushed = InstrumentedProgram(parse_program(text.replace("b2000:\n  spush -16\n", "b2000:\n")), mode, ip.functions)
+        assert check_rewrites(unpushed) == [
+            ("f", "shadow instructions and op_costs differ at [(2000, 0)]"),
+            ("f", "shadow instructions ['spop'] where shadow_ops has ['spush', 'spop']"),
+            ("f", "tainted walk executed 0 pushes, 1 pops"),
+        ]
+        # f's walk through g's unwind never pops, which only the run sees:
+        # the shadow is left unbalanced
         expected = {
             (True, False): [],
             (False,): [],
-            (True, True): [
-                f"activation: br/{mode} act 1 fn f: tainted walk executed 1 pushes, 0 pops",
-                f"activation: br/{mode}: shadow not balanced at completion",
-            ],
+            (True, True): [f"activation: br/{mode}: shadow not balanced at completion"],
         }
         for decisions, problems in expected.items():
             case = CampaignCase("br", mode, ip, ExecInput(decisions), False)
@@ -1027,13 +1008,8 @@ class _Frame:
     ra_slot: int
     cookie: int
     ret_to: tuple | None    # (fn name, joined blocks, bid, joined block, idx) to resume at
-    fn: _Fn                 # the called function, whose plan the activation checks read
+    fn: _Fn                 # the called function: a planned one's return checks the depth
     call_top: int | None    # shadow depth at the call; None for the entry activation
-    tainted: bool = False   # entered a clone or transition block (never an entry block): a tainted walk
-    pushes: int = 0
-    pops: int = 0
-    pop_first: bool = False             # the first pop ran before any push
-    unsafe: list | None = None          # per unsafe store of a lowered function, its _BEFORE_PUSH | _AFTER_POP bits
     poison: int = 0         # mask of registers dead here, from the `live` slots
 
 
@@ -1061,7 +1037,6 @@ def reference_execute(
     fn = target.entry
     frame = _Frame(0, sp, EXIT_COOKIE, None, fn, None)
     frames = [frame]
-    unwound: list[_Frame] = []
     act = 0
     next_act = 1
 
@@ -1110,10 +1085,6 @@ def reference_execute(
                     height = addr - frame.ra_slot
                     if c is not None and checking and height != c:
                         trace.height_violations.append((fname, bid, idx, c, height))
-                    if b == UNSAFE and frame.fn.lowered:
-                        if frame.unsafe is None:
-                            frame.unsafe = []
-                        frame.unsafe.append((frame.pushes == 0) * _BEFORE_PUSH | (frame.pops > 0) * _AFTER_POP)
                     if record:
                         ev(("store", act, fname, bid, idx, b, addr, height))
                 elif op == BINOP:
@@ -1151,9 +1122,10 @@ def reference_execute(
                     frames.pop()
                     sp = frame.ra_slot + 8
                     ok = value == frame.cookie
-                    # only a lowered function's walk or an unbalanced depth can fail a check
-                    if frame.fn.planned and (frame.fn.lowered or frame.call_top != len(shadow)):
-                        _reference_check_activation(frame, len(shadow), COMPLETED, problems)
+                    if frame.fn.planned and frame.call_top is not None and frame.call_top != len(shadow):
+                        problems.append(
+                            (act, fname, f"shadow depth {len(shadow)} at return, {frame.call_top} at call")
+                        )
                     if record:
                         ev(("ret", act, fname, ok, len(shadow)))
                     if not ok:
@@ -1167,16 +1139,12 @@ def reference_execute(
                     act = frame.act
                 elif op == BR:
                     bid, block, idx = a, code[a], 0
-                    if c:
-                        frame.tainted = True
                     if record:
                         ev(("enter", act, fname, bid))
                 elif op == BRC:
                     bid = (a if decisions[di] else b) if di < n_decisions else b
                     di += 1
                     block, idx = code[bid], 0
-                    if c and bid in c:
-                        frame.tainted = True
                     if record:
                         ev(("enter", act, fname, bid))
                 elif op == CALL or op == ICALL:
@@ -1211,7 +1179,6 @@ def reference_execute(
                 else:  # UNWIND
                     if a >= len(frames):
                         raise _VmFault(f"unwind {a} with {len(frames)} frames")
-                    unwound += frames[-a:]
                     del frames[-a:]
                     frame = frames[-1]
                     sp = frame.ra_slot
@@ -1233,13 +1200,11 @@ def reference_execute(
                     if len(shadow) >= SHADOW_CAPACITY:
                         raise _VmFault("shadow region overflow")
                     shadow.append(mem.get(ra_addr >> 3, 0))
-                    frame.pushes += 1
                     if record:
                         ev(("push", act, fname, bid, idx, False))
                 elif op == RFPUSH:
                     scratch = regs[a]
                     regs[a] = mem.get(frame.ra_slot >> 3, 0)
-                    frame.pushes += 1
                     if record:
                         ev(("push", act, fname, bid, idx, True))
                 else:  # SPOP, or RFPOP
@@ -1263,9 +1228,6 @@ def reference_execute(
                             break
                     if rf:
                         regs[a] = scratch
-                    if not frame.pops and not frame.pushes:
-                        frame.pop_first = True
-                    frame.pops += 1
                     if record:
                         ev(("pop", act, fname, bid, idx, matched, rf))
                 idx += 1
@@ -1274,11 +1236,6 @@ def reference_execute(
             ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
 
-    # activations that never returned, now that the outcome is known; with no
-    # return depth, only a lowered function's walk can fail a check
-    for f in (*unwound, *frames):
-        if f.fn.lowered:
-            _reference_check_activation(f, None, outcome.kind, problems)
     problems.sort(key=itemgetter(0))
 
     trace.instr_count = steps - shadow_ops
@@ -1303,42 +1260,6 @@ def _joined_blocks(target: CompiledProgram) -> dict[str, dict[int, tuple]]:
                 block += block[-1][3]
             blocks[bid] = tuple(block)
     return joined
-
-
-def _reference_check_activation(frame: _Frame, ret_top: int | None, end: str, out: list) -> None:
-    """Append (act, fn, message) for each check the activation in `frame`
-    failed: a lowered function's tainted walk runs one covering push and pop
-    around its unsafe stores, its safe walk runs none, and a returning
-    activation leaves the shadow as deep as its call found it.  `ret_top` is
-    the depth at the return, None if it never returned.  `end` is COMPLETED
-    for a walk that ran to its end, so its pop is due; otherwise the run's
-    outcome.  A walk the budget cut short may not have reached its push yet,
-    so only a second push fails it."""
-    fn = frame.fn
-    where = (frame.act, fn.name)
-    if fn.lowered:
-        pushes, pops, unsafe = frame.pushes, frame.pops, frame.unsafe or ()
-        if frame.tainted:
-            if end == BUDGET:
-                miscounted = pushes > 1
-            else:
-                miscounted = pushes != 1 or (end == COMPLETED and pops != 1)
-            if miscounted:
-                out.append((*where, f"tainted walk executed {pushes} pushes, {pops} pops"))
-            elif frame.pop_first:
-                out.append((*where, "pop before push"))
-            for bits in unsafe:
-                if bits & _BEFORE_PUSH and pushes:
-                    out.append((*where, "unsafe store before the covering push"))
-                if bits & _AFTER_POP:
-                    out.append((*where, "unsafe store after the covering pop"))
-        else:
-            if pushes or pops:
-                out.append((*where, "safe walk executed shadow operations"))
-            if unsafe:
-                out.append((*where, "unsafe store on a walk that never left safe blocks"))
-    if ret_top is not None and frame.call_top is not None and ret_top != frame.call_top:
-        out.append((*where, f"shadow depth {ret_top} at return, {frame.call_top} at call"))
 
 
 def _run_view(run):
@@ -1657,17 +1578,20 @@ def test_store_the_height_fixpoint_never_reaches_is_unsafe_and_runs_in_every_mod
 
 
 def test_step_loop_matches_reference_on_a_miscounted_walk():
-    # memo's walk pushes twice, so a budget that cuts the run after the second
-    # push leaves a problem on the activation still running at the end
+    # memo's walk pushes twice: the walk finds it, and a run through the push
+    # returns with the shadow one deeper, cut by any budget or not
     p = parse_program(MEMO_CALLER)
     _, plan = plan_program(p)
     ip = apply_plan(p, plan, "PO")
     push = "b2000:\n  spush -16\n"
     doubled = parse_program(print_program(ip.program).replace(push, push + "  spush -16\n"))
     target = InstrumentedProgram(doubled, ip.mode, ip.functions)
+    assert _memo_walks(target) == ["tainted walk executed 2 pushes, 1 pops"]
     compiled = compile(target, analyze_program(doubled))
     for decisions in ((True, True, False), (True, False), (False,)):
         check_against_reference(compiled, ExecInput(decisions), 1000, f"doubled/{decisions}")
+    trace, _ = execute(compiled, ExecInput((True, True, False)), 1000)
+    assert trace.activation_problems == [(1, "memo", "shadow depth 2 at return, 1 at call")]
 
 
 def test_exec_input_masks_and_pads_registers_once():

@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import operator
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +33,7 @@ from shadowlab.transform import (
     ShadowOp,
     analyze_program,
     apply_plan,
+    check_rewrites,
     count_safe_paths,
     find_free_register,
     inline_eligible,
@@ -561,13 +566,20 @@ def test_strip_keeps_high_block_ids_of_unlowered_functions():
 )
 def test_lowering_keeps_blocks_the_entry_never_reaches(text, unreached):
     # validate_program rejects an unreachable block, but the library API
-    # takes one: the lowered rewrite keeps it, so every mode strips back
+    # takes one: the lowered rewrite keeps it, branching to the clone of a
+    # block kept only as a clone, so every mode strips back, its output
+    # holds no branch to a block it lacks, and its rewrites check clean
     p = parse_program(text)
-    _, plan = planned(p)
+    analysis, plan = planned(p)
     low = plan.per_function["main"].lowered
     assert unreached in low.kept_originals and unreached not in low.cloned
+    diagnostics = [d.reason for d in validate_program(p)]
+    assert diagnostics == [f"main.b{unreached}: unreachable block"]
     for mode in MODES:
-        assert strip_instrumentation(apply_plan(p, plan, mode)) == p, mode
+        ip = apply_plan(p, plan, mode)
+        assert strip_instrumentation(ip) == p, mode
+        assert [d.reason for d in validate_program(ip.program, allow_shadow=True)] == diagnostics, mode
+        assert check_rewrites(ip, p, analysis) == [], mode
 
 
 def test_rewrite_inverse_is_linear_in_inlined_calls():
@@ -1055,3 +1067,184 @@ def test_apply_plan_matches_reference(source):
                     if ins.opcode == "spush":
                         assert spushes.setdefault(ins.args, ins) is ins, (mode, ins)
 
+
+
+# f's walk into b2, whose call leaves no register dead, and into b3, where all
+# but r0 are dead: LIGHT chases only the push on the edge into b3, b2001
+CHASE_EDGES = """\
+#entry main
+
+fn main {
+b0:
+  spadd -16
+  call f
+  spadd 16
+  ret
+}
+
+fn f {
+b0:
+  spadd -16
+  brc b1, b4
+b1:
+  brc b2, b3
+b2:
+  call g
+  movi r9, 512
+  store.reg r9
+  spadd 16
+  ret
+b3:
+  movi r9, 512
+  store.reg r9
+  spadd 16
+  ret
+b4:
+  spadd 16
+  ret
+}
+
+fn g {
+b0:
+  ret
+}
+"""
+
+
+def _rechased(rf, chase):
+    """`rf` with the push on each transition edge `chase` picks chased and
+    costed as `_rewrite` costs a chased edge push."""
+    tids = {edge: tid for tid, edge in rf.transition_blocks.items()}
+    cost = (COST_PUSH_CHASED[0] + COST_TRANSITION_EDGE[0], COST_PUSH_CHASED[1] + COST_TRANSITION_EDGE[1])
+    ops, costs = [], dict(rf.op_costs)
+    for op in rf.shadow_ops:
+        if op.transition and chase(op.site[1:]):
+            op = op._replace(chased=True, cost=cost)
+            costs[(tids[op.site[1:]], 0)] = cost
+        ops.append(op)
+    return dataclasses.replace(rf, shadow_ops=tuple(ops), op_costs=costs, checked=None)
+
+
+def _chase_edges():
+    """CHASE_EDGES, its analysis and plan, and every mode's output, whose
+    rewrites all check clean."""
+    p = parse_program(CHASE_EDGES)
+    analysis, plan = planned(p)
+    assert plan.per_function["f"].edge_dead == {(1, 2): False, (1, 3): True}
+    outputs = {mode: apply_plan(p, plan, mode) for mode in MODES}
+    assert [op.chased for op in outputs["LIGHT"].functions["f"].shadow_ops if op.transition] == [False, True]
+    assert all(check_rewrites(ip, p, analysis) == [] for ip in outputs.values())
+    # so do the rewrites read back from a plan sidecar, whose op_costs come in
+    # key order: PO's transition pushes, b2000 and b2001, after its clones' pops
+    for mode, ip in outputs.items():
+        sidecar = json.loads(json.dumps(ip.to_json(), sort_keys=True))["functions"]
+        again = InstrumentedProgram(ip.program, mode, {n: ResolvedFunction.from_json(d) for n, d in sidecar.items()})
+        assert check_rewrites(again, p, analysis) == [], mode
+        if mode == "PO":
+            assert list(again.functions["f"].op_costs) != list(ip.functions["f"].op_costs)
+    return p, analysis, plan, outputs
+
+
+def _with_f(ip, rf):
+    """`ip` with f's rewrite `rf`."""
+    return InstrumentedProgram(ip.program, ip.mode, {**ip.functions, "f": rf})
+
+
+def test_claims_find_a_chase_where_edge_dead_is_inverted():
+    # edge_dead's `>= 2` made `< 2`: LIGHT chases the edge into b2, not b3
+    p, analysis, plan, _ = _chase_edges()
+    fp = plan.per_function["f"]
+    fp.edge_dead = {edge: not dead for edge, dead in fp.edge_dead.items()}
+    plan.rewrites.clear()
+    assert check_rewrites(apply_plan(p, plan, "LIGHT"), p, analysis) == [
+        ("f", "b2000[0]: push is chased where the input has fewer than two dead registers")
+    ]
+
+
+def test_claims_find_a_chase_the_mode_or_the_registers_do_not_allow():
+    # the chase choice's `and` made `or`: PO chases where the input has two
+    # dead registers, and LIGHT on every edge
+    p, analysis, plan, outputs = _chase_edges()
+    po, light = outputs["PO"], outputs["LIGHT"]
+    chased_po = _rechased(po.functions["f"], plan.per_function["f"].edge_dead.get)
+    assert check_rewrites(_with_f(po, chased_po), p, analysis) == [
+        ("f", "chased push under PO, a mode without mechanisms")
+    ]
+    chased_light = _rechased(light.functions["f"], lambda edge: True)
+    assert check_rewrites(_with_f(light, chased_light), p, analysis) == [
+        ("f", "b2000[0]: push is chased where the input has fewer than two dead registers")
+    ]
+
+
+def test_claims_find_a_shifted_or_wrong_cost():
+    p, analysis, _, outputs = _chase_edges()
+    full = outputs["FULL"].functions["f"]
+    # the entry push's op_costs index shifted by one
+    shifted = {((0, 1) if at == (0, 0) else at): cost for at, cost in full.op_costs.items()}
+    assert check_rewrites(_with_f(outputs["FULL"], dataclasses.replace(full, op_costs=shifted, checked=None)), p, analysis) == [
+        ("f", "shadow instructions and op_costs differ at [(0, 0), (0, 1)]"),
+        ("f", "b0[0]: push costs (9, 6), op_costs charges None, its kind and flags give (9, 6)"),
+    ]
+    # a cost that the push's kind and flags do not give
+    push = full.shadow_ops[0]._replace(cost=(9, 9))
+    recosted = dataclasses.replace(
+        full, shadow_ops=(push,) + full.shadow_ops[1:], op_costs={**full.op_costs, (0, 0): (9, 9)}, checked=None
+    )
+    assert check_rewrites(_with_f(outputs["FULL"], recosted), p, analysis) == [
+        ("f", "b0[0]: push costs (9, 9), op_costs charges (9, 9), its kind and flags give (9, 6)")
+    ]
+
+
+def _edited(ip, *edits):
+    """`ip` with each (old, new) of `edits` made to its printed program, each
+    `old` found once, under the same rewrites."""
+    text = print_program(ip.program)
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return InstrumentedProgram(parse_program(text), ip.mode, ip.functions)
+
+
+def test_every_walk_of_a_full_or_register_frame_function_runs_one_push_and_pop():
+    # main halts under FULL; rleaf is a register frame under MO
+    _, plan = planned(inline := parse_program(FIXTURE_INLINE))
+    full = apply_plan(inline, plan, "FULL")
+    assert check_rewrites(full) == []
+    # a halt after the push with no pop
+    assert check_rewrites(_edited(full, ("  spop\n  halt\n", "  halt\n"))) == [
+        ("main", "shadow instructions and op_costs differ at [(0, 4)]"),
+        ("main", "shadow instructions ['spush'] where shadow_ops has ['spush', 'spop']"),
+        ("main", "tainted walk executed 1 pushes, 0 pops"),
+    ]
+    # the pop first
+    popped = _edited(full, ("  spush 0\n  movi r1, 41\n", "  spop\n  spush 0\n  movi r1, 41\n"), ("  spop\n  halt\n", "  halt\n"))
+    assert check_rewrites(popped)[-1] == ("main", "pop before push")
+    _, plan = planned(regframe := parse_program(FIXTURE_REGFRAME))
+    mo = apply_plan(regframe, plan, "MO")
+    assert mo.functions["rleaf"].mode == FN_REGFRAME and check_rewrites(mo) == []
+    assert check_rewrites(_edited(mo, ("  rfpop r9\n", "")))[-1] == ("rleaf", "tainted walk executed 1 pushes, 0 pops")
+    # the unsafe store moved before the push
+    moved = _edited(mo, ("  rfpush r9\n", ""), ("  store.reg r1\n  rfpop r9\n", "  store.reg r1\n  rfpush r9\n  rfpop r9\n"))
+    assert check_rewrites(moved)[-1] == ("rleaf", "unsafe store before the covering push")
+
+
+def _bench_corpus():
+    """bench/corpus.py, which builds the vm-long programs, loaded by path."""
+    spec = importlib.util.spec_from_file_location("_bench_corpus", Path(__file__).parents[1] / "bench" / "corpus.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_rewrite_of_the_long_and_acceptance_corpora_checks_clean():
+    from test_acceptance import CAMPAIGN_CFG
+
+    corpus = _bench_corpus()
+    programs = [parse_program(lp.text) for seed in (1, 2, 3) for lp in corpus.build_long_programs(seed)]
+    for seed, count, density in ((CAMPAIGN_CFG.seed, CAMPAIGN_CFG.benign_count, 0.0),
+                                 (CAMPAIGN_CFG.seed + 1, CAMPAIGN_CFG.adversarial_count, 1.0)):
+        programs += [p for _, p in generate_corpus(GenConfig(seed=seed, count=count, attack_density=density))]
+    for p in programs:
+        analysis, plan = planned(p)
+        for mode in MODES:
+            assert check_rewrites(apply_plan(p, plan, mode), p, analysis) == [], mode
