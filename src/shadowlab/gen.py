@@ -372,11 +372,20 @@ def generate_corpus(cfg: GenConfig) -> list[tuple[str, Program]]:
 
 
 def generate_inputs(seed: int, count: int) -> list[ExecInput]:
+    """`count` inputs from `seed`, drawn as `randint` draws them: `randint(a, b)`
+    takes `(b - a + 1).bit_length()` bits until they fall below `b - a + 1`."""
     rng = random.Random(seed)
+    bits, draw = rng.getrandbits, rng.random
     out = []
     for _ in range(count):
-        n = rng.randint(2, 20)
-        decisions = tuple(rng.random() < 0.5 for _ in range(n))
-        regs = tuple(rng.randint(0, 63) for _ in range(16))
+        n = bits(5)     # randint(2, 20)
+        while n >= 19:
+            n = bits(5)
+        decisions = tuple([draw() < 0.5 for _ in range(n + 2)])
+        regs = []
+        while len(regs) < 16:   # randint(0, 63) each
+            r = bits(7)
+            if r < 64:
+                regs.append(r)
         out.append(ExecInput(decisions, regs))
     return out

@@ -12,7 +12,9 @@ executed shadow operation from the instrumentation plan's cost table rather
 than by expanding shadow operations into micro-instructions.
 
 Running is split in two.  `compile(target, checks)` decodes a program once,
-the one way checks reach the VM (see its docstring).  `execute` runs a
+the one way checks reach the VM (see its docstring).  A decoded `call` names
+its callee by program-order index, so a decoded function holds no other, and
+the modes that compile a rewrite alike share its decode.  `execute` runs a
 compiled program on one input a segment at a time, charging each one's
 length against the budget on entry; it keeps the trace's fields and the
 running activation in its own locals, a call saving the caller's as one
@@ -54,6 +56,7 @@ from typing import Iterable, NamedTuple
 from .mir import NUM_REGS, Program, RETURN_REG
 from .analysis import AnalysisChecks, instr_masks, write_class
 from .transform import (
+    _EMPTY,
     COST_POP,
     COST_PUSH,
     COST_RF_POP,
@@ -177,7 +180,8 @@ def observables(trace: Trace, outcome: Outcome) -> tuple:
 
 class _Fn:
     """One function's decoded code, block id -> the block's first segment,
-    and whether a plan placed it, so its returns check the shadow depth."""
+    and whether a plan placed it, so its returns check the shadow depth;
+    compiled programs may share it."""
 
     __slots__ = ("name", "entry", "blocks", "entry_code", "planned")
 
@@ -192,7 +196,7 @@ class CompiledProgram:
     """A target decoded once for the step loop, with its checks folded in."""
 
     entry: _Fn
-    functions: tuple[_Fn, ...]   # program order; an icall address indexes it
+    functions: tuple[_Fn, ...]   # program order; a call's index or an icall address indexes it
 
 
 # Decoded opcodes, grouped so the step loop dispatches on ranges: ops below
@@ -215,7 +219,8 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
 
     Each block becomes segments cut after each control transfer, the first in
     `blocks[bid]`, and each instruction a tuple (opcode, a, b, c, live, idx):
-      call      a = callee (icall: address register), b = cookie, c = next segment
+      call      a = callee's index in program order (icall: address
+                register), b = cookie, c = next segment
       stores    a = operand, b = write class, c = expected height or None
       shadow    a = operand, (b, c) = cost charged per execution
       movi      b = immediate masked to a word;  corrupt: b = value masked
@@ -227,21 +232,33 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
     and dead masks come from `checks`, which apply to the program they were
     built for; a position they lack reads as no dead registers, height or
     class, and a function without dead masks gets no liveness check.
+
+    Cookies are numbered program-wide, in call order.  A rewrite's decode is
+    kept on its ResolvedFunction and reused wherever its output function,
+    store heights and dead masks (by identity), first cookie and callees'
+    indices are the same.
     """
     if isinstance(target, InstrumentedProgram):
         program, resolved = target.program, target.functions
     else:
         program, resolved = target, {}
-    heights, liveness = (checks.heights, checks.liveness) if checks else ({}, {})
+    heights, liveness = (checks.heights, checks.liveness) if checks else (_EMPTY, _EMPTY)
+    index = {name: i for i, name in enumerate(program.functions)}
 
-    fns = {name: _Fn(name, fn.entry_block, name in resolved) for name, fn in program.functions.items()}
+    fns = []
     cookie = COOKIE_BASE
     for name, fn in program.functions.items():
         rf = resolved.get(name)
-        costs = rf.op_costs if rf else {}
-        hmap = heights[name].stores if name in heights else {}
+        hmap = heights[name].stores if name in heights else _EMPTY
         lmap = liveness.get(name)
-        out = fns[name]
+        d = rf.decoded.get(cookie) if rf and rf.decoded else None
+        if d and d[0] is fn and d[1] is hmap and d[2] is lmap and all(index.get(c) == i for c, i in d[3].items()):
+            fns.append(d[4])
+            cookie = d[5]
+            continue
+        first, costs = cookie, rf.op_costs if rf else _EMPTY
+        out = _Fn(name, fn.entry_block, rf is not None)
+        callees = {}    # name -> index, or None for a function the program lacks
         blocks = fn.blocks
         for bid, block in blocks.items():
             parts = [[]]    # the block's instructions, cut after each control transfer
@@ -258,10 +275,9 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                     b &= MASK
                 elif op == CALL or op == ICALL:
                     cookie += 1
-                    if op == CALL and a in fns:
-                        a = fns[a]
-                    elif op == CALL:
-                        op, a = UNKNOWN, f"{name}.b{bid}: call to unknown function '{a}'"
+                    if op == CALL:
+                        callees[a] = index.get(a)
+                        op, a = (op, index[a]) if a in index else (UNKNOWN, f"{name}.b{bid}: call to unknown function '{a}'")
                     b = cookie
                 elif op == BR or op == BRC:
                     if a not in blocks or op == BRC and b not in blocks:
@@ -288,7 +304,11 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                 seg = tuple(part)
             out.blocks[bid] = seg
         out.entry_code = out.blocks[out.entry]
-    return CompiledProgram(fns[program.entry], tuple(fns.values()))
+        if rf:
+            rf.decoded = rf.decoded or {}
+            rf.decoded[first] = (fn, hmap, lmap, callees, out, cookie)
+        fns.append(out)
+    return CompiledProgram(fns[index[program.entry]], tuple(fns))
 
 
 def _bad_address(addr: int) -> _VmFault:
@@ -434,7 +454,7 @@ def execute(
                             ev(("enter", act, fname, bid))
                     elif op == 15 or op == 16:  # CALL, ICALL
                         if op == 15:
-                            callee = a
+                            callee = by_index[a]
                         else:
                             address = regs[a]
                             if not 0 <= address < len(by_index):

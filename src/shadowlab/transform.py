@@ -386,6 +386,9 @@ class ResolvedFunction:
     shares: ResolvedFunction | None = field(default=None, repr=False, compare=False)
     # (output function, input program, analysis, what `check_rewrites` found)
     checked: tuple | None = field(default=None, repr=False, compare=False)
+    # `shadowvm.compile`'s decodes, first cookie -> (output function, store
+    # heights, dead masks, {callee: index}, decoded function, next cookie)
+    decoded: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def block_sources(self) -> dict[int, int]:
@@ -474,7 +477,8 @@ class InstrumentedProgram:
 
 
 # the one read-only empty mapping every ResolvedFunction without transition
-# blocks or op costs holds (dataclass refuses it as a default)
+# blocks or op costs holds (dataclass refuses it as a default), and that
+# `shadowvm.compile` reads absent checks as
 _EMPTY: Mapping = types.MappingProxyType({})
 
 # the pop spliced before every ret or halt of FULL functions and of clones:

@@ -244,26 +244,25 @@ SCALE_SIZES = (1_000, 8_000)
 
 def assert_linear(prepare) -> None:
     """`prepare(n)` builds an input of `n` units and returns, per function
-    under test, a call of it on that input.  Each call's best of 3 runs at
-    each of SCALE_SIZES is timed, and its time per unit at the larger size
-    must stay within 2x of that at the smaller: a quadratic step shows as
-    about 8x.  The collector is paused while a call runs, so a collection
-    the set-up's objects provoke is not charged to it."""
-    per_unit: dict[str, list[float]] = {}
-    for n in SCALE_SIZES:
-        runs = prepare(n)
-        gc.collect()
-        gc.disable()
-        try:
-            for label, run in runs.items():
-                best = float("inf")
-                for _ in range(3):
+    under test, a call of it on that input.  Each call runs 5 times at each
+    of SCALE_SIZES, the sizes taking turns so a slow spell of the host falls
+    on both, and its best time per unit at the larger size must stay within
+    2x of that at the smaller: a quadratic step shows as about 8x.  The
+    collector is paused while the calls run, so a collection the set-up's
+    objects provoke is not charged to them."""
+    sized = [(n, prepare(n)) for n in SCALE_SIZES]
+    per_unit = {label: [float("inf")] * len(sized) for label in sized[0][1]}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for k, (n, runs) in enumerate(sized):
+                for label, run in runs.items():
                     start = time.perf_counter()
                     run()
-                    best = min(best, time.perf_counter() - start)
-                per_unit.setdefault(label, []).append(best / n)
-        finally:
-            gc.enable()
+                    per_unit[label][k] = min(per_unit[label][k], (time.perf_counter() - start) / n)
+    finally:
+        gc.enable()
     slow = [
         f"{label}: {large * 1e6:.2f} us per unit at {SCALE_SIZES[1]:,}, {small * 1e6:.2f} at {SCALE_SIZES[0]:,}"
         for label, (small, large) in per_unit.items()

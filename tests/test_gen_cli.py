@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import stat
 import weakref
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from shadowlab.cli import main
 from shadowlab.gen import GenConfig, generate_corpus, generate_inputs, generate_program
 from shadowlab.mir import parse_program, print_program, validate_program
+from shadowlab.shadowvm import ExecInput
 
 from conftest import CALL_TREE, DEEP_CHAIN, MEMO_CFG, unwind_fixture
 
@@ -80,6 +82,26 @@ def test_safe_fraction_guarantee():
 
 def test_generated_inputs_deterministic():
     assert generate_inputs(9, 4) == generate_inputs(9, 4)
+
+
+def _randint_inputs(seed: int, count: int) -> list[ExecInput]:
+    """generate_inputs drawn with randint: the oracle for its inlined draws."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 20)
+        decisions = tuple(rng.random() < 0.5 for _ in range(n))
+        regs = tuple(rng.randint(0, 63) for _ in range(16))
+        out.append(ExecInput(decisions, regs))
+    return out
+
+
+def test_generated_inputs_draw_randint_numbers():
+    for seed in range(500):
+        assert generate_inputs(seed, 26) == _randint_inputs(seed, 26), seed
+    for seed in (0, 1, 20260810, -7, 2**70):
+        for count in (0, 1):
+            assert generate_inputs(seed, count) == _randint_inputs(seed, count), (seed, count)
 
 
 def test_corpus_respects_size_bounds():

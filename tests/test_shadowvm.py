@@ -9,7 +9,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowlab.analysis import UNSAFE, write_class
+from shadowlab.analysis import UNSAFE, AnalysisChecks, write_class
 from shadowlab.mir import (
     NUM_REGS, RETURN_REG, Block, Function, Instr, Program, parse_program, print_program, validate_program,
 )
@@ -1000,6 +1000,204 @@ def test_compiled_program_reused_across_inputs():
                 assert execute(compiled, inp, 20000, record=True) == fresh, name
 
 
+# ---- decoded functions shared between compiles ----
+
+def _alone(ip: InstrumentedProgram) -> InstrumentedProgram:
+    """`ip` with fresh ResolvedFunctions, so compiling it reuses no decode."""
+    return InstrumentedProgram(
+        ip.program, ip.mode, {n: dataclasses.replace(rf, decoded=None) for n, rf in ip.functions.items()}
+    )
+
+
+def _decoded(compiled: CompiledProgram) -> list:
+    return [(fn.name, fn.entry, fn.planned, fn.blocks) for fn in compiled.functions]
+
+
+def _assert_runs_alone(compiled, ip, checks, inputs, label) -> None:
+    """`compiled`, decoded from `ip` by a compile that may reuse decodes,
+    decodes and runs as `ip` compiled alone."""
+    alone = compile(_alone(ip), checks)
+    assert _decoded(compiled) == _decoded(alone), label
+    for inp in inputs:
+        assert _run_view(execute(compiled, inp, 20000, True)) == _run_view(execute(alone, inp, 20000, True)), label
+
+
+def _reuse_keys(ip: InstrumentedProgram, checks) -> list[tuple]:
+    """Per function of `ip`, what a decode of it may be reused for: its
+    ResolvedFunction, output function, store heights and dead masks (by
+    identity), first cookie, and callee indices."""
+    index = {name: i for i, name in enumerate(ip.program.functions)}
+    keys, cookie = [], 0
+    for name, fn in ip.program.functions.items():
+        calls = [ins for block in fn.blocks.values() for ins in block.instrs if ins.opcode in ("call", "icall")]
+        hmap = checks.heights[name].stores if name in checks.heights else None
+        callees = tuple(index.get(ins.args[0]) for ins in calls if ins.opcode == "call")
+        keys.append((id(ip.functions[name]), id(fn), id(hmap), id(checks.liveness.get(name)), cookie, callees))
+        cookie += len(calls)
+    return keys
+
+
+def test_prepared_modes_share_decodes_exactly_where_the_reuse_key_agrees(monkeypatch):
+    # over both acceptance corpora in every mode, as verify prepares them
+    from shadowlab import cli
+    from test_acceptance import CAMPAIGN_CFG
+
+    compiles = []
+
+    def recording(target, checks=None):
+        compiled = compile(target, checks)
+        compiles.append((target, checks, compiled))
+        return compiled
+
+    monkeypatch.setattr(cli, "compile", recording)
+    cfg = CAMPAIGN_CFG
+    corpora = [(cfg.seed, cfg.benign_count, 0.0), (cfg.seed + 1, cfg.adversarial_count, 1.0)]
+    shared = decoded = recookied = 0
+    for seed, count, density in corpora:
+        for name, p in generate_corpus(GenConfig(seed=seed, count=count, attack_density=density, budget=cfg.budget)):
+            compiles.clear()
+            prepared = cli._prepare(name, p, cfg, MODES, CampaignReport())
+            assert len(compiles) == len(prepared.targets) == len(MODES), name
+            # one decode per reuse key: equal keys share their blocks, other keys do not
+            first = {}
+            for ip, checks, compiled in compiles:
+                for key, fn in zip(_reuse_keys(ip, checks), compiled.functions):
+                    assert first.setdefault(key, fn.blocks) is fn.blocks, (name, ip.mode, fn.name)
+            blocks = [fn.blocks for _, _, compiled in compiles for fn in compiled.functions]
+            assert len({id(b) for b in blocks}) == len(first), name
+            decoded += len(blocks)
+            shared += len(blocks) - len(first)
+            cookies = {}    # ResolvedFunction -> the first cookies it was decoded at
+            for key in first:
+                cookies.setdefault(key[0], set()).add(key[4])
+            recookied += sum(len(c) > 1 for c in cookies.values())
+            for ip, checks, compiled in compiles:
+                _assert_runs_alone(compiled, ip, checks, prepared.inputs[:1], f"{name}/{ip.mode}")
+    # some rewrites are decoded at two first cookies: a mode that inlines an
+    # earlier function's calls numbers their calls from lower
+    assert 0 < shared < decoded and recookied
+
+
+# f2 is safe and calls d, which no mode inlines, so SFE and LIGHT give f2 the
+# one elided rewrite; LIGHT inlines main's call to id, so f2's call there
+# takes a cookie one lower.  id and d come last and make no call: swapping
+# them moves no cookie, only the callee indices of main and f2.
+DECODE_REUSE = """\
+#entry main
+
+fn main {
+b0:
+  movi r1, 41
+  call id
+  call f2
+  store.global out
+  halt
+}
+
+fn f2 {
+b0:
+  spadd -16
+  call d
+  spadd 16
+  ret
+}
+
+fn id {
+b0:
+  movr r0, r1
+  ret
+}
+
+fn d {
+b0:
+  spadd -8
+  movi r0, 7
+  spadd 8
+  ret
+}
+"""
+
+
+def test_decode_reuse_is_never_stale():
+    p = parse_program(DECODE_REUSE)
+    analysis, plan = plan_program(p)
+    inputs = [ExecInput(), *generate_inputs(5, 2)]
+
+    def recompiled(first, then, label):
+        """Compile (target, checks) `first`, then `then`: return the shared
+        function names of the two, after checking `then` runs alone."""
+        before = {fn.name: fn.blocks for fn in compile(*first).functions}
+        after = compile(*then)
+        _assert_runs_alone(after, *then, inputs, label)
+        return {fn.name for fn in after.functions if fn.blocks is before[fn.name]}
+
+    sfe, light = apply_plan(p, plan, "SFE"), apply_plan(p, plan, "LIGHT")
+    sfe_checks, light_checks = build_checks(sfe, p, analysis), build_checks(light, p, analysis)
+    assert sfe.functions["f2"] is light.functions["f2"]
+    assert sfe.program.functions["f2"] is light.program.functions["f2"]
+    assert sfe_checks.heights["f2"].stores is light_checks.heights["f2"].stores
+    # another first cookie, for every function after main: SFE's decodes do not serve LIGHT
+    assert recompiled((sfe, sfe_checks), (light, light_checks), "cookie") == set()
+    assert recompiled((light, light_checks), (light, light_checks), "same") == {"main", "f2", "id", "d"}
+    f2_sfe, f2_light = (compile(ip, c).functions[1].blocks for ip, c in ((sfe, sfe_checks), (light, light_checks)))
+    assert f2_sfe != f2_light
+
+    for mode in ("FULL", "PO", "LIGHT"):
+        ip = apply_plan(p, plan, mode)
+        own = analyze_program(ip.program)
+        twin = analyze_program(_twin(ip.program))
+        # another analysis, then other dead masks beside the same heights
+        assert recompiled((ip, own), (ip, twin), f"{mode}/twin") == set()
+        other = AnalysisChecks(own.heights, twin.liveness)
+        assert recompiled((ip, own), (ip, other), f"{mode}/dead masks") == set()
+        assert recompiled((ip, own), (ip, AnalysisChecks(own.heights, {})), f"{mode}/no masks") == set()
+        # other store heights beside the same dead masks
+        other = AnalysisChecks(twin.heights, own.liveness)
+        assert recompiled((ip, own), (ip, other), f"{mode}/heights") == set()
+        # without checks, as execute compiles an InstrumentedProgram: every
+        # decode is reused, but not for another output function of the same
+        # ResolvedFunctions
+        assert recompiled((ip, None), (ip, None), f"{mode}/unchecked") == {"main", "f2", "id", "d"}
+        edited = parse_program(print_program(ip.program).replace("movi r1, 41", "movi r1, 42"))
+        edited = InstrumentedProgram(edited, ip.mode, ip.functions)
+        assert recompiled((ip, None), (edited, None), f"{mode}/edited") == set()
+        # the same functions and ResolvedFunctions, id and d swapped: the
+        # callers of either decode afresh, as main does unless LIGHT inlined
+        # its call to id
+        functions = ip.program.functions
+        swapped = InstrumentedProgram(
+            Program({n: functions[n] for n in ("main", "f2", "d", "id")}, entry="main"), ip.mode, ip.functions
+        )
+        kept = {"id", "d", "main"} if mode == "LIGHT" else {"id", "d"}
+        assert recompiled((ip, own), (swapped, own), f"{mode}/swapped") == kept
+
+
+def test_determinism_check_runs_targets_that_share_no_decode(monkeypatch):
+    # the determinism phase plans each spot case's program again, so its
+    # second target is decoded afresh: a shared decode would hide a
+    # nondeterministic one
+    from shadowlab import cli
+
+    spots, again = [], []
+    phase, prepare = cli._determinism_phase, cli._prepare
+
+    def preparing(*args):
+        again.append(prepare(*args))
+        return again[-1]
+
+    def determinism(cfg, corpus, spot):
+        spots.extend(spot)
+        monkeypatch.setattr(cli, "_prepare", preparing)
+        return phase(cfg, corpus, spot)
+
+    monkeypatch.setattr(cli, "_determinism_phase", determinism)
+    _, ok = cli.verify_run(cli.VerifyConfig(benign_count=4, adversarial_count=6, inputs_per_program=3))
+    assert ok and len(spots) == len(again) == 3
+    for case, prepared in zip(spots, again):
+        first = {id(fn.blocks) for fn in case.target.functions}
+        assert not first & {id(fn.blocks) for fn in prepared.targets[case.mode].functions}, case.name
+
+
 # ---- the step loop with one Frame object per activation is the reference ----
 
 @dataclasses.dataclass(slots=True)
@@ -1149,7 +1347,7 @@ def reference_execute(
                         ev(("enter", act, fname, bid))
                 elif op == CALL or op == ICALL:
                     if op == CALL:
-                        callee = a
+                        callee = by_index[a]
                     else:
                         address = regs[a]
                         if not 0 <= address < len(by_index):
