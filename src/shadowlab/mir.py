@@ -8,8 +8,10 @@ immediate operand; r0 is the return register.
 
 The parser refuses only what one line shows, and a file with no function;
 `validate_program` alone checks that branch targets, callees and the entry exist.
-Programs are immutable after parse/validate and safe to share across threads;
-every operation in this module is a pure function of its inputs.
+Programs are immutable after parse/validate and safe to share across threads:
+a plain program `validate_program` finds clean keeps that verdict (`valid`),
+which `transform.plan_program` trusts.  Every other operation in this module
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -107,13 +109,7 @@ class Block:
     @property
     def successors(self) -> tuple[int, ...]:
         term = self.terminator
-        if term is None:
-            return ()
-        if term.opcode == "br":
-            return (term.args[0],)
-        if term.opcode == "brc":
-            return (term.args[0], term.args[1])
-        return ()
+        return term.args if term is not None and term.opcode in ("br", "brc") else ()
 
     def __eq__(self, other):
         return (
@@ -152,7 +148,7 @@ class Function:
         return tuple(
             bid
             for bid, b in self.blocks.items()
-            if b.terminator is not None and b.terminator.opcode in ("ret", "halt")
+            if b.terminator.opcode in ("ret", "halt")
         )
 
     @property
@@ -174,6 +170,7 @@ class Program:
     functions: dict[str, Function]
     entry: str = ""
     adversarial: bool = False
+    valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entry and self.functions:
@@ -384,7 +381,8 @@ def print_program(program: Program) -> str:
 def validate_program(
     program: Program, allow_shadow: bool = False, checked: Mapping[int, Function] | None = None
 ) -> list[Diagnostic]:
-    """Structural validation; returns an empty list iff all invariants hold.
+    """Structural validation; returns an empty list iff all invariants hold,
+    and then, for a plain program checked whole, sets `program.valid`.
     Every broken rule is reported, a missing entry function first.
 
     `checked` holds functions that already passed, in programs with the same
@@ -430,6 +428,11 @@ def validate_program(
                         f"{fn.name}.b{bid}: shadow instruction '{ins.opcode}' in plain program",
                         line,
                     )
+                shape = OPERAND_SHAPES.get(ins.opcode)
+                if shape is None or len(ins.args) != len(shape):
+                    diag(f"{fn.name}.b{bid}: unknown opcode '{ins.opcode}'" if shape is None else
+                         f"{fn.name}.b{bid}: '{ins.opcode}' expects {len(shape)} operand(s), got {len(ins.args)}", line)
+                    continue
                 if ins.opcode == "corrupt":
                     if not program.adversarial:
                         diag(f"{fn.name}.b{bid}: adversarial instruction in benign program", line)
@@ -437,7 +440,6 @@ def validate_program(
                         diag(f"{fn.name}.b{bid}: corrupt depth must be >= 0", line)
                 if ins.opcode == "unwind" and ins.args[0] < 1:
                     diag(f"{fn.name}.b{bid}: unwind count must be >= 1", line)
-                shape = OPERAND_SHAPES[ins.opcode]
                 for kind, arg in zip(shape, ins.args):
                     if kind == "r" and not 0 <= arg < NUM_REGS:
                         diag(f"{fn.name}.b{bid}: register index out of range", line)
@@ -461,6 +463,8 @@ def validate_program(
         for bid, block in fn.blocks.items():
             if bid not in seen:
                 diag(f"{fn.name}.b{bid}: unreachable block", block.src_line)
+    if not (diags or allow_shadow or checked):
+        program.valid = True
     return diags
 
 

@@ -51,6 +51,7 @@ from .mir import (
     STORE_OPCODES,
     TERMINATORS,
     sccs,
+    validate_program,
 )
 from .analysis import (
     AnalysisChecks,
@@ -120,8 +121,6 @@ class LoweredCfg:
     push_heights: dict[tuple[int, int], int]               # transition edge -> height at dst entry
     kept_originals: tuple[int, ...]                        # original blocks kept, in fn.blocks order
     cloned: tuple[int, ...]                                # original ids whose clones are kept, same order
-    # kept block the entry never reaches -> {target kept only as a clone: clone}
-    strays: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -168,6 +167,11 @@ def analyze_program(program: Program) -> ProgramAnalysis:
 
 
 def plan_program(program: Program) -> tuple[ProgramAnalysis, InstrumentationPlan]:
+    """Analyse and plan `program`.  A program `validate_program` rejects
+    raises PlanError naming every reason; one it already passed is not
+    validated again (`Program.valid`)."""
+    if not program.valid and (diags := validate_program(program)):
+        raise PlanError("invalid program: " + "; ".join(d.reason for d in diags))
     analysis = analyze_program(program)
     plan = plan_mechanism(program, analysis)
     return analysis, plan
@@ -209,11 +213,9 @@ def lower_instrumentation(fn: Function, safety: SafetyResult, heights: Heights) 
     lowered function keeps: every edge out of one leads to another or is a
     transition.  Clones branch only to clones, so the clones it keeps are
     those of the blocks reachable in the original CFG from a transition
-    target.  A block the entry never reaches is in neither set, and keeps
-    its original too, so the rewrite still holds every input block; where it
-    branches to a block kept only as a clone, it branches to that clone.
-    Returns None when lowering cannot apply: the entry block itself is
-    unsafe, or a push site has no concrete stack height.
+    target.  The entry reaches every block of a valid program, so each is
+    in one set or both.  Returns None when lowering cannot apply: the entry
+    block itself is unsafe, or a push site has no concrete stack height.
     """
     assert not safety.ra_safe_fn(fn.name), "lowering a safe function is a caller bug"
     if not safety.ra_safe_block(fn.name, fn.entry_block):
@@ -259,15 +261,12 @@ def lower_instrumentation(fn: Function, safety: SafetyResult, heights: Heights) 
             cloned.add(bid)
             work.extend(fn.blocks[bid].successors)
 
-    strays = {b: {t: t + CLONE_OFFSET for t in fn.blocks[b].successors if t in cloned and t not in originals}
-              for b in fn.blocks if b not in originals and b not in cloned}
     return LoweredCfg(
         {bid: bid + CLONE_OFFSET for bid in fn.blocks},
         tuple(transitions),
         push_heights,
-        tuple(bid for bid in fn.blocks if bid in originals or bid not in cloned),
+        tuple(bid for bid in fn.blocks if bid in originals),
         tuple(bid for bid in fn.blocks if bid in cloned),
-        strays,
     )
 
 
@@ -298,7 +297,7 @@ def inline_eligible(fn: Function) -> bool:
     if len(fn.blocks) != 1:
         return False
     block = next(iter(fn.blocks.values()))
-    if not block.instrs or block.instrs[-1].opcode != "ret":
+    if block.instrs[-1].opcode != "ret":
         return False
     return all(i.opcode not in _INLINE_FORBIDDEN for i in block.instrs[:-1])
 
@@ -314,7 +313,7 @@ def _chase_point(block: Block, dead: Mapping[int, tuple[int, ...]], stores: Mapp
         op = ins.opcode
         if op in ("call", "icall", "spmov", "unwind") or op in TERMINATORS:
             return None
-        if op in STORE_OPCODES and write_class(stores.get((block.bid, idx))) == UNSAFE:
+        if op in STORE_OPCODES and write_class(stores[(block.bid, idx)]) == UNSAFE:
             return None
         if op == "spadd":
             delta += ins.args[0]
@@ -574,7 +573,7 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
         clone_map = dict(low.clone_map)
         tids = {edge: TRANSITION_BASE + i for i, edge in enumerate(low.transition_edges)}
         transition_blocks = {tid: edge for edge, tid in tids.items()}
-        by_src: dict[int, dict[int, int]] = dict(low.strays)     # no stray block is a transition's source
+        by_src: dict[int, dict[int, int]] = {}
         for (src, dst), tid in tids.items():
             by_src.setdefault(src, {})[dst] = tid
         for bid in low.kept_originals:
@@ -693,8 +692,7 @@ def _mapped_facts(
     originals: Mapping[str, Function], fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks
 ) -> Heights:
     """The heights at the stores of `fn`, the rewrite `rf` describes of its
-    input in `originals`, taken from `analysis`, none where the input's
-    store has none (its block was never reached).
+    input in `originals`, taken from `analysis`.
 
     Within an output block, its input block by `rf.block_sources`, with its
     inlined calls laid out by `_spliced` (the callee's body minus its ret,
@@ -744,9 +742,7 @@ def _mapped_facts(
                     )
             if op in STORE_OPCODES:
                 f, b, k = at[i] if at else (name, src, i)
-                stores = analysis.heights[f].stores
-                if (b, k) in stores:
-                    hmap[(bid, idx)] = stores[(b, k)]
+                hmap[(bid, idx)] = analysis.heights[f].stores[(b, k)]
             i += 1
         if i != n:
             was = src_instrs[i].opcode
@@ -814,7 +810,7 @@ def activation_walks(fn: Function, rf: ResolvedFunction, stores: Mapping) -> lis
                 pushes = min(pushes + 1, 2)
             elif op == "spop" or op == "rfpop":
                 pop_first, pops = pop_first or not pushes, min(pops + 1, 2)
-            elif (op == "store.sp" or op == "store.reg") and write_class(stores.get((bid, idx))) == UNSAFE:
+            elif (op == "store.sp" or op == "store.reg") and write_class(stores[(bid, idx)]) == UNSAFE:
                 bits |= _STORED | (not pushes) * _STORED_BEFORE_PUSH | (pops > 0) * _STORED_AFTER_POP
         if instrs[-1].opcode not in ("br", "brc"):
             counted = pushes == pops == 1

@@ -284,8 +284,15 @@ _HALT = Instr("halt")
         ({"main": [(Instr("br", (7,)),)]}, "main", "main.b0: branch to unknown block b7"),
         ({"main": [(Instr("call", ("nope",)), _HALT)]}, "main", "main.b0: call to unknown function 'nope'"),
         ({"main": [(Instr("unwind", (0,)), _HALT)]}, "main", "main.b0: unwind count must be >= 1"),
+        # these three raised KeyError, raised IndexError, and passed clean
+        ({"main": [(Instr("nop"), _HALT)]}, "main", "main.b0: unknown opcode 'nop'"),
+        ({"main": [(Instr("br", ()),)]}, "main", "main.b0: 'br' expects 1 operand(s), got 0"),
+        ({"main": [(Instr("movi", (1,)), _HALT)]}, "main", "main.b0: 'movi' expects 2 operand(s), got 1"),
     ],
-    ids=["no-entry", "no-blocks", "empty-block", "register-range", "unknown-block", "unknown-callee", "unwind-0"],
+    ids=[
+        "no-entry", "no-blocks", "empty-block", "register-range", "unknown-block", "unknown-callee", "unwind-0",
+        "unknown-opcode", "br-without-target", "movi-one-operand",
+    ],
 )
 def test_validate_rules_for_built_programs(functions, entry, reason):
     # programs built in Python, as `apply_plan` builds its outputs: the parser

@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shadowlab.mir import Block, Function, Instr, Program, parse_program, print_program, sccs, validate_program
+from shadowlab.mir import (
+    OPERAND_SHAPES, SHADOW_OPCODES, TERMINATORS, Block, Function, Instr, Program, parse_program, print_program, sccs,
+    validate_program,
+)
 from shadowlab.transform import (
     COST_POP,
     COST_PUSH,
@@ -43,7 +46,7 @@ from shadowlab.transform import (
     strip_instrumentation,
 )
 from shadowlab.analysis import join_height, write_class
-from shadowlab.shadowvm import ExecInput, build_checks, execute, observables
+from shadowlab.shadowvm import ExecInput, build_checks, compile, execute, observables
 from shadowlab.gen import GenConfig, generate_corpus, generate_program
 
 from conftest import assert_linear, CALL_TREE, DEEP_CHAIN, FIXTURE_CHASE, FIXTURE_DIAMOND, FIXTURE_INLINE, FIXTURE_REGFRAME, MEMO_CFG
@@ -565,21 +568,99 @@ def test_strip_keeps_high_block_ids_of_unlowered_functions():
     ids=["halt", "transition"],
 )
 def test_lowering_keeps_blocks_the_entry_never_reaches(text, unreached):
-    # validate_program rejects an unreachable block, but the library API
-    # takes one: the lowered rewrite keeps it, branching to the clone of a
-    # block kept only as a clone, so every mode strips back, its output
-    # holds no branch to a block it lacks, and its rewrites check clean
+    # validate_program rejects an unreachable block, and plan_program refuses
+    # the program with that reason, so no plan, and no lowering, ever holds
+    # a block the entry never reaches
     p = parse_program(text)
-    analysis, plan = planned(p)
-    low = plan.per_function["main"].lowered
-    assert unreached in low.kept_originals and unreached not in low.cloned
-    diagnostics = [d.reason for d in validate_program(p)]
-    assert diagnostics == [f"main.b{unreached}: unreachable block"]
+    with pytest.raises(PlanError) as refused:
+        plan_program(p)
+    assert str(refused.value) == f"invalid program: main.b{unreached}: unreachable block"
+    assert [d.reason for d in validate_program(p)] == [f"main.b{unreached}: unreachable block"]
+    assert not p.valid
+
+
+# what `_hand_built` can break in a valid program, each at a drawn place
+_BREAKS = ("unreachable", "dangling-branch", "dangling-callee", "missing-entry", "empty-function",
+           "empty-block", "no-terminator", "unknown-opcode", "operand-count")
+_BODY_OPS = sorted(set(OPERAND_SHAPES) - TERMINATORS - SHADOW_OPCODES)
+
+
+@st.composite
+def _hand_built(draw):
+    """A program built in Python: up to three functions of chained blocks,
+    each reachable from the entry block, with drawn body instructions, then
+    broken in up to three of `_BREAKS`' ways."""
+    names = ["main", "f", "g"][:draw(st.integers(1, 3))]
+    operand = {"r": st.integers(0, 15), "i": st.sampled_from((-16, -8, 0, 8, 16)), "g": st.just("out"),
+               "f": st.sampled_from(names)}
+
+    def body_instr():
+        op = draw(st.sampled_from(_BODY_OPS))
+        if op == "unwind":
+            return Instr(op, (draw(st.integers(1, 2)),))
+        if op == "corrupt":
+            return Instr(op, (draw(st.integers(0, 2)), 99))
+        return Instr(op, tuple(draw(operand[k]) for k in OPERAND_SHAPES[op]))
+
+    functions = {}
+    for name in names:
+        bids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+        blocks = {}
+        for k, bid in enumerate(bids):
+            body = tuple(body_instr() for _ in range(draw(st.integers(0, 3))))
+            if k + 1 == len(bids):
+                term = Instr(draw(st.sampled_from(("ret", "halt"))))
+            else:
+                back = draw(st.sampled_from([None] + [b for b in bids if b != bids[k + 1]]))
+                term = Instr("br", (bids[k + 1],)) if back is None else Instr("brc", (bids[k + 1], back))
+            blocks[bid] = Block(bid, body + (term,))
+        functions[name] = Function(name, blocks)
+    entry, adversarial = "main", draw(st.booleans())
+    for broken in draw(st.lists(st.sampled_from(_BREAKS), max_size=3)):
+        fn = functions[draw(st.sampled_from(names))]
+        bid = draw(st.sampled_from(list(fn.blocks) or [0]))
+        instrs = fn.blocks[bid].instrs if fn.blocks else ()
+        at = draw(st.integers(0, max(len(instrs) - 1, 0)))
+        if broken == "missing-entry":
+            entry = "nope"
+        elif broken == "empty-function":
+            functions["h"] = Function("h", {})
+        elif broken == "unreachable":
+            fn.blocks[max(fn.blocks, default=0) + 1] = Block(max(fn.blocks, default=0) + 1, (Instr("ret"),))
+        elif fn.blocks:
+            instrs = {
+                "dangling-branch": instrs[:-1] + (Instr("br", (99,)),),
+                "dangling-callee": instrs[:at] + (Instr("call", ("ghost",)),) + instrs[at:],
+                "empty-block": (),
+                "no-terminator": instrs[:-1],
+                "unknown-opcode": instrs[:at] + (Instr("nop"),) + instrs[at:],
+                "operand-count": instrs[:at] + (Instr("movi", (1,)),) + instrs[at:],
+            }[broken]
+            fn.blocks[bid] = Block(bid, instrs)
+    return Program(functions, entry, adversarial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hand_built(), st.lists(st.booleans(), max_size=6))
+def test_plan_refuses_what_validation_rejects_and_every_stage_takes_the_rest(p, decisions):
+    # plan_program refuses a program validate_program rejects, naming every
+    # reason; on any program it accepts, each stage after it completes in
+    # every mode, and every mode strips back to the input
+    try:
+        analysis, plan = plan_program(p)
+    except PlanError as refused:
+        reasons = [d.reason for d in validate_program(p)]
+        assert reasons and str(refused) == "invalid program: " + "; ".join(reasons)
+        return
+    assert validate_program(p) == []
+    inp = ExecInput(tuple(decisions), tuple(range(16)))
+    execute(p, inp, 500)
     for mode in MODES:
         ip = apply_plan(p, plan, mode)
+        checks = build_checks(ip, p, analysis)
+        check_rewrites(ip, p, analysis)
+        execute(compile(ip, checks), inp, 500)
         assert strip_instrumentation(ip) == p, mode
-        assert [d.reason for d in validate_program(ip.program, allow_shadow=True)] == diagnostics, mode
-        assert check_rewrites(ip, p, analysis) == [], mode
 
 
 def test_rewrite_inverse_is_linear_in_inlined_calls():
