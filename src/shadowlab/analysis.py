@@ -22,7 +22,7 @@ register r).  Its worklist is seeded with the forward CFG's strongly
 connected components in `mir.sccs` order, each after every component it
 reaches, with unreachable blocks appended, and a block whose live-in set
 changes re-queues its predecessors.  Dead sets stay bitmasks: planning
-counts their bits and the VM checks against them.
+counts their bits and `dead_register_findings` checks them on every path.
 
 Both analyses keep their results per block.  `stack_heights` returns each
 reached block's entry state and the destination height of each store;
@@ -31,7 +31,7 @@ instructions, and a store's `write_class` is derived from its height.
 `dead_registers` returns per block a tuple of the masks of registers dead
 just before each instruction.  `AnalysisChecks` holds both per function as
 the one record of a program's analysis: planning extends it with the safety
-verdicts (`transform.ProgramAnalysis`), and the VM validates against it.
+verdicts (`transform.ProgramAnalysis`), and `verify` validates it.
 """
 
 from __future__ import annotations
@@ -281,12 +281,30 @@ def dead_registers(fn: Function) -> dict[int, tuple[int, ...]]:
     return dead
 
 
+def dead_register_findings(fn: Function, dead: Mapping[int, tuple[int, ...]]) -> list[tuple]:
+    """(function, block id, index, registers) wherever `dead` is no
+    post-fixpoint of liveness under `instr_masks`: a mask names a register its
+    instruction reads, or one live after it that it does not define.  After a
+    block, a register is dead where each successor's entry mask says so."""
+    findings = []
+    for bid, block in fn.blocks.items():
+        masks, end = dead[bid], ALL_MASK
+        for succ in block.successors:
+            end &= dead[succ][0]
+        for idx, (ins, after) in enumerate(zip(block.instrs, masks[1:] + (end,))):
+            uses, defs = instr_masks(ins)
+            bad = masks[idx] & (uses | ~(after | defs))
+            if bad:
+                findings.append((fn.name, bid, idx, tuple(r for r in range(NUM_REGS) if bad >> r & 1)))
+    return findings
+
+
 @dataclass
 class AnalysisChecks:
     """A program's analysis results, per function name: the facts planning
-    reads and the VM validates while executing, a dead mask read as
-    `liveness[name][bid][idx]`.  A function without dead register masks is
-    absent from `liveness`."""
+    reads and the VM (heights) or `verify` (dead masks) validates, a dead
+    mask read as `liveness[name][bid][idx]`.  A function without dead
+    register masks is absent from `liveness`."""
 
     heights: Mapping[str, Heights]
     liveness: Mapping[str, Mapping[int, tuple[int, ...]]]    # dead-register masks per block

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, NoReturn
 
 from .mir import NUM_REGS, SHADOW_OPCODES, Diagnostic, MirError, Program, parse_program, print_program, validate_program
-from .analysis import GLOBAL, SAFE_STACK, UNSAFE, Heights, classify_writes
+from .analysis import GLOBAL, SAFE_STACK, UNSAFE, Heights, classify_writes, dead_register_findings
 from .transform import (
     FN_ELIDED,
     FN_FULL,
@@ -390,10 +390,11 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
 
 
 def _benign_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, dict, tuple[bool, bool, bool, bool]]:
-    """Run each benign program's base and every sound mode's target on its
-    inputs.  Returns the phase's report; its report fields `transparency_pairs`,
-    `overhead_ratios` and `plan_coverage`; and the four checks they decide:
-    transparency, monotonicity, the aggregate ladder and plan mode coverage."""
+    """Check each benign program's dead register masks on every path, then
+    run its base and every sound mode's target on its inputs.  Returns the
+    phase's report; its report fields `transparency_pairs`, `overhead_ratios`
+    and `plan_coverage`; and the four checks they decide: transparency,
+    monotonicity, the aggregate ladder and plan mode coverage."""
     report = CampaignReport()
     shadow, total = Counter(), Counter()   # instructions per mode over every run
     pairs = transparency_bad = mono_bad = 0
@@ -405,6 +406,10 @@ def _benign_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, dict, tupl
         if "LIGHT" in prepared.targets:
             for fp in prepared.plan.per_function.values():
                 coverage[resolve_mode(fp, "LIGHT")] += 1
+        for fn in program.functions.values():
+            findings = dead_register_findings(fn, prepared.analysis.liveness[fn.name])
+            report.liveness_violations += len(findings)
+            report.violation(*(f"{name}/BASE: liveness violation {f}" for f in findings))
         base = compile(program, prepared.analysis)
         for i, inp in enumerate(prepared.inputs):
             run = f"{name}[{i}]"

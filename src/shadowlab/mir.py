@@ -56,6 +56,10 @@ OPERAND_SHAPES = {
     "rfpush": "r",
     "rfpop": "r",
 }
+# per opcode, the type of each operand (r, i and b are ints; g and f strs),
+# and the positions of its registers
+_OPERAND_TYPES = {op: tuple(str if k in "gf" else int for k in shape) for op, shape in OPERAND_SHAPES.items()}
+_REGISTERS = {op: [at for at, k in enumerate(shape) if k == "r"] for op, shape in OPERAND_SHAPES.items()}
 
 
 class MirError(Exception):
@@ -417,40 +421,46 @@ def validate_program(
                     block.src_line,
                 )
             for idx, ins in enumerate(block.instrs):
+                op, args = ins.opcode, ins.args
                 line = block.instr_lines[idx] if idx < len(block.instr_lines) else block.src_line
-                if ins.opcode in TERMINATORS and idx != len(block.instrs) - 1:
+                if op in TERMINATORS and idx != len(block.instrs) - 1:
                     diag(
-                        f"{fn.name}.b{bid}: control transfer '{ins.opcode}' before end of block",
+                        f"{fn.name}.b{bid}: control transfer '{op}' before end of block",
                         line,
                     )
-                if ins.opcode in SHADOW_OPCODES and not allow_shadow:
+                if op in SHADOW_OPCODES and not allow_shadow:
                     diag(
-                        f"{fn.name}.b{bid}: shadow instruction '{ins.opcode}' in plain program",
+                        f"{fn.name}.b{bid}: shadow instruction '{op}' in plain program",
                         line,
                     )
-                shape = OPERAND_SHAPES.get(ins.opcode)
-                if shape is None or len(ins.args) != len(shape):
-                    diag(f"{fn.name}.b{bid}: unknown opcode '{ins.opcode}'" if shape is None else
-                         f"{fn.name}.b{bid}: '{ins.opcode}' expects {len(shape)} operand(s), got {len(ins.args)}", line)
+                types = _OPERAND_TYPES.get(op)
+                if tuple(map(type, args)) != types:
+                    if types is None:
+                        diag(f"{fn.name}.b{bid}: unknown opcode '{op}'", line)
+                    elif len(args) != len(types):
+                        diag(f"{fn.name}.b{bid}: '{op}' expects {len(types)} operand(s), got {len(args)}", line)
+                    else:
+                        at, want = next((i, t) for i, (t, arg) in enumerate(zip(types, args)) if type(arg) is not t)
+                        diag(f"{fn.name}.b{bid}: '{op}' operand {at + 1} must be {want.__name__}", line)
                     continue
-                if ins.opcode == "corrupt":
+                if op == "corrupt":
                     if not program.adversarial:
                         diag(f"{fn.name}.b{bid}: adversarial instruction in benign program", line)
-                    if ins.args[0] < 0:
+                    if args[0] < 0:
                         diag(f"{fn.name}.b{bid}: corrupt depth must be >= 0", line)
-                if ins.opcode == "unwind" and ins.args[0] < 1:
+                if op == "unwind" and args[0] < 1:
                     diag(f"{fn.name}.b{bid}: unwind count must be >= 1", line)
-                for kind, arg in zip(shape, ins.args):
-                    if kind == "r" and not 0 <= arg < NUM_REGS:
+                for at in _REGISTERS[op]:
+                    if not 0 <= args[at] < NUM_REGS:
                         diag(f"{fn.name}.b{bid}: register index out of range", line)
-                if ins.opcode in ("br", "brc"):
-                    for target in ins.args:
+                if op in ("br", "brc"):
+                    for target in args:
                         if target not in fn.blocks:
                             diag(f"{fn.name}.b{bid}: branch to unknown block b{target}", line)
-                if ins.opcode == "brc" and ins.args[0] == ins.args[1]:
+                if op == "brc" and args[0] == args[1]:
                     diag(f"{fn.name}.b{bid}: brc arms must differ", line)
-                if ins.opcode == "call" and ins.args[0] not in program.functions:
-                    diag(f"{fn.name}.b{bid}: call to unknown function '{ins.args[0]}'", line)
+                if op == "call" and args[0] not in program.functions:
+                    diag(f"{fn.name}.b{bid}: call to unknown function '{args[0]}'", line)
         # reachability over intra-procedural edges
         seen = set()
         work = [fn.entry_block]

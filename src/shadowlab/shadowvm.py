@@ -12,9 +12,10 @@ executed shadow operation from the instrumentation plan's cost table rather
 than by expanding shadow operations into micro-instructions.
 
 Running is split in two.  `compile(target, checks)` decodes a program once,
-the one way checks reach the VM (see its docstring).  A decoded `call` names
-its callee by program-order index, so a decoded function holds no other, and
-the modes that compile a rewrite alike share its decode.  `execute` runs a
+each instruction a 5-tuple, the one way checks reach the VM (see its
+docstring).  A decoded `call` names its callee by program-order index, so a
+decoded function holds no other, and the modes that compile a rewrite alike
+share its decode.  `execute` runs a
 compiled program on one input a segment at a time, charging each one's
 length against the budget on entry; it keeps the trace's fields and the
 running activation in its own locals, a call saving the caller's as one
@@ -22,12 +23,12 @@ tuple, and builds the `Trace` once, when the run ends.  An instrumented
 target is compiled with the checks `transform.build_checks` maps onto it
 from its input's analysis; an uninstrumented input with its own analysis.
 
-Whether an activation's walk runs one covering push and pop depends on its
-function's paths only, which `transform.check_rewrites` checks statically.
-The step loop checks what is interprocedural: a planned function returns
-with the shadow as deep as its call found it.  `CampaignReport.check`
-counts and names a run's height and liveness violations and activation
-findings; `check_activations` adds the target's static findings.
+Whether an activation's walk runs one covering push and pop, and whether a
+dead register mask is sound, depend on a function's paths only, which
+`verify` checks statically.  The step loop checks what is interprocedural:
+a planned function returns with the shadow as deep as its call found it.
+`CampaignReport.check` counts and names a run's height violations and
+activation findings; `check_activations` adds the target's static findings.
 
 Under `execute(..., record=True)` the trace also keeps a log of plain
 tuples, one `(kind, *fields)` per event, which `to_lines` and `to_json` read
@@ -54,7 +55,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .mir import NUM_REGS, Program, RETURN_REG
-from .analysis import AnalysisChecks, instr_masks, write_class
+from .analysis import AnalysisChecks, write_class
 from .transform import (
     _EMPTY,
     COST_POP,
@@ -131,7 +132,6 @@ class Trace:
     final_shadow_top: int = 0
     globals_log: list = field(default_factory=list)
     height_violations: list = field(default_factory=list)
-    liveness_violations: list = field(default_factory=list)
     activation_problems: list = field(default_factory=list)   # (act, fn, depth message), ordered by act
     corruptions: int = 0    # corrupt instructions executed
 
@@ -154,17 +154,16 @@ class Trace:
         }
 
 
-# The running activation lives in `execute`'s locals:
+# The running activation is held in `execute`'s locals:
 #   act        its number, in call order; the entry activation is 0
 #   call_top   shadow depth at the call, which a return must find again;
 #              None for the entry activation and a function no plan placed
 #   ra_slot    address of its return-address word
 #   cookie     the return address its caller stored there
-#   poison     mask of registers dead here, from the `live` slots
 # A call saves the caller's as one tuple on `callers`, these fields in this
 # order and then where it resumes, (fname, code, bid, seg), seg the call's c.
 _RA_SLOT = 2
-_ACTIVATION = 5             # the fields an unwind restores; it resumes in the code that unwound
+_ACTIVATION = 4             # the fields an unwind restores; it resumes in the code that unwound
 
 
 class _VmFault(Exception):
@@ -218,7 +217,7 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
     """Decode `target` once for any number of runs.
 
     Each block becomes segments cut after each control transfer, the first in
-    `blocks[bid]`, and each instruction a tuple (opcode, a, b, c, live, idx):
+    `blocks[bid]`, and each instruction a tuple (opcode, a, b, c, idx):
       call      a = callee's index in program order (icall: address
                 register), b = cookie, c = next segment
       stores    a = operand, b = write class, c = expected height or None
@@ -226,23 +225,21 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
       movi      b = immediate masked to a word;  corrupt: b = value masked
       UNKNOWN   a = the reason it faults with: an unhandled opcode, or a call
                 or branch to a function or block that does not exist
-    `idx` is its index in the block.  `live` is (dead before, uses, defs) as
-    register bitmasks when the liveness check has anything to do at that
-    instruction, else None.  Store heights, which give the write classes,
-    and dead masks come from `checks`, which apply to the program they were
-    built for; a position they lack reads as no dead registers, height or
-    class, and a function without dead masks gets no liveness check.
+    `idx` is its index in the block.  Store heights, which give the write
+    classes, come from `checks.heights`, which apply to the program they
+    were built for; a store they lack reads as no height or class.  Dead
+    register masks are not read: `verify` checks them statically.
 
     Cookies are numbered program-wide, in call order.  A rewrite's decode is
     kept on its ResolvedFunction and reused wherever its output function,
-    store heights and dead masks (by identity), first cookie and callees'
-    indices are the same.
+    store heights (by identity), first cookie and callees' indices are the
+    same.
     """
     if isinstance(target, InstrumentedProgram):
         program, resolved = target.program, target.functions
     else:
         program, resolved = target, {}
-    heights, liveness = (checks.heights, checks.liveness) if checks else (_EMPTY, _EMPTY)
+    heights = checks.heights if checks else _EMPTY
     index = {name: i for i, name in enumerate(program.functions)}
 
     fns = []
@@ -250,11 +247,10 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
     for name, fn in program.functions.items():
         rf = resolved.get(name)
         hmap = heights[name].stores if name in heights else _EMPTY
-        lmap = liveness.get(name)
         d = rf.decoded.get(cookie) if rf and rf.decoded else None
-        if d and d[0] is fn and d[1] is hmap and d[2] is lmap and all(index.get(c) == i for c, i in d[3].items()):
-            fns.append(d[4])
-            cookie = d[5]
+        if d and d[0] is fn and d[1] is hmap and all(index.get(c) == i for c, i in d[2].items()):
+            fns.append(d[3])
+            cookie = d[4]
             continue
         first, costs = cookie, rf.op_costs if rf else _EMPTY
         out = _Fn(name, fn.entry_block, rf is not None)
@@ -262,7 +258,6 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
         blocks = fn.blocks
         for bid, block in blocks.items():
             parts = [[]]    # the block's instructions, cut after each control transfer
-            dead_at = lmap.get(bid, ()) if lmap else ()
             for idx, ins in enumerate(block.instrs):
                 opname, args = ins.opcode, ins.args
                 op = _OPCODES.get(opname, UNKNOWN)
@@ -288,25 +283,19 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                     c = c if isinstance(c, int) else None
                 elif op >= SPUSH:
                     b, c = costs.get((bid, idx)) or DEFAULT_COSTS[opname]
-                live = None
-                if lmap:
-                    dead = dead_at[idx] if idx < len(dead_at) else 0
-                    uses, defs = instr_masks(ins)
-                    if dead or uses or defs:
-                        live = (dead, uses, defs)
-                parts[-1].append((op, a, b, c, live, idx))
+                parts[-1].append((op, a, b, c, idx))
                 if RET <= op < UNWIND:
                     parts.append([])
             seg = ()
             for part in reversed(parts):    # a call's c is the segment its return resumes
                 if part and CALL <= part[-1][0] <= ICALL:
-                    part[-1] = (*part[-1][:3], seg, *part[-1][4:])
+                    part[-1] = (*part[-1][:3], seg, part[-1][4])
                 seg = tuple(part)
             out.blocks[bid] = seg
         out.entry_code = out.blocks[out.entry]
         if rf:
             rf.decoded = rf.decoded or {}
-            rf.decoded[first] = (fn, hmap, lmap, callees, out, cookie)
+            rf.decoded[first] = (fn, hmap, callees, out, cookie)
         fns.append(out)
     return CompiledProgram(fns[index[program.entry]], tuple(fns))
 
@@ -341,7 +330,7 @@ def execute(
     sp = MEM_BYTES - 8
     mem[sp >> 3] = EXIT_COOKIE
     # the running activation (layout above), then the callers' saved ones
-    act, call_top, ra_slot, cookie, poison = 0, None, sp, EXIT_COOKIE, 0
+    act, call_top, ra_slot, cookie = 0, None, sp, EXIT_COOKIE
     callers: list[tuple] = []
     next_act = 1
 
@@ -352,7 +341,6 @@ def execute(
     ev = log.append
     globals_log: list = []
     height_violations: list = []
-    liveness_violations: list = []
     problems: list = []
     entry = target.entry
     fname, code, bid, seg = entry.name, entry.blocks, entry.entry, entry.entry_code
@@ -369,16 +357,7 @@ def execute(
             if len(seg) > left:
                 seg = seg[:left]
             left -= len(seg)
-            for op, a, b, c, live, idx in seg:
-                if live is not None and checking:
-                    dead, uses, defs = live
-                    poison |= dead
-                    bad = uses & poison
-                    if bad:
-                        regs_read = tuple(r for r in range(NUM_REGS) if bad >> r & 1)
-                        liveness_violations.append((fname, bid, idx, regs_read))
-                    poison &= ~defs
-
+            for op, a, b, c, idx in seg:
                 if op < 12:     # below RET: on to the next instruction
                     if op == 0:     # MOVI
                         regs[a] = b
@@ -438,7 +417,7 @@ def execute(
                         if record:
                             ev(("ret", act, fname, ok, top))
                         if ok and callers:
-                            act, call_top, ra_slot, cookie, poison, fname, code, bid, seg = callers.pop()
+                            act, call_top, ra_slot, cookie, fname, code, bid, seg = callers.pop()
                         else:   # the run ends; COMPLETED positionally, as keyword binding costs more
                             outcome = (Outcome(COMPLETED, None, None, regs[RETURN_REG]) if ok
                                        else Outcome(UNDETECTED, evidence=(fname, cookie, value)))
@@ -467,11 +446,11 @@ def execute(
                             raise _bad_address(sp)
                         mem[sp >> 3] = b
                         mem_accesses += 1
-                        callers.append((act, call_top, ra_slot, cookie, poison, fname, code, bid, c))
+                        callers.append((act, call_top, ra_slot, cookie, fname, code, bid, c))
                         act = next_act
                         next_act += 1
                         call_top = len(shadow) if callee.planned else None
-                        ra_slot, cookie, poison = sp, b, 0
+                        ra_slot, cookie = sp, b
                         fname, code, bid, seg = callee.name, callee.blocks, callee.entry, callee.entry_code
                         if record:
                             ev(("call", act, fname, len(shadow)))
@@ -487,7 +466,7 @@ def execute(
                         checking = False
                         if record:
                             ev(("unwind", act, a))
-                        act, call_top, ra_slot, cookie, poison = callers[depth][:_ACTIVATION]
+                        act, call_top, ra_slot, cookie = callers[depth][:_ACTIVATION]
                         del callers[depth:]
                         sp = ra_slot
                         continue
@@ -530,7 +509,7 @@ def execute(
                                 if record:
                                     ev(("abort", act, fname, bid, idx))
                                 outcome = Outcome(ABORTED, site=(fname, bid, idx))
-                                left += seg[-1][5] - idx    # give back the steps after it
+                                left += seg[-1][4] - idx    # give back the steps after it
                                 break
                         if rf:
                             regs[a] = scratch
@@ -541,7 +520,7 @@ def execute(
                     raise _VmFault(f"{fname}.b{bid}: block does not end with a control transfer")
                 outcome = Outcome(BUDGET)
     except _VmFault as fault:
-        left += seg[-1][5] - idx if seg else 0     # give back the steps after the faulting one
+        left += seg[-1][4] - idx if seg else 0     # give back the steps after the faulting one
         if record:
             ev(("fault", fault.reason))
         outcome = Outcome(FAULT, evidence=(fault.reason,))
@@ -551,7 +530,7 @@ def execute(
 
     return Trace(
         log, budget - left - shadow_ops, shadow_instr, shadow_mem, shadow_ops, mem_accesses, len(shadow),
-        globals_log, height_violations, liveness_violations, problems, corruptions,
+        globals_log, height_violations, problems, corruptions,
     ), outcome
 
 
@@ -572,7 +551,7 @@ class CampaignReport:
     detected: int = 0
     undetected: int = 0
     height_violations: int = 0     # stores whose height differed from the analysis, over all runs
-    liveness_violations: int = 0   # reads of registers the analysis called dead, over all runs
+    liveness_violations: int = 0   # dead masks that are no fixpoint of liveness, counted by `verify`
     violations: list = field(default_factory=list)        # the first MAX_VIOLATIONS messages
     violation_count: int = 0       # every message, kept or not
     activation_count: int = 0      # of those, the activation problems
@@ -583,14 +562,11 @@ class CampaignReport:
         self.violations.extend(messages[: MAX_VIOLATIONS - len(self.violations)])
 
     def check(self, name: str, mode: str, trace: Trace, outcome: Outcome) -> None:
-        """Count and report the run's height and liveness violations, then
-        its activation findings, each message named `{name}/{mode}`."""
+        """Count and report the run's height violations, then its
+        activation findings, each message named `{name}/{mode}`."""
         if trace.height_violations:
             self.height_violations += len(trace.height_violations)
             self.violation(*(f"{name}/{mode}: height violation {v}" for v in trace.height_violations))
-        if trace.liveness_violations:
-            self.liveness_violations += len(trace.liveness_violations)
-            self.violation(*(f"{name}/{mode}: liveness violation {v}" for v in trace.liveness_violations))
         if trace.activation_problems or outcome.kind == COMPLETED and trace.final_shadow_top:
             problems = _activation_messages(f"{name}/{mode}", trace, outcome)
             self.activation_count += len(problems)

@@ -386,7 +386,7 @@ class ResolvedFunction:
     # (output function, input program, analysis, what `check_rewrites` found)
     checked: tuple | None = field(default=None, repr=False, compare=False)
     # `shadowvm.compile`'s decodes, first cookie -> (output function, store
-    # heights, dead masks, {callee: index}, decoded function, next cookie)
+    # heights, {callee: index}, decoded function, next cookie)
     decoded: dict | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -2,7 +2,7 @@ import hashlib
 import json
 from collections import deque
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shadowlab.mir import NUM_REGS, Block, Function, Instr, parse_program
 from shadowlab.analysis import (
@@ -14,6 +14,7 @@ from shadowlab.analysis import (
     SAFE_STACK,
     UNSAFE,
     classify_writes,
+    dead_register_findings,
     dead_registers,
     instr_masks,
     is_safe_height,
@@ -23,7 +24,7 @@ from shadowlab.analysis import (
     _step,
 )
 from shadowlab.mir import sccs
-from shadowlab.gen import GenConfig, generate_program
+from shadowlab.gen import GenConfig, generate_corpus, generate_program
 
 
 def regs(mask):
@@ -294,6 +295,32 @@ def test_liveness_matches_reference_on_generated_programs(seed):
     p = generate_program(seed, GenConfig(), adversarial=seed % 2 == 0)
     for fn in p.functions.values():
         assert {(bid, idx): regs(m) for bid, masks in dead_registers(fn).items() for idx, m in enumerate(masks)} == _reference_dead(fn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_cfgs(), st.data())
+def test_dead_register_findings_flag_any_live_register_called_dead(fn, data):
+    # the analysis's own masks pass; a register the reference calls live,
+    # added to any one mask, is flagged at that instruction
+    dead = dead_registers(fn)
+    assert dead_register_findings(fn, dead) == []
+    reference = _reference_dead(fn)
+    places = [at for at, d in sorted(reference.items()) if len(d) < NUM_REGS]
+    assume(places)
+    bid, idx = data.draw(st.sampled_from(places))
+    r = data.draw(st.sampled_from(sorted(set(range(NUM_REGS)) - reference[(bid, idx)])))
+    masks = dead[bid]
+    skewed = {**dead, bid: masks[:idx] + (masks[idx] | 1 << r,) + masks[idx + 1:]}
+    assert any(f[:3] == ("f", bid, idx) and r in f[3] for f in dead_register_findings(fn, skewed))
+
+
+def test_no_dead_register_findings_over_the_acceptance_corpora():
+    from test_acceptance import CAMPAIGN_CFG as cfg
+
+    for seed, count, density in ((cfg.seed, cfg.benign_count, 0.0), (cfg.seed + 1, cfg.adversarial_count, 1.0)):
+        for name, p in generate_corpus(GenConfig(seed=seed, count=count, attack_density=density, budget=cfg.budget)):
+            for fn in p.functions.values():
+                assert dead_register_findings(fn, dead_registers(fn)) == [], (name, fn.name)
 
 
 # ---- equivalence pin: every analysis result over a fixed corpus ----

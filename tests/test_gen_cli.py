@@ -659,10 +659,31 @@ def _skew_checks(monkeypatch, skew):
     monkeypatch.setattr(cli, "build_checks", skewed)
 
 
-@pytest.mark.parametrize("skew", ["height", "liveness"])
+def _skew_benign_liveness(monkeypatch):
+    """Make verify check each benign program against dead masks that call
+    every register dead everywhere.  Nothing else reads the masks once the
+    program is planned."""
+    import dataclasses
+
+    import shadowlab.cli as cli
+
+    real = cli._prepare
+
+    def skewed(name, program, cfg, modes, report):
+        prepared = real(name, program, cfg, modes, report)
+        if prepared is not None and not program.adversarial:
+            liveness = _skewed(prepared.analysis, program, "liveness").liveness
+            prepared.analysis = dataclasses.replace(prepared.analysis, liveness=liveness)
+        return prepared
+
+    monkeypatch.setattr(cli, "_prepare", skewed)
+
+
+@pytest.mark.parametrize("skew", ["height"])
 def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
     # the detection campaign's runs report the wrong facts, and the soundness
-    # checks must fail
+    # checks must fail.  Dead masks reach no run: verify checks them
+    # statically, on the benign programs
     import shadowlab.cli as cli
 
     _skew_checks(monkeypatch, skew)
@@ -670,12 +691,10 @@ def test_verify_counts_detection_campaign_violations(monkeypatch, skew):
     assert any(f"{skew} violation" in v for v in report["violations"])
     assert not ok
     checks = report["checks"]
-    assert not checks[f"{skew}_soundness"]
-    other = "liveness" if skew == "height" else "height"
-    assert checks[f"{other}_soundness"]
+    assert not checks[f"{skew}_soundness"] and checks["liveness_soundness"]
 
 
-@pytest.mark.parametrize("skew", ["height", "liveness"])
+@pytest.mark.parametrize("skew", ["height"])
 def test_verify_counts_control_campaign_violations(monkeypatch, skew):
     # only the ELIDE-ALL targets, which run in the control campaign, are
     # compiled with wrong facts, and the soundness checks must still fail
@@ -696,15 +715,14 @@ def test_verify_counts_control_campaign_violations(monkeypatch, skew):
     assert controls and skewed and all("/ELIDE-ALL: " in v for v in skewed)
     assert not ok
     checks = report["checks"]
-    assert not checks[f"{skew}_soundness"]
-    other = "liveness" if skew == "height" else "height"
-    assert checks[f"{other}_soundness"]
+    assert not checks[f"{skew}_soundness"] and checks["liveness_soundness"]
 
 
 @pytest.mark.parametrize("skew", ["height", "liveness"])
 def test_verify_names_the_benign_base_runs_with_violations(monkeypatch, skew):
-    # only the uninstrumented base of each benign program is compiled with
-    # wrong facts: every violation it counts is named, with its run and BASE
+    # only each benign program's own analysis is wrong: every violation it
+    # counts is named with BASE, a height violation with the run that found
+    # it, and a wrong dead mask, found statically once, with its program
     import shadowlab.cli as cli
     from shadowlab.mir import Program
 
@@ -716,10 +734,15 @@ def test_verify_names_the_benign_base_runs_with_violations(monkeypatch, skew):
             checks = _skewed(checks, target, skew)
         return real(target, checks)
 
-    monkeypatch.setattr(cli, "compile", compile_skewed)
+    if skew == "height":
+        monkeypatch.setattr(cli, "compile", compile_skewed)
+    else:
+        _skew_benign_liveness(monkeypatch)
     report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=3, inputs_per_program=2))
     skewed = [v for v in report["violations"] if f"{skew} violation" in v]
-    assert bases and skewed and all(re.match(rf"prog_\d+\[\d\]/BASE: {skew} violation \(", v) for v in skewed)
+    where = r"prog_\d+\[\d\]" if skew == "height" else r"prog_000[01]"
+    assert skewed and all(re.match(rf"{where}/BASE: {skew} violation \(", v) for v in skewed)
+    assert bases if skew == "height" else len(set(skewed)) == len(skewed)
     assert not ok
     checks = report["checks"]
     assert not checks[f"{skew}_soundness"] and not checks["no_other_violations"]
@@ -993,9 +1016,10 @@ def test_verify_keeps_first_violations(monkeypatch):
 
 # one pattern per phase of verify, in the order the report shows them
 PHASE_MESSAGES = (
-    ("benign", r"prog_\d{4}\[\d\]/BASE: height violation \(.*|aggregate overhead ratios not strictly decreasing: .*"),
+    ("benign", r"prog_\d{4}(\[\d\]/BASE: height|/BASE: liveness) violation \(.*"
+               r"|aggregate overhead ratios not strictly decreasing: .*"),
     ("preparation", r"prog_\d{4}/FULL: \S+\.b\d+\[\d+\]: halt where input b\d+\[\d+\] has ret"),
-    ("detection", r"prog_\d{4}/(SFE|PO|LIGHT): liveness violation \(.*"),
+    ("detection", r"prog_\d{4}/(SFE|PO|LIGHT): height violation \(.*"),
     ("control", r"prog_\d{4}/ELIDE-ALL: height violation \(.*"),
     ("determinism", r"prog_\d{4}/(SFE|PO|LIGHT): nondeterministic trace"),
 )
@@ -1003,10 +1027,10 @@ PHASE_MESSAGES = (
 
 def _skew_every_phase(monkeypatch):
     """Make each phase of verify report messages of its own: wrong heights
-    for the benign bases and the ELIDE-ALL targets, adversarial FULL rewrites
-    that end in halt where the input has ret, dead registers for the other
-    detection targets, and a second recorded run of each determinism pair
-    that ends with another r0."""
+    and dead masks for the benign programs, adversarial FULL rewrites that
+    end in halt where the input has ret, wrong heights for the other
+    detection targets and the ELIDE-ALL targets, and a second recorded run of
+    each determinism pair that ends with another r0."""
     import shadowlab.cli as cli
     from shadowlab.mir import Block, Function, Instr, Program
     from shadowlab.transform import InstrumentedProgram
@@ -1036,7 +1060,7 @@ def _skew_every_phase(monkeypatch):
 
     def checks_skewed(ip, source, analysis):
         checks = real_checks(ip, source, analysis)
-        return _skewed(checks, ip.program, "liveness") if source.adversarial and ip.mode in cli.LADDER else checks
+        return _skewed(checks, ip.program, "height") if source.adversarial and ip.mode in cli.LADDER else checks
 
     def execute_skewed(target, inp, budget, record=False):
         trace, outcome = real_execute(target, inp, budget, record)
@@ -1049,6 +1073,7 @@ def _skew_every_phase(monkeypatch):
     for name, fn in [("compile", compile_skewed), ("apply_plan", tampered), ("build_checks", checks_skewed),
                      ("execute", execute_skewed)]:
         monkeypatch.setattr(cli, name, fn)
+    _skew_benign_liveness(monkeypatch)
 
 
 def _phases(violations):

@@ -581,7 +581,9 @@ def test_lowering_keeps_blocks_the_entry_never_reaches(text, unreached):
 
 # what `_hand_built` can break in a valid program, each at a drawn place
 _BREAKS = ("unreachable", "dangling-branch", "dangling-callee", "missing-entry", "empty-function",
-           "empty-block", "no-terminator", "unknown-opcode", "operand-count")
+           "empty-block", "no-terminator", "unknown-opcode", "operand-count", "operand-type")
+_WRONG_TYPES = (Instr("movi", ("x", 1)), Instr("corrupt", ("a", 1)), Instr("spadd", ("q",)),
+                Instr("movr", (1, 2.0)), Instr("call", (3,)), Instr("store.global", (None,)))
 _BODY_OPS = sorted(set(OPERAND_SHAPES) - TERMINATORS - SHADOW_OPCODES)
 
 
@@ -621,6 +623,7 @@ def _hand_built(draw):
         bid = draw(st.sampled_from(list(fn.blocks) or [0]))
         instrs = fn.blocks[bid].instrs if fn.blocks else ()
         at = draw(st.integers(0, max(len(instrs) - 1, 0)))
+        mistyped = draw(st.sampled_from(_WRONG_TYPES))
         if broken == "missing-entry":
             entry = "nope"
         elif broken == "empty-function":
@@ -635,6 +638,7 @@ def _hand_built(draw):
                 "no-terminator": instrs[:-1],
                 "unknown-opcode": instrs[:at] + (Instr("nop"),) + instrs[at:],
                 "operand-count": instrs[:at] + (Instr("movi", (1,)),) + instrs[at:],
+                "operand-type": instrs[:at] + (mistyped,) + instrs[at:],
             }[broken]
             fn.blocks[bid] = Block(bid, instrs)
     return Program(functions, entry, adversarial)
