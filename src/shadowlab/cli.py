@@ -11,7 +11,7 @@ import tempfile
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, NoReturn
 
@@ -44,6 +44,7 @@ from .shadowvm import (
     CampaignReport,
     CompiledProgram,
     ExecInput,
+    Finding,
     compile,
     execute,
     observables,
@@ -358,13 +359,13 @@ def _input_seed(cfg: VerifyConfig, name: str) -> int:
     return cfg.seed * 7_919 + zlib.crc32(name.encode())
 
 
-def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, ...], report: CampaignReport):
+def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, ...]) -> tuple[_Prepared | None, list[Finding]]:
+    """`program` prepared under each of `modes`, or None if it is invalid, and its findings."""
     diags = validate_program(program)
     if diags:
-        report.violation(*(f"{name}: {d.reason}" for d in diags))
-        return None
+        return None, [Finding("validation", name, None, f"{name}: {d.reason}") for d in diags]
     analysis, plan = plan_program(program)
-    targets = {}
+    targets, found = {}, []
     # functions that passed: the input's, which apply_plan shares, then each
     # valid output's, so a rewrite modes share is walked once
     passed = {id(fn): fn for fn in program.functions.values()}
@@ -372,7 +373,7 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
         ip = apply_plan(program, plan, mode)
         bad = validate_program(ip.program, allow_shadow=True, checked=passed)
         if bad:
-            report.violation(*(f"{name}/{mode}: {d.reason}" for d in bad))
+            found += [Finding("validation", name, mode, f"{name}/{mode}: {d.reason}") for d in bad]
             continue
         passed.update((id(fn), fn) for fn in ip.program.functions.values())
         try:
@@ -380,43 +381,40 @@ def _prepare(name: str, program: Program, cfg: VerifyConfig, modes: tuple[str, .
             mapped = build_checks(ip, program, analysis)
             findings = check_rewrites(ip, program, analysis)
         except CheckMappingError as exc:
-            report.violation(f"{name}/{mode}: {exc}")
+            found.append(Finding("mapping", name, mode, f"{name}/{mode}: {exc}"))
             continue
-        report.activation_count += len(findings)
-        report.violation(*(f"activation: {name}/{mode} fn {fn}: {m}" for fn, m in findings))
+        found += [Finding("activation", name, mode, f"activation: {name}/{mode} fn {fn}: {m}") for fn, m in findings]
         targets[mode] = compile(ip, mapped)
     inputs = generate_inputs(_input_seed(cfg, name), cfg.inputs_per_program)
-    return _Prepared(analysis, plan, targets, inputs)
+    return _Prepared(analysis, plan, targets, inputs), found
 
 
-def _benign_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, dict, tuple[bool, bool, bool, bool]]:
-    """Check each benign program's dead register masks on every path, then
-    run its base and every sound mode's target on its inputs.  Returns the
-    phase's report; its report fields `transparency_pairs`, `overhead_ratios`
-    and `plan_coverage`; and the four checks they decide: transparency,
-    monotonicity, the aggregate ladder and plan mode coverage."""
+def _benign_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, dict]:
+    """Check each benign program's dead register masks on every path, then run
+    its base and every sound mode's target on its inputs.  Returns the phase's
+    report and its report fields: pairs run, overhead ratios, plan coverage."""
     report = CampaignReport()
     shadow, total = Counter(), Counter()   # instructions per mode over every run
-    pairs = transparency_bad = mono_bad = 0
+    pairs = 0
     coverage = dict.fromkeys((FN_ELIDED, FN_FULL, FN_LOWERED, FN_REGFRAME), 0)
     for name, program in corpus:
-        prepared = _prepare(name, program, cfg, SOUND_MODES, report)
+        prepared, found = _prepare(name, program, cfg, SOUND_MODES)
+        report.add(*found)
         if prepared is None:
             continue
         if "LIGHT" in prepared.targets:
             for fp in prepared.plan.per_function.values():
                 coverage[resolve_mode(fp, "LIGHT")] += 1
-        for fn in program.functions.values():
-            findings = dead_register_findings(fn, prepared.analysis.liveness[fn.name])
-            report.liveness_violations += len(findings)
-            report.violation(*(f"{name}/BASE: liveness violation {f}" for f in findings))
+        live = prepared.analysis.liveness
+        report.add(*(Finding("liveness", name, "BASE", f"{name}/BASE: liveness violation {f}")
+                     for fn in program.functions.values() for f in dead_register_findings(fn, live[fn.name])))
         base = compile(program, prepared.analysis)
         for i, inp in enumerate(prepared.inputs):
             run = f"{name}[{i}]"
             base_trace, base_outcome = execute(base, inp, cfg.budget)
             report.check(run, "BASE", base_trace, base_outcome)
             if base_outcome.kind != COMPLETED:
-                report.violation(f"{run}: benign base run ended {base_outcome.kind}")
+                report.add(Finding("outcome", run, "BASE", f"{run}: benign base run ended {base_outcome.kind}"))
                 continue
             base_obs = observables(base_trace, base_outcome)
             ops = {}
@@ -425,27 +423,25 @@ def _benign_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, dict, tupl
                 report.check(run, mode, trace, outcome)
                 pairs += 1
                 if observables(trace, outcome) != base_obs:
-                    transparency_bad += 1
-                    report.violation(f"{run}/{mode}: observables diverge from base")
+                    report.add(Finding("transparency", run, mode, f"{run}/{mode}: observables diverge from base"))
                 ops[mode] = trace.shadow_ops
                 shadow[mode] += trace.shadow_instr
                 total[mode] += trace.total_instr
             if all(m in ops for m in LADDER) and not all(ops[a] >= ops[b] for a, b in zip(LADDER, LADDER[1:])):
-                mono_bad += 1
-                report.violation(f"{run}: shadow-op counts not monotone {ops}")
+                report.add(Finding("monotone", run, None, f"{run}: shadow-op counts not monotone {ops}"))
     ratios = {m: shadow[m] / total[m] if total[m] else 0.0 for m in SOUND_MODES}
-    ratio_ok = all(ratios[a] > ratios[b] for a, b in zip(LADDER, LADDER[1:]))
-    if not ratio_ok:
-        report.violation(f"aggregate overhead ratios not strictly decreasing: {ratios}")
-    fields = {"transparency_pairs": pairs, "overhead_ratios": ratios, "plan_coverage": coverage}
-    return report, fields, (transparency_bad == 0 and pairs > 0, mono_bad == 0, ratio_ok, all(coverage.values()))
+    if not all(ratios[a] > ratios[b] for a, b in zip(LADDER, LADDER[1:])):
+        report.add(Finding("ladder", None, None, f"aggregate overhead ratios not strictly decreasing: {ratios}"))
+    return report, {"transparency_pairs": pairs, "overhead_ratios": ratios, "plan_coverage": coverage}
 
 
-def _program_cases(name: str, program: Program, cfg: VerifyConfig, report: CampaignReport, control: list):
+def _program_cases(name: str, program: Program, cfg: VerifyConfig, report: CampaignReport, control: list, spot: list):
     """Prepare one adversarial program, yield its detection cases mode by mode
-    down the ladder, and append its ELIDE-ALL cases to `control`.  Its targets
-    are freed once its last case is consumed."""
-    prepared = _prepare(name, program, cfg, LADDER + ("ELIDE-ALL",), report)
+    down the ladder, and append its ELIDE-ALL cases to `control`.  The first
+    three detection cases of all go to `spot` too, each with its program's
+    findings.  Its targets are freed once its last case is consumed."""
+    prepared, found = _prepare(name, program, cfg, LADDER + ("ELIDE-ALL",))
+    report.add(*found)
     if prepared is None:
         return
     for mode, target in prepared.targets.items():   # in the order of the modes prepared
@@ -453,35 +449,40 @@ def _program_cases(name: str, program: Program, cfg: VerifyConfig, report: Campa
         if mode == "ELIDE-ALL":
             control.extend(cases)
         if mode in LADDER:
+            spot.extend((case, found) for case in cases[: 3 - len(spot)])
             yield from cases
 
 
 def _adversarial_phase(cfg: VerifyConfig, corpus) -> tuple[CampaignReport, CampaignReport, CampaignReport, list]:
     """Run the detection campaign over the sound modes, preparing each program
     as the campaign reaches it, then the control campaign over ELIDE-ALL.
-    Returns the preparation report, the detection and control reports, and
-    the first three detection cases, kept for the determinism check."""
-    preparation, control_cases = CampaignReport(), []
-    cases = chain.from_iterable(_program_cases(*p, cfg, preparation, control_cases) for p in corpus)
-    spot = list(islice(cases, 3))
-    detection = run_campaign(chain(spot, cases))
-    return preparation, detection, run_campaign(control_cases), spot
+    Returns the preparation report, the detection and control reports, and the
+    first three detection cases with their programs' findings, for determinism."""
+    preparation, control, spot = CampaignReport(), [], []
+    detection = run_campaign(chain.from_iterable(_program_cases(*p, cfg, preparation, control, spot) for p in corpus))
+    return preparation, detection, run_campaign(control), spot
 
 
-def _determinism_phase(cfg: VerifyConfig, corpus, spot: list) -> tuple[bool, CampaignReport]:
-    """Run each spot case on its target and on one freshly planned and compiled,
-    both recorded.  Returns whether every pair agreed, and the phase's report."""
+def _determinism_phase(cfg: VerifyConfig, corpus, spot: list) -> CampaignReport:
+    """Prepare each spot case's program again for the case's mode alone, and run
+    the case on both targets, recorded.  A case fails if the second findings
+    for its mode differ from the first, which are compared and never counted,
+    if there is no second target, or if the two runs differ."""
     programs, report = dict(corpus), CampaignReport()
-    for case in spot:
-        again = _prepare(case.name, programs[case.name], cfg, (case.mode,), report)
+    for case, first in spot:
+        fail = lambda why: report.add(Finding("determinism", case.name, case.mode, f"{case.name}/{case.mode}: {why}"))
+        again, found = _prepare(case.name, programs[case.name], cfg, (case.mode,))
+        first = [f for f in first if f.mode in (None, case.mode)]
+        if found != first:
+            fail(f"nondeterministic preparation: {[f.text for f in found]} the second time, {[f.text for f in first]} the first")
         if again is None or case.mode not in again.targets:
-            report.violation(f"{case.name}/{case.mode}: nondeterministic preparation: no target the second time")
+            fail("nondeterministic preparation: no target the second time")
             continue
         t1, o1 = execute(case.target, case.inp, cfg.budget, record=True)
         t2, o2 = execute(again.targets[case.mode], case.inp, cfg.budget, record=True)
         if t1.log != t2.log or t1.activation_problems != t2.activation_problems or o1 != o2:
-            report.violation(f"{case.name}/{case.mode}: nondeterministic trace")
-    return not report.violation_count, report
+            fail("nondeterministic trace")
+    return report
 
 
 def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
@@ -491,29 +492,25 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
     Each adversarial program is prepared when the detection campaign reaches
     it: only its detection targets, the control targets and the first three
     detection cases, kept for the determinism check, are alive at once."""
-    benign_corpus = generate_corpus(
-        GenConfig(seed=cfg.seed, count=cfg.benign_count, attack_density=0.0, budget=cfg.budget)
-    )
-    adversarial = generate_corpus(
-        GenConfig(seed=cfg.seed + 1, count=cfg.adversarial_count, attack_density=1.0, budget=cfg.budget)
-    )
-    benign, fields, (transparent, monotone, ladder_ok, covered) = _benign_phase(cfg, benign_corpus)
+    benign_corpus = generate_corpus(GenConfig(cfg.seed, cfg.benign_count, attack_density=0.0, budget=cfg.budget))
+    adversarial = generate_corpus(GenConfig(cfg.seed + 1, cfg.adversarial_count, attack_density=1.0, budget=cfg.budget))
+    benign, fields = _benign_phase(cfg, benign_corpus)
     preparation, detection, control, spot = _adversarial_phase(cfg, adversarial)
-    deterministic, determinism = _determinism_phase(cfg, adversarial, spot)
-    reports = (benign, preparation, detection, control, determinism)   # in phase order
+    reports = (benign, preparation, detection, control, _determinism_phase(cfg, adversarial, spot))   # phase order
+    counts = sum((r.counts for r in reports), Counter())   # findings per kind, over every phase
     checks = {
         "validation_soundness": detection.undetected == 0 and detection.fired > 0,
         "detection_rate": detection.fired > 0 and detection.detected == detection.fired,
         "control_detects_missing_instrumentation": control.undetected > 0,
-        "transparency": transparent,
-        "shadow_op_monotonicity": monotone,
-        "aggregate_overhead_ladder": ladder_ok,
-        "height_soundness": not any(r.height_violations for r in reports),
-        "liveness_soundness": not any(r.liveness_violations for r in reports),
-        "exactly_one_check_and_balance": not any(r.activation_count for r in reports),
-        "plan_mode_coverage": covered,
-        "determinism": deterministic,
-        "no_other_violations": not any(r.violation_count for r in reports),
+        "transparency": not counts["transparency"] and fields["transparency_pairs"] > 0,
+        "shadow_op_monotonicity": not counts["monotone"],
+        "aggregate_overhead_ladder": not counts["ladder"],
+        "height_soundness": not counts["height"],
+        "liveness_soundness": not counts["liveness"],
+        "exactly_one_check_and_balance": not counts["activation"],
+        "plan_mode_coverage": all(fields["plan_coverage"].values()),
+        "determinism": not counts["determinism"],
+        "no_other_violations": not counts,
     }
     out = {
         "seed": cfg.seed,
@@ -524,7 +521,7 @@ def verify_run(cfg: VerifyConfig) -> tuple[dict, bool]:
         "control_undetected": control.undetected,
         **fields,
         "checks": checks,
-        "violations": [v for r in reports for v in r.violations][:MAX_VIOLATIONS],
+        "violations": [f.text for r in reports for f in r.findings][:MAX_VIOLATIONS],
         # the campaign ran unrecorded: run each reported miss again for its trace
         "counterexamples": [
             {

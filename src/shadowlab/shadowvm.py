@@ -27,8 +27,9 @@ Whether an activation's walk runs one covering push and pop, and whether a
 dead register mask is sound, depend on a function's paths only, which
 `verify` checks statically.  The step loop checks what is interprocedural:
 a planned function returns with the shadow as deep as its call found it.
-`CampaignReport.check` counts and names a run's height violations and
-activation findings; `check_activations` adds the target's static findings.
+A failed check is a `Finding` record with a kind, which a `CampaignReport`
+counts per kind; `CampaignReport.check` records a run's height violations and
+activation findings, and `check_activations` adds the target's static ones.
 
 Under `execute(..., record=True)` the trace also keeps a log of plain
 tuples, one `(kind, *fields)` per event, which `to_lines` and `to_json` read
@@ -50,6 +51,7 @@ the eleven layouts are
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -85,7 +87,7 @@ FAULT = "fault"
 
 # Undetected runs whose whole trace a campaign report keeps, and shows.
 MAX_COUNTEREXAMPLES = 3
-# Violation messages a campaign report keeps, and `verify` shows.
+# Findings a campaign report keeps, whose messages `verify` shows; it counts all.
 MAX_VIOLATIONS = 100
 
 
@@ -544,39 +546,39 @@ class CampaignCase:
     budget: int = 10000
 
 
+class Finding(NamedTuple):
+    """One failed check: its kind, the program or run and mode it names (or None), and its message."""
+
+    kind: str
+    program: str | None
+    mode: str | None
+    text: str
+
+
 @dataclass
 class CampaignReport:
     cases: int = 0
     fired: int = 0
     detected: int = 0
     undetected: int = 0
-    height_violations: int = 0     # stores whose height differed from the analysis, over all runs
-    liveness_violations: int = 0   # dead masks that are no fixpoint of liveness, counted by `verify`
-    violations: list = field(default_factory=list)        # the first MAX_VIOLATIONS messages
-    violation_count: int = 0       # every message, kept or not
-    activation_count: int = 0      # of those, the activation problems
+    findings: list = field(default_factory=list)          # the first MAX_VIOLATIONS Finding records
+    counts: Counter = field(default_factory=Counter)      # every finding, kept or not, per kind
     counterexamples: list = field(default_factory=list)   # (CampaignCase, Trace), first undetected runs only
 
-    def violation(self, *messages: str) -> None:
-        self.violation_count += len(messages)
-        self.violations.extend(messages[: MAX_VIOLATIONS - len(self.violations)])
+    def add(self, *findings: Finding) -> None:
+        self.counts.update(f.kind for f in findings)
+        self.findings.extend(findings[: MAX_VIOLATIONS - len(self.findings)])
 
     def check(self, name: str, mode: str, trace: Trace, outcome: Outcome) -> None:
-        """Count and report the run's height violations, then its
-        activation findings, each message named `{name}/{mode}`."""
+        """Record the run's height violations, then its activation findings."""
         if trace.height_violations:
-            self.height_violations += len(trace.height_violations)
-            self.violation(*(f"{name}/{mode}: height violation {v}" for v in trace.height_violations))
+            self.add(*(Finding("height", name, mode, f"{name}/{mode}: height violation {v}") for v in trace.height_violations))
         if trace.activation_problems or outcome.kind == COMPLETED and trace.final_shadow_top:
-            problems = _activation_messages(f"{name}/{mode}", trace, outcome)
-            self.activation_count += len(problems)
-            self.violation(*problems)
+            self.add(*(Finding("activation", name, mode, m) for m in _activation_messages(f"{name}/{mode}", trace, outcome)))
 
 
 def _activation_messages(where: str, trace: Trace, outcome: Outcome) -> list[str]:
-    problems = [
-        f"activation: {where} act {act} fn {fn}: {message}" for act, fn, message in trace.activation_problems
-    ]
+    problems = [f"activation: {where} act {act} fn {fn}: {message}" for act, fn, message in trace.activation_problems]
     if outcome.kind == COMPLETED and trace.final_shadow_top:
         problems.append(f"activation: {where}: shadow not balanced at completion")
     return problems
@@ -598,9 +600,9 @@ def run_campaign(cases: Iterable[CampaignCase]) -> CampaignReport:
     """Execute all cases, each on its own target, count detections, check
     invariants.  `cases` is consumed once, in order, so it may be a generator
     that builds each case as the campaign reaches it.  Every undetected run
-    and every violation is counted; only the first MAX_COUNTEREXAMPLES
+    and every finding is counted; only the first MAX_COUNTEREXAMPLES
     undetected runs are kept, as (case, unrecorded trace) counterexamples,
-    and the first MAX_VIOLATIONS messages.
+    and the first MAX_VIOLATIONS findings.
     """
     report = CampaignReport()
     for case in cases:
@@ -615,9 +617,10 @@ def run_campaign(cases: Iterable[CampaignCase]) -> CampaignReport:
                 if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                     report.counterexamples.append((case, trace))
             else:
-                report.violation(f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}")
+                report.add(Finding("outcome", case.name, case.mode,
+                                   f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}"))
         elif outcome.kind not in (COMPLETED,):
-            report.violation(f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}")
+            report.add(Finding("outcome", case.name, case.mode, f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}"))
 
         report.check(case.name, case.mode, trace, outcome)
     return report

@@ -8,6 +8,7 @@ import random
 import re
 import stat
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -669,12 +670,12 @@ def _skew_benign_liveness(monkeypatch):
 
     real = cli._prepare
 
-    def skewed(name, program, cfg, modes, report):
-        prepared = real(name, program, cfg, modes, report)
+    def skewed(name, program, cfg, modes):
+        prepared, found = real(name, program, cfg, modes)
         if prepared is not None and not program.adversarial:
             liveness = _skewed(prepared.analysis, program, "liveness").liveness
             prepared.analysis = dataclasses.replace(prepared.analysis, liveness=liveness)
-        return prepared
+        return prepared, found
 
     monkeypatch.setattr(cli, "_prepare", skewed)
 
@@ -933,6 +934,43 @@ def test_verify_reports_a_spot_case_prepared_again_without_its_target(monkeypatc
     assert report["violations"][-len(unprepared) * 2:][1::2] == unprepared   # each after the message saying why
 
 
+@pytest.mark.parametrize("when", ["every preparation", "after detection"])
+def test_verify_compares_the_second_preparation_of_a_spot_case(monkeypatch, when):
+    # every rewrite check finds the same planted problem, or only the checks
+    # the determinism phase makes once the detection campaign is over do: the
+    # first fails exactly_one_check_and_balance alone, as both preparations
+    # of each spot case agree; the second fails determinism alone, as the
+    # second preparation's findings differ from the first's and are compared,
+    # not counted
+    import shadowlab.cli as cli
+
+    real, campaigns = cli.run_campaign, []
+
+    def campaign(cases):
+        campaigns.append(real(cases))
+        return campaigns[-1]
+
+    def check_rewrites(ip, program, analysis):
+        return [("main", "planted")] if when == "every preparation" or campaigns else []
+
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    monkeypatch.setattr(cli, "check_rewrites", check_rewrites)
+    report, ok = cli.verify_run(cli.VerifyConfig(seed=2, benign_count=3, adversarial_count=4, inputs_per_program=3))
+    failed = sorted(name for name, passed in report["checks"].items() if not passed)
+    if when == "every preparation":
+        assert failed == ["exactly_one_check_and_balance", "no_other_violations"]
+        assert all(re.fullmatch(r"activation: prog_\d{4}/[A-Z-]+ fn main: planted", v) for v in report["violations"])
+    else:
+        assert failed == ["determinism", "no_other_violations"]
+        spot = min(3, report["adversarial_executions"])
+        assert len(report["violations"]) == spot and all(
+            re.fullmatch(r"prog_\d{4}/[A-Z]+: nondeterministic preparation: "
+                         r"\['activation: prog_\d{4}/[A-Z]+ fn main: planted'\] the second time, \[\] the first", v)
+            for v in report["violations"]
+        ), report["violations"]
+    assert not ok
+
+
 def test_verify_compiles_each_target_once(monkeypatch):
     # the base and five modes per benign program, four detection modes and the
     # control per adversarial one, and one fresh compile per determinism pair
@@ -1010,18 +1048,21 @@ def test_verify_keeps_first_violations(monkeypatch):
         "validation_soundness": True,
     }
     detection, _ = reports
-    assert detection.violation_count == 624 and detection.activation_count == 0
-    assert all(len(r.violations) <= MAX_VIOLATIONS for r in reports)
+    assert sum(detection.counts.values()) == 624 and detection.counts["activation"] == 0
+    assert detection.counts == Counter(height=624)
+    assert all(len(r.findings) <= MAX_VIOLATIONS for r in reports)
 
 
-# one pattern per phase of verify, in the order the report shows them
+# the phase of verify, and the kind, of each message pattern, phases in the
+# order the report shows them
 PHASE_MESSAGES = (
-    ("benign", r"prog_\d{4}(\[\d\]/BASE: height|/BASE: liveness) violation \(.*"
-               r"|aggregate overhead ratios not strictly decreasing: .*"),
-    ("preparation", r"prog_\d{4}/FULL: \S+\.b\d+\[\d+\]: halt where input b\d+\[\d+\] has ret"),
-    ("detection", r"prog_\d{4}/(SFE|PO|LIGHT): height violation \(.*"),
-    ("control", r"prog_\d{4}/ELIDE-ALL: height violation \(.*"),
-    ("determinism", r"prog_\d{4}/(SFE|PO|LIGHT): nondeterministic trace"),
+    ("benign", "height", r"prog_\d{4}\[\d\]/BASE: height violation \(.*"),
+    ("benign", "liveness", r"prog_\d{4}/BASE: liveness violation \(.*"),
+    ("benign", "ladder", r"aggregate overhead ratios not strictly decreasing: .*"),
+    ("preparation", "mapping", r"prog_\d{4}/FULL: \S+\.b\d+\[\d+\]: halt where input b\d+\[\d+\] has ret"),
+    ("detection", "height", r"prog_\d{4}/(SFE|PO|LIGHT): height violation \(.*"),
+    ("control", "height", r"prog_\d{4}/ELIDE-ALL: height violation \(.*"),
+    ("determinism", "determinism", r"prog_\d{4}/(SFE|PO|LIGHT): nondeterministic trace"),
 )
 
 
@@ -1076,13 +1117,37 @@ def _skew_every_phase(monkeypatch):
     _skew_benign_liveness(monkeypatch)
 
 
-def _phases(violations):
-    """The phase of each message, by the one pattern it matches."""
+def _recorded_reports(monkeypatch):
+    """A list that verify fills with its reports in phase order: those it
+    makes itself as it makes them, each campaign's as the campaign returns it."""
+    import shadowlab.cli as cli
+
+    reports, real = [], cli.run_campaign
+
+    class Recorded(cli.CampaignReport):
+        def __init__(self):
+            super().__init__()
+            reports.append(self)
+
+    def campaign(cases):
+        reports.append(real(cases))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "CampaignReport", Recorded)
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    return reports
+
+
+def _phases(reports, shown):
+    """The phase of each finding the report shows, by the one pattern its
+    message matches, whose kind must be the finding's."""
+    findings = [f for r in reports for f in r.findings][: len(shown)]
+    assert [f.text for f in findings] == shown
     found = []
-    for v in violations:
-        matched = [phase for phase, pattern in PHASE_MESSAGES if re.fullmatch(pattern, v)]
-        assert len(matched) == 1, v
-        found.append(matched[0])
+    for f in findings:
+        matched = [(phase, kind) for phase, kind, pattern in PHASE_MESSAGES if re.fullmatch(pattern, f.text)]
+        assert len(matched) == 1 and matched[0][1] == f.kind, f
+        found.append(matched[0][0])
     return found
 
 
@@ -1093,10 +1158,11 @@ def test_verify_reports_every_phase_in_phase_order(monkeypatch):
     from shadowlab.shadowvm import MAX_VIOLATIONS
 
     _skew_every_phase(monkeypatch)
+    reports = _recorded_reports(monkeypatch)
     report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=2, adversarial_count=1, inputs_per_program=1))
-    phases = _phases(report["violations"])
+    phases = _phases(reports, report["violations"])
     assert not ok and len(phases) < MAX_VIOLATIONS
-    order = [phase for phase, _ in PHASE_MESSAGES]
+    order = list(dict.fromkeys(phase for phase, _, _ in PHASE_MESSAGES))
     assert list(dict.fromkeys(phases)) == order and phases == sorted(phases, key=order.index)
     checks = report["checks"]
     assert not checks["height_soundness"] and not checks["liveness_soundness"] and not checks["determinism"]
@@ -1111,9 +1177,10 @@ def test_verify_cuts_the_messages_of_every_phase_at_one_cap(monkeypatch):
     from shadowlab.shadowvm import MAX_VIOLATIONS
 
     _skew_every_phase(monkeypatch)
+    reports = _recorded_reports(monkeypatch)
     report, ok = cli.verify_run(cli.VerifyConfig(seed=3, benign_count=8, adversarial_count=1, inputs_per_program=6))
     assert not ok and len(report["violations"]) == MAX_VIOLATIONS
-    assert set(_phases(report["violations"])) == {"benign"}
+    assert set(_phases(reports, report["violations"])) == {"benign"}
     checks = report["checks"]
     assert not checks["liveness_soundness"] and not checks["determinism"] and not checks["no_other_violations"]
 

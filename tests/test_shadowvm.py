@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from collections import Counter
 from operator import itemgetter
 
 import pytest
@@ -63,6 +64,7 @@ from shadowlab.shadowvm import (
     CampaignReport,
     CompiledProgram,
     ExecInput,
+    Finding,
     Outcome,
     Trace,
     _bad_address,
@@ -354,7 +356,7 @@ def test_campaign_benign_has_no_aborts():
     report = run_campaign(cases)
     assert report.fired == 0
     assert report.detected == 0 and report.undetected == 0
-    assert not report.violations
+    assert not report.findings and not report.counts
 
 
 def test_campaign_detects_under_light():
@@ -413,7 +415,7 @@ def test_campaign_consumes_any_iterable_once_in_order():
 
 
 def test_campaign_keeps_first_violations_and_counts_all():
-    # past MAX_VIOLATIONS messages a campaign only counts, activation problems too
+    # past MAX_VIOLATIONS findings a campaign only counts them, per kind, activation problems too
     p = parse_program(MEMO_CALLER)
     _, plan = plan_program(p)
     ip = apply_plan(p, plan, "PO")
@@ -424,11 +426,12 @@ def test_campaign_keeps_first_violations_and_counts_all():
     skewed = CampaignCase("memo", "BASE", compile(p, analyze_program(_twin(p))), tainted, False)
     target = compile(InstrumentedProgram(doubled, ip.mode, ip.functions), analyze_program(doubled))
     cases = [skewed] * MAX_VIOLATIONS + [CampaignCase("memo", "PO", target, tainted, False)] * 3
-    every = [m for case in cases for m in run_campaign([case]).violations]
+    every = [f for case in cases for f in run_campaign([case]).findings]
     report = run_campaign(cases)
-    assert report.violations == every[:MAX_VIOLATIONS] and report.violation_count == len(every)
-    assert report.activation_count == sum(m.startswith("activation: ") for m in every) > 0
-    assert not any(m.startswith("activation: ") for m in report.violations)
+    assert report.findings == every[:MAX_VIOLATIONS] and sum(report.counts.values()) == len(every)
+    assert report.counts == Counter(f.kind for f in every)
+    assert report.counts["activation"] == sum(f.text.startswith("activation: ") for f in every) > 0
+    assert not any(f.text.startswith("activation: ") for f in report.findings)
 
 
 def test_campaign_keeps_first_counterexamples_only():
@@ -715,8 +718,15 @@ def test_activation_problems_are_reported():
 
 def reference_run_campaign(cases: list[CampaignCase]) -> CampaignReport:
     """`run_campaign` with every run's activation findings from the log walk
-    of its recorded run."""
+    of its recorded run, each finding counted and kept here."""
     report = CampaignReport()
+
+    def found(kind, *texts):
+        for text in texts:
+            report.counts[kind] += 1
+            if len(report.findings) < MAX_VIOLATIONS:
+                report.findings.append(Finding(kind, case.name, case.mode, text))
+
     for case in cases:
         trace, outcome = execute(case.target, case.inp, case.budget)
         report.cases += 1
@@ -729,16 +739,13 @@ def reference_run_campaign(cases: list[CampaignCase]) -> CampaignReport:
                 if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                     report.counterexamples.append((case, trace))
             else:
-                report.violation(f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}")
+                found("outcome", f"{case.name}/{case.mode}: corruption fired but run ended {outcome.kind}")
         elif outcome.kind not in (COMPLETED,):
-            report.violation(f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}")
+            found("outcome", f"{case.name}/{case.mode}: benign-path run ended {outcome.kind}")
 
-        report.height_violations += len(trace.height_violations)
         for v in trace.height_violations:
-            report.violation(f"{case.name}/{case.mode}: height violation {v}")
-        problems = reference_activations(case, *execute(case.target, case.inp, case.budget, record=True))
-        report.activation_count += len(problems)
-        report.violation(*problems)
+            found("height", f"{case.name}/{case.mode}: height violation {v}")
+        found("activation", *reference_activations(case, *execute(case.target, case.inp, case.budget, record=True)))
     return report
 
 
@@ -764,7 +771,7 @@ def test_campaign_checks_activations_only_where_they_report():
     twin = compile(target, analyze_program(_twin(target.program)))
     cases.append(CampaignCase("memo-twin", "PO", twin, _MEMO_TAINTED, False))
     alone = run_campaign(cases[-1:])
-    assert alone.height_violations and alone.activation_count
+    assert alone.counts["height"] and alone.counts["activation"]
     for name, p in generate_corpus(GenConfig(seed=7, count=4, attack_density=0.5)):
         _, plan = plan_program(p)
         for mode in ("FULL", "LIGHT", "ELIDE-ALL"):
@@ -772,9 +779,10 @@ def test_campaign_checks_activations_only_where_they_report():
             target = compile(ip, analyze_program(ip.program))
             cases += [CampaignCase(name, mode, target, inp, p.adversarial) for inp in generate_inputs(len(name), 3)]
     expected = reference_run_campaign(cases)
-    unbalanced = [m for m in expected.violations if m.endswith(": shadow not balanced at completion")]
+    unbalanced = [f.text for f in expected.findings if f.text.endswith(": shadow not balanced at completion")]
     assert [m.split(":")[1].strip() for m in unbalanced] == ["memo/PO", "push-only/BASE"]
-    assert expected.activation_count > len(unbalanced) and expected.fired and expected.violation_count < MAX_VIOLATIONS
+    assert expected.counts["activation"] > len(unbalanced) and expected.fired
+    assert sum(expected.counts.values()) < MAX_VIOLATIONS
     assert _campaign_view(run_campaign(cases)) == _campaign_view(expected)
 
 
@@ -1086,7 +1094,7 @@ def test_prepared_modes_share_decodes_exactly_where_the_reuse_key_agrees(monkeyp
     for seed, count, density in corpora:
         for name, p in generate_corpus(GenConfig(seed=seed, count=count, attack_density=density, budget=cfg.budget)):
             compiles.clear()
-            prepared = cli._prepare(name, p, cfg, MODES, CampaignReport())
+            prepared, _ = cli._prepare(name, p, cfg, MODES)
             assert len(compiles) == len(prepared.targets) == len(MODES), name
             # one decode per reuse key: equal keys share their blocks, other keys do not
             first = {}
@@ -1217,14 +1225,14 @@ def test_determinism_check_runs_targets_that_share_no_decode(monkeypatch):
         return again[-1]
 
     def determinism(cfg, corpus, spot):
-        spots.extend(spot)
+        spots.extend(case for case, _ in spot)
         monkeypatch.setattr(cli, "_prepare", preparing)
         return phase(cfg, corpus, spot)
 
     monkeypatch.setattr(cli, "_determinism_phase", determinism)
     _, ok = cli.verify_run(cli.VerifyConfig(benign_count=4, adversarial_count=6, inputs_per_program=3))
     assert ok and len(spots) == len(again) == 3
-    for case, prepared in zip(spots, again):
+    for case, (prepared, _) in zip(spots, again):
         first = {id(fn.blocks) for fn in case.target.functions}
         assert not first & {id(fn.blocks) for fn in prepared.targets[case.mode].functions}, case.name
 
