@@ -185,7 +185,8 @@ def write_class(height) -> str:
 
 def classify_writes(fn: Function, heights: Heights) -> dict[tuple[int, int], str]:
     """Total classification of every store: its (block id, instruction index)
-    maps to its `write_class`."""
+    maps to its `write_class`.  The tests' oracle for the CLI's write
+    statistics; the benchmark's tracer wraps it by name."""
     return {
         (bid, idx): write_class(heights.stores.get((bid, idx)))
         for bid, block in fn.blocks.items()

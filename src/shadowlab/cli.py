@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, NoReturn
 
 from .mir import NUM_REGS, SHADOW_OPCODES, Diagnostic, MirError, Program, parse_program, print_program, validate_program
-from .analysis import GLOBAL, SAFE_STACK, UNSAFE, Heights, classify_writes, dead_register_findings
+from .analysis import GLOBAL, SAFE_STACK, UNSAFE, Heights, dead_register_findings, write_class
 from .transform import (
     FN_ELIDED,
     FN_FULL,
@@ -123,9 +123,10 @@ def _instr_stats(plan: InstrumentationPlan) -> dict:
     }
 
 
-def _write_stats(program: Program, heights: Mapping[str, Heights]) -> dict:
-    """Shares of the program's stores per write class."""
-    counts = Counter(c for name, fn in program.functions.items() for c in classify_writes(fn, heights[name]).values())
+def _write_stats(heights: Mapping[str, Heights]) -> dict:
+    """Shares of the program's stores per write class, from the heights of
+    its functions, which hold every store of a valid program."""
+    counts = Counter(write_class(h) for fh in heights.values() for h in fh.stores.values())
     total = sum(counts.values())
     pct = lambda n: 100.0 * n / total if total else 0.0
     return {
@@ -142,7 +143,7 @@ def cmd_analyze(args) -> int:
     out = {
         "safety": analysis.safety.to_json(),
         "instrumentation": _instr_stats(plan),
-        "writes": _write_stats(program, analysis.heights),
+        "writes": _write_stats(analysis.heights),
         "safe_paths": {name: fp.safe_paths for name, fp in plan.per_function.items()},
     }
     if args.json:
@@ -317,7 +318,7 @@ def cmd_stats(args) -> int:
             {
                 "name": path.stem,
                 "instrumentation": _instr_stats(plan),
-                "writes": _write_stats(program, analysis.heights),
+                "writes": _write_stats(analysis.heights),
             }
         )
     if not rows:

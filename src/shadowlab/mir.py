@@ -99,12 +99,12 @@ class Instr:
         return self.opcode in STORE_OPCODES
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True)
 class Block:
     bid: int
     instrs: tuple[Instr, ...]
-    src_line: int = 0
-    instr_lines: tuple[int, ...] = ()
+    src_line: int = field(default=0, compare=False)
+    instr_lines: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def terminator(self) -> Instr | None:
@@ -114,13 +114,6 @@ class Block:
     def successors(self) -> tuple[int, ...]:
         term = self.terminator
         return term.args if term is not None and term.opcode in ("br", "brc") else ()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Block)
-            and self.bid == other.bid
-            and self.instrs == other.instrs
-        )
 
 
 @dataclass(eq=False, slots=True)

@@ -24,15 +24,16 @@ one mechanism flag (`MODE_FLAGS`):
 
 The rewrite's inverse lives next to it: `ResolvedFunction.block_sources`
 maps each output block whose id is not its input's to its input block, and
-`_spliced` is the one splice layout.  `build_checks(ip, input, analysis)`
-reads both to give each output store the height of the input instruction
-at its position, so the VM validates every rewrite against the program it
-was made from, and `check_rewrites` checks each rewrite's claims and every
-walk through its output function statically; `strip_instrumentation`
-undoes the rewrite.  Beyond the register frame, the mechanisms change
-instructions only where they inline a call or move an entry push;
-elsewhere MO and LIGHT give a function FULL's or PO's output function,
-with costs of their own.  A function that modes share is checked once.
+`_spliced` lays out an inlined call for the check mapping, apart from the
+rewrite's own splice.  Each rewrite is checked once per input program and
+analysis, into one record (`_checked`): the input instruction's height at
+each output store, which `build_checks(ip, input, analysis)` gives the VM
+to validate live, and what its claims and every walk through its output
+function fail statically, which `check_rewrites` reports;
+`strip_instrumentation` undoes the rewrite.  Beyond the register frame,
+the mechanisms change instructions only where they inline a call or move
+an entry push; elsewhere MO and LIGHT give a function FULL's or PO's output
+function, with costs of their own, and its heights are mapped once.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class InstrumentationPlan:
     # mechanisms flag) -> (output function, ResolvedFunction); the two flags
     # of one function mode hold one output function where the mechanisms
     # change no instruction, and one entry where they change no cost either
-    rewrites: dict[tuple[str, str, bool], tuple] = field(default_factory=dict, repr=False, compare=False)
+    rewrites: dict[tuple[str, str, bool], tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     # one `spush` instruction per height, over every output of this plan
-    spushes: dict[int, Instr] = field(default_factory=dict, repr=False, compare=False)
+    spushes: dict[int, Instr] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -376,18 +377,16 @@ class ResolvedFunction:
     transition_blocks: Mapping[int, tuple[int, int]] = field(default_factory=dict)
     inlined_calls: tuple[tuple[int, int, str], ...] = ()
     op_costs: Mapping[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
-    # the checks `build_checks` mapped onto this rewrite's output function,
-    # with what they came from: (output function, input program, analysis,
-    # heights)
-    mapped: tuple | None = field(default=None, repr=False, compare=False)
+    # Memos, none an `__init__` field: a `dataclasses.replace` copy starts bare.
     # the ResolvedFunction, built first, whose output function this one
-    # shares: that one keeps their mapped checks
-    shares: ResolvedFunction | None = field(default=None, repr=False, compare=False)
-    # (output function, input program, analysis, what `check_rewrites` found)
-    checked: tuple | None = field(default=None, repr=False, compare=False)
+    # shares: that one keeps their store heights
+    shares: ResolvedFunction | None = field(default=None, init=False, repr=False, compare=False)
+    # `_checked`'s record: (output function, input program, analysis, store
+    # heights, findings)
+    checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # `shadowvm.compile`'s decodes, first cookie -> (output function, store
     # heights, {callee: index}, decoded function, next cookie)
-    decoded: dict | None = field(default=None, repr=False, compare=False)
+    decoded: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def block_sources(self) -> dict[int, int]:
@@ -486,11 +485,11 @@ _SPOP_EXIT = ("pop", None, COST_POP, Instr("spop"))
 
 
 def _spliced(functions: Mapping[str, Function], name: str, block: Block, calls: Mapping[int, str]) -> list:
-    """The splice layout: the (function, block, index) of each instruction
-    of `name`'s input `block` with the call at each index `calls` names
-    replaced by the callee's body minus its trailing ret, then of the
-    block's end.  `_rewrite` builds an inlining block from it, and the check
-    mapping reads it back."""
+    """The check mapping's splice layout: the (function, block, index) of
+    each instruction of `name`'s input `block` with the call at each index
+    `calls` names replaced by the callee's body minus its trailing ret, then
+    of the block's end.  `_rewrite` splices apart from it, so a wrong layout
+    here fails the mapping rather than agreeing with the rewrite."""
     at = []
     for k, ins in enumerate(block.instrs):
         if ins.opcode == "call" and ins.args[0] == calls.get(k):
@@ -543,8 +542,9 @@ def _rewrite(plan: InstrumentationPlan, name: str, fn_mode: str, mechanisms: boo
         calls = inline.get(bid)
         if calls:
             inlined.extend((out_id, k, callee) for k, callee in calls.items())
-            at = _spliced(functions, name, block, calls)
-            body = tuple(functions[f].blocks[b].instrs[k] for f, b, k in at[:-1])
+            # each inlined call becomes its callee's one block minus the ret
+            body = tuple(i for k, ins in enumerate(body) for i in (
+                next(iter(functions[calls[k]].blocks.values())).instrs[:-1] if k in calls else (ins,)))
         term = body[-1]
         if push is not None:
             ops.append(push[1])
@@ -666,26 +666,32 @@ class CheckMappingError(Exception):
 
 def build_checks(ip: InstrumentedProgram, source: Program, analysis: AnalysisChecks) -> AnalysisChecks:
     """The store heights of `ip`, the instrumented `source`, for the VM to
-    validate live, from `analysis` of `source` (`_mapped_heights`); store
-    heights only, with no block entry states or dead register masks, which
-    is all `compile` reads.  An output instruction that is not the input's
-    at its position raises CheckMappingError."""
-    rfs = ip.functions
-    heights = {name: _mapped_heights(source, fn, rfs.get(name), analysis) for name, fn in ip.program.functions.items()}
+    validate live, from `analysis` of `source`: the input's own for a
+    function `ip` shares with it, else those of each rewrite's `_checked`
+    record; store heights only, with no block entry states or dead register
+    masks, which is all `compile` reads.  An output instruction that is not
+    the input's at its position raises CheckMappingError."""
+    rfs, own = ip.functions, source.functions
+    heights = {name: analysis.heights[name] if fn is own.get(name) else _checked(source, fn, rfs[name], analysis)[3]
+               for name, fn in ip.program.functions.items()}
     return AnalysisChecks(heights, {})
 
 
-def _mapped_heights(source: Program, fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks) -> Heights:
-    """The store heights of `fn`: the input's own for the input's function,
-    else mapped by `_mapped_facts` once per `fn`, `source` and `analysis`,
-    kept in the ResolvedFunction that first gave `fn` (see `shares`)."""
-    if fn is source.functions.get(fn.name):
-        return analysis.heights[fn.name]
-    keeper = rf.shares or rf
-    mapped = keeper.mapped
-    if mapped is None or mapped[0] is not fn or mapped[1] is not source or mapped[2] is not analysis:
-        mapped = keeper.mapped = (fn, source, analysis, _mapped_facts(source.functions, fn, rf, analysis))
-    return mapped[3]
+def _checked(source: Program, fn: Function, rf: ResolvedFunction, analysis: AnalysisChecks) -> tuple:
+    """`rf.checked`, made afresh unless it is of output function `fn`,
+    input program `source` and its `analysis`: (fn, source, analysis, the
+    store heights of `fn`, the findings of `rewrite_claims` and
+    `activation_walks` unless `rf` elides).  The heights are mapped by
+    `_mapped_facts` once per output function: a rewrite that `shares`
+    another's takes that one's, from its record, made afresh if stale."""
+    checked = rf.checked
+    if checked is None or checked[0] is not fn or checked[1] is not source or checked[2] is not analysis:
+        shared = rf.shares
+        heights = _checked(source, fn, shared, analysis)[3] if shared else _mapped_facts(source.functions, fn, rf, analysis)
+        findings = () if rf.mode == FN_ELIDED else (
+            *rewrite_claims(fn, rf, analysis.liveness[fn.name]), *activation_walks(fn, rf, heights.stores))
+        checked = rf.checked = (fn, source, analysis, heights, findings)
+    return checked
 
 
 def _mapped_facts(
@@ -830,31 +836,21 @@ def activation_walks(fn: Function, rf: ResolvedFunction, stores: Mapping) -> lis
 
 
 def check_rewrites(ip: InstrumentedProgram, source: Program | None = None, analysis=None) -> list[tuple[str, str]]:
-    """(function name, finding) of `rewrite_claims` and `activation_walks`
-    for each rewrite of `ip` but an elided one, the input's own function,
-    against `source`, the program `ip` instruments, and its ProgramAnalysis
-    `analysis` (store heights as `build_checks` maps them); and a chased
-    push in a mode without mechanisms.  Each rewrite keeps its findings
-    (`checked`) for the same output function and given `source` and
-    `analysis`; without `source`, the rest are checked against `ip`
-    stripped and analysed afresh.  CheckMappingError propagates."""
+    """(function name, finding) of each rewrite of `ip` but an elided one,
+    as its `_checked` record holds them against `source`, the program `ip`
+    instruments, and its ProgramAnalysis `analysis`, or, without `source`,
+    against `ip` stripped and analysed afresh; and a chased push in a mode
+    without mechanisms.  CheckMappingError propagates."""
     plain = not (ip.mode in MODE_FLAGS and MODE_FLAGS[ip.mode].mechanisms)
-    given, found = source is not None, []
+    found = []
     for name, fn in ip.program.functions.items():
         rf = ip.functions.get(name)
         if rf is None or rf.mode == FN_ELIDED:
             continue
-        checked = rf.checked
-        if checked is None or checked[0] is not fn or (
-            given and (checked[1] is not source or checked[2] is not analysis)
-        ):
-            if source is None:
-                source = strip_instrumentation(ip)
-                analysis = analyze_program(source)
-            stores = _mapped_heights(source, fn, rf, analysis).stores
-            findings = (*rewrite_claims(fn, rf, analysis.liveness[name]), *activation_walks(fn, rf, stores))
-            checked = rf.checked = (fn, source, analysis, findings)
-        found += [(name, m) for m in checked[3]]
+        if source is None:
+            source = strip_instrumentation(ip)
+            analysis = analyze_program(source)
+        found += [(name, m) for m in _checked(source, fn, rf, analysis)[4]]
         if plain and any(op.chased for op in rf.shadow_ops):
             found.append((name, f"chased push under {ip.mode}, a mode without mechanisms"))
     return found

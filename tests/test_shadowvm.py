@@ -1043,8 +1043,34 @@ def test_compiled_program_reused_across_inputs():
 def _alone(ip: InstrumentedProgram) -> InstrumentedProgram:
     """`ip` with fresh ResolvedFunctions, so compiling it reuses no decode."""
     return InstrumentedProgram(
-        ip.program, ip.mode, {n: dataclasses.replace(rf, decoded=None) for n, rf in ip.functions.items()}
+        ip.program, ip.mode, {n: dataclasses.replace(rf) for n, rf in ip.functions.items()}
     )
+
+
+def test_a_replaced_rewrite_or_plan_keeps_none_of_the_originals_memos():
+    # main is fully instrumented: one push and one pop, 9 + 11 shadow
+    # instructions at the costs FULL gives them
+    p = parse_program("#entry main\n\nfn main {\nb0:\n  movi r0, 7\n  halt\n}\n")
+    analysis, plan = plan_program(p)
+    ip = apply_plan(p, plan, "FULL")
+    assert check_rewrites(ip, p, analysis) == []
+    trace, outcome = execute(compile(ip, build_checks(ip, p, analysis)), ExecInput(()), 100)
+    assert outcome.kind == COMPLETED and trace.shadow_instr == 20
+    # a copy with ten times the costs runs and is checked at its own costs,
+    # although the original was compiled and checked first
+    rf = ip.functions["main"]
+    tenfold = dataclasses.replace(rf, op_costs={at: (10 * i, 10 * m) for at, (i, m) in rf.op_costs.items()})
+    copy = InstrumentedProgram(ip.program, "FULL", {"main": tenfold})
+    trace, outcome = execute(compile(copy, build_checks(copy, p, analysis)), ExecInput(()), 100)
+    assert outcome.kind == COMPLETED and trace.shadow_instr == 200
+    assert check_rewrites(copy, p, analysis) == [
+        ("main", "b0[0]: push costs (9, 6), op_costs charges (90, 60), its kind and flags give (9, 6)"),
+        ("main", "b0[2]: pop costs (11, 6), op_costs charges (110, 60), its kind and flags give (11, 6)"),
+    ]
+    # a copy of the plan builds its own rewrites
+    assert plan.rewrites and plan.spushes
+    again = dataclasses.replace(plan, per_function=dict(plan.per_function))
+    assert again.rewrites == {} and again.spushes == {}
 
 
 def _decoded(compiled: CompiledProgram) -> list:

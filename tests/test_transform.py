@@ -29,6 +29,7 @@ from shadowlab.transform import (
     MODES,
     PATH_COUNT_CAP,
     TRANSITION_BASE,
+    CheckMappingError,
     FunctionPlan,
     InstrumentedProgram,
     PlanError,
@@ -681,12 +682,46 @@ def test_rewrite_inverse_is_linear_in_inlined_calls():
 
         def checks():
             for rf in ip.functions.values():
-                rf.mapped = None    # so each run maps afresh
+                rf.checked = None    # so each run maps afresh
             build_checks(ip, p, analysis)
 
         return {"strip_instrumentation": lambda: strip_instrumentation(ip), "build_checks": checks}
 
     assert_linear(prepare)
+
+
+def test_a_wrong_splice_layout_fails_the_check_mapping_and_changes_no_output(monkeypatch):
+    # `_rewrite` splices an inlined call apart from `_spliced`, the check
+    # mapping's layout: a layout that drops each inlined body's first
+    # instruction changes no output and fails the mapping of every LIGHT
+    # target that inlines a call
+    from shadowlab import transform
+
+    corpus = generate_corpus(GenConfig(seed=37, count=24, attack_density=0.5))
+
+    def prepared():
+        for name, p in corpus:
+            analysis, plan = plan_program(p)
+            yield name, p, analysis, {mode: apply_plan(p, plan, mode) for mode in MODES}
+
+    honest = {}
+    for name, p, analysis, outputs in prepared():
+        honest[name] = {mode: print_program(ip.program) for mode, ip in outputs.items()}
+        build_checks(outputs["LIGHT"], p, analysis)
+    spliced = transform._spliced
+    monkeypatch.setattr(transform, "_spliced", lambda functions, name, block, calls: [
+        at for at in spliced(functions, name, block, calls) if at[0] == name or at[2] > 0
+    ])
+    inlining = raised = 0
+    for name, p, analysis, outputs in prepared():
+        assert {mode: print_program(ip.program) for mode, ip in outputs.items()} == honest[name], name
+        light = outputs["LIGHT"]
+        if any(rf.inlined_calls for rf in light.functions.values()):
+            inlining += 1
+            with pytest.raises(CheckMappingError):
+                build_checks(light, p, analysis)
+            raised += 1
+    assert inlining == raised == 7
 
 
 def renumbered(p: Program, rng: random.Random) -> Program:
@@ -1207,7 +1242,7 @@ def _rechased(rf, chase):
             op = op._replace(chased=True, cost=cost)
             costs[(tids[op.site[1:]], 0)] = cost
         ops.append(op)
-    return dataclasses.replace(rf, shadow_ops=tuple(ops), op_costs=costs, checked=None)
+    return dataclasses.replace(rf, shadow_ops=tuple(ops), op_costs=costs)
 
 
 def _chase_edges():
@@ -1266,14 +1301,14 @@ def test_claims_find_a_shifted_or_wrong_cost():
     full = outputs["FULL"].functions["f"]
     # the entry push's op_costs index shifted by one
     shifted = {((0, 1) if at == (0, 0) else at): cost for at, cost in full.op_costs.items()}
-    assert check_rewrites(_with_f(outputs["FULL"], dataclasses.replace(full, op_costs=shifted, checked=None)), p, analysis) == [
+    assert check_rewrites(_with_f(outputs["FULL"], dataclasses.replace(full, op_costs=shifted)), p, analysis) == [
         ("f", "shadow instructions and op_costs differ at [(0, 0), (0, 1)]"),
         ("f", "b0[0]: push costs (9, 6), op_costs charges None, its kind and flags give (9, 6)"),
     ]
     # a cost that the push's kind and flags do not give
     push = full.shadow_ops[0]._replace(cost=(9, 9))
     recosted = dataclasses.replace(
-        full, shadow_ops=(push,) + full.shadow_ops[1:], op_costs={**full.op_costs, (0, 0): (9, 9)}, checked=None
+        full, shadow_ops=(push,) + full.shadow_ops[1:], op_costs={**full.op_costs, (0, 0): (9, 9)}
     )
     assert check_rewrites(_with_f(outputs["FULL"], recosted), p, analysis) == [
         ("f", "b0[0]: push costs (9, 9), op_costs charges (9, 9), its kind and flags give (9, 6)")
