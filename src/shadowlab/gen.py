@@ -133,9 +133,9 @@ def _mix(rng: random.Random, *parts: list[Instr]) -> list[Instr]:
     return [ins for group in groups for ins in group]
 
 
-def _safe_content(rng, spec, height, calls, stores=True) -> list[Instr]:
+def _safe_content(rng, spec, height, calls) -> list[Instr]:
     pieces = [_filler(rng, spec.regs, rng.randint(0, 2))]
-    if stores and rng.random() < 0.7:
+    if rng.random() < 0.7:
         pieces.append(_safe_store(rng, height, spec.frame, spec.regs))
     if rng.random() < 0.4:
         pieces.append(_global_store(rng))

@@ -6,7 +6,9 @@ The word size is 8 bytes and every memory operation moves exactly one word.
 Data convention: stores write the current value of r0; `corrupt` writes its
 immediate operand; r0 is the return register.
 
-The parser refuses only what one line shows, and a file with no function;
+The parser, `parse_program`, is one loop over the lines.  It refuses only
+what one line shows, and a file with no function, and interns instructions by
+text: every occurrence of one instruction text is the same `Instr`.
 `validate_program` alone checks that branch targets, callees and the entry exist.
 Programs are immutable after parse/validate and safe to share across threads:
 a plain program `validate_program` finds clean keeps that verdict (`valid`),
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 WORD_SIZE = 8
 NUM_REGS = 16
@@ -194,170 +196,106 @@ class Diagnostic:
 
 _FN_RE = re.compile(r"^fn\s+([A-Za-z_][\w.]*)\s*\{(.*)$")
 _LABEL_RE = re.compile(r"^b(\d+):\s*(.*)$")
-_REG_RE = re.compile(r"^r(\d+)$")
-_BLOCK_REF_RE = re.compile(r"^b(\d+)$")
-_NAME_RE = re.compile(r"^[A-Za-z_][\w.]*$")
-_INT_RE = re.compile(r"^-?\d+$")
+_NAME_RE = re.compile(r"^([A-Za-z_][\w.]*)$")
+# per operand kind, what a malformed one is called and its pattern, whose group
+# is the operand (an int but for symbols); a register is also below NUM_REGS
+_OPERAND_SYNTAX = {
+    "r": ("register", re.compile(r"^r(\d+)$")),
+    "b": ("block reference", re.compile(r"^b(\d+)$")),
+    "i": ("integer", re.compile(r"^(-?\d+)$")),
+    "g": ("symbol", _NAME_RE),
+    "f": ("symbol", _NAME_RE),
+}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.functions: dict[str, Function] = {}
-        self.entry: str | None = None
-        self.adversarial = False
-        self.fn_name: str | None = None
-        self.fn_line = 0
-        self.blocks: dict[int, Block] = {}
-        self.bid: int | None = None
-        self.instrs: list[Instr] = []
-        self.instr_lines: list[int] = []
-        self.block_line = 0
-        # Instruction text -> its decoded Instr, shared by every occurrence.
-        # Positions stay in instr_lines, so errors found later keep their line.
-        self.decoded: dict[str, Instr] = {}
-
-    def error(self, msg: str, line: int, token: str = "") -> MirError:
-        col = 1
-        if token and 1 <= line <= len(self.lines):
-            # the token as a whole operand, not as part of an earlier, longer one
-            m = re.search(rf"(?<![^\s,{{}}:]){re.escape(token)}(?![^\s,{{}}:])", self.lines[line - 1])
-            if m:
-                col = m.start() + 1
-        return MirError(msg, line, col)
-
-    def run(self) -> Program:
-        for no, raw in enumerate(self.lines, start=1):
-            self.feed(raw.strip(), no)
-        if self.fn_name is not None:
-            raise self.error(f"unterminated function '{self.fn_name}'", self.fn_line)
-        if not self.functions:
-            raise MirError("no functions in program")
-        return Program(self.functions, entry=self.entry or "", adversarial=self.adversarial)
-
-    def feed(self, line: str, no: int) -> None:
-        if not line:
-            return
-        if line.startswith("#"):
-            self.directive(line, no)
-            return
-        m = _FN_RE.match(line)
-        if m:
-            if self.fn_name is not None:
-                raise self.error("nested function definition", no, "fn")
-            name = m.group(1)
-            if name in self.functions:
-                raise self.error(f"duplicate function '{name}'", no, name)
-            self.fn_name = name
-            self.fn_line = no
-            self.blocks = {}
-            self.bid = None
-            rest = m.group(2).strip()
-            if rest:
-                self.feed(rest, no)
-            return
-        if self.fn_name is None:
-            raise self.error(f"statement outside function: '{line}'", no, line.split()[0])
-        closing = False
-        if line.endswith("}"):
-            closing = True
-            line = line[:-1].strip()
-        if line:
-            m = _LABEL_RE.match(line)
-            if m:
-                self.flush_block()
-                bid = int(m.group(1))
-                if bid in self.blocks:
-                    raise self.error(f"duplicate block b{bid}", no, f"b{bid}")
-                self.bid = bid
-                self.block_line = no
-                rest = m.group(2).strip()
-                if rest:
-                    self.instruction(rest, no)
-            else:
-                self.instruction(line, no)
-        if closing:
-            self.close_function(no)
-
-    def directive(self, line: str, no: int) -> None:
-        parts = line.split(None, 1)
-        key = parts[0]
-        if key == "#entry":
-            if len(parts) != 2 or not _NAME_RE.match(parts[1].strip()):
-                raise self.error("#entry expects a function name", no, key)
-            self.entry = parts[1].strip()
-        elif key == "#adversarial":
-            val = parts[1].strip() if len(parts) == 2 else ""
-            if val not in ("true", "false"):
-                raise self.error("#adversarial expects true|false", no, key)
-            self.adversarial = val == "true"
-        # any other '#' line is a comment
-
-    def instruction(self, text: str, no: int) -> None:
-        if self.bid is None:
-            raise self.error("instruction outside a block", no, text.split()[0])
-        ins = self.decoded.get(text)
-        if ins is None:
-            ins = self.decoded[text] = self.parse_instr(text, no)
-        self.instrs.append(ins)
-        self.instr_lines.append(no)
-
-    def parse_instr(self, text: str, no: int) -> Instr:
-        parts = text.split(None, 1)
-        opcode = parts[0]
-        shape = OPERAND_SHAPES.get(opcode)
-        if shape is None:
-            raise self.error(f"unknown opcode '{opcode}'", no, opcode)
-        raw_args = [a.strip() for a in parts[1].split(",")] if len(parts) > 1 else []
-        if len(raw_args) != len(shape):
-            raise self.error(
-                f"'{opcode}' expects {len(shape)} operand(s), got {len(raw_args)}",
-                no,
-                opcode,
-            )
-        args = []
-        for kind, tok in zip(shape, raw_args):
-            if kind == "r":
-                m = _REG_RE.match(tok)
-                if not m or not 0 <= int(m.group(1)) < NUM_REGS:
-                    raise self.error(f"bad register '{tok}'", no, tok)
-                args.append(int(m.group(1)))
-            elif kind == "b":
-                m = _BLOCK_REF_RE.match(tok)
-                if not m:
-                    raise self.error(f"bad block reference '{tok}'", no, tok)
-                args.append(int(m.group(1)))
-            elif kind == "i":
-                if not _INT_RE.match(tok):
-                    raise self.error(f"bad integer '{tok}'", no, tok)
-                args.append(int(tok))
-            else:  # g or f
-                if not _NAME_RE.match(tok):
-                    raise self.error(f"bad symbol '{tok}'", no, tok)
-                args.append(tok)
-        return Instr(opcode, tuple(args))
-
-    def flush_block(self) -> None:
-        if self.bid is None:
-            return
-        self.blocks[self.bid] = Block(
-            self.bid, tuple(self.instrs), self.block_line, tuple(self.instr_lines)
-        )
-        self.bid = None
-        self.instrs = []
-        self.instr_lines = []
-
-    def close_function(self, no: int) -> None:
-        self.flush_block()
-        if not self.blocks:
-            raise self.error(f"function '{self.fn_name}' has no blocks", self.fn_line)
-        self.functions[self.fn_name] = Function(self.fn_name, self.blocks, self.fn_line)
-        self.fn_name = None
+def _parse_instr(text: str, error: Callable[[str, str], MirError]) -> Instr:
+    parts = text.split(None, 1)
+    opcode = parts[0]
+    shape = OPERAND_SHAPES.get(opcode)
+    if shape is None:
+        raise error(f"unknown opcode '{opcode}'", opcode)
+    toks = [a.strip() for a in parts[1].split(",")] if len(parts) > 1 else []
+    if len(toks) != len(shape):
+        raise error(f"'{opcode}' expects {len(shape)} operand(s), got {len(toks)}", opcode)
+    args = []
+    for kind, tok in zip(shape, toks):
+        what, pattern = _OPERAND_SYNTAX[kind]
+        m = pattern.match(tok)
+        if not m or kind == "r" and int(m[1]) >= NUM_REGS:
+            raise error(f"bad {what} '{tok}'", tok)
+        args.append(m[1] if kind in "gf" else int(m[1]))
+    return Instr(opcode, tuple(args))
 
 
 def parse_program(text: str) -> Program:
     """Parse MIR text, raising MirError with line/column on a malformed line; `validate_program` checks references."""
-    return _Parser(text).run()
+    functions: dict[str, Function] = {}
+    entry, adversarial = "", False
+    # the open function's name and line, its blocks (bid -> (line, instrs,
+    # their lines)) and its open block
+    fn = fn_line = blocks = block = None
+    decoded: dict[str, Instr] = {}   # instruction text -> its Instr, shared by every occurrence
+
+    def error(msg: str, token: str) -> MirError:
+        # the token as a whole operand, not as part of an earlier, longer one
+        m = re.compile(rf"(?<![^\s,{{}}:]){re.escape(token)}(?![^\s,{{}}:])").search(raw, start) if token else None
+        return MirError(msg, no, m.start() + 1 if m else 1)
+
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line, start = raw.strip(), 0
+        while line:     # the text after a function's `{` goes round again
+            if line[0] == "#":
+                key, val = (*line.split(None, 1), "")[:2]
+                if key == "#entry":
+                    if not _NAME_RE.match(val):
+                        raise error("#entry expects a function name", key)
+                    entry = val
+                elif key == "#adversarial":
+                    if val not in ("true", "false"):
+                        raise error("#adversarial expects true|false", key)
+                    adversarial = val == "true"
+                break   # any other '#' line is a comment
+            m = _FN_RE.match(line)
+            if m:
+                if fn is not None:
+                    raise error("nested function definition", "fn")
+                if m[1] in functions:
+                    raise error(f"duplicate function '{m[1]}'", m[1])
+                fn, fn_line, blocks, block = m[1], no, {}, None
+                line, start = m[2].strip(), len(raw) - len(raw.lstrip()) + m.start(2)
+                continue
+            if fn is None:
+                raise error(f"statement outside function: '{line}'", line.split()[0])
+            closing = line.endswith("}")
+            line = line[:-1].strip() if closing else line
+            m = _LABEL_RE.match(line)
+            if m:
+                bid = int(m[1])
+                if bid in blocks:
+                    raise error(f"duplicate block b{bid}", f"b{bid}")
+                blocks[bid] = block = (no, [], [])
+                line = m[2].strip()
+            if line:
+                if block is None:
+                    raise error("instruction outside a block", line.split()[0])
+                ins = decoded.get(line)
+                if ins is None:
+                    ins = decoded[line] = _parse_instr(line, error)
+                block[1].append(ins)
+                block[2].append(no)
+            if closing:
+                if not blocks:
+                    raise MirError(f"function '{fn}' has no blocks", fn_line, 1)
+                functions[fn] = Function(
+                    fn, {b: Block(b, tuple(ins), at, tuple(lines)) for b, (at, ins, lines) in blocks.items()}, fn_line
+                )
+                fn = None
+            break
+    if fn is not None:
+        raise MirError(f"unterminated function '{fn}'", fn_line, 1)
+    if not functions:
+        raise MirError("no functions in program")
+    return Program(functions, entry=entry, adversarial=adversarial)
 
 
 def print_program(program: Program) -> str:

@@ -60,10 +60,7 @@ from .mir import NUM_REGS, Program, RETURN_REG
 from .analysis import AnalysisChecks, write_class
 from .transform import (
     _EMPTY,
-    COST_POP,
-    COST_PUSH,
-    COST_RF_POP,
-    COST_RF_PUSH,
+    SHADOW_COSTS,
     InstrumentedProgram,
     build_checks,   # bound here too: the benchmark traces it as shadowvm.build_checks
     check_rewrites,
@@ -75,9 +72,6 @@ SHADOW_CAPACITY = 4096
 COOKIE_BASE = 1 << 48
 EXIT_COOKIE = 1 << 49
 MASK = (1 << 64) - 1
-
-DEFAULT_COSTS = {"spush": COST_PUSH, "spop": COST_POP, "rfpush": COST_RF_PUSH, "rfpop": COST_RF_POP}
-
 
 COMPLETED = "completed"
 ABORTED = "aborted"
@@ -284,7 +278,7 @@ def compile(target: InstrumentedProgram | Program, checks: AnalysisChecks | None
                     b = None if c is None else write_class(c)
                     c = c if isinstance(c, int) else None
                 elif op >= SPUSH:
-                    b, c = costs.get((bid, idx)) or DEFAULT_COSTS[opname]
+                    b, c = costs.get((bid, idx)) or SHADOW_COSTS[opname]
                 parts[-1].append((op, a, b, c, idx))
                 if RET <= op < UNWIND:
                     parts.append([])

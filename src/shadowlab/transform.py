@@ -92,6 +92,8 @@ COST_PUSH_CHASED = (5, 4)
 COST_RF_PUSH = (2, 2)
 COST_RF_POP = (3, 1)
 COST_TRANSITION_EDGE = (1, 0)
+# per shadow opcode, its cost when neither chased nor on a transition edge
+SHADOW_COSTS = {"spush": COST_PUSH, "spop": COST_POP, "rfpush": COST_RF_PUSH, "rfpop": COST_RF_POP}
 
 FN_ELIDED = "elided"
 FN_FULL = "full"
@@ -762,7 +764,6 @@ def _input_position(name: str, src: int, at: list | None, i: int) -> str:
     return f"b{b}[{k}]" if f == name else f"{f}.b{b}[{k}]"
 
 
-_KIND_COST = {"pop": COST_POP, "rfpush": COST_RF_PUSH, "rfpop": COST_RF_POP}   # a push's cost depends on its flags
 _STORED_BEFORE_PUSH, _STORED_AFTER_POP, _STORED = 1, 2, 4     # where a walk's unsafe stores fell, as bits of its state
 
 
@@ -781,9 +782,9 @@ def rewrite_claims(fn: Function, rf: ResolvedFunction, dead: Mapping[int, tuple[
         found.append(f"shadow instructions and op_costs differ at {sorted(at.keys() ^ rf.op_costs.keys())}")
     if list(at.values()) != kinds:
         return found + [f"shadow instructions {list(at.values())} where shadow_ops has {kinds}"]
-    for op, (bid, idx) in zip(rf.shadow_ops, at):
+    for op, ((bid, idx), opcode) in zip(rf.shadow_ops, at.items()):
         where, charged = f"b{bid}[{idx}]: {op.kind}", rf.op_costs.get((bid, idx))
-        cost = _KIND_COST.get(op.kind) or (COST_PUSH_CHASED if op.chased else COST_PUSH)
+        cost = COST_PUSH_CHASED if opcode == "spush" and op.chased else SHADOW_COSTS[opcode]
         if op.transition:
             cost = (cost[0] + COST_TRANSITION_EDGE[0], cost[1] + COST_TRANSITION_EDGE[1])
         if charged != op.cost or op.cost != cost:

@@ -199,14 +199,39 @@ def test_shared_instr_error_reports_later_occurrence():
 
 
 def test_error_column_is_the_whole_operand():
-    # b is a part of the opcode brc, and r a part of the earlier operand r1
+    # b is a part of the opcode brc, and r a part of the earlier operand r1;
+    # in the text after a function's `{`, the header's own tokens come earlier
     for text, msg, pos in [
         ("fn f {\nb0:\n  brc b1, b\nb1:\n  ret\n}", "bad block reference 'b'", (3, 11)),
         ("fn main {\nb0:\n  movi r1, r\n  ret\n}", "bad integer 'r'", (3, 12)),
+        ("fn g { fn h {", "nested function definition", (1, 8)),
+        ("fn foo { b0: foo }", "unknown opcode 'foo'", (1, 14)),
+        ("fn ret { ret }", "instruction outside a block", (1, 10)),
     ]:
         with pytest.raises(MirError, match=msg) as exc:
             parse_program(text)
         assert (exc.value.line, exc.value.col) == pos
+
+
+@pytest.mark.parametrize(
+    "text, msg, line, col",
+    [
+        ("b0: ret", "statement outside function: 'b0: ret'", 1, 1),
+        ("}", "statement outside function: '}'", 1, 1),
+        ("fn f {\n  movi r1, 1\n}", "instruction outside a block", 2, 3),
+        ("fn f {\nb0:\n  ret", "unterminated function 'f'", 1, 1),
+        ("fn f { }", "function 'f' has no blocks", 1, 1),
+        ("fn f {\nb0: ret\nfn g {", "nested function definition", 3, 1),
+        ("#entry 9x", "#entry expects a function name", 1, 1),
+        ("#adversarial yes", "#adversarial expects true|false", 1, 1),
+        ("fn f { b0: call 9g\n ret }", "bad symbol '9g'", 1, 17),
+        ("# only a comment", "no functions in program", 0, 0),
+    ],
+)
+def test_parse_error_message_and_position(text, msg, line, col):
+    with pytest.raises(MirError) as exc:
+        parse_program(text)
+    assert (exc.value.msg, exc.value.line, exc.value.col) == (msg, line, col)
 
 
 def test_roundtrip_preserves_header():

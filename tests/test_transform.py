@@ -724,6 +724,30 @@ def test_a_wrong_splice_layout_fails_the_check_mapping_and_changes_no_output(mon
     assert inlining == raised == 7
 
 
+# Helpers that a check and the code it checks both read, each with the
+# ROADMAP item that will give the check a judge of its own.
+SHARED_HELPERS = {"write_class": "items 11 and 19", "instr_masks": "item 8"}
+
+
+def test_checks_read_no_transformer_helper():
+    # a check that reuses the transformer's own helpers agrees with its bugs
+    import types
+    from shadowlab import analysis, transform
+
+    def names(code):
+        return set(code.co_names).union(*(names(c) for c in code.co_consts if isinstance(c, types.CodeType)))
+
+    checks = [transform.rewrite_claims, transform.activation_walks, transform._mapped_facts, transform._checked,
+              analysis.dead_register_findings]
+    read = set().union(*(names(f.__code__) for f in checks))
+    assert not read & {"_rewrite", "_chase_point", "lower_instrumentation", "plan_mechanism", "apply_plan"}
+    assert "_spliced" not in names(transform._rewrite.__code__)
+    helpers = {n for n in read
+               if isinstance(getattr(transform, n, None) or getattr(analysis, n, None), types.FunctionType)}
+    # the rest are the checks themselves and the check mapping's own layout
+    assert helpers - {f.__name__ for f in checks} - {"_spliced", "_input_position"} == set(SHARED_HELPERS)
+
+
 def renumbered(p: Program, rng: random.Random) -> Program:
     """`p` with every function's blocks given distinct random ids below
     1000, in the same order, so the entry stays first."""
